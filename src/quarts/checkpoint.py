@@ -100,7 +100,3 @@ def assign_params(named: dict[str, Tensor], arrays: dict[str, np.ndarray],
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, "
                 f"model {tensor.shape}")
         tensor.data = arr.astype(dtype)
-
-
-def load_params(path, named: dict[str, Tensor], prefix: str | None = None) -> None:
-    assign_params(named, load_arrays(path), prefix=prefix)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, PAD
+from .data import Batch, PAD, pad_mask
 from .tensor import Tensor
 
 CE_CLAMP_F64 = 1e-12
@@ -166,10 +166,6 @@ def encode(ids: list[int], emb: Tensor, lstm: LstmParams,
     return T.transpose_last2(T.reshape(cols, (true_len, lstm.hidden_size)))
 
 
-def _pad_mask(lens: np.ndarray, width: int) -> np.ndarray:
-    return (np.arange(width)[None, :] < lens[:, None]).astype(np.float64)
-
-
 def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
                         h_states: Tensor, query_lens: np.ndarray,
                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
@@ -256,7 +252,7 @@ def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.nd
         h_lens = query_lens
     else:
         h_states, q_n, h_lens = h_override
-    tmask = _pad_mask(item_lens, item_ids.shape[1])
+    tmask = pad_mask(item_lens, item_ids.shape[1])
     r_n, alpha = wbw_attention_batch(k_states, tmask, h_states, h_lens, params.attn)
     h_star = combine(r_n, q_n, params.attn.w_x)
     logit = head_logit(h_star, params.head, rng, training)
@@ -352,7 +348,7 @@ def _mean_pool(emb: Tensor, ids: np.ndarray, lens: np.ndarray) -> Tensor:
     bsz, width = ids.shape
     flat = T.lookup(emb, ids.reshape(-1))
     stack = T.reshape(flat, (bsz, width, emb.shape[1]))
-    w = _pad_mask(lens, width) / lens[:, None]
+    w = pad_mask(lens, width) / lens[:, None]
     pooled = T.matmul(T.reshape(T.constant(w), (bsz, 1, width)), stack)
     return T.reshape(pooled, (bsz, emb.shape[1]))
 
@@ -366,16 +362,6 @@ def dssm_batch_probs(params: DssmParams, item_ids, item_lens, query_ids,
     a1 = T.tanh(T.matmul(z, params.w1) + params.b1)
     logit = T.matmul(a1, params.w2) + params.b2
     return T.sigmoid(T.reshape(logit, (-1,)))
-
-
-def dssm_baseline(item_ids: list[int], query_ids: list[int],
-                  params: DssmParams) -> float:
-    probs = dssm_batch_probs(params,
-                             np.asarray([item_ids], dtype=np.int64),
-                             np.array([len(item_ids)]),
-                             np.asarray([query_ids], dtype=np.int64),
-                             np.array([len(query_ids)]))
-    return float(probs.data[0])
 
 
 def dssm_batch_loss(params: DssmParams, batch: Batch, beta: float) -> Tensor:

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import pipeline as P
 from .catalog import CatalogSpec
-from .checkpoint import CheckpointError, load_arrays, assign_params
-from .classifier import attention_heatmap, normalize_heatmap, heatmap_text, \
-    encode_batch
+from .checkpoint import CheckpointError
+from .classifier import ClassifierParams, attention_heatmap, normalize_heatmap, \
+    heatmap_text, encode_batch
 from .config import ConfigError, RunConfig, desk_profile, load_config, paper_profile
 from .data import DataError, read_pairs, tokenize
 from .metrics import MetricError, knn as knn_search
-from .rng import RunRng
 from .ved import beam_generate
 
 log = logging.getLogger("quarts")
@@ -149,16 +148,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_bundle(args, cfg, data):
-    run_dir = _run_dir(args)
+def _load_tool_model(args, cfg, data, with_generator: bool):
+    """The classifier, and the generator when asked, that a tool reads."""
     ckpt = args.checkpoint or P.CKPT_E2E
-    return P.load_bundle(cfg, data, run_dir, ckpt, need="train-e2e"), run_dir
+    clf, ved = P.load_bundle(cfg, data, _run_dir(args), ckpt,
+                             need=P.WRITTEN_BY.get(ckpt, "train-e2e"))
+    P.require(isinstance(clf, ClassifierParams), ckpt, "classifier")
+    if with_generator:
+        P.require(ved is not None, ckpt, "generator")
+    return clf, ved
 
 
 def cmd_generate(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    (clf, ved), _ = _load_eval_bundle(args, cfg, data)
+    clf, ved = _load_tool_model(args, cfg, data, with_generator=True)
     if args.pairs:
         rows = [(p.title, p.query) for p in read_pairs(args.pairs) if p.label == 0]
     else:
@@ -187,12 +191,7 @@ def cmd_generate(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    run_dir = _run_dir(args)
-    ckpt = args.checkpoint or P.CKPT_E2E
-    arrays = load_arrays(run_dir / ckpt)
-    clf = P.new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-    assign_params(clf.named(), {k: v for k, v in arrays.items()
-                                if k.startswith("clf.")})
+    clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
     title_tokens = tokenize(args.title)[:cfg.max_title_len]
     query_tokens = tokenize(args.query)[:cfg.max_query_len]
     alpha = attention_heatmap(data.vocab_t.encode(title_tokens),
@@ -213,12 +212,7 @@ def cmd_heatmap(args) -> int:
 def cmd_knn(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    run_dir = _run_dir(args)
-    ckpt = args.checkpoint or P.CKPT_E2E
-    arrays = load_arrays(run_dir / ckpt)
-    clf = P.new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-    assign_params(clf.named(), {k: v for k, v in arrays.items()
-                                if k.startswith("clf.")})
+    clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
     side = args.side
     vocab = data.vocab_q if side == "query" else data.vocab_t
     emb = clf.emb_q if side == "query" else clf.emb_t

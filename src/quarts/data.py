@@ -187,13 +187,19 @@ class Batch:
         return self.item_ids.shape[0]
 
 
-def _pad_matrix(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+def pad_matrix(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """PAD-filled (B, longest) id matrix and the (B,) true lengths."""
     lens = np.array([len(s) for s in seqs], dtype=np.int64)
     width = int(lens.max())
     mat = np.full((len(seqs), width), PAD, dtype=np.int64)
     for i, s in enumerate(seqs):
         mat[i, :len(s)] = s
     return mat, lens
+
+
+def pad_mask(lens: np.ndarray, width: int) -> np.ndarray:
+    """(B, width) float mask: 1.0 at real positions, 0.0 at padding."""
+    return (np.arange(width)[None, :] < lens[:, None]).astype(np.float64)
 
 
 def batches(examples: list[Example], batch_size: int,
@@ -204,8 +210,8 @@ def batches(examples: list[Example], batch_size: int,
         order = rng.permutation(len(examples))
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start:start + batch_size]]
-        items, item_lens = _pad_matrix([e.item_ids for e in chunk])
-        queries, query_lens = _pad_matrix([e.query_ids for e in chunk])
+        items, item_lens = pad_matrix([e.item_ids for e in chunk])
+        queries, query_lens = pad_matrix([e.query_ids for e in chunk])
         labels = np.array([e.label for e in chunk], dtype=np.float64)
         yield Batch(items, item_lens, queries, query_lens, labels,
                     [e.source for e in chunk])

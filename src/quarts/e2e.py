@@ -2,14 +2,14 @@
 
 Per example: draw z ~ Bernoulli(p) and set s = (1-y)z. With s=0 the
 example contributes the usual weighted cross-entropy on the real pair;
-with s=1 (only possible for matched pairs) the generator produces a
-continuous query representation that replaces the encoded query, and the
-example contributes the same loss with proxy label 1. A batch whose draws
-are all zero reduces to the plain classifier batch loss, bitwise.
+with s=1 (only possible for matched pairs) the generator's continuous
+query representation replaces the encoded query, so the switch selects
+one of the two rather than mixing them, and the example contributes the
+same loss with proxy label 1. A batch whose draws are all zero reduces
+to the plain classifier batch loss, bitwise; ``train.fit`` runs this
+loss like any other batch loss.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,38 +22,12 @@ from .tensor import Tensor
 from .ved import VedParams, encode_pair_batch, hgen_forward_batch
 
 
-@dataclass
-class SwitchDraw:
-    z: int
-    s: int
-    p: float
-
-
-def sample_switch(y: int, p: float, rng: np.random.Generator) -> SwitchDraw:
-    """Draw the path selector for one example: s = (1-y) * z."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    z = int(rng.random() < p)
-    return SwitchDraw(z=z, s=(1 - y) * z, p=p)
-
-
 def sample_switches(labels: np.ndarray, p: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Vector of s values; one uniform is consumed per example regardless
     of label, keeping the stream aligned across label compositions."""
     z = (rng.random(len(labels)) < p).astype(np.int64)
     return (1 - labels.astype(np.int64)) * z
-
-
-def merge(h_real: Tensor, h_gen: Tensor, s: int) -> Tensor:
-    """Binary convex combination s*H_gen + (1-s)*H, i.e. selection.
-
-    Implemented as selection so the two representations need not share a
-    shape; the output is always exactly one of the inputs.
-    """
-    if s not in (0, 1):
-        raise ValueError(f"switch must be binary, got {s}")
-    return h_gen if s == 1 else h_real
 
 
 def _subset(batch: Batch, idx: np.ndarray) -> Batch:

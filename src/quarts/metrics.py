@@ -110,15 +110,6 @@ def f1_best(scores, labels) -> tuple[float, float]:
     return best_f1, best_thr
 
 
-def recall_at_threshold(scores, labels, threshold: float) -> float:
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    pos = labels == 1
-    if not pos.any():
-        raise MetricError("recall needs at least one positive label")
-    return float((scores[pos] > threshold).sum() / pos.sum())
-
-
 def _ngrams(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 

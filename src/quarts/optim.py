@@ -51,11 +51,6 @@ class Adam:
         self.lr *= factor
 
 
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 def assert_grads_clear(params: dict[str, Tensor]) -> None:
     """Guard against silent gradient accumulation across steps."""
     for name, p in params.items():

@@ -7,6 +7,12 @@ logs data, (5) switched end-to-end training. Every phase writes a
 checkpoint and a manifest entry; per-epoch metrics append to
 ``metrics.jsonl``, one JSON record per line.
 
+Each phase builds its batch loss and hands it to ``train.fit``: the
+weighted cross-entropy for the classifier and the naive-augment
+baseline, the pooled baseline's loss, and the switched loss. Every
+checkpoint is read back through ``load_bundle``, which picks the model
+from the array-name prefixes.
+
 Each phase derives fresh random substreams from (seed, phase), so a
 later phase's draws never depend on how much randomness an earlier phase
 consumed. The baseline trainer reuses the end-to-end phase streams when
@@ -28,13 +34,14 @@ from . import metrics as M
 from . import tensor as T
 from .catalog import CatalogSpec, MatchOracle, generate_corpus
 from .checkpoint import load_arrays, assign_params, save_params
-from .classifier import ClassifierParams, DssmParams, init_classifier, init_dssm
+from .classifier import (ClassifierParams, DssmParams, classifier_batch_loss,
+                         dssm_batch_loss, init_classifier, init_dssm)
 from .config import RunConfig, RunManifest, file_sha256
-from .data import (DataError, Example, RawPair, Vocabulary, build_vocab,
-                   encode_pairs, read_pairs, split_pairs, tokenize, write_pairs)
+from .data import (Example, RawPair, Vocabulary, build_vocab, encode_pairs,
+                   read_pairs, split_pairs, tokenize, write_pairs)
+from .e2e import e2e_batch_loss
 from .rng import RunRng
-from .train import (EpochRecord, TrainSettings, evaluate_dssm_probs,
-                    evaluate_probs, train_classifier, train_dssm, train_e2e,
+from .train import (EpochRecord, TrainSettings, evaluate_probs, fit, frozen,
                     train_ved)
 from .ved import VedParams, beam_generate, build_triples, encode_triples, init_ved
 
@@ -51,6 +58,14 @@ CKPT_VED = "phase3_ved.qrts"
 CKPT_E2E = "phase5_e2e.qrts"
 CKPT_DSSM = "baseline_dssm.qrts"
 CKPT_AUGMENT = "baseline_augment.qrts"
+
+# The command that writes each checkpoint, named when one is missing.
+WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
+              CKPT_E2E: "train-e2e", CKPT_DSSM: "train-baseline --kind dssm",
+              CKPT_AUGMENT: "train-baseline --kind augment"}
+
+# The switch draws of a batch loss that has no switch.
+NO_SWITCH = np.zeros(0, dtype=np.int64)
 
 
 class PipelineError(RuntimeError):
@@ -161,38 +176,59 @@ def new_classifier(cfg: RunConfig, data: DataBundle, rng: RunRng) -> ClassifierP
                            cfg.embed_dim, cfg.hidden_size, dropout=cfg.dropout)
 
 
-def load_classifier(cfg: RunConfig, data: DataBundle, run_dir,
-                    ckpt: str = CKPT_CLASSIFIER) -> ClassifierParams:
-    path = Path(run_dir) / ckpt
-    if not path.exists():
-        raise PipelineError(
-            f"missing checkpoint {path}; run `quarts pretrain-classifier` first")
-    clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-    assign_params(clf.named(), load_arrays(path), prefix="clf.")
-    return clf
-
-
 def new_ved(cfg: RunConfig, data: DataBundle, rng: RunRng) -> VedParams:
     return init_ved(rng.init, cfg.hidden_size, cfg.embed_dim, cfg.latent_dim,
                     len(data.vocab_q))
 
 
-def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
-                need: str) -> tuple[ClassifierParams, VedParams]:
+def new_dssm(cfg: RunConfig, data: DataBundle, rng: RunRng) -> DssmParams:
+    return init_dssm(rng.init, len(data.vocab_q), len(data.vocab_t),
+                     cfg.embed_dim, cfg.hidden_size)
+
+
+def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
+                ) -> tuple[ClassifierParams | DssmParams, VedParams | None]:
+    """Rebuild the models a checkpoint holds, at the run's precision.
+
+    Returns the pooled baseline for ``dssm.`` arrays and the classifier
+    otherwise, plus the generator when ``ved.`` arrays are present.
+    ``need`` is the command that writes the checkpoint.
+    """
     path = Path(run_dir) / ckpt
     if not path.exists():
         raise PipelineError(f"missing checkpoint {path}; run `quarts {need}` first")
+    set_precision(cfg)
     arrays = load_arrays(path)
+    if any(k.startswith("dssm.") for k in arrays):
+        dssm = new_dssm(cfg, data, RunRng(cfg.seed, "dssm"))
+        assign_params(dssm.named(), arrays)
+        return dssm, None
     clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-    ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
-    assign_params(clf.named(), {k: v for k, v in arrays.items()
-                                if k.startswith("clf.")})
-    assign_params(ved.named(), {k: v for k, v in arrays.items()
-                                if k.startswith("ved.")})
+    assign_params(clf.named(), arrays, prefix="clf.")
+    ved = None
+    if any(k.startswith("ved.") for k in arrays):
+        ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
+        assign_params(ved.named(), arrays, prefix="ved.")
     return clf, ved
 
 
+_HOLDERS = {"generator": "a pretrain-ved or train-e2e checkpoint",
+            "classifier": "any checkpoint but the pooled baseline's"}
+
+
+def require(ok: bool, ckpt: str, part: str) -> None:
+    """Fail with exit 2 when a loaded checkpoint lacks the ``part`` needed."""
+    if not ok:
+        raise PipelineError(f"{ckpt} holds no {part} parameters; use {_HOLDERS[part]}")
+
+
 # --- phases ------------------------------------------------------------------
+
+def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
+    """Weighted cross-entropy on the real pairs; dropout from ``rng``."""
+    return lambda batch: (classifier_batch_loss(clf, batch, beta, rng.dropout,
+                                                training=True), NO_SWITCH)
+
 
 def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
                               ) -> tuple[ClassifierParams, list[EpochRecord]]:
@@ -201,9 +237,10 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
     set_precision(cfg)
     rng = RunRng(cfg.seed, "classifier")
     clf = new_classifier(cfg, data, rng)
+    st = settings(cfg)
     t0 = time.perf_counter()
-    records = train_classifier(clf, data.train_ex, data.val_ex, settings(cfg),
-                               rng, cfg.clf_epochs)
+    records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
+                  data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "classifier")
     save_params(run_dir / CKPT_CLASSIFIER, clf.named())
     data.vocab_q.save(run_dir / "vocab_q.txt")
     data.vocab_t.save(run_dir / "vocab_t.txt")
@@ -243,7 +280,8 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
     run_dir = Path(run_dir)
     set_precision(cfg)
     if clf is None:
-        clf = load_classifier(cfg, data, run_dir)
+        clf, _ = load_bundle(cfg, data, run_dir, CKPT_CLASSIFIER,
+                             need="pretrain-classifier")
     text_triples = read_triples(run_dir)
     triples = encode_triples(text_triples, data.vocab_t, data.vocab_q,
                              cfg.max_title_len, cfg.max_query_len)
@@ -261,19 +299,27 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
 
 def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
                     p: float | None = None, freeze_generator: bool = False,
-                    resume: str | None = None, on_step=None,
+                    resume: str | None = None,
                     ) -> tuple[ClassifierParams, VedParams, list[EpochRecord]]:
+    """Switched training over the concatenated annotated + logs data.
+
+    Updates classifier and generator parameters together unless the
+    generator is frozen for ablation.
+    """
     run_dir = Path(run_dir)
-    set_precision(cfg)
-    clf, ved = load_bundle(cfg, data, run_dir, resume or CKPT_VED,
-                           need="pretrain-ved")
+    ckpt = resume or CKPT_VED
+    clf, ved = load_bundle(cfg, data, run_dir, ckpt, need="pretrain-ved")
+    require(ved is not None, ckpt, "generator")
     p = cfg.p if p is None else p
     rng = RunRng(cfg.seed, "finetune")
+    st = settings(cfg, finetune=True)
+    named = {**clf.named(), **({} if freeze_generator else ved.named())}
     t0 = time.perf_counter()
-    records = train_e2e(clf, ved, data.merged_ex, data.val_ex,
-                        settings(cfg, finetune=True),
-                        rng, cfg.e2e_epochs, p,
-                        freeze_generator=freeze_generator, on_step=on_step)
+    with frozen(ved.named() if freeze_generator else {}):
+        records = fit(clf, named,
+                      lambda batch: e2e_batch_loss(clf, ved, batch, p, st.beta,
+                                                   rng, training=True),
+                      data.merged_ex, data.val_ex, st, rng, cfg.e2e_epochs, "e2e")
     save_params(run_dir / CKPT_E2E, {**clf.named(), **ved.named()})
     _append_metrics(run_dir, "e2e", records)
     _finish_phase(run_dir, cfg, "e2e", CKPT_E2E, time.perf_counter() - t0)
@@ -286,11 +332,12 @@ def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
     run_dir.mkdir(parents=True, exist_ok=True)
     set_precision(cfg)
     rng = RunRng(cfg.seed, "dssm")
-    params = init_dssm(rng.init, len(data.vocab_q), len(data.vocab_t),
-                       cfg.embed_dim, cfg.hidden_size)
+    params = new_dssm(cfg, data, rng)
+    st = settings(cfg)
     t0 = time.perf_counter()
-    records = train_dssm(params, data.train_ex, data.val_ex, settings(cfg),
-                         rng, cfg.clf_epochs)
+    records = fit(params, params.named(),
+                  lambda batch: (dssm_batch_loss(params, batch, st.beta), NO_SWITCH),
+                  data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "dssm")
     save_params(run_dir / CKPT_DSSM, params.named())
     _append_metrics(run_dir, "dssm", records)
     _finish_phase(run_dir, cfg, "dssm", CKPT_DSSM, time.perf_counter() - t0)
@@ -299,7 +346,6 @@ def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
 
 def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
                         resume: str | None = None, epochs: int | None = None,
-                        on_step=None,
                         ) -> tuple[ClassifierParams, list[EpochRecord]]:
     """Classifier on annotated + logs data; no generator, no switch.
 
@@ -313,17 +359,18 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
     set_precision(cfg)
     finetune = resume is not None
     if finetune:
-        clf = load_classifier(cfg, data, run_dir, ckpt=resume)
+        clf, _ = load_bundle(cfg, data, run_dir, resume, need="pretrain-classifier")
+        require(isinstance(clf, ClassifierParams), resume, "classifier")
         rng = RunRng(cfg.seed, "finetune")
         epochs = cfg.e2e_epochs if epochs is None else epochs
     else:
         rng = RunRng(cfg.seed, "classifier")
         clf = new_classifier(cfg, data, rng)
         epochs = cfg.clf_epochs if epochs is None else epochs
+    st = settings(cfg, finetune=finetune)
     t0 = time.perf_counter()
-    records = train_classifier(clf, data.merged_ex, data.val_ex,
-                               settings(cfg, finetune=finetune),
-                               rng, epochs, on_step=on_step)
+    records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
+                  data.merged_ex, data.val_ex, st, rng, epochs, "augment")
     save_params(run_dir / CKPT_AUGMENT, clf.named())
     _append_metrics(run_dir, "augment", records)
     _finish_phase(run_dir, cfg, "augment", CKPT_AUGMENT, time.perf_counter() - t0)
@@ -363,18 +410,13 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def held_out_matched_with_mismatch(pairs: list[RawPair]) -> list[tuple[str, str, str]]:
-    """(title, matched query, reference mismatched query) from a labeled split."""
-    return build_triples(pairs, cap=1)
-
-
 def evaluate_generation(cfg: RunConfig, data: DataBundle,
                         clf: ClassifierParams, ved: VedParams,
-                        pairs: list[RawPair] | None = None,
+                        pairs: list[RawPair],
                         ) -> tuple[M.BleuReport, M.GenerationAccuracy, int]:
     """Beam-1 generations from held-out matched pairs, scored by BLEU
     against the held-out mismatched reference and by the oracle."""
-    triples = held_out_matched_with_mismatch(pairs or data.test)
+    triples = build_triples(pairs, cap=1)
     bleu_pairs = []
     acc_pairs = []
     for title, q, qm in triples:
@@ -393,30 +435,11 @@ def evaluate_generation(cfg: RunConfig, data: DataBundle,
 def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
                         split: str = "test", with_generation: bool = False,
                         scores_out=None) -> MetricsReport:
-    run_dir = Path(run_dir)
-    set_precision(cfg)
     examples = {"train": data.train_ex, "val": data.val_ex,
                 "test": data.test_ex}[split]
-    path = Path(run_dir) / ckpt
-    if not path.exists():
-        raise PipelineError(f"missing checkpoint {path}; train a model first")
-    arrays = load_arrays(path)
-    if any(k.startswith("dssm.") for k in arrays):
-        params = init_dssm(np.random.default_rng(0), len(data.vocab_q),
-                           len(data.vocab_t), cfg.embed_dim, cfg.hidden_size)
-        assign_params(params.named(), arrays)
-        scores, labels = evaluate_dssm_probs(params, examples)
-        clf = ved = None
-    else:
-        clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-        assign_params(clf.named(), {k: v for k, v in arrays.items()
-                                    if k.startswith("clf.")})
-        ved = None
-        if any(k.startswith("ved.") for k in arrays):
-            ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
-            assign_params(ved.named(), {k: v for k, v in arrays.items()
-                                        if k.startswith("ved.")})
-        scores, labels = evaluate_probs(clf, examples)
+    model, ved = load_bundle(cfg, data, run_dir, ckpt,
+                             need=WRITTEN_BY.get(ckpt, "train-e2e"))
+    scores, labels = evaluate_probs(model, examples)
 
     aupr = M.average_precision(scores, labels)
     f1, thr = M.f1_best(scores, labels)
@@ -429,12 +452,9 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
         seed=cfg.seed, config_hash=cfg.hash())
 
     if with_generation:
-        if ved is None:
-            raise PipelineError(
-                f"{ckpt} holds no generator parameters; evaluate a "
-                "pretrain-ved or train-e2e checkpoint with --generation")
+        require(ved is not None, ckpt, "generator")
         split_pairs_ = {"train": data.train, "val": data.val, "test": data.test}[split]
-        bleu, acc, n = evaluate_generation(cfg, data, clf, ved, split_pairs_)
+        bleu, acc, n = evaluate_generation(cfg, data, model, ved, split_pairs_)
         report.bleu = bleu.bleu
         report.generation_accuracy = acc.accuracy
         report.unresolvable_rate = acc.unresolvable_rate
@@ -445,21 +465,4 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
         with open(scores_out, "w", encoding="utf-8") as fh:
             for s, y in zip(scores, labels):
                 fh.write(f"{s:.8f}\t{int(y)}\n")
-    return report
-
-
-def run_pipeline(cfg: RunConfig, data_dir, run_dir) -> MetricsReport:
-    """All five phases in order, then a test-split evaluation."""
-    data = load_data(data_dir, cfg)
-    clf, _ = phase_pretrain_classifier(cfg, data, run_dir)
-    phase_build_triples(cfg, data, run_dir)
-    phase_pretrain_ved(cfg, data, run_dir, clf=clf)
-    phase_train_e2e(cfg, data, run_dir)
-    report = evaluate_checkpoint(cfg, data, run_dir, CKPT_E2E,
-                                 with_generation=True)
-    out = Path(run_dir) / "report.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-    with open(Path(run_dir) / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
     return report

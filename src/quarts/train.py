@@ -1,5 +1,10 @@
-"""Training loops for the classifier, the baseline, the generator, and the
-switched end-to-end objective.
+"""Training loops: one ``fit`` for every phase trained on labeled pairs,
+and ``train_ved`` for generator pretraining.
+
+``fit`` serves classifier pretraining, the naive-augment and pooled
+baselines, and switched end-to-end training; the caller hands it the
+batch loss. ``train_ved`` batches (item, matched, mismatched) triples
+and anneals the KL weight, so it keeps its own loop.
 
 All loops are single-threaded and deterministic given a RunRng; gradient
 reset is explicit and asserted before every backward pass.
@@ -7,16 +12,15 @@ reset is explicit and asserted before every backward pass.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import metrics as M
-from .classifier import (ClassifierParams, DssmParams, batch_probs,
-                         classifier_batch_loss, dssm_batch_loss, dssm_batch_probs)
+from .classifier import ClassifierParams, DssmParams, batch_probs, dssm_batch_probs
 from .data import Batch, Example, batches
-from .e2e import e2e_batch_loss
 from .optim import Adam, assert_grads_clear
 from .rng import RunRng
 from .tensor import Tape, Tensor
@@ -32,7 +36,7 @@ class EpochRecord:
     aupr: float
     f1: float
     loss: float
-    s1_fraction: float = 0.0
+    s1_fraction: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -53,93 +57,56 @@ def _maybe_decay(opt: Adam, st: TrainSettings, epoch: int) -> None:
         opt.decay_lr(st.decay_factor)
 
 
-def evaluate_probs(clf: ClassifierParams, examples: list[Example],
+def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode mismatch probabilities over a dataset (no rng consumed)."""
     scores, labels = [], []
     for b in batches(examples, batch_size):
-        probs, _ = batch_probs(clf, b.item_ids, b.item_lens,
-                               b.query_ids, b.query_lens, training=False)
+        if isinstance(model, DssmParams):
+            probs = dssm_batch_probs(model, b.item_ids, b.item_lens,
+                                     b.query_ids, b.query_lens)
+        else:
+            probs, _ = batch_probs(model, b.item_ids, b.item_lens,
+                                   b.query_ids, b.query_lens, training=False)
         scores.append(probs.data)
         labels.append(b.labels)
     return np.concatenate(scores), np.concatenate(labels)
 
 
-def evaluate_dssm_probs(params: DssmParams, examples: list[Example],
-                        batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    scores, labels = [], []
-    for b in batches(examples, batch_size):
-        probs = dssm_batch_probs(params, b.item_ids, b.item_lens,
-                                 b.query_ids, b.query_lens)
-        scores.append(probs.data)
-        labels.append(b.labels)
-    return np.concatenate(scores), np.concatenate(labels)
+def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
+        loss_fn: Callable[[Batch], tuple[Tensor, np.ndarray]],
+        train_ex: list[Example], val_ex: list[Example], st: TrainSettings,
+        rng: RunRng, epochs: int, phase: str) -> list[EpochRecord]:
+    """Adam on ``named`` over shuffled batches, then a val pass per epoch.
 
-
-def _val_record(epoch, scores, labels, mean_loss, s1_fraction=0.0) -> EpochRecord:
-    aupr = M.average_precision(scores, labels)
-    f1, _ = M.f1_best(scores, labels)
-    return EpochRecord(epoch, "val", aupr, f1, mean_loss, s1_fraction)
-
-
-def train_classifier(clf: ClassifierParams, train_ex: list[Example],
-                     val_ex: list[Example], st: TrainSettings, rng: RunRng,
-                     epochs: int,
-                     on_step: Callable[[int, dict[str, Tensor]], None] | None = None,
-                     ) -> list[EpochRecord]:
-    """Weighted cross-entropy training of the classifier alone.
-
-    Also the naive augmentation baseline when ``train_ex`` includes the
-    logs pairs: no generator, no switch.
+    ``loss_fn(batch)`` returns (loss, s): ``s`` holds the batch's switch
+    draws, empty for losses without a switch, and feeds the s1 fraction.
+    ``model`` is what the val pass scores.
     """
-    named = clf.named()
-    opt = Adam(named, st.lr)
-    records = []
-    step = 0
-    for epoch in range(epochs):
-        _maybe_decay(opt, st, epoch)
-        losses = []
-        for batch in batches(train_ex, st.batch_size, rng.shuffle):
-            assert_grads_clear(named)
-            with Tape() as tape:
-                loss = classifier_batch_loss(clf, batch, st.beta, rng.dropout,
-                                             training=True)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(loss.item())
-            step += 1
-            if on_step is not None:
-                on_step(step, named)
-        scores, labels = evaluate_probs(clf, val_ex)
-        rec = _val_record(epoch, scores, labels, float(np.mean(losses)))
-        records.append(rec)
-        log.info("classifier epoch %d: val aupr=%.4f f1=%.4f loss=%.4f",
-                 epoch, rec.aupr, rec.f1, rec.loss)
-    return records
-
-
-def train_dssm(params: DssmParams, train_ex: list[Example], val_ex: list[Example],
-               st: TrainSettings, rng: RunRng, epochs: int) -> list[EpochRecord]:
-    named = params.named()
     opt = Adam(named, st.lr)
     records = []
     for epoch in range(epochs):
         _maybe_decay(opt, st, epoch)
         losses = []
+        s_total = 0
+        n_total = 0
         for batch in batches(train_ex, st.batch_size, rng.shuffle):
             assert_grads_clear(named)
             with Tape() as tape:
-                loss = dssm_batch_loss(params, batch, st.beta)
+                loss, s = loss_fn(batch)
                 tape.backward(loss)
             opt.step()
             opt.zero_grad()
             losses.append(loss.item())
-        scores, labels = evaluate_dssm_probs(params, val_ex)
-        rec = _val_record(epoch, scores, labels, float(np.mean(losses)))
+            s_total += int(s.sum())
+            n_total += len(s)
+        scores, labels = evaluate_probs(model, val_ex)
+        rec = EpochRecord(epoch, "val", M.average_precision(scores, labels),
+                          M.f1_best(scores, labels)[0], float(np.mean(losses)),
+                          s_total / max(n_total, 1))
         records.append(rec)
-        log.info("dssm epoch %d: val aupr=%.4f f1=%.4f loss=%.4f",
-                 epoch, rec.aupr, rec.f1, rec.loss)
+        log.info("%s epoch %d: val aupr=%.4f f1=%.4f loss=%.4f s1=%.3f",
+                 phase, epoch, rec.aupr, rec.f1, rec.loss, rec.s1_fraction)
     return records
 
 
@@ -159,14 +126,16 @@ def kl_weight_at(epoch: int, anneal_epochs: int) -> float:
     return min(1.0, epoch / (anneal_epochs - 1))
 
 
-def freeze(params: dict[str, Tensor]) -> None:
+@contextmanager
+def frozen(params: dict[str, Tensor]) -> Iterator[None]:
+    """Mark ``params`` untracked for the block, so no step can change them."""
     for p in params.values():
         p.requires_grad = False
-
-
-def unfreeze(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.requires_grad = True
+    try:
+        yield
+    finally:
+        for p in params.values():
+            p.requires_grad = True
 
 
 def train_ved(clf: ClassifierParams, ved: VedParams,
@@ -180,10 +149,8 @@ def train_ved(clf: ClassifierParams, ved: VedParams,
     """
     named = ved.named()
     opt = Adam(named, ved_lr)
-    clf_named = clf.named()
-    freeze(clf_named)
-    try:
-        records = []
+    records = []
+    with frozen(clf.named()):
         for epoch in range(epochs):
             _maybe_decay(opt, st, epoch)
             w = kl_weight_at(epoch, kl_anneal_epochs)
@@ -206,57 +173,4 @@ def train_ved(clf: ClassifierParams, ved: VedParams,
             records.append(rec)
             log.info("ved epoch %d: loss=%.4f nll=%.4f kl=%.4f (w=%.2f)",
                      epoch, rec.loss, rec.nll, rec.kl, w)
-        return records
-    finally:
-        unfreeze(clf_named)
-
-
-def train_e2e(clf: ClassifierParams, ved: VedParams, train_ex: list[Example],
-              val_ex: list[Example], st: TrainSettings, rng: RunRng,
-              epochs: int, p: float, freeze_generator: bool = False,
-              on_step: Callable[[int, dict[str, Tensor]], None] | None = None,
-              ) -> list[EpochRecord]:
-    """Switched training over the concatenated annotated + logs data.
-
-    Updates classifier and generator parameters together unless the
-    generator is frozen for ablation.
-    """
-    named = dict(clf.named())
-    ved_named = ved.named()
-    if freeze_generator:
-        freeze(ved_named)
-    else:
-        named.update(ved_named)
-    opt = Adam(named, st.lr)
-    records = []
-    step = 0
-    try:
-        for epoch in range(epochs):
-            _maybe_decay(opt, st, epoch)
-            losses = []
-            s_total = 0
-            n_total = 0
-            for batch in batches(train_ex, st.batch_size, rng.shuffle):
-                assert_grads_clear(named)
-                with Tape() as tape:
-                    loss, s = e2e_batch_loss(clf, ved, batch, p, st.beta, rng,
-                                             training=True)
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-                losses.append(loss.item())
-                s_total += int(s.sum())
-                n_total += len(s)
-                step += 1
-                if on_step is not None:
-                    on_step(step, named)
-            scores, labels = evaluate_probs(clf, val_ex)
-            rec = _val_record(epoch, scores, labels, float(np.mean(losses)),
-                              s1_fraction=s_total / max(n_total, 1))
-            records.append(rec)
-            log.info("e2e epoch %d: val aupr=%.4f f1=%.4f loss=%.4f s1=%.3f",
-                     epoch, rec.aupr, rec.f1, rec.loss, rec.s1_fraction)
-        return records
-    finally:
-        if freeze_generator:
-            unfreeze(ved_named)
+    return records

@@ -20,7 +20,8 @@ import numpy as np
 from . import tensor as T
 from .classifier import (ClassifierParams, LstmParams, encode_batch, init_lstm,
                          lstm_step, _uniform)
-from .data import (BOS, EOS, PAD, RawPair, TripleExample, Vocabulary, tokenize)
+from .data import (BOS, EOS, RawPair, TripleExample, Vocabulary, pad_mask,
+                   pad_matrix, tokenize)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -142,18 +143,14 @@ class EncodedPair:
     c: Tensor               # (B, 2k) latent context
 
 
-def _mask(lens: np.ndarray, width: int) -> np.ndarray:
-    return (np.arange(width)[None, :] < lens[:, None]).astype(np.float64)
-
-
 def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
                       item_lens: np.ndarray, query_ids: np.ndarray,
                       query_lens: np.ndarray) -> EncodedPair:
     k_states, t_final = encode_batch(item_ids, item_lens, clf.emb_t, clf.lstm_t)
     h_states, q_final = encode_batch(query_ids, query_lens, clf.emb_q, clf.lstm_q)
     u = T.concat([k_states, h_states], axis=1)
-    tmask = _mask(item_lens, item_ids.shape[1])
-    qmask = _mask(query_lens, query_ids.shape[1])
+    tmask = pad_mask(item_lens, item_ids.shape[1])
+    qmask = pad_mask(query_lens, query_ids.shape[1])
     logmask = (1.0 - np.concatenate([tmask, qmask], axis=1)) * _MASK_NEG
     c = T.concat([t_final, q_final], axis=1)
     return EncodedPair(k_states, tmask, u, logmask, c)
@@ -251,17 +248,10 @@ class TripleBatch:
 
 
 def make_triple_batch(triples: list[TripleExample]) -> TripleBatch:
-    def pad(seqs):
-        width = max(len(s) for s in seqs)
-        mat = np.full((len(seqs), width), PAD, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            mat[i, :len(s)] = s
-        return mat, np.array([len(s) for s in seqs], dtype=np.int64)
-
-    items, item_lens = pad([t.item_ids for t in triples])
-    queries, query_lens = pad([t.matched_query_ids for t in triples])
-    prev, _ = pad([[BOS] + t.mismatched_query_ids for t in triples])
-    target, target_lens = pad([t.mismatched_query_ids + [EOS] for t in triples])
+    items, item_lens = pad_matrix([t.item_ids for t in triples])
+    queries, query_lens = pad_matrix([t.matched_query_ids for t in triples])
+    prev, _ = pad_matrix([[BOS] + t.mismatched_query_ids for t in triples])
+    target, target_lens = pad_matrix([t.mismatched_query_ids + [EOS] for t in triples])
     return TripleBatch(items, item_lens, queries, query_lens, prev, target, target_lens)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quarts import tensor as T
-from quarts.checkpoint import (CheckpointError, MAGIC, load_arrays, load_params,
+from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_arrays,
                                save_arrays, save_params)
 from quarts.classifier import init_classifier
 from quarts.config import (ConfigError, RunConfig, RunManifest, desk_profile,
@@ -59,7 +59,7 @@ class TestCheckpoint:
         path = tmp_path / "clf.qrts"
         save_params(path, clf.named())
         clf2 = init_classifier(np.random.default_rng(2), 9, 9, 4, 4)
-        load_params(path, clf2.named())
+        assign_params(clf2.named(), load_arrays(path))
         for k in clf.named():
             np.testing.assert_array_equal(clf.named()[k].data, clf2.named()[k].data)
 
@@ -67,13 +67,13 @@ class TestCheckpoint:
         path = tmp_path / "x.qrts"
         save_arrays(path, {"only": np.ones(2, dtype=np.float32)})
         with pytest.raises(CheckpointError, match="do not match"):
-            load_params(path, {"other": Tensor(np.ones(2))})
+            assign_params({"other": Tensor(np.ones(2))}, load_arrays(path))
 
     def test_shape_mismatch_fails_fast(self, tmp_path):
         path = tmp_path / "x.qrts"
         save_arrays(path, {"w": np.ones((2, 2), dtype=np.float32)})
         with pytest.raises(CheckpointError, match="shape"):
-            load_params(path, {"w": Tensor(np.ones((3, 2)))})
+            assign_params({"w": Tensor(np.ones((3, 2)))}, load_arrays(path))
 
 
 class TestConfig:

@@ -215,13 +215,16 @@ class TestDssm:
         p = C.init_dssm(np.random.default_rng(0), 9, 9, 4, 4)
         for t in p.named().values():
             t.data[...] = 0.0
-        assert C.dssm_baseline([4, 5], [6], p) == 0.5
+        probs = C.dssm_batch_probs(p, np.array([[4, 5]]), np.array([2]),
+                                   np.array([[6]]), np.array([1]))
+        assert probs.data[0] == 0.5
 
     def test_pooled_invariant_to_word_order(self, f64):
         p = C.init_dssm(np.random.default_rng(1), 9, 9, 4, 4)
-        a = C.dssm_baseline([4, 5, 6], [7, 8], p)
-        b = C.dssm_baseline([4, 5, 6], [8, 7], p)
-        assert abs(a - b) < 1e-12
+        items, item_lens = np.array([[4, 5, 6]]), np.array([3])
+        a = C.dssm_batch_probs(p, items, item_lens, np.array([[7, 8]]), np.array([2]))
+        b = C.dssm_batch_probs(p, items, item_lens, np.array([[8, 7]]), np.array([2]))
+        assert abs(a.data[0] - b.data[0]) < 1e-12
 
     def test_loss_trains(self, f64):
         # one step of full-batch training must not error and must be finite

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quarts.cli import main
 from quarts import pipeline as P
+from quarts import tensor as T
+from quarts.checkpoint import load_arrays
+from quarts.cli import main
+from quarts.config import desk_profile, load_config
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,55 @@ class TestPhases:
                      "--run-dir", str(empty_run)])
         assert code == 2
         assert "pretrain-ved" in capsys.readouterr().err
+
+    def test_p_zero_equals_resumed_augment(self, workspace):
+        # at p=0 the switch never fires, so switched training is the
+        # classifier loss on the same streams and leaves the generator as is
+        _, _, run, base = workspace
+        assert main(["train-e2e"] + base + ["--p", "0"]) == 0
+        assert main(["train-baseline", "--kind", "augment",
+                     "--resume", P.CKPT_VED] + base) == 0
+        e2e = load_arrays(run / P.CKPT_E2E)
+        augment = load_arrays(run / P.CKPT_AUGMENT)
+        ved = load_arrays(run / P.CKPT_VED)
+        clf_names = sorted(k for k in e2e if k.startswith("clf."))
+        assert len(clf_names) == 16 and sorted(augment) == clf_names
+        for k in clf_names:
+            assert e2e[k].dtype == augment[k].dtype
+            assert e2e[k].tobytes() == augment[k].tobytes(), k
+        ved_names = sorted(k for k in e2e if k.startswith("ved."))
+        assert ved_names and ved_names == sorted(k for k in ved if k.startswith("ved."))
+        for k in ved_names:
+            assert e2e[k].tobytes() == ved[k].tobytes(), k
+
+    @pytest.mark.parametrize("tool", [
+        ["heatmap", "--title", "alvora running shoes", "--query", "insoles"],
+        ["knn", "--text", "running shoes"],
+    ], ids=["heatmap", "knn"])
+    def test_tool_missing_checkpoint_names_command(self, workspace, capsys, tool):
+        root, data, _, _ = workspace
+        code = main(tool[:1] + ["--data-dir", str(data),
+                                "--run-dir", str(root / "empty_run"),
+                                "--config", str(root / "tiny.cfg")] + tool[1:])
+        assert code == 2
+        assert "train-e2e" in capsys.readouterr().err
+
+    def test_generate_needs_generator_arrays(self, workspace, capsys):
+        root, _, _, base = workspace
+        code = main(["generate"] + base + ["--checkpoint", P.CKPT_CLASSIFIER,
+                                           "--out", str(root / "none.tsv")])
+        assert code == 2
+        assert "generator" in capsys.readouterr().err
+
+    def test_load_bundle_applies_run_precision(self, workspace):
+        root, data_dir, run, _ = workspace
+        cfg = load_config(root / "tiny.cfg", base=desk_profile()).replace(
+            precision="f64")
+        data = P.load_data(data_dir, cfg)
+        with T.using_dtype(T.get_default_dtype()):
+            clf, ved = P.load_bundle(cfg, data, run, P.CKPT_VED, need="pretrain-ved")
+        assert clf.emb_q.data.dtype == np.float64
+        assert ved.dec.w_v.data.dtype == np.float64
 
     def test_eval_missing_data_dir(self, workspace, capsys):
         root, _, run, _ = workspace

@@ -220,6 +220,10 @@ class TestBatching:
         with pytest.raises(D.DataError):
             D.RawPair("t", "q", 1, "logs")
 
+    def test_invalid_label(self):
+        with pytest.raises(D.DataError, match="label must be 0 or 1"):
+            D.RawPair("t", "q", 2, "annotated")
+
     def test_tsv_roundtrip(self, tmp_path):
         pairs = [D.RawPair("alvora running shoes", "running shoes", 0, "annotated"),
                  D.RawPair("alvora running shoes", "insoles", 1, "annotated")]

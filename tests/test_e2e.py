@@ -1,13 +1,12 @@
-"""Switch semantics, merge selection, and the mixed objective."""
+"""Switch semantics and the mixed objective."""
 import numpy as np
-import pytest
 
 from quarts import tensor as T
 from quarts.classifier import classifier_batch_loss, init_classifier
 from quarts.data import Batch, Example
-from quarts.e2e import e2e_batch_loss, merge, sample_switch, sample_switches
+from quarts.e2e import e2e_batch_loss, sample_switches
 from quarts.rng import RunRng
-from quarts.tensor import Tape, Tensor
+from quarts.tensor import Tape
 from quarts.ved import init_ved
 
 
@@ -29,22 +28,17 @@ def toy_batch(labels):
 
 class TestSwitch:
     def test_real_positive_never_switches(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert sample_switch(1, 0.99, rng).s == 0
+        s = sample_switches(np.ones(100), 0.99, np.random.default_rng(0))
+        assert s.sum() == 0
 
     def test_matched_with_z_one(self):
-        rng = np.random.default_rng(1)
-        draws = [sample_switch(0, 0.5, rng) for _ in range(200)]
-        assert any(d.z == 1 and d.s == 1 for d in draws)
-        assert all(d.s == d.z for d in draws)
+        s = sample_switches(np.zeros(200), 0.5, np.random.default_rng(1))
+        z = (np.random.default_rng(1).random(200) < 0.5).astype(np.int64)
+        assert (s == 1).any()
+        np.testing.assert_array_equal(s, z)
 
     def test_matched_with_z_zero(self):
-        assert sample_switch(0, 0.0, np.random.default_rng(2)).s == 0
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            sample_switch(2, 0.5, np.random.default_rng(0))
+        assert sample_switches(np.zeros(1), 0.0, np.random.default_rng(2)).sum() == 0
 
     def test_vectorized_identity(self):
         labels = np.array([0, 1, 0, 1, 0])
@@ -68,23 +62,6 @@ class TestSwitch:
         b = sample_switches(np.array([0, 1] * 4), 0.5, np.random.default_rng(9))
         # z draws identical; s differs only where y=1
         assert all(x == y for x, y in zip(a[::2], b[::2]))
-
-
-class TestMerge:
-    def test_selection(self):
-        h = Tensor([1.0, 2.0])
-        g = Tensor([3.0, 4.0])
-        assert merge(h, g, 0) is h
-        assert merge(h, g, 1) is g
-
-    def test_shapes_need_not_agree(self):
-        h = Tensor(np.zeros((2, 3)))
-        g = Tensor(np.zeros((2, 5)))
-        assert merge(h, g, 1) is g
-
-    def test_binary_only(self):
-        with pytest.raises(ValueError):
-            merge(Tensor([1.0]), Tensor([2.0]), 0.5)
 
 
 class TestE2ELoss:

@@ -7,8 +7,16 @@ representation -> dense head -> mismatch probability in (0, 1).
 Attention scores use tanh, so rows are not a probability simplex and may
 be negative; heatmap export min-max normalizes per row for display only.
 Internally sequences run in row-major batches: states are (B, k) rows and
-title/query encodings are (B, T, k) stacks, with padded positions frozen
-by 0/1 update masks so they cannot leak into downstream results.
+title/query encodings are (B, T, k) stacks.
+
+Both recurrences are fused tape ops: ``lstm_scan`` and
+``wbw_attention_batch`` each run their whole loop in plain numpy and
+record once, with a hand-written backward pass through time. Input
+projections that do not depend on the recurrent state (``x @ W_x``, and
+the title and query thirds of the attention's ``W_h``) run once, outside
+the loop, and only on real positions. Inside a scan, a row past its true
+length keeps its state unchanged and passes gradient straight through,
+so padding can neither leak into results nor change them.
 """
 from __future__ import annotations
 
@@ -30,10 +38,6 @@ class LstmParams:
     wx: Tensor  # (d_in, 4k)
     wh: Tensor  # (k, 4k)
     b: Tensor   # (4k,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.wh.shape[0]
 
 
 @dataclass
@@ -61,10 +65,6 @@ class ClassifierParams:
     lstm_t: LstmParams
     attn: AttentionParams
     head: HeadParams
-
-    @property
-    def hidden_size(self) -> int:
-        return self.lstm_q.hidden_size
 
     def named(self, prefix: str = "clf") -> dict[str, Tensor]:
         out = {f"{prefix}.emb_q": self.emb_q, f"{prefix}.emb_t": self.emb_t}
@@ -112,58 +112,123 @@ def init_classifier(rng: np.random.Generator, vocab_q: int, vocab_t: int,
     )
 
 
-def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    k = p.hidden_size
-    gates = T.matmul(x, p.wx) + T.matmul(h, p.wh) + p.b
-    i = T.sigmoid(T.slice_axis(gates, 1, 0, k))
-    f = T.sigmoid(T.slice_axis(gates, 1, k, 2 * k))
-    g = T.tanh(T.slice_axis(gates, 1, 2 * k, 3 * k))
-    o = T.sigmoid(T.slice_axis(gates, 1, 3 * k, 4 * k))
-    c2 = f * c + i * g
-    return o * T.tanh(c2), c2
+def _gate_affine(k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) with act = tanh(scale * pre) * scale + shift.
+
+    The sigmoid gates (input, forget, output) use sigmoid(x) =
+    0.5 * tanh(x / 2) + 0.5 and the cell gate is plain tanh, so one tanh
+    call activates all four blocks.
+    """
+    scale = np.full(4 * k, 0.5, dtype=dtype)
+    shift = np.full(4 * k, 0.5, dtype=dtype)
+    scale[2 * k:3 * k] = 1.0
+    shift[2 * k:3 * k] = 0.0
+    return scale, shift
 
 
-def _step_masks(lens: np.ndarray, width: int, k: int) -> list[np.ndarray]:
-    """Per-step (B, k) update masks: 1 for real positions, 0 past true length."""
-    return [np.repeat((t < lens).astype(np.float64)[:, None], k, axis=1)
-            for t in range(width)]
+def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
+              h0: Tensor | None = None, c0: Tensor | None = None,
+              ) -> tuple[Tensor, Tensor, Tensor]:
+    """A masked LSTM recurrence as one tape record with a hand-written BPTT.
+
+    ``mask`` (B, T) marks each row's real steps, a prefix of the row.
+    ``xw`` (N, 4k) holds the input projections ``x @ W_x`` of the N real
+    steps packed in row-major order (``x[mask]``), so the hoisted GEMM
+    never runs on padding and its rows do not depend on the padded width.
+    Past a row's true length its state is frozen: h and c carry over
+    unchanged and the gates there get no gradient. ``h0``/``c0`` default
+    to zeros. Returns (states (B, T, k), final h (B, k), final c (B, k));
+    the frozen updates make the final state the one at each row's last
+    real step.
+    """
+    bsz, width = mask.shape
+    k = wh.shape[0]
+    dt = xw.data.dtype
+    w = wh.data
+    pre = np.zeros((bsz, width, 4 * k), dtype=dt)
+    pre[mask] = xw.data
+    pre += b.data
+    scale, shift = _gate_affine(k, dt)
+    h_init = np.zeros((bsz, k), dt) if h0 is None else h0.data
+    c_init = np.zeros((bsz, k), dt) if c0 is None else c0.data
+    grad = T.needs_grad(xw, wh, b, h0, c0)
+    full = int(mask.sum(axis=1).min())   # steps real in every row
+    states = np.empty((bsz, width, k), dt)
+    if grad:
+        acts = np.empty((bsz, width, 4 * k), dt)
+        cells = np.empty((bsz, width, k), dt)
+        tanh_c = np.empty((bsz, width, k), dt)
+    h, c = h_init, c_init
+    for t in range(width):
+        act = np.tanh((pre[:, t] + h @ w) * scale)
+        act *= scale
+        act += shift
+        c_new = act[:, k:2 * k] * c + act[:, :k] * act[:, 2 * k:3 * k]
+        tc = np.tanh(c_new)
+        h_new = act[:, 3 * k:] * tc
+        if t >= full:
+            on = mask[:, t:t + 1]
+            h_new = np.where(on, h_new, h)
+            c_new = np.where(on, c_new, c)
+        if grad:
+            acts[:, t] = act
+            cells[:, t] = c_new
+            tanh_c[:, t] = tc
+        states[:, t] = h = h_new
+        c = c_new
+
+    def rule(grads):
+        g_states, g_h, g_c = grads
+        dh = np.zeros((bsz, k), dt) if g_h is None else g_h
+        dc = np.zeros((bsz, k), dt) if g_c is None else g_c
+        # d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block
+        is_sig = shift * 2
+        dact = acts * (is_sig - acts) + (1 - is_sig)
+        gates = np.empty_like(acts)
+        for t in reversed(range(width)):
+            if g_states is not None:
+                dh = dh + g_states[:, t]
+            a, tc = acts[:, t], tanh_c[:, t]
+            c_prev = cells[:, t - 1] if t else c_init
+            dc_t = dc + dh * a[:, 3 * k:] * (1 - tc * tc)
+            g = gates[:, t]
+            np.multiply(dc_t, a[:, 2 * k:3 * k], out=g[:, :k])
+            np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
+            np.multiply(dc_t, a[:, :k], out=g[:, 2 * k:3 * k])
+            np.multiply(dh, tc, out=g[:, 3 * k:])
+            g *= dact[:, t]
+            dc_prev = dc_t * a[:, k:2 * k]
+            if t >= full:
+                on = mask[:, t:t + 1]
+                g *= on
+                dh = np.where(on, g @ w.T, dh)
+                dc = np.where(on, dc_prev, dc)
+            else:
+                dh = g @ w.T
+                dc = dc_prev
+        h_prev = np.concatenate([h_init[:, None], states[:, :-1]], axis=1)
+        g_wh = h_prev.reshape(-1, k).T @ gates.reshape(-1, 4 * k)
+        return gates[mask], g_wh, gates.sum(axis=(0, 1)), dh, dc
+
+    return T.record((states, h, c), (xw, wh, b, h0, c0), rule if grad else None)
 
 
 def encode_batch(ids: np.ndarray, lens: np.ndarray, emb: Tensor,
                  lstm: LstmParams) -> tuple[Tensor, Tensor]:
     """Run the LSTM over a padded id matrix.
 
-    Returns (states, final): states is (B, T, k) with one row of columns
-    per step; state updates are frozen past each example's true length,
-    so ``final`` is exactly the hidden state at the true last token.
+    Three tape records: one lookup of the real tokens, one GEMM with W_x
+    over all of them, one ``lstm_scan``. Returns (states, final): states
+    is (B, T, k) with one row of columns per step; state updates are
+    frozen past each example's true length, so ``final`` is exactly the
+    hidden state at the true last token.
     """
-    bsz, width = ids.shape
-    k = lstm.hidden_size
-    h = T.zeros((bsz, k))
-    c = T.zeros((bsz, k))
-    cols = []
-    for t, m in enumerate(_step_masks(lens, width, k)):
-        x = T.lookup(emb, ids[:, t])
-        h2, c2 = lstm_step(lstm, x, h, c)
-        mk = T.constant(m)
-        inv = T.constant(1.0 - m)
-        h = mk * h2 + inv * h
-        c = mk * c2 + inv * c
-        cols.append(T.reshape(h, (bsz, 1, k)))
-    return T.concat(cols, axis=1), h
-
-
-def encode(ids: list[int], emb: Tensor, lstm: LstmParams,
-           true_len: int | None = None) -> Tensor:
-    """Single-sequence encoder output as a (k, len) matrix of hidden states."""
-    if true_len is None:
-        true_len = len(ids)
-    if true_len < 1:
-        raise ValueError("encode requires at least one token")
-    mat = np.asarray([ids], dtype=np.int64)
-    states, _ = encode_batch(mat, np.array([true_len]), emb, lstm)
-    cols = T.slice_axis(states, 1, 0, true_len)
-    return T.transpose_last2(T.reshape(cols, (true_len, lstm.hidden_size)))
+    if lens.size and lens.min() < 1:
+        raise ValueError("every sequence needs at least one token")
+    mask = pad_mask(lens, ids.shape[1]) > 0
+    xw = T.matmul(T.lookup(emb, ids[mask]), lstm.wx)
+    states, final, _ = lstm_scan(xw, lstm.wh, lstm.b, mask)
+    return states, final
 
 
 def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
@@ -176,40 +241,84 @@ def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
     of the title states, the current query state, and the previous summary
     r_{t-1} (r_0 = 0); the new summary is the score-weighted title mix
     plus a gated carry of r_{t-1}. Returns the final summary (B, k),
-    frozen at each true query length, and the (B, n, m) score stack.
+    frozen at each true query length, and the (B, n, m) score stack, zero
+    past each true query length and at title padding.
+
+    One tape record with a hand-written BPTT. The title and query
+    projections through W_h run once, outside the step loop, and only on
+    real positions, so no result depends on the padded widths. The score
+    stack is returned untracked: nothing differentiates through it.
     """
     bsz, m, k = k_states.shape
     n = h_states.shape[1]
-    ones_m = T.constant(np.ones((m, 1)))
-    tmask = T.constant(title_mask)
-    r = T.zeros((bsz, k))
-    alphas = []
+    dt = k_states.data.dtype
+    ks, hs = k_states.data, h_states.data
+    w_h, w, w_r = attn.w_h.data, attn.w.data, attn.w_r.data
+    w_k, w_q, w_s = w_h[:k], w_h[k:2 * k], w_h[2 * k:]
+    tmask = np.asarray(title_mask) > 0
+    qmask = pad_mask(query_lens, n) > 0
+    tmf = tmask.astype(dt)
+    proj_k = np.zeros((bsz, m, k), dt)
+    proj_k[tmask] = ks[tmask] @ w_k
+    proj_q = np.zeros((bsz, n, k), dt)
+    proj_q[qmask] = hs[qmask] @ w_q
+    grad = T.needs_grad(k_states, h_states, attn.w_h, attn.w, attn.w_r)
+    full = int(qmask.sum(axis=1).min())
+    r = np.zeros((bsz, k), dt)
+    alpha = np.empty((bsz, n, m), dt)
+    if grad:
+        r_prev, carries = np.empty((n, bsz, k), dt), np.empty((n, bsz, k), dt)
+        blends = np.empty((n, bsz, m, k), dt)
+        tanh_s = np.empty((n, bsz, m), dt)
     for t in range(n):
-        h_t = T.reshape(T.slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
-        r_blk = T.matmul(ones_m, T.reshape(r, (bsz, 1, k)))
-        h_blk = T.matmul(ones_m, h_t)
-        m_t = T.tanh(T.matmul(T.concat([k_states, h_blk, r_blk], axis=2), attn.w_h))
-        a_t = T.tanh(T.matmul(m_t, attn.w)) * tmask
-        mix = T.reshape(T.matmul(T.reshape(a_t, (bsz, 1, m)), k_states), (bsz, k))
-        r_new = mix + T.tanh(T.matmul(r, T.transpose_last2(attn.w_r)))
-        step_on = np.repeat((t < query_lens).astype(np.float64)[:, None], k, 1)
-        r = T.constant(step_on) * r_new + T.constant(1.0 - step_on) * r
-        alphas.append(T.reshape(a_t, (bsz, 1, m)))
-    return r, T.concat(alphas, axis=1)
+        blend = np.tanh(proj_k + (proj_q[:, t] + r @ w_s)[:, None, :])
+        ts = np.tanh((blend * w).sum(axis=-1))
+        a_t = ts * tmf
+        carry = np.tanh(r @ w_r.T)
+        r_new = (a_t[:, :, None] * ks).sum(axis=1) + carry
+        if t >= full:
+            r_new = np.where(qmask[:, t:t + 1], r_new, r)
+            a_t *= qmask[:, t:t + 1]
+        if grad:
+            r_prev[t], blends[t], tanh_s[t], carries[t] = r, blend, ts, carry
+        alpha[:, t] = a_t
+        r = r_new
 
+    def rule(g_r):
+        g_ks = np.zeros((bsz, m, k), dt)
+        g_proj_k = np.zeros((bsz, m, k), dt)
+        g_proj_q = np.zeros((bsz, n, k), dt)
+        g_on = np.empty((n, bsz, k), dt)
+        g_carry = np.empty((n, bsz, k), dt)
+        g_score = np.empty((n, bsz, m), dt)
+        for t in reversed(range(n)):
+            g = g_r * qmask[:, t:t + 1] if t >= full else g_r
+            g_on[t] = g
+            g_carry[t] = gc = g * (1 - carries[t] * carries[t])
+            g_a = (ks * g[:, None, :]).sum(axis=-1)
+            g_score[t] = gs = g_a * tmf * (1 - tanh_s[t] * tanh_s[t])
+            g_blend = gs[:, :, None] * w * (1 - blends[t] * blends[t])
+            g_proj_k += g_blend
+            g_proj_q[:, t] = g_row = g_blend.sum(axis=1)
+            g_prev = gc @ w_r + g_row @ w_s.T
+            if t >= full:   # rows past their length pass r through
+                g_prev += g_r * ~qmask[:, t:t + 1]
+            g_r = g_prev
+        # the title mix over all steps: d/dK of sum_t a_t K = sum_t a_t^T g_t
+        g_ks += np.matmul(alpha.transpose(0, 2, 1), g_on.transpose(1, 0, 2))
+        g_ks[tmask] += g_proj_k[tmask] @ w_k.T
+        g_hs = np.zeros((bsz, n, k), dt)
+        g_hs[qmask] = g_proj_q[qmask] @ w_q.T
+        g_w_h = np.concatenate([
+            ks[tmask].T @ g_proj_k[tmask],
+            hs[qmask].T @ g_proj_q[qmask],
+            r_prev.reshape(-1, k).T @ g_proj_q.transpose(1, 0, 2).reshape(-1, k)])
+        g_w = g_score.reshape(-1) @ blends.reshape(-1, k)
+        g_w_r = g_carry.reshape(-1, k).T @ r_prev.reshape(-1, k)
+        return g_ks, g_hs, g_w_h, g_w, g_w_r
 
-def wbw_attention(k_mat: Tensor, h_mat: Tensor,
-                  attn: AttentionParams) -> tuple[Tensor, Tensor]:
-    """Single-pair attention over (k, m) title and (k, n) query matrices.
-
-    Returns (r_n, alpha) with alpha of shape (n, m).
-    """
-    k, m = k_mat.shape
-    n = h_mat.shape[1]
-    ks = T.reshape(T.transpose_last2(k_mat), (1, m, k))
-    hs = T.reshape(T.transpose_last2(h_mat), (1, n, k))
-    r, alpha = wbw_attention_batch(ks, np.ones((1, m)), hs, np.array([n]), attn)
-    return T.reshape(r, (k,)), T.reshape(alpha, (n, m))
+    inputs = (k_states, h_states, attn.w_h, attn.w, attn.w_r)
+    return T.record(r, inputs, rule if grad else None), T.constant(alpha)
 
 
 def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:
@@ -258,34 +367,6 @@ def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.nd
     logit = head_logit(h_star, params.head, rng, training)
     probs = T.sigmoid(T.reshape(logit, (-1,)))
     return probs, alpha
-
-
-def classify(item_ids: list[int], query_ids: list[int], params: ClassifierParams,
-             training: bool = False, rng: np.random.Generator | None = None,
-             ) -> float:
-    """Mismatch probability for one pair; trailing PAD ids are ignored."""
-    probs, _ = _classify_full(item_ids, query_ids, params, training, rng)
-    return float(probs.data[0])
-
-
-def _strip_pads(ids: list[int]) -> list[int]:
-    n = len(ids)
-    while n > 1 and ids[n - 1] == PAD:
-        n -= 1
-    return list(ids[:n])
-
-
-def _classify_full(item_ids, query_ids, params, training=False, rng=None):
-    item_ids = _strip_pads(item_ids)
-    query_ids = _strip_pads(query_ids)
-    if not item_ids or not query_ids:
-        raise ValueError("classify requires nonempty sequences")
-    return batch_probs(params,
-                       np.asarray([item_ids], dtype=np.int64),
-                       np.array([len(item_ids)]),
-                       np.asarray([query_ids], dtype=np.int64),
-                       np.array([len(query_ids)]),
-                       rng=rng, training=training)
 
 
 def ce_clamp_eps() -> float:
@@ -375,7 +456,10 @@ def dssm_batch_loss(params: DssmParams, batch: Batch, beta: float) -> Tensor:
 def attention_heatmap(item_ids: list[int], query_ids: list[int],
                       params: ClassifierParams) -> np.ndarray:
     """Raw (n, m) attention scores for one pair, rows = query words."""
-    _, alpha = _classify_full(item_ids, query_ids, params)
+    _, alpha = batch_probs(params, np.asarray([item_ids], dtype=np.int64),
+                           np.array([len(item_ids)]),
+                           np.asarray([query_ids], dtype=np.int64),
+                           np.array([len(query_ids)]))
     return np.array(alpha.data[0], dtype=np.float64)
 
 

@@ -148,7 +148,7 @@ class RunManifest:
     created: str = ""
 
     def record_phase(self, name: str, checkpoint: str, seconds: float) -> None:
-        self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 3)}
+        self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6)}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

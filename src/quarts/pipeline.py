@@ -253,11 +253,12 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
 def phase_build_triples(cfg: RunConfig, data: DataBundle, run_dir) -> list:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     text_triples = build_triples(data.train, cap=cfg.triple_cap)
     with open(run_dir / CKPT_TRIPLES, "w", encoding="utf-8") as fh:
         for title, q, qm in text_triples:
             fh.write(f"{title}\t{q}\t{qm}\n")
-    _finish_phase(run_dir, cfg, "triples", CKPT_TRIPLES, 0.0)
+    _finish_phase(run_dir, cfg, "triples", CKPT_TRIPLES, time.perf_counter() - t0)
     return text_triples
 
 

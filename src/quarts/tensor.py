@@ -6,6 +6,15 @@ checking. Operations record backward rules onto the active ``Tape``; with
 no tape active they are plain forward computations, which is how
 evaluation runs.
 
+Every op goes through ``record``: it wraps the forward result and, when a
+tape is active and an input is tracked on it, appends one record holding
+the backward rule. Fused ops (the LSTM scan, word-by-word attention) run
+a whole recurrence in plain numpy and record it once; a record may have
+several outputs, whose rule then receives one gradient per output (None
+for an output nothing differentiated). Fused ops ask ``needs_grad`` first
+and keep no backward cache when nothing will be recorded, which is the
+no-grad path of evaluation and beam search.
+
 Tensors are immutable values once created (the optimizer mutates leaf
 parameter storage between tapes, never inside one). A Tape is single-owner
 and must not be shared across threads.
@@ -20,6 +29,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "VocabularyError",
     "set_default_dtype", "get_default_dtype", "using_dtype",
+    "record", "needs_grad",
     "constant", "zeros",
     "matmul", "add", "sub", "mul", "scale", "neg",
     "tanh", "sigmoid", "absval", "log", "exp", "clamp",
@@ -142,13 +152,14 @@ class Tape:
 
     Records are appended in creation order, which is a topological order
     by construction. ``backward`` walks them once in reverse; clearing the
-    tape (or dropping it) frees every non-parameter node.
+    tape (or dropping it) frees every non-parameter node. A record's output
+    is one node id, or a tuple of ids for a multi-output op.
     """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
-        self._records: list[tuple[int, tuple, Callable]] = []
+        self._records: list[tuple[int | tuple, tuple, Callable]] = []
         self._leaves: dict[int, Tensor] = {}
         self._next_id = 0
 
@@ -197,9 +208,14 @@ class Tape:
 
         grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
         for out_id, in_ids, rule in reversed(self._records):
-            g = grads.pop(out_id, None)
-            if g is None:
-                continue
+            if type(out_id) is tuple:
+                g = tuple(grads.pop(o, None) for o in out_id)
+                if all(x is None for x in g):
+                    continue
+            else:
+                g = grads.pop(out_id, None)
+                if g is None:
+                    continue
             for iid, gin in zip(in_ids, rule(g)):
                 if iid is None or gin is None:
                     continue
@@ -216,17 +232,36 @@ class Tape:
         return out
 
 
-def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t._tape is tape
+def _tracked(t: Tensor | None, tape: Tape) -> bool:
+    return t is not None and (t.requires_grad or t._tape is tape)
 
 
-def _apply(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
-    """Wrap a forward result, recording the backward rule if needed."""
-    out = Tensor._wrap(out_data)
+def needs_grad(*inputs: Tensor | None) -> bool:
+    """Whether an op on ``inputs`` would be recorded (None inputs ignored).
+
+    Fused ops check this before their forward pass, so that without a
+    tape they keep nothing for a backward pass that will not run.
+    """
+    tape = Tape.current()
+    return tape is not None and any(_tracked(t, tape) for t in inputs)
+
+
+def record(out_data, inputs: Sequence[Tensor | None], rule: Callable):
+    """Wrap a forward result, recording the backward rule if needed.
+
+    ``rule(g)`` returns one gradient (or None) per entry of ``inputs``;
+    None inputs are untracked constants, and ``rule`` may be None when
+    ``needs_grad(*inputs)`` is false. ``out_data`` may be a tuple of
+    arrays: the op then returns a tuple of tensors and ``rule`` receives a
+    tuple of gradients, None where an output received none.
+    """
+    multi = isinstance(out_data, tuple)
+    out = tuple(map(Tensor._wrap, out_data)) if multi else Tensor._wrap(out_data)
     tape = Tape.current()
     if tape is not None and any(_tracked(t, tape) for t in inputs):
         in_ids = tuple(tape._register(t) if _tracked(t, tape) else None for t in inputs)
-        tape._records.append((tape._register(out), in_ids, rule))
+        out_id = tuple(map(tape._register, out)) if multi else tape._register(out)
+        tape._records.append((out_id, in_ids, rule))
     return out
 
 
@@ -282,7 +317,7 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a.shape, b.shape)
     sa, sb = a.shape, b.shape
-    return _apply(a.data + b.data, (a, b),
+    return record(a.data + b.data, (a, b),
                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
@@ -290,7 +325,7 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a.shape, b.shape)
     sa, sb = a.shape, b.shape
-    return _apply(a.data - b.data, (a, b),
+    return record(a.data - b.data, (a, b),
                   lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
@@ -298,14 +333,14 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a.shape, b.shape)
     da, db, sa, sb = a.data, b.data, a.shape, b.shape
-    return _apply(da * db, (a, b),
+    return record(da * db, (a, b),
                   lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    return _apply(a.data * np.asarray(c, dtype=a.data.dtype), (a,), lambda g: (g * c,))
+    return record(a.data * np.asarray(c, dtype=a.data.dtype), (a,), lambda g: (g * c,))
 
 
 def neg(a) -> Tensor:
@@ -317,9 +352,12 @@ def matmul(a, b) -> Tensor:
 
     1-D operands are treated as a row (left) or column (right) and the
     inserted axis is squeezed from the result; leading batch axes
-    broadcast, with gradients summed back over broadcast axes.
+    broadcast, with gradients summed back over broadcast axes. A stack
+    times a shared 2-D matrix runs as one GEMM over all leading rows.
     """
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim > 2 and b.ndim == 2:
+        return _matmul_shared(a, b)
     da = a.data[None, :] if a.ndim == 1 else a.data
     db = b.data[:, None] if b.ndim == 1 else b.data
     if da.shape[-1] != db.shape[-2]:
@@ -352,11 +390,26 @@ def matmul(a, b) -> Tensor:
             gb = gb[:, 0]
         return ga, gb
 
-    return _apply(out, (a, b), rule)
+    return record(out, (a, b), rule)
+
+
+def _matmul_shared(a: Tensor, b: Tensor) -> Tensor:
+    """(..., n) x (n, p): a stack of rows against one shared matrix."""
+    if a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    rows = a.data.reshape(-1, a.shape[-1])
+    db = b.data
+    shape = a.shape
+
+    def rule(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ db.T).reshape(shape), rows.T @ g2
+
+    return record((rows @ db).reshape(*shape[:-1], db.shape[1]), (a, b), rule)
 
 
 def _unary(a, out_data: np.ndarray, dlocal: np.ndarray) -> Tensor:
-    return _apply(out_data, (a,), lambda g: (g * dlocal,))
+    return record(out_data, (a,), lambda g: (g * dlocal,))
 
 
 def tanh(a) -> Tensor:
@@ -367,12 +420,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    # stable in both tails
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    y[~pos] = e / (1.0 + e)
+    # 0.5 * (1 + tanh(x / 2)) is the logistic function, stable in both tails
+    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     return _unary(a, y, y * (1.0 - y))
 
 
@@ -422,7 +471,7 @@ def softmax_rows(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    return _apply(y, (a,),
+    return record(y, (a,),
                   lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,))
 
 
@@ -432,7 +481,7 @@ def log_softmax_rows(a) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
-    return _apply(out, (a,),
+    return record(out, (a,),
                   lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
 
 
@@ -451,7 +500,7 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
     def rule(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _apply(out, ts, rule)
+    return record(out, ts, rule)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -466,7 +515,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
         z[idx] = g
         return (z,)
 
-    return _apply(a.data[idx], (a,), rule)
+    return record(a.data[idx], (a,), rule)
 
 
 def pick_columns(a, cols: np.ndarray) -> Tensor:
@@ -483,11 +532,12 @@ def pick_columns(a, cols: np.ndarray) -> Tensor:
         z[rows, cols] = g
         return (z,)
 
-    return _apply(a.data[rows, cols], (a,), rule)
+    return record(a.data[rows, cols], (a,), rule)
 
 
 def lookup(table, ids: np.ndarray) -> Tensor:
-    """Embedding retrieval; backward scatter-adds into the table gradient."""
+    """Row gather (embedding retrieval); backward scatter-adds into the
+    table gradient."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -501,7 +551,7 @@ def lookup(table, ids: np.ndarray) -> Tensor:
         np.add.at(z, ids, g)
         return (z,)
 
-    return _apply(table.data[ids], (table,), rule)
+    return record(table.data[ids], (table,), rule)
 
 
 def mean_all(a) -> Tensor:
@@ -512,7 +562,7 @@ def mean_all(a) -> Tensor:
     def rule(g):
         return (np.full(shape, float(g) / n, dtype=g.dtype),)
 
-    return _apply(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), rule)
+    return record(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), rule)
 
 
 def sum_axis(a, axis: int | None = None) -> Tensor:
@@ -529,18 +579,18 @@ def sum_axis(a, axis: int | None = None) -> Tensor:
         def rule(g):
             return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _apply(out, (a,), rule)
+    return record(out, (a,), rule)
 
 
 def transpose_last2(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"transpose needs >= 2 dims, got {a.shape}")
-    return _apply(np.swapaxes(a.data, -1, -2), (a,),
+    return record(np.swapaxes(a.data, -1, -2), (a,),
                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     orig = a.shape
-    return _apply(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
+    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))

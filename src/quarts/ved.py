@@ -9,6 +9,13 @@ attention over U. Discrete queries come out of beam search; for
 end-to-end training the decoder instead exposes its per-step attentional
 states as a continuous stand-in for the query encoding, with gradients
 flowing through the recurrence but not through token choices.
+
+Teacher-forced training knows every decoder input up front, so its
+recurrence is one fused ``lstm_scan`` record over the padded target
+matrix (state frozen past each target's length), and attention and the
+output projection run over all steps at once. ``decode_step`` runs one
+step for inputs chosen as it goes (beam search, ``hgen_forward_batch``)
+through the same scan with a single step.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .classifier import (ClassifierParams, LstmParams, encode_batch, init_lstm,
-                         lstm_step, _uniform)
+                         lstm_scan, _uniform)
 from .data import (BOS, EOS, RawPair, TripleExample, Vocabulary, pad_mask,
                    pad_matrix, tokenize)
 from .tensor import Tensor
@@ -156,18 +163,6 @@ def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
     return EncodedPair(k_states, tmask, u, logmask, c)
 
 
-def encode_pair(item_ids: list[int], query_ids: list[int],
-                clf: ClassifierParams) -> tuple[Tensor, Tensor]:
-    """Single-pair view: U as (k, m+n) columns and the latent context (2k,)."""
-    enc = encode_pair_batch(
-        clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
-    m_n = enc.u_states.shape[1]
-    k = enc.u_states.shape[2]
-    u = T.transpose_last2(T.reshape(enc.u_states, (m_n, k)))
-    return u, T.reshape(enc.c, (-1,))
-
-
 def sample_latent(c: Tensor, lat: LatentParams,
                   rng: np.random.Generator | None = None,
                   deterministic: bool = False,
@@ -211,24 +206,47 @@ def decoder_init(z: Tensor, lat: LatentParams) -> tuple[Tensor, Tensor]:
     return h0, T.zeros(h0.shape)
 
 
+def _decoder_lstm(ved: VedParams, emb_q: Tensor, prev_ids: np.ndarray,
+                  mask: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
+                  ) -> tuple[Tensor, Tensor, Tensor]:
+    """The decoder LSTM over the (B, T) token matrix ``prev_ids``.
+
+    Each real step's input is [token embedding ++ z]; their projections
+    are one GEMM over the packed real steps, and the recurrence one
+    ``lstm_scan`` (see there for ``mask`` and the outputs).
+    """
+    x = T.concat([T.lookup(emb_q, prev_ids[mask]), T.lookup(z, np.nonzero(mask)[0])],
+                 axis=1)
+    lstm = ved.dec.lstm
+    return lstm_scan(T.matmul(x, lstm.wx), lstm.wh, lstm.b, mask, h, c)
+
+
+def _attend(states: Tensor, enc: EncodedPair, ved: VedParams) -> tuple[Tensor, Tensor]:
+    """Multiplicative attention of decoder states (B, T, k) over U.
+
+    Returns the attentional states d~ (B, T, k) and the weights (B, T, m+n).
+    """
+    scores = T.matmul(T.matmul(states, ved.dec.w_a), T.transpose_last2(enc.u_states))
+    weights = T.softmax_rows(scores + T.constant(enc.u_logmask[:, None, :]))
+    ctx = T.matmul(weights, enc.u_states)
+    return T.tanh(T.matmul(T.concat([states, ctx], axis=2), ved.dec.w_c)), weights
+
+
 def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
                 enc: EncodedPair, ved: VedParams, emb_q: Tensor,
                 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """One decoder step over a batch.
 
-    Returns (logits over V_q, attentional state d~, new h, new c, weights).
+    Returns (logits over V_q, attentional state d~, new h, new c, weights);
+    the attention weights are untracked.
     """
-    x = T.concat([T.lookup(emb_q, prev_ids), z], axis=1)
-    h2, c2 = lstm_step(ved.dec.lstm, x, h, c)
-    bsz, k = h2.shape
-    scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
-                      T.transpose_last2(enc.u_states))
-    scores = T.reshape(scores, (bsz, enc.u_states.shape[1]))
-    weights = T.softmax_rows(scores + T.constant(enc.u_logmask))
-    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), enc.u_states), (bsz, k))
-    d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
+    bsz = len(prev_ids)
+    _, h2, c2 = _decoder_lstm(ved, emb_q, prev_ids[:, None], np.ones((bsz, 1), bool),
+                              z, h, c)
+    d_tilde, weights = _attend(T.reshape(h2, (bsz, 1, -1)), enc, ved)
+    d_tilde = T.reshape(d_tilde, (bsz, -1))
     logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
-    return logits, d_tilde, h2, c2, weights
+    return logits, d_tilde, h2, c2, T.constant(weights.data[:, 0])
 
 
 # --- training loss ----------------------------------------------------------
@@ -268,23 +286,18 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
                             batch.query_ids, batch.query_lens)
     z, mu, logvar = sample_latent(enc.c, ved.latent, rng=rng,
                                   deterministic=deterministic, eps=eps)
-    h, c = decoder_init(z, ved.latent)
+    h0, c0 = decoder_init(z, ved.latent)
     bsz, width = batch.target_ids.shape
-    k = h.shape[1]
-    step_nlls = []
-    for t in range(width):
-        logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], z, h, c,
-                                           enc, ved, clf.emb_q)
-        logp = T.log_softmax_rows(logits)
-        nll_t = T.neg(T.pick_columns(logp, batch.target_ids[:, t]))
-        on = (t < batch.target_lens).astype(np.float64)
-        step_nlls.append(T.reshape(nll_t * T.constant(on), (bsz, 1)))
-        sm = T.constant(np.repeat(on[:, None], k, 1))
-        inv = T.constant(1.0 - sm.data)
-        h = sm * h2 + inv * h
-        c = sm * c2 + inv * c
-    per_example = T.sum_axis(T.concat(step_nlls, axis=1), axis=1)
-    nll = T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
+    mask = pad_mask(batch.target_lens, width) > 0
+    states, _, _ = _decoder_lstm(ved, clf.emb_q, batch.prev_ids, mask, z, h0, c0)
+    d_tilde, _ = _attend(states, enc, ved)
+    # the output projection runs on real target steps only
+    real = T.lookup(T.reshape(d_tilde, (bsz * width, -1)), np.flatnonzero(mask))
+    logp = T.log_softmax_rows(T.matmul(real, ved.dec.w_v) + ved.dec.b_v)
+    picked = T.pick_columns(logp, batch.target_ids[mask])
+    # per-triple mean over its target tokens, then the batch mean
+    weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
+    nll = T.neg(T.sum_axis(picked * T.constant(weight)))
     kl = kl_divergence(mu, logvar)
     loss = nll + T.scale(kl, kl_weight)
     return loss, float(nll.data), float(kl.data)
@@ -302,41 +315,25 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
     source query's true length). Gradients flow through hidden states and
     attention, not through the argmax token choice. Returns
     (states (B, n, k), final state (B, k), lens) shaped like an encoder's
-    output, ready to replace it.
+    output, ready to replace it: ``final`` is each row's state at its last
+    step, and columns past a row's length (the row decodes on with the
+    batch) are ignored downstream, as attention stops at ``lens``.
     """
     z, _, _ = sample_latent(enc.c, ved.latent, rng=rng,
                             deterministic=deterministic, eps=eps)
     h, c = decoder_init(z, ved.latent)
     bsz = enc.c.shape[0]
-    k = h.shape[1]
     width = int(steps.max())
     prev = np.full(bsz, BOS, dtype=np.int64)
     cols = []
-    final = T.zeros((bsz, k))
-    for t in range(width):
-        logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
+    for _ in range(width):
+        logits, d_tilde, h, c, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
         prev = np.argmax(logits.data, axis=1)
-        on = (t < steps).astype(np.float64)
-        sm = T.constant(np.repeat(on[:, None], k, 1))
-        inv = T.constant(1.0 - sm.data)
-        cols.append(T.reshape(sm * d_tilde, (bsz, 1, k)))
-        final = sm * d_tilde + inv * final
-        h = sm * h2 + inv * h
-        c = sm * c2 + inv * c
-    return T.concat(cols, axis=1), final, steps.copy()
-
-
-def hgen_forward(item_ids: list[int], query_ids: list[int], clf: ClassifierParams,
-                 ved: VedParams, rng: np.random.Generator | None = None,
-                 deterministic: bool = True) -> Tensor:
-    """Single-pair generated representation as (k, n) columns."""
-    enc = encode_pair_batch(
-        clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
-    states, _, _ = hgen_forward_batch(clf, ved, enc, np.array([len(query_ids)]),
-                                      rng=rng, deterministic=deterministic)
-    n = states.shape[1]
-    return T.transpose_last2(T.reshape(states, (n, states.shape[2])))
+        cols.append(d_tilde)
+    states = T.reshape(T.concat(cols, axis=1), (bsz, width, -1))
+    last = np.arange(bsz) * width + steps - 1
+    final = T.lookup(T.reshape(states, (bsz * width, -1)), last)
+    return states, final, steps.copy()
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],

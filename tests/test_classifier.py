@@ -4,7 +4,7 @@ import pytest
 
 from quarts import classifier as C
 from quarts import tensor as T
-from quarts.data import PAD
+from quarts.data import PAD, Batch, pad_matrix
 from quarts.gradcheck import grad_check
 from quarts.tensor import Tape, Tensor
 
@@ -27,11 +27,20 @@ def tiny_classifier(seed=0, vocab_q=9, vocab_t=9, d=4, k=4, dropout=0.0):
                              dropout=dropout)
 
 
+def one_row(ids):
+    """A (1, len) id matrix and its length vector."""
+    return np.asarray([ids], dtype=np.int64), np.array([len(ids)])
+
+
+def states_of(ids, emb, lstm):
+    return C.encode_batch(*one_row(ids), emb, lstm)[0].data[0]
+
+
 class TestEncode:
     def test_zero_params_give_zero_states(self, f64):
         p = zero_classifier()
-        h = C.encode([4, 5, 6], p.emb_q, p.lstm_q)
-        np.testing.assert_array_equal(h.data, np.zeros((4, 3)))
+        np.testing.assert_array_equal(states_of([4, 5, 6], p.emb_q, p.lstm_q),
+                                      np.zeros((3, 4)))
 
     def test_single_step_hand_computation(self, f64):
         # one token, k=1: gates = x*wx + b with known numbers
@@ -39,35 +48,46 @@ class TestEncode:
                             Tensor(np.zeros((1, 4))),
                             Tensor(np.zeros(4)))
         emb = Tensor(np.array([[0.0], [1.0]]))
-        h = C.encode([1], emb, lstm)
+        h = states_of([1], emb, lstm)
         # gates all 0.5: i=o=f=sigmoid(.5), g=tanh(.5); c=i*g; h=o*tanh(c)
         i = 1 / (1 + np.exp(-0.5))
         c = i * np.tanh(0.5)
         want = i * np.tanh(c)
-        np.testing.assert_allclose(h.data, [[want]], atol=1e-12)
+        np.testing.assert_allclose(h, [[want]], atol=1e-12)
 
     def test_shape(self, f64):
         p = tiny_classifier()
-        assert C.encode([4, 5, 6, 7, 4], p.emb_t, p.lstm_t).shape == (4, 5)
+        states, final = C.encode_batch(*one_row([4, 5, 6, 7, 4]), p.emb_t, p.lstm_t)
+        assert states.shape == (1, 5, 4)
+        assert final.shape == (1, 4)
 
     def test_padding_leaves_true_columns_unchanged(self, f64):
         p = tiny_classifier()
-        ids = [4, 5, 6]
-        base = C.encode(ids, p.emb_q, p.lstm_q).data
-        padded = C.encode(ids + [PAD, PAD], p.emb_q, p.lstm_q, true_len=3).data
-        np.testing.assert_array_equal(base, padded[:, :3])
+        base = states_of([4, 5, 6], p.emb_q, p.lstm_q)
+        padded, _ = C.encode_batch(np.array([[4, 5, 6, PAD, PAD]]), np.array([3]),
+                                   p.emb_q, p.lstm_q)
+        np.testing.assert_array_equal(base, padded.data[0, :3])
 
     def test_final_state_is_true_length_state(self, f64):
         p = tiny_classifier()
         ids = np.array([[4, 5, 6, PAD, PAD]], dtype=np.int64)
         _, final = C.encode_batch(ids, np.array([3]), p.emb_q, p.lstm_q)
-        base = C.encode([4, 5, 6], p.emb_q, p.lstm_q).data
-        np.testing.assert_array_equal(final.data[0], base[:, 2])
+        base = states_of([4, 5, 6], p.emb_q, p.lstm_q)
+        np.testing.assert_array_equal(final.data[0], base[2])
 
     def test_zero_length_rejected(self, f64):
         p = tiny_classifier()
         with pytest.raises(ValueError):
-            C.encode([], p.emb_q, p.lstm_q)
+            C.encode_batch(np.array([[4, 5], [PAD, PAD]]), np.array([2, 0]),
+                           p.emb_q, p.lstm_q)
+
+
+def attend_one(k_cols, h_cols, attn):
+    """Attention for one pair given (k, m) title and (k, n) query columns."""
+    ks = Tensor(k_cols.data.T[None])
+    hs = Tensor(h_cols.data.T[None])
+    return C.wbw_attention_batch(ks, np.ones((1, ks.shape[1])), hs,
+                                 np.array([hs.shape[1]]), attn)
 
 
 class TestAttention:
@@ -75,17 +95,17 @@ class TestAttention:
         p = zero_classifier()
         K = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
         H = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        r, alpha = C.wbw_attention(K, H, p.attn)
-        np.testing.assert_array_equal(r.data, np.zeros(4))
-        np.testing.assert_array_equal(alpha.data, np.zeros((3, 5)))
+        r, alpha = attend_one(K, H, p.attn)
+        np.testing.assert_array_equal(r.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(alpha.data, np.zeros((1, 3, 5)))
 
     def test_shapes(self, f64):
         p = tiny_classifier(k=2, d=3)
         K = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
         H = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-        r, alpha = C.wbw_attention(K, H, p.attn)
-        assert r.shape == (2,)
-        assert alpha.shape == (3, 4)
+        r, alpha = attend_one(K, H, p.attn)
+        assert r.shape == (1, 2)
+        assert alpha.shape == (1, 3, 4)
 
     def test_gradients_match_finite_differences(self, f64):
         rng = np.random.default_rng(7)
@@ -99,7 +119,7 @@ class TestAttention:
         H = Tensor(rng.normal(size=(k, 2)))
 
         def loss():
-            r, _ = C.wbw_attention(K, H, attn)
+            r, _ = attend_one(K, H, attn)
             return T.sum_axis(r)
 
         err = grad_check(loss, [attn.w_h, attn.w, attn.w_r])
@@ -111,9 +131,9 @@ class TestAttention:
         K = Tensor(np.random.default_rng(2).normal(size=(2, 3)))
         H1 = Tensor(np.random.default_rng(3).normal(size=(2, 2)))
         H2 = Tensor(np.hstack([H1.data[:, :1], np.ones((2, 1))]))
-        _, a1 = C.wbw_attention(K, H1, p.attn)
-        _, a2 = C.wbw_attention(K, H2, p.attn)
-        np.testing.assert_allclose(a1.data[0], a2.data[0], atol=1e-12)
+        _, a1 = attend_one(K, H1, p.attn)
+        _, a2 = attend_one(K, H2, p.attn)
+        np.testing.assert_allclose(a1.data[0, 0], a2.data[0, 0], atol=1e-12)
 
 
 class TestCombine:
@@ -139,30 +159,45 @@ class TestCombine:
         assert err < 1e-4
 
 
+def probs_of(p, item_ids, query_ids, item_lens=None, query_lens=None):
+    """Eval-mode probabilities for one padded batch (lengths default to widths)."""
+    items, queries = np.asarray(item_ids), np.asarray(query_ids)
+    if item_lens is None:
+        item_lens = np.full(len(items), items.shape[1])
+    if query_lens is None:
+        query_lens = np.full(len(queries), queries.shape[1])
+    probs, _ = C.batch_probs(p, items, np.asarray(item_lens), queries,
+                             np.asarray(query_lens))
+    return probs.data
+
+
 class TestClassify:
     def test_zero_params_half(self, f64):
         p = zero_classifier()
-        assert C.classify([4, 5], [4], p) == 0.5
+        assert probs_of(p, [[4, 5]], [[4]])[0] == 0.5
 
     def test_output_in_unit_interval(self, f64):
         p = tiny_classifier(seed=3)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            item = list(rng.integers(4, 9, size=rng.integers(1, 6)))
-            query = list(rng.integers(4, 9, size=rng.integers(1, 4)))
-            prob = C.classify(item, query, p)
-            assert 0.0 < prob < 1.0
+        items, item_lens = pad_matrix([list(rng.integers(4, 9, size=rng.integers(1, 6)))
+                                       for _ in range(10)])
+        queries, query_lens = pad_matrix([list(rng.integers(4, 9, size=rng.integers(1, 4)))
+                                          for _ in range(10)])
+        probs = probs_of(p, items, queries, item_lens, query_lens)
+        assert probs.shape == (10,)
+        assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_eval_deterministic(self):
         p = tiny_classifier(seed=1, dropout=0.1)
-        a = C.classify([4, 5, 6], [7, 8], p)
-        b = C.classify([4, 5, 6], [7, 8], p)
-        assert a == b
+        a = probs_of(p, [[4, 5, 6]], [[7, 8]])
+        b = probs_of(p, [[4, 5, 6]], [[7, 8]])
+        assert a[0] == b[0]
 
     def test_padding_invariance_bitwise(self):
         p = tiny_classifier(seed=2, dropout=0.1)
-        base = C.classify([4, 5, 6], [7, 8], p)
-        assert C.classify([4, 5, 6, PAD, PAD], [7, 8, PAD], p) == base
+        base = probs_of(p, [[4, 5, 6]], [[7, 8]])
+        padded = probs_of(p, [[4, 5, 6, PAD, PAD]], [[7, 8, PAD]], [3], [2])
+        assert padded[0] == base[0]
 
     def test_full_model_gradcheck(self, f64):
         p = tiny_classifier(seed=4, dropout=0.0)
@@ -179,6 +214,25 @@ class TestClassify:
         from quarts.gradcheck import MODEL_EPS
         err = grad_check(loss, params, eps=MODEL_EPS)
         assert err < 1e-4
+
+
+class TestTape:
+    def test_record_count_independent_of_padded_width(self):
+        # fused recurrences record once per sequence, not once per step
+        p = tiny_classifier(dropout=0.1)
+
+        def records(width):
+            items = np.full((2, width), PAD)
+            items[:, :3] = [[4, 5, 6], [7, 8, PAD]]
+            queries = np.full((2, width), PAD)
+            queries[:, :2] = [[5, 6], [7, PAD]]
+            batch = Batch(items, np.array([3, 2]), queries, np.array([2, 1]),
+                          np.array([0.0, 1.0]), ["annotated", "annotated"])
+            with Tape() as tape:
+                C.classifier_batch_loss(p, batch, 5.0, np.random.default_rng(0))
+                return len(tape)
+
+        assert records(3) == records(12)
 
 
 class TestWeightedCE:
@@ -228,7 +282,6 @@ class TestDssm:
 
     def test_loss_trains(self, f64):
         # one step of full-batch training must not error and must be finite
-        from quarts.data import Batch
         p = C.init_dssm(np.random.default_rng(2), 9, 9, 4, 4)
         batch = Batch(np.array([[4, 5], [6, PAD]]), np.array([2, 1]),
                       np.array([[7], [8]]), np.array([1, 1]),
@@ -272,8 +325,7 @@ class TestBatchSingleConsistency:
         p = tiny_classifier(seed=9)
         items = np.array([[4, 5, 6], [7, 8, PAD]], dtype=np.int64)
         queries = np.array([[5, 6], [7, PAD]], dtype=np.int64)
-        probs, _ = C.batch_probs(p, items, np.array([3, 2]),
-                                 queries, np.array([2, 1]))
-        one = C.classify([4, 5, 6], [5, 6], p)
-        two = C.classify([7, 8], [7], p)
-        np.testing.assert_allclose(probs.data, [one, two], atol=1e-10)
+        probs = probs_of(p, items, queries, [3, 2], [2, 1])
+        one = probs_of(p, [[4, 5, 6]], [[5, 6]])[0]
+        two = probs_of(p, [[7, 8]], [[7]])[0]
+        np.testing.assert_allclose(probs, [one, two], atol=1e-10)

@@ -55,6 +55,12 @@ class TestPhases:
         assert (run / P.CKPT_VED).exists()
         assert (run / "vocab_q.txt").exists()
 
+    def test_manifest_times_every_phase(self, workspace):
+        _, _, run, _ = workspace
+        phases = json.loads((run / "manifest.json").read_text())["phases"]
+        for name in ("classifier", "triples", "ved"):
+            assert phases[name]["seconds"] > 0.0, name
+
     def test_train_e2e_and_eval(self, workspace):
         _, data, run, base = workspace
         assert main(["train-e2e"] + base + ["--p", "0.3"]) == 0

@@ -1,0 +1,159 @@
+"""Fused recurrent ops against the unfused per-step compositions.
+
+At float64 the fused LSTM scan, word-by-word attention and decoder must
+give the forward values and the gradients of ``tests/unfused.py`` within
+a relative 1e-10 (of each array's largest magnitude); only the order of
+floating-point operations differs between the two.
+"""
+import numpy as np
+import pytest
+
+import unfused as U
+from quarts import classifier as C
+from quarts import tensor as T
+from quarts import ved as V
+from quarts.data import PAD, TripleExample, pad_mask
+from quarts.tensor import Tape
+
+RTOL = 1e-10
+
+
+@pytest.fixture
+def f64():
+    with T.using_dtype(np.float64):
+        yield
+
+
+def close(got, want):
+    want = np.asarray(want)
+    scale = np.abs(want).max() if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+def value_and_grads(f, params):
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        out = f()
+        tape.backward(out)
+    return out.item(), [p.grad for p in params]
+
+
+def assert_same(fused, unfused, params):
+    got, g_got = value_and_grads(fused, params)
+    want, g_want = value_and_grads(unfused, params)
+    close(got, want)
+    for p, a, b in zip(params, g_got, g_want):
+        assert (a is None) == (b is None), p
+        if a is not None:
+            close(a, b)
+
+
+def models(seed=0, k=4, d=5, vocab=12, d_z=3):
+    rng = np.random.default_rng(seed)
+    clf = C.init_classifier(rng, vocab, vocab, d, k, dropout=0.0)
+    ved = V.init_ved(rng, k, d, d_z, vocab)
+    for t in {**clf.named(), **ved.named()}.values():
+        t.data *= 4.0   # leave the near-linear regime of the toy init
+    return clf, ved, rng
+
+
+# mixed lengths: one full row, padded rows, a length-1 row
+ITEMS = np.array([[4, 5, 6, 7], [8, 9, PAD, PAD], [10, PAD, PAD, PAD]])
+ITEM_LENS = np.array([4, 2, 1])
+QUERIES = np.array([[6, 7, 8], [4, PAD, PAD], [9, 11, PAD]])
+QUERY_LENS = np.array([3, 1, 2])
+
+
+def test_encoder_matches_unfused(f64):
+    clf, _, rng = models()
+    w_states = T.constant(rng.normal(size=(3, 4, 4)))
+    w_final = T.constant(rng.normal(size=(3, 4)))
+
+    def loss(encode):
+        states, final = encode(ITEMS, ITEM_LENS, clf.emb_t, clf.lstm_t)
+        return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
+
+    assert_same(lambda: loss(C.encode_batch), lambda: loss(U.encode_batch),
+                [clf.emb_t, clf.lstm_t.wx, clf.lstm_t.wh, clf.lstm_t.b])
+
+
+def test_attention_matches_unfused(f64):
+    clf, _, rng = models(seed=1)
+    w_r = T.constant(rng.normal(size=(3, 4)))
+    tmask = pad_mask(ITEM_LENS, 4)
+
+    def run(attend):
+        ks, _ = C.encode_batch(ITEMS, ITEM_LENS, clf.emb_t, clf.lstm_t)
+        hs, _ = C.encode_batch(QUERIES, QUERY_LENS, clf.emb_q, clf.lstm_q)
+        return attend(ks, tmask, hs, QUERY_LENS, clf.attn)
+
+    params = list(clf.named().values())[:12]   # embeddings, LSTMs, attention
+    assert_same(lambda: T.sum_axis(run(C.wbw_attention_batch)[0] * w_r),
+                lambda: T.sum_axis(run(U.wbw_attention_batch)[0] * w_r), params)
+    # score rows agree on real query steps; the fused op zeroes the rest
+    _, got = run(C.wbw_attention_batch)
+    _, want = run(U.wbw_attention_batch)
+    qmask = pad_mask(QUERY_LENS, 3) > 0
+    close(got.data[qmask], want.data[qmask])
+    assert not got.data[~qmask].any()
+
+
+def triple_batch():
+    return V.make_triple_batch([TripleExample([4, 5], [6, 7], [8, 6]),
+                                TripleExample([6, 7, 8], [5], [4, 7, 9, 10]),
+                                TripleExample([6], [5, 9, 9], [4])])
+
+
+def test_ved_nll_matches_unfused(f64):
+    clf, ved, rng = models(seed=2)
+    tb = triple_batch()
+    eps = rng.standard_normal((3, 3))
+
+    def fused():
+        loss, _, _ = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0, eps=eps)
+        return loss
+
+    def unfused():
+        enc = V.encode_pair_batch(clf, tb.item_ids, tb.item_lens,
+                                  tb.query_ids, tb.query_lens)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, eps=eps)
+        h, c = V.decoder_init(z, ved.latent)
+        return U.ved_nll(clf, ved, enc, z, h, c, tb)
+
+    assert_same(fused, unfused, list(clf.named().values()) + list(ved.named().values()))
+
+
+def test_decode_step_matches_unfused(f64):
+    clf, ved, _ = models(seed=3)
+    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+    z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+    h, c = V.decoder_init(z, ved.latent)
+    prev = np.array([2, 5, 7])
+    for got, want in zip(V.decode_step(prev, z, h, c, enc, ved, clf.emb_q),
+                         U.decode_step(prev, z, h, c, enc, ved, clf.emb_q)):
+        close(got.data, want.data)
+
+
+def test_hgen_matches_unfused(f64):
+    clf, ved, rng = models(seed=4)
+    steps = np.array([2, 3, 1])
+    on = T.constant(pad_mask(steps, 3)[:, :, None])
+    w_states = T.constant(rng.normal(size=(3, 3, 4)))
+    w_final = T.constant(rng.normal(size=(3, 4)))
+
+    def loss(states, final):
+        return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
+
+    def fused():
+        enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+        states, final, _ = V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
+        return loss(states * on, final)   # columns past ``steps`` are unspecified
+
+    def unfused():
+        enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+        h, c = V.decoder_init(z, ved.latent)
+        return loss(*U.hgen_states(clf, ved, enc, z, h, c, steps))
+
+    assert_same(fused, unfused, list(clf.named().values()) + list(ved.named().values()))

@@ -57,20 +57,27 @@ class TestBuildTriples:
             assert oracle.label(title, qm) == 1
 
 
+def enc_one(clf, item_ids, query_ids):
+    """The shared-encoder view of one (item, query) pair."""
+    return V.encode_pair_batch(
+        clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
+        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
+
+
 class TestEncodePair:
     def test_shapes(self, f64):
         clf, _ = models(k=2, d=3)
-        u, c = V.encode_pair([4, 5, 6, 7], [8, 4, 5], clf)
-        assert u.shape == (2, 7)
-        assert c.shape == (4,)
+        enc = enc_one(clf, [4, 5, 6, 7], [8, 4, 5])
+        assert enc.u_states.shape == (1, 7, 2)
+        assert enc.c.shape == (1, 4)
 
     def test_zero_encoder(self, f64):
         clf, _ = models(k=2, d=3)
         for t in clf.named().values():
             t.data[...] = 0.0
-        u, c = V.encode_pair([4, 5], [6], clf)
-        np.testing.assert_array_equal(u.data, np.zeros((2, 3)))
-        np.testing.assert_array_equal(c.data, np.zeros(4))
+        enc = enc_one(clf, [4, 5], [6])
+        np.testing.assert_array_equal(enc.u_states.data, np.zeros((1, 3, 2)))
+        np.testing.assert_array_equal(enc.c.data, np.zeros((1, 4)))
 
 
 class TestLatent:
@@ -227,24 +234,31 @@ class TestGeneration:
         assert scores == sorted(scores, reverse=True)
 
 
+def hgen_one(clf, ved, item_ids, query_ids, rng=None, deterministic=True):
+    """Generated query states (1, n, k) for one pair."""
+    states, _, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids),
+                                        np.array([len(query_ids)]), rng=rng,
+                                        deterministic=deterministic)
+    return states
+
+
 class TestHgen:
     def test_shape_matches_query_length(self, f64):
         clf, ved = models(k=5, d=4)
-        h = V.hgen_forward([4, 5, 6, 7], [8, 4, 5], clf, ved)
-        assert h.shape == (5, 3)
+        assert hgen_one(clf, ved, [4, 5, 6, 7], [8, 4, 5]).shape == (1, 3, 5)
 
     def test_deterministic_mode_repeatable(self, f64):
         clf, ved = models(seed=9)
-        a = V.hgen_forward([4, 5], [6, 7], clf, ved, deterministic=True)
-        b = V.hgen_forward([4, 5], [6, 7], clf, ved, deterministic=True)
+        a = hgen_one(clf, ved, [4, 5], [6, 7])
+        b = hgen_one(clf, ved, [4, 5], [6, 7])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_training_mode_uses_latent_stream(self, f64):
         clf, ved = models(seed=9)
         r1 = np.random.default_rng(0)
         r2 = np.random.default_rng(0)
-        a = V.hgen_forward([4, 5], [6, 7], clf, ved, rng=r1, deterministic=False)
-        b = V.hgen_forward([4, 5], [6, 7], clf, ved, rng=r2, deterministic=False)
+        a = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1, deterministic=False)
+        b = hgen_one(clf, ved, [4, 5], [6, 7], rng=r2, deterministic=False)
         np.testing.assert_array_equal(a.data, b.data)
-        c = V.hgen_forward([4, 5], [6, 7], clf, ved, rng=r1, deterministic=False)
+        c = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1, deterministic=False)
         assert not np.array_equal(a.data, c.data)

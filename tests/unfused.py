@@ -1,0 +1,110 @@
+"""The unfused per-step compositions the fused ops replaced.
+
+Each function builds its recurrence one step at a time from primitive
+tape ops, with 0/1 update masks freezing state past each row's length.
+They are slow, but every op in them is gradient-checked on its own, so
+the fused ops are held to them: forward values and gradients must agree
+at float64 within a relative 1e-10.
+"""
+import numpy as np
+
+from quarts import tensor as T
+from quarts.data import BOS
+
+
+def lstm_step(p, x, h, c):
+    k = p.wh.shape[0]
+    gates = T.matmul(x, p.wx) + T.matmul(h, p.wh) + p.b
+    i = T.sigmoid(T.slice_axis(gates, 1, 0, k))
+    f = T.sigmoid(T.slice_axis(gates, 1, k, 2 * k))
+    g = T.tanh(T.slice_axis(gates, 1, 2 * k, 3 * k))
+    o = T.sigmoid(T.slice_axis(gates, 1, 3 * k, 4 * k))
+    c2 = f * c + i * g
+    return o * T.tanh(c2), c2
+
+
+def _blend(on, new, old):
+    k = new.shape[1]
+    m = np.repeat(on.astype(np.float64)[:, None], k, axis=1)
+    return T.constant(m) * new + T.constant(1.0 - m) * old
+
+
+def encode_batch(ids, lens, emb, lstm):
+    bsz, width = ids.shape
+    k = lstm.wh.shape[0]
+    h = T.zeros((bsz, k))
+    c = T.zeros((bsz, k))
+    cols = []
+    for t in range(width):
+        h2, c2 = lstm_step(lstm, T.lookup(emb, ids[:, t]), h, c)
+        on = t < lens
+        h, c = _blend(on, h2, h), _blend(on, c2, c)
+        cols.append(T.reshape(h, (bsz, 1, k)))
+    return T.concat(cols, axis=1), h
+
+
+def wbw_attention_batch(k_states, title_mask, h_states, query_lens, attn):
+    bsz, m, k = k_states.shape
+    n = h_states.shape[1]
+    ones_m = T.constant(np.ones((m, 1)))
+    tmask = T.constant(title_mask)
+    r = T.zeros((bsz, k))
+    alphas = []
+    for t in range(n):
+        h_t = T.reshape(T.slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
+        r_blk = T.matmul(ones_m, T.reshape(r, (bsz, 1, k)))
+        h_blk = T.matmul(ones_m, h_t)
+        m_t = T.tanh(T.matmul(T.concat([k_states, h_blk, r_blk], axis=2), attn.w_h))
+        a_t = T.tanh(T.matmul(m_t, attn.w)) * tmask
+        mix = T.reshape(T.matmul(T.reshape(a_t, (bsz, 1, m)), k_states), (bsz, k))
+        r_new = mix + T.tanh(T.matmul(r, T.transpose_last2(attn.w_r)))
+        r = _blend(t < query_lens, r_new, r)
+        alphas.append(T.reshape(a_t, (bsz, 1, m)))
+    return r, T.concat(alphas, axis=1)
+
+
+def decode_step(prev_ids, z, h, c, enc, ved, emb_q):
+    x = T.concat([T.lookup(emb_q, prev_ids), z], axis=1)
+    h2, c2 = lstm_step(ved.dec.lstm, x, h, c)
+    bsz, k = h2.shape
+    scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
+                      T.transpose_last2(enc.u_states))
+    scores = T.reshape(scores, (bsz, enc.u_states.shape[1]))
+    weights = T.softmax_rows(scores + T.constant(enc.u_logmask))
+    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), enc.u_states), (bsz, k))
+    d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
+    logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
+    return logits, d_tilde, h2, c2, weights
+
+
+def ved_nll(clf, ved, enc, z, h, c, batch):
+    """Teacher-forced mean NLL of the target queries, one step at a time."""
+    bsz, width = batch.target_ids.shape
+    nlls = []
+    for t in range(width):
+        logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], z, h, c,
+                                           enc, ved, clf.emb_q)
+        nll_t = T.neg(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]))
+        on = t < batch.target_lens
+        nlls.append(T.reshape(nll_t * T.constant(on.astype(np.float64)), (bsz, 1)))
+        h, c = _blend(on, h2, h), _blend(on, c2, c)
+    per_example = T.sum_axis(T.concat(nlls, axis=1), axis=1)
+    return T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
+
+
+def hgen_states(clf, ved, enc, z, h, c, steps):
+    """Attentional decoder states under argmax feedback, zero past ``steps``."""
+    bsz = enc.c.shape[0]
+    k = h.shape[1]
+    prev = np.full(bsz, BOS, dtype=np.int64)
+    cols = []
+    final = T.zeros((bsz, k))
+    for t in range(int(steps.max())):
+        logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
+        prev = np.argmax(logits.data, axis=1)
+        on = t < steps
+        cols.append(T.reshape(_blend(on, d_tilde, T.zeros((bsz, k))), (bsz, 1, k)))
+        final = _blend(on, d_tilde, final)
+        h, c = _blend(on, h2, h), _blend(on, c2, c)
+    return T.concat(cols, axis=1), final
+

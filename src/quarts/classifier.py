@@ -322,14 +322,10 @@ def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
 
 
 def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:
-    """h* = tanh(W_x [r; q; |r - q|]); the elementwise-product block is
-    deliberately absent."""
-    vec = r_n.ndim == 1
-    r2 = T.reshape(r_n, (1, -1)) if vec else r_n
-    q2 = T.reshape(q_n, (1, -1)) if vec else q_n
-    z = T.concat([r2, q2, T.absval(T.sub(r2, q2))], axis=1)
-    h = T.tanh(T.matmul(z, T.transpose_last2(w_x)))
-    return T.reshape(h, (-1,)) if vec else h
+    """h* = tanh(W_x [r; q; |r - q|]) over (B, k) rows of r and q; the
+    elementwise-product block is deliberately absent."""
+    z = T.concat([r_n, q_n, T.absval(T.sub(r_n, q_n))], axis=1)
+    return T.tanh(T.matmul(z, T.transpose_last2(w_x)))
 
 
 def head_logit(h_star: Tensor, head: HeadParams, rng: np.random.Generator | None,

@@ -20,7 +20,7 @@ from .checkpoint import CheckpointError
 from .classifier import ClassifierParams, attention_heatmap, normalize_heatmap, \
     heatmap_text, encode_batch
 from .config import ConfigError, RunConfig, desk_profile, load_config, paper_profile
-from .data import DataError, read_pairs, tokenize
+from .data import DataError, pad_matrix, read_pairs, tokenize
 from .metrics import MetricError, knn as knn_search
 from .ved import beam_generate
 
@@ -222,17 +222,13 @@ def cmd_knn(args) -> int:
     if args.limit:
         texts = texts[:args.limit]
 
-    def pooled(text: str) -> np.ndarray:
-        ids = vocab.encode(tokenize(text)[:cfg.max_query_len if side == "query"
-                                          else cfg.max_title_len])
-        mat = np.asarray([ids], dtype=np.int64)
-        states, _ = encode_batch(mat, np.array([len(ids)]), emb, lstm)
-        return states.data[0, :len(ids)].mean(axis=0)
-
-    corpus = np.stack([pooled(t) for t in texts])
-    qv = pooled(args.text)
+    max_len = cfg.max_query_len if side == "query" else cfg.max_title_len
+    mat, lens = pad_matrix([vocab.encode(tokenize(t)[:max_len])
+                            for t in texts + [args.text]])
+    states, _ = encode_batch(mat, lens, emb, lstm)
+    pooled = np.stack([row[:n].mean(axis=0) for row, n in zip(states.data, lens)])
     exclude = texts.index(args.text) if args.text in texts else None
-    hits = knn_search(qv, corpus, top_k=args.top, exclude=exclude)
+    hits = knn_search(pooled[-1], pooled[:-1], top_k=args.top, exclude=exclude)
     print(f"source: {args.text}")
     for idx, sim in hits:
         print(f"  {sim:.4f}  {texts[idx]}")

@@ -1,14 +1,20 @@
 """Evaluation: precision-recall machinery, BLEU, and embedding neighbors.
 
 Average precision is the step-wise interpolated sum over descending-score
-ranks (tied scores enter together), not the trapezoidal area. BLEU is
-computed without smoothing against a single reference and reported on a
-0..1 scale; multiply by 100 for display.
+ranks (tied scores enter together), not the trapezoidal area. AP, the PR
+curve and the best-F1 sweep all come from one stable descending sort:
+the places where adjacent sorted scores differ give the distinct scores,
+and cumulative sums of the sorted labels give the true positives and the
+number of scores at or above each one, as scikit-learn's
+``precision_recall_curve`` does. Everything after the sort is linear, and
+the sums run in rank order, so the results equal a per-rank loop exactly.
+BLEU is computed without smoothing against a single reference and
+reported on a 0..1 scale; multiply by 100 for display.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,53 +35,47 @@ class BleuReport:
     brevity_penalty: float
 
 
-def _rank_groups(scores: np.ndarray, labels: np.ndarray):
-    """Yield (score, tp_in_group, group_size) in descending score order."""
+def _ranked(scores, labels, what: str):
+    """Check one score per 0/1 label, then rank them by one stable sort.
+
+    Returns (distinct, tp, seen, total_pos): the distinct scores in
+    descending order and, at each, the cumulative count of true positives
+    and of scores at or above it.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise MetricError(f"{what} needs one label per score, got "
+                          f"{scores.shape} scores and {labels.shape} labels")
+    if scores.size == 0:
+        raise MetricError(f"{what} needs at least one score")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise MetricError(f"{what} needs labels of 0 or 1")
+    total_pos = labels.sum()
+    if total_pos == 0:
+        raise MetricError(f"{what} needs at least one positive label")
     order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        yield float(s[i]), float(y[i:j].sum()), j - i
-        i = j
+    s = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    seen = np.append(starts[1:], s.size)
+    tp = np.cumsum(labels[order])[seen - 1]
+    return s[starts], tp, seen, total_pos
 
 
 def average_precision(scores, labels) -> float:
     """AP = sum over descending ranks of (R_i - R_{i-1}) * P_i."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    total_pos = labels.sum()
-    if total_pos == 0:
-        raise MetricError("average precision needs at least one positive label")
-    ap = 0.0
-    tp = 0.0
-    seen = 0
-    for _, group_tp, size in _rank_groups(scores, labels):
-        prev_recall = tp / total_pos
-        tp += group_tp
-        seen += size
-        recall = tp / total_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-    return ap
+    _, tp, seen, total_pos = _ranked(scores, labels, "average precision")
+    recall = tp / total_pos
+    gain = recall - np.concatenate(([0.0], recall[:-1]))
+    # cumsum adds in rank order, unlike the pairwise np.sum
+    return float(np.cumsum(gain * (tp / seen))[-1])
 
 
 def pr_curve(scores, labels) -> PRCurve:
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    total_pos = labels.sum()
-    if total_pos == 0:
-        raise MetricError("PR curve needs at least one positive label")
-    pts = []
-    tp = 0.0
-    seen = 0
-    for score, group_tp, size in _rank_groups(scores, labels):
-        tp += group_tp
-        seen += size
-        pts.append((score, tp / seen, tp / total_pos))
-    return PRCurve(pts)
+    """One (threshold, precision, recall) point per distinct score, descending."""
+    distinct, tp, seen, total_pos = _ranked(scores, labels, "PR curve")
+    return PRCurve(list(zip(distinct.tolist(), (tp / seen).tolist(),
+                            (tp / total_pos).tolist())))
 
 
 def f1_at_threshold(scores, labels, threshold: float) -> float:
@@ -96,18 +96,18 @@ def f1_best(scores, labels) -> tuple[float, float]:
     Prediction is score > threshold; ties on F1 break toward the higher
     threshold. Returns (F1, threshold).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.sum() == 0:
-        raise MetricError("F1 sweep needs at least one positive label")
-    uniq = np.unique(scores)
-    cands = [uniq[0] - 1.0] + [(a + b) / 2.0 for a, b in zip(uniq[:-1], uniq[1:])]
-    best_f1, best_thr = -1.0, cands[0]
-    for thr in cands:
-        f1 = f1_at_threshold(scores, labels, thr)
-        if f1 > best_f1 or (f1 == best_f1 and thr > best_thr):
-            best_f1, best_thr = f1, thr
-    return best_f1, best_thr
+    distinct, tp, seen, total_pos = _ranked(scores, labels, "F1 sweep")
+    uniq = distinct[::-1]
+    cands = np.concatenate(([uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0))
+    # distinct scores strictly above each candidate; exact even where a
+    # midpoint rounds onto one of its neighbours
+    above = uniq.size - np.searchsorted(uniq, cands, side="right")
+    tp = np.concatenate(([0.0], tp))[above]
+    fp = np.concatenate(([0], seen))[above] - tp
+    # the denominator is at least total_pos > 0, so tp = 0 gives F1 = 0.0
+    f1 = 2 * tp / (2 * tp + fp + (total_pos - tp))
+    best = cands.size - 1 - int(np.argmax(f1[::-1]))   # last max: higher threshold
+    return float(f1[best]), float(cands[best])
 
 
 def _ngrams(tokens: list, n: int) -> Counter:
@@ -207,19 +207,18 @@ def generation_accuracy(pairs: list[tuple[str, str]], oracle) -> GenerationAccur
     return GenerationAccuracy(acc, mismatched, matched, unresolvable)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with a 1e-12 norm floor; zero vectors score 0."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
 def knn(query_vec: np.ndarray, corpus: np.ndarray, top_k: int = 3,
         exclude: int | None = None) -> list[tuple[int, float]]:
-    """Top-k corpus rows by cosine similarity; ties break to the lower index."""
-    sims = np.array([cosine(query_vec, row) for row in corpus])
+    """Top-k corpus rows by cosine similarity; ties break to the lower index.
+
+    Norms below 1e-12 count as zero, and a zero vector scores 0.
+    """
+    def unit(x):
+        norm = np.linalg.norm(x, axis=-1, keepdims=True)
+        return np.where(norm < 1e-12, 0.0, x / np.maximum(norm, 1e-12))
+
+    sims = unit(np.asarray(corpus, dtype=np.float64)) @ unit(
+        np.asarray(query_vec, dtype=np.float64))
     if exclude is not None:
         sims[exclude] = -np.inf
     order = np.argsort(-sims, kind="stable")[:top_k]

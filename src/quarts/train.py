@@ -59,9 +59,18 @@ def _maybe_decay(opt: Adam, st: TrainSettings, epoch: int) -> None:
 
 def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode mismatch probabilities over a dataset (no rng consumed)."""
+    """Eval-mode mismatch probabilities over a dataset (no rng consumed).
+
+    Examples are scored in order of query length, then title length, so
+    each batch pads to near its own lengths; scores and labels come back
+    in input order. No score depends on the padded width, but BLAS may
+    round a row differently in a GEMM with another row count, so a
+    float32 score can move in its last bits against input-order batches.
+    """
+    order = np.lexsort(([len(e.item_ids) for e in examples],
+                        [len(e.query_ids) for e in examples]))
     scores, labels = [], []
-    for b in batches(examples, batch_size):
+    for b in batches([examples[i] for i in order], batch_size):
         if isinstance(model, DssmParams):
             probs = dssm_batch_probs(model, b.item_ids, b.item_lens,
                                      b.query_ids, b.query_lens)
@@ -70,7 +79,8 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
                                    b.query_ids, b.query_lens, training=False)
         scores.append(probs.data)
         labels.append(b.labels)
-    return np.concatenate(scores), np.concatenate(labels)
+    back = np.argsort(order)   # the inverse permutation
+    return np.concatenate(scores)[back], np.concatenate(labels)[back]
 
 
 def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],

@@ -167,15 +167,14 @@ def sample_latent(c: Tensor, lat: LatentParams,
                   rng: np.random.Generator | None = None,
                   deterministic: bool = False,
                   eps: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Reparameterized Gaussian draw: z = mu + exp(logvar/2) * eps.
+    """Reparameterized Gaussian draw for each (B, 2k) row of c:
+    z = mu + exp(logvar/2) * eps.
 
     Deterministic mode returns z = mu (evaluation); ``eps`` can be pinned
     for gradient checking.
     """
-    vec = c.ndim == 1
-    c2 = T.reshape(c, (1, -1)) if vec else c
-    mu = T.matmul(c2, lat.w_mu) + lat.b_mu
-    logvar = T.clamp(T.matmul(c2, lat.w_logvar) + lat.b_logvar,
+    mu = T.matmul(c, lat.w_mu) + lat.b_mu
+    logvar = T.clamp(T.matmul(c, lat.w_logvar) + lat.b_logvar,
                      LOGVAR_MIN, LOGVAR_MAX)
     if deterministic:
         z = mu
@@ -185,17 +184,13 @@ def sample_latent(c: Tensor, lat: LatentParams,
                 raise ValueError("sampling the latent needs the latent substream")
             eps = rng.standard_normal(mu.shape)
         z = mu + T.exp(T.scale(logvar, 0.5)) * T.constant(eps)
-    if vec:
-        return (T.reshape(z, (-1,)), T.reshape(mu, (-1,)), T.reshape(logvar, (-1,)))
     return z, mu, logvar
 
 
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:
-    """KL(N(mu, exp(logvar)) || N(0, I)), summed over dims, batch-averaged."""
-    vec = mu.ndim == 1
-    mu2 = T.reshape(mu, (1, -1)) if vec else mu
-    lv2 = T.reshape(logvar, (1, -1)) if vec else logvar
-    term = T.sub(T.sub(1.0 + lv2, mu2 * mu2), T.exp(lv2))
+    """KL(N(mu, exp(logvar)) || N(0, I)) of (B, d) rows, summed over dims,
+    batch-averaged."""
+    term = T.sub(T.sub(1.0 + logvar, mu * mu), T.exp(logvar))
     return T.scale(T.mean_all(T.sum_axis(term, axis=1)), -0.5)
 
 

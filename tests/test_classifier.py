@@ -4,9 +4,10 @@ import pytest
 
 from quarts import classifier as C
 from quarts import tensor as T
-from quarts.data import PAD, Batch, pad_matrix
+from quarts.data import PAD, Batch, Example, batches, pad_matrix
 from quarts.gradcheck import grad_check
 from quarts.tensor import Tape, Tensor
+from quarts.train import evaluate_probs
 
 
 @pytest.fixture
@@ -140,21 +141,21 @@ class TestCombine:
     def test_equal_inputs_zero_third_block(self, f64):
         k = 3
         w_x = Tensor(np.eye(k, 3 * k), requires_grad=False)
-        r = Tensor(np.array([0.3, -0.2, 0.5]))
+        r = Tensor(np.array([[0.3, -0.2, 0.5]]))
         h = C.combine(r, r, w_x)
         np.testing.assert_allclose(h.data, np.tanh(r.data), atol=1e-12)
 
     def test_zero_weight_zero_output(self, f64):
         w_x = Tensor(np.zeros((3, 9)))
-        r = Tensor(np.ones(3))
-        q = Tensor(np.zeros(3))
-        np.testing.assert_array_equal(C.combine(r, q, w_x).data, np.zeros(3))
+        r = Tensor(np.ones((1, 3)))
+        q = Tensor(np.zeros((1, 3)))
+        np.testing.assert_array_equal(C.combine(r, q, w_x).data, np.zeros((1, 3)))
 
     def test_gradient_through_absolute_difference(self, f64):
         rng = np.random.default_rng(5)
         w_x = Tensor(rng.normal(scale=0.3, size=(3, 9)), requires_grad=True)
-        r = Tensor(rng.normal(size=3) + 2.0, requires_grad=True)  # away from ties
-        q = Tensor(rng.normal(size=3) - 2.0, requires_grad=True)
+        r = Tensor(rng.normal(size=(1, 3)) + 2.0, requires_grad=True)  # away from ties
+        q = Tensor(rng.normal(size=(1, 3)) - 2.0, requires_grad=True)
         err = grad_check(lambda: T.sum_axis(C.combine(r, q, w_x)), [w_x, r, q])
         assert err < 1e-4
 
@@ -329,3 +330,25 @@ class TestBatchSingleConsistency:
         one = probs_of(p, [[4, 5, 6]], [[5, 6]])[0]
         two = probs_of(p, [[7, 8]], [[7]])[0]
         np.testing.assert_allclose(probs, [one, two], atol=1e-10)
+
+
+class TestEvaluateProbs:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_length_grouping_keeps_input_order(self, dtype):
+        rng = np.random.default_rng(12)
+
+        def ids(longest):
+            return [int(t) for t in rng.integers(4, 9, size=rng.integers(1, longest + 1))]
+
+        examples = [Example(ids(7), ids(5), int(rng.integers(0, 2)), "annotated")
+                    for _ in range(23)]
+        with T.using_dtype(dtype):
+            p = tiny_classifier(seed=11)
+            scores, labels = evaluate_probs(p, examples, batch_size=4)
+            want = [C.batch_probs(p, b.item_ids, b.item_lens, b.query_ids,
+                                  b.query_lens)[0].data
+                    for b in batches(examples, 4)]
+        want = np.concatenate(want)
+        assert scores.dtype == want.dtype == dtype
+        assert scores.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(labels, [e.label for e in examples])

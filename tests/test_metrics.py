@@ -1,7 +1,10 @@
 """Metric correctness against brute-force oracles and hand-computed cases."""
+import itertools
+
 import numpy as np
 import pytest
 
+import loop_metrics as L
 from quarts import metrics as M
 from quarts.catalog import CatalogSpec, MatchOracle
 
@@ -143,6 +146,83 @@ class TestF1Best:
         assert abs(thr - 0.7) < 1e-12
 
 
+RANKING = [M.average_precision, M.pr_curve, M.f1_best]
+
+
+def assert_same_as_loop(s, y):
+    """AP, PR points and best F1 equal the per-rank loop bit for bit."""
+    assert M.average_precision(s, y) == L.average_precision(s, y)
+    assert M.pr_curve(s, y).points == L.pr_curve(s, y).points
+    f1, thr = M.f1_best(s, y)
+    assert (f1, thr) == L.f1_best(s, y)
+    assert M.f1_at_threshold(s, y, thr) == f1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("fn", RANKING)
+    def test_length_mismatch_rejected(self, fn):
+        with pytest.raises(M.MetricError):
+            fn([0.9, 0.5, 0.1], [0, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("fn", RANKING)
+    def test_no_scores_rejected(self, fn):
+        with pytest.raises(M.MetricError):
+            fn([], [])
+
+    @pytest.mark.parametrize("fn", RANKING)
+    def test_non_binary_label_rejected(self, fn):
+        with pytest.raises(M.MetricError):
+            fn([0.9, 0.5], [2, 0])
+
+
+class TestLoopAgreement:
+    def test_random_tied_instances(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            assert_same_as_loop(*random_instance(rng))
+
+    def test_all_positive_and_single_score(self):
+        assert_same_as_loop(np.array([0.3, 0.6, 0.6]), np.array([1, 1, 1]))
+        assert_same_as_loop(np.array([0.4]), np.array([1]))
+        assert_same_as_loop(np.array([0.4, 0.4, 0.4]), np.array([0, 1, 0]))
+
+    def test_midpoint_rounding_onto_a_neighbour(self):
+        # (a + b) / 2 rounds down onto a and (b + c) / 2 up onto c, so the
+        # count of scores above a threshold must not be read off its rank
+        a = 1.0
+        b = np.nextafter(a, 2.0)
+        c = np.nextafter(b, 2.0)
+        assert (a + b) / 2.0 == a and (b + c) / 2.0 == c
+        s = np.array([a, b, c, b])
+        for y in itertools.product((0, 1), repeat=4):
+            if any(y):
+                assert_same_as_loop(s, np.array(y))
+
+    def test_thirty_thousand_scores(self):
+        rng = np.random.default_rng(8)
+        s = np.round(rng.uniform(size=30_000), 4)
+        y = (rng.uniform(size=30_000) < s).astype(int)
+        assert_same_as_loop(s, y)
+
+
+class TestPrCurve:
+    def test_matches_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            s, y = random_instance(rng)
+            assert M.pr_curve(s, y).points == L.pr_curve(s, y).points
+
+    def test_recall_rises_to_one(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            s, y = random_instance(rng)
+            pts = M.pr_curve(s, y).points
+            recall = [r for _, _, r in pts]
+            assert all(a <= b for a, b in zip(recall, recall[1:]))
+            assert recall[-1] == 1.0
+            assert [t for t, _, _ in pts] == sorted(set(s.tolist()), reverse=True)
+
+
 class TestBleu:
     def test_identity(self):
         rep = M.bleu("the cat sat".split(), "the cat sat".split())
@@ -240,10 +320,13 @@ class TestGenerationAccuracy:
 class TestKnn:
     def test_cosine_self(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert abs(M.cosine(v, v) - 1.0) < 1e-12
+        [(i, sim)] = M.knn(v, v[None, :], top_k=1)
+        assert i == 0 and abs(sim - 1.0) < 1e-12
 
     def test_zero_vector_scores_zero(self):
-        assert M.cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert M.knn(np.zeros(3), np.ones((1, 3)), top_k=1) == [(0, 0.0)]
+        got = M.knn(np.ones(3), np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        assert got[0] == (0, 0.0) and got[1][1] < 0.0
 
     def test_excludes_self_and_orders(self):
         corpus = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])

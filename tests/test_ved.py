@@ -108,11 +108,11 @@ class TestLatent:
 
 class TestKl:
     def test_standard_normal_is_zero(self, f64):
-        kl = V.kl_divergence(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        kl = V.kl_divergence(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
         assert kl.item() == 0.0
 
     def test_unit_mean_single_dim(self, f64):
-        kl = V.kl_divergence(Tensor([1.0]), Tensor([0.0]))
+        kl = V.kl_divergence(Tensor([[1.0]]), Tensor([[0.0]]))
         assert abs(kl.item() - 0.5) < 1e-12
 
     def test_nonnegative_on_random_inputs(self, f64):

@@ -148,6 +148,14 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _tokens(text: str, flag: str, max_len: int) -> list[str]:
+    """The tokens of a text given on the command line; none is an error."""
+    tokens = tokenize(text)[:max_len]
+    if not tokens:
+        raise DataError(f"{flag} {text!r} has no tokens")
+    return tokens
+
+
 def _load_tool_model(args, cfg, data, with_generator: bool):
     """The classifier, and the generator when asked, that a tool reads."""
     ckpt = args.checkpoint or P.CKPT_E2E
@@ -162,7 +170,6 @@ def _load_tool_model(args, cfg, data, with_generator: bool):
 def cmd_generate(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    clf, ved = _load_tool_model(args, cfg, data, with_generator=True)
     if args.pairs:
         rows = [(p.title, p.query) for p in read_pairs(args.pairs) if p.label == 0]
     else:
@@ -171,19 +178,21 @@ def cmd_generate(args) -> int:
     if args.limit:
         rows = rows[:args.limit]
     beam = args.beam or cfg.beam_size
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for title, query in rows:
-            item_ids = data.vocab_t.encode(tokenize(title)[:cfg.max_title_len])
-            query_ids = data.vocab_q.encode(tokenize(query)[:cfg.max_query_len])
-            out = beam_generate(item_ids, query_ids, clf, ved, beam=beam,
-                                max_len=args.max_len or cfg.gen_max_len)
-            if not out:
-                continue
-            tokens, score = out[0]
-            gen = " ".join(data.vocab_q.decode(tokens))
-            label = data.oracle.label(title, gen)
-            fh.write(f"{title}\t{query}\t{gen}\t{score:.4f}\t"
-                     f"{'?' if label is None else label}\n")
+    with P.run_dtype(cfg):
+        clf, ved = _load_tool_model(args, cfg, data, with_generator=True)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for title, query in rows:
+                item_ids = data.vocab_t.encode(tokenize(title)[:cfg.max_title_len])
+                query_ids = data.vocab_q.encode(tokenize(query)[:cfg.max_query_len])
+                out = beam_generate(item_ids, query_ids, clf, ved, beam=beam,
+                                    max_len=args.max_len or cfg.gen_max_len)
+                if not out:
+                    continue
+                tokens, score = out[0]
+                gen = " ".join(data.vocab_q.decode(tokens))
+                label = data.oracle.label(title, gen)
+                fh.write(f"{title}\t{query}\t{gen}\t{score:.4f}\t"
+                         f"{'?' if label is None else label}\n")
     log.info("wrote generations for %d pairs to %s", len(rows), args.out)
     return EXIT_OK
 
@@ -191,11 +200,12 @@ def cmd_generate(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
-    title_tokens = tokenize(args.title)[:cfg.max_title_len]
-    query_tokens = tokenize(args.query)[:cfg.max_query_len]
-    alpha = attention_heatmap(data.vocab_t.encode(title_tokens),
-                              data.vocab_q.encode(query_tokens), clf)
+    title_tokens = _tokens(args.title, "--title", cfg.max_title_len)
+    query_tokens = _tokens(args.query, "--query", cfg.max_query_len)
+    with P.run_dtype(cfg):
+        clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
+        alpha = attention_heatmap(data.vocab_t.encode(title_tokens),
+                                  data.vocab_q.encode(query_tokens), clf)
     norm = normalize_heatmap(alpha)
     text = heatmap_text(norm, query_tokens, title_tokens)
     sys.stdout.write(text)
@@ -212,20 +222,22 @@ def cmd_heatmap(args) -> int:
 def cmd_knn(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
     side = args.side
+    max_len = cfg.max_query_len if side == "query" else cfg.max_title_len
+    source = _tokens(args.text, "--text", max_len)
     vocab = data.vocab_q if side == "query" else data.vocab_t
-    emb = clf.emb_q if side == "query" else clf.emb_t
-    lstm = clf.lstm_q if side == "query" else clf.lstm_t
     texts = sorted({(p.query if side == "query" else p.title)
                     for p in data.test + data.val})
     if args.limit:
         texts = texts[:args.limit]
 
-    max_len = cfg.max_query_len if side == "query" else cfg.max_title_len
-    mat, lens = pad_matrix([vocab.encode(tokenize(t)[:max_len])
-                            for t in texts + [args.text]])
-    states, _ = encode_batch(mat, lens, emb, lstm)
+    mat, lens = pad_matrix([vocab.encode(tokenize(t)[:max_len]) for t in texts]
+                           + [vocab.encode(source)])
+    with P.run_dtype(cfg):
+        clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
+        emb = clf.emb_q if side == "query" else clf.emb_t
+        lstm = clf.lstm_q if side == "query" else clf.lstm_t
+        states, _ = encode_batch(mat, lens, emb, lstm)
     pooled = np.stack([row[:n].mean(axis=0) for row, n in zip(states.data, lens)])
     exclude = texts.index(args.text) if args.text in texts else None
     hits = knn_search(pooled[-1], pooled[:-1], top_k=args.top, exclude=exclude)

@@ -45,9 +45,6 @@ class RunConfig:
     min_count: int = 1
     seed: int = 0
     precision: str = "f32"      # f32 | f64
-    split_train: float = 0.7
-    split_val: float = 0.15
-    split_test: float = 0.15
 
     def __post_init__(self):
         if self.precision not in ("f32", "f64"):
@@ -56,10 +53,6 @@ class RunConfig:
             raise ConfigError(f"switch probability must be in [0, 1), got {self.p}")
         if self.beta < 1.0:
             raise ConfigError(f"positive weight must be >= 1, got {self.beta}")
-
-    @property
-    def split_ratios(self) -> tuple[float, float, float]:
-        return (self.split_train, self.split_val, self.split_test)
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

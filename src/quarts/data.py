@@ -202,16 +202,45 @@ def pad_mask(lens: np.ndarray, width: int) -> np.ndarray:
     return (np.arange(width)[None, :] < lens[:, None]).astype(np.float64)
 
 
-def batches(examples: list[Example], batch_size: int,
-            rng: np.random.Generator | None = None) -> Iterator[Batch]:
-    """Yield padded batches; shuffles when given the shuffle substream."""
+@dataclass
+class TripleBatch:
+    item_ids: np.ndarray
+    item_lens: np.ndarray
+    query_ids: np.ndarray
+    query_lens: np.ndarray
+    prev_ids: np.ndarray     # (B, L): BOS then the mismatched query
+    target_ids: np.ndarray   # (B, L): mismatched query then EOS
+    target_lens: np.ndarray  # (B,)
+
+
+def make_batch(examples: list[Example]) -> Batch:
+    items, item_lens = pad_matrix([e.item_ids for e in examples])
+    queries, query_lens = pad_matrix([e.query_ids for e in examples])
+    labels = np.array([e.label for e in examples], dtype=np.float64)
+    return Batch(items, item_lens, queries, query_lens, labels,
+                 [e.source for e in examples])
+
+
+def make_triple_batch(triples: list[TripleExample]) -> TripleBatch:
+    items, item_lens = pad_matrix([t.item_ids for t in triples])
+    queries, query_lens = pad_matrix([t.matched_query_ids for t in triples])
+    prev, _ = pad_matrix([[BOS] + t.mismatched_query_ids for t in triples])
+    target, target_lens = pad_matrix([t.mismatched_query_ids + [EOS] for t in triples])
+    return TripleBatch(items, item_lens, queries, query_lens, prev, target, target_lens)
+
+
+def batches(examples: list[Example] | list[TripleExample], batch_size: int,
+            rng: np.random.Generator | None = None) -> Iterator[Batch | TripleBatch]:
+    """Yield padded batches; shuffles when given the shuffle substream.
+
+    Labeled pairs collate into a ``Batch``, triples into a ``TripleBatch``.
+    """
     order = np.arange(len(examples))
     if rng is not None:
         order = rng.permutation(len(examples))
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start:start + batch_size]]
-        items, item_lens = pad_matrix([e.item_ids for e in chunk])
-        queries, query_lens = pad_matrix([e.query_ids for e in chunk])
-        labels = np.array([e.label for e in chunk], dtype=np.float64)
-        yield Batch(items, item_lens, queries, query_lens, labels,
-                    [e.source for e in chunk])
+        if isinstance(chunk[0], TripleExample):
+            yield make_triple_batch(chunk)
+        else:
+            yield make_batch(chunk)

@@ -12,9 +12,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .classifier import AttentionParams, lstm_scan, wbw_attention_batch
-from .data import pad_mask
+from .classifier import (AttentionParams, batch_probs, dssm_batch_probs,
+                         init_classifier, init_dssm, lstm_scan, wbw_attention_batch,
+                         weighted_ce_loss)
+from .data import Batch, TripleExample, make_triple_batch, pad_mask
+from .e2e import e2e_batch_loss
+from .rng import RunRng
 from .tensor import Tape, Tensor
+from .ved import encode_pair_batch, hgen_forward_batch, init_ved, sample_latent, \
+    ved_loss_batch
 
 
 # Step ladder for deep compositions. No single step serves every
@@ -198,10 +204,95 @@ def _const_row(rng, n):
 
 
 def model_checks(seed: int = 0, k: int = 4) -> list[tuple[str, float]]:
-    """Gradient-check full model losses on toy shapes (k=4, 2-3 tokens)."""
-    from . import suitecases
+    """Gradient-check full model losses on toy shapes.
 
-    return suitecases.build_model_checks(seed=seed, k=k)
+    By default everything runs at k=4 with 2-3 token sequences and a
+    9-token vocabulary, with all stochastic inputs pinned: dropout off,
+    latent noise passed in explicitly, and the switch forced where
+    applicable.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = 9
+    d = 4
+    clf = init_classifier(rng, vocab, vocab, d, k, dropout=0.0)
+    ved = init_ved(rng, k, d, d_z=3, vocab_q=vocab)
+    # widen the toy init so |r - q| ties and argmax logit gaps sit far
+    # outside the finite-difference steps
+    for t in {**clf.named(), **ved.named()}.values():
+        t.data *= 4.0
+    results = []
+
+    items = np.array([[4, 5], [6, 7]], dtype=np.int64)
+    item_lens = np.array([2, 2])
+    queries = np.array([[6, 7, 8], [8, 4, 0]], dtype=np.int64)
+    query_lens = np.array([3, 2])
+    labels = np.array([1.0, 0.0])
+
+    def clf_loss():
+        probs, _ = batch_probs(clf, items, item_lens, queries, query_lens)
+        return weighted_ce_loss(probs, labels, beta=5.0)
+
+    results.append(("classifier_loss",
+                    grad_check(clf_loss, list(clf.named().values()), eps=MODEL_EPS)))
+
+    dssm = init_dssm(rng, vocab, vocab, d, k)
+
+    def dssm_loss():
+        probs = dssm_batch_probs(dssm, items, item_lens, queries, query_lens)
+        return weighted_ce_loss(probs, labels, beta=5.0)
+
+    results.append(("dssm_loss",
+                    grad_check(dssm_loss, list(dssm.named().values()), eps=MODEL_EPS)))
+
+    triples = [TripleExample([4, 5], [6, 7], [8, 6]),
+               TripleExample([6, 7, 8], [5], [4, 7])]
+    tb = make_triple_batch(triples)
+    eps_lat = rng.standard_normal((2, 3))
+
+    def ved_loss():
+        loss, _, _ = ved_loss_batch(clf, ved, tb, kl_weight=0.7, eps=eps_lat)
+        return loss
+
+    ved_params = list(clf.named().values()) + list(ved.named().values())
+    results.append(("ved_loss", grad_check(ved_loss, ved_params, eps=MODEL_EPS)))
+
+    def latent_reparam():
+        z, _, _ = sample_latent(T.reshape(T.concat(
+            [T.tanh(clf.attn.w), T.tanh(clf.attn.w)], axis=0), (1, 2 * k)),
+            ved.latent, eps=eps_lat[:1])
+        return T.sum_axis(z)
+
+    results.append(("latent_reparameterization",
+                    grad_check(latent_reparam,
+                               [ved.latent.w_mu, ved.latent.w_logvar, clf.attn.w],
+                               eps=MODEL_EPS)))
+
+    def hgen_scalar():
+        enc = encode_pair_batch(clf, items, item_lens, queries, query_lens)
+        states, _, _ = hgen_forward_batch(clf, ved, enc, query_lens,
+                                          deterministic=True)
+        return T.sum_axis(T.tanh(states))
+
+    err = grad_check(hgen_scalar, list(ved.named().values()), eps=MODEL_EPS)
+    results.append(("hgen_states", err))
+
+    run_rng = RunRng(seed, "misc")
+    ones_labels = np.array([0.0, 0.0])  # matched pairs: the switch can flip them
+    batch = Batch(items, item_lens, queries, query_lens, ones_labels,
+                  ["annotated", "annotated"])
+    eps_e2e = rng.standard_normal((2, 3))
+
+    def e2e_forced():
+        loss, s = e2e_batch_loss(clf, ved, batch, p=0.5, beta=5.0, rng=run_rng,
+                                 training=True, force_switch=1,
+                                 latent_eps=eps_e2e)
+        assert s.sum() == 2
+        return loss
+
+    all_params = list(clf.named().values()) + list(ved.named().values())
+    results.append(("e2e_loss_forced_switch",
+                    grad_check(e2e_forced, all_params, eps=MODEL_EPS)))
+    return results
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4, verbose: bool = True) -> bool:

@@ -3,15 +3,14 @@
 The training schedule is: (1) pretrain the classifier on annotated data,
 (2) build (item, matched, mismatched) triples, (3) pretrain the generator
 decoder with the shared encoder frozen, (4) concatenate annotated and
-logs data, (5) switched end-to-end training. Every phase writes a
-checkpoint and a manifest entry; per-epoch metrics append to
-``metrics.jsonl``, one JSON record per line.
+logs data, (5) switched end-to-end training.
 
-Each phase builds its batch loss and hands it to ``train.fit``: the
-weighted cross-entropy for the classifier and the naive-augment
-baseline, the pooled baseline's loss, and the switched loss. Every
-checkpoint is read back through ``load_bundle``, which picks the model
-from the array-name prefixes.
+Each ``phase_*`` holds only its model, its data and the batch loss it
+hands to ``train.fit``; ``_phase`` does the rest for all of them, from
+the run dir to the checkpoint, the epoch records in ``metrics.jsonl``
+(one JSON line each, one schema for every phase) and the manifest entry.
+``load_bundle`` reads every checkpoint back. Phases, evaluation and the
+CLI tools run inside ``run_dtype``, so none leaves the engine dtype set.
 
 Each phase derives fresh random substreams from (seed, phase), so a
 later phase's draws never depend on how much randomness an earlier phase
@@ -25,8 +24,10 @@ import dataclasses
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .data import (Example, RawPair, Vocabulary, build_vocab, encode_pairs,
                    read_pairs, split_pairs, tokenize, write_pairs)
 from .e2e import e2e_batch_loss
 from .rng import RunRng
-from .train import (EpochRecord, TrainSettings, evaluate_probs, fit, frozen,
-                    train_ved)
-from .ved import VedParams, beam_generate, build_triples, encode_triples, init_ved
+from .train import EpochRecord, TrainSettings, evaluate_probs, fit, frozen
+from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
+                  kl_weight_at, ved_loss_batch)
 
 log = logging.getLogger(__name__)
 
@@ -64,16 +65,17 @@ WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
               CKPT_E2E: "train-e2e", CKPT_DSSM: "train-baseline --kind dssm",
               CKPT_AUGMENT: "train-baseline --kind augment"}
 
-# The switch draws of a batch loss that has no switch.
-NO_SWITCH = np.zeros(0, dtype=np.int64)
+# The stats of a batch loss on labeled pairs that has no switch.
+NO_SWITCH = {"switch": np.zeros(0, dtype=np.int64)}
 
 
 class PipelineError(RuntimeError):
     """A phase is missing its prerequisites; the message names the fix."""
 
 
-def set_precision(cfg: RunConfig) -> None:
-    T.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
+def run_dtype(cfg: RunConfig):
+    """The run's precision as a scope: ``with run_dtype(cfg): ...``."""
+    return T.using_dtype(np.float64 if cfg.precision == "f64" else np.float32)
 
 
 # --- data ------------------------------------------------------------------
@@ -151,24 +153,44 @@ def settings(cfg: RunConfig, finetune: bool = False) -> TrainSettings:
                          decay_factor=cfg.decay_factor, decay_every=cfg.decay_every)
 
 
-def _append_metrics(run_dir, phase: str, records: list[EpochRecord]) -> None:
-    path = Path(run_dir) / "metrics.jsonl"
-    with open(path, "a", encoding="utf-8") as fh:
+def _append_metrics(run_dir: Path, phase: str, records: list[EpochRecord]) -> None:
+    """The one writer of epoch records: a JSON line each in ``metrics.jsonl``."""
+    if not records:
+        return
+    with open(run_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
         for r in records:
             fh.write(json.dumps({"phase": phase, **r.to_json()}) + "\n")
 
 
-def _manifest(run_dir, cfg: RunConfig) -> RunManifest:
-    path = Path(run_dir) / "manifest.json"
-    if path.exists():
-        return RunManifest.load(path)
-    return RunManifest.start(cfg)
+@dataclass
+class PhaseRun:
+    """What a phase body hands ``_phase`` (``params`` None: no arrays to save)."""
+    dir: Path
+    params: dict[str, T.Tensor] | None = None
+    records: list[EpochRecord] = field(default_factory=list)
 
 
-def _finish_phase(run_dir, cfg, name: str, ckpt: str, seconds: float) -> None:
-    man = _manifest(run_dir, cfg)
-    man.record_phase(name, ckpt, seconds)
-    man.save(Path(run_dir) / "manifest.json")
+@contextmanager
+def _phase(cfg: RunConfig, run_dir, name: str, ckpt: str) -> Iterator[PhaseRun]:
+    """Set-up and tear-down shared by every phase.
+
+    Creates the run dir and runs the body timed, at the run's precision.
+    After the body, writes ``run.params`` to ``ckpt``, appends
+    ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
+    phase in ``manifest.json``. A body that raises writes none of these.
+    """
+    run = PhaseRun(Path(run_dir))
+    run.dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    with run_dtype(cfg):
+        yield run
+    if run.params is not None:
+        save_params(run.dir / ckpt, run.params)
+    _append_metrics(run.dir, name, run.records)
+    path = run.dir / "manifest.json"
+    man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
+    man.record_phase(name, ckpt, time.perf_counter() - t0)
+    man.save(path)
 
 
 def new_classifier(cfg: RunConfig, data: DataBundle, rng: RunRng) -> ClassifierParams:
@@ -197,18 +219,18 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
     path = Path(run_dir) / ckpt
     if not path.exists():
         raise PipelineError(f"missing checkpoint {path}; run `quarts {need}` first")
-    set_precision(cfg)
     arrays = load_arrays(path)
-    if any(k.startswith("dssm.") for k in arrays):
-        dssm = new_dssm(cfg, data, RunRng(cfg.seed, "dssm"))
-        assign_params(dssm.named(), arrays)
-        return dssm, None
-    clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-    assign_params(clf.named(), arrays, prefix="clf.")
-    ved = None
-    if any(k.startswith("ved.") for k in arrays):
-        ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
-        assign_params(ved.named(), arrays, prefix="ved.")
+    with run_dtype(cfg):
+        if any(k.startswith("dssm.") for k in arrays):
+            dssm = new_dssm(cfg, data, RunRng(cfg.seed, "dssm"))
+            assign_params(dssm.named(), arrays)
+            return dssm, None
+        clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
+        assign_params(clf.named(), arrays, prefix="clf.")
+        ved = None
+        if any(k.startswith("ved.") for k in arrays):
+            ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
+            assign_params(ved.named(), arrays, prefix="ved.")
     return clf, ved
 
 
@@ -226,39 +248,40 @@ def require(ok: bool, ckpt: str, part: str) -> None:
 
 def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
     """Weighted cross-entropy on the real pairs; dropout from ``rng``."""
-    return lambda batch: (classifier_batch_loss(clf, batch, beta, rng.dropout,
-                                                training=True), NO_SWITCH)
+    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout,
+                                                       training=True), NO_SWITCH)
+
+
+def ved_loss(clf: ClassifierParams, ved: VedParams, anneal_epochs: int, rng: RunRng):
+    """The VED loss at the epoch's KL weight; latent noise from ``rng``."""
+    def loss(batch, epoch):
+        w = kl_weight_at(epoch, anneal_epochs)
+        value, nll, kl = ved_loss_batch(clf, ved, batch, w, rng=rng.latent)
+        return value, {"nll": nll, "kl": kl, "kl_weight": w}
+    return loss
 
 
 def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
                               ) -> tuple[ClassifierParams, list[EpochRecord]]:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    set_precision(cfg)
-    rng = RunRng(cfg.seed, "classifier")
-    clf = new_classifier(cfg, data, rng)
-    st = settings(cfg)
-    t0 = time.perf_counter()
-    records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
-                  data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "classifier")
-    save_params(run_dir / CKPT_CLASSIFIER, clf.named())
-    data.vocab_q.save(run_dir / "vocab_q.txt")
-    data.vocab_t.save(run_dir / "vocab_t.txt")
-    _append_metrics(run_dir, "classifier", records)
-    _finish_phase(run_dir, cfg, "classifier", CKPT_CLASSIFIER,
-                  time.perf_counter() - t0)
-    return clf, records
+    with _phase(cfg, run_dir, "classifier", CKPT_CLASSIFIER) as run:
+        rng = RunRng(cfg.seed, "classifier")
+        clf = new_classifier(cfg, data, rng)
+        st = settings(cfg)
+        run.records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
+                          data.train_ex, data.val_ex, st, rng, cfg.clf_epochs,
+                          "classifier")
+        run.params = clf.named()
+        data.vocab_q.save(run.dir / "vocab_q.txt")
+        data.vocab_t.save(run.dir / "vocab_t.txt")
+    return clf, run.records
 
 
 def phase_build_triples(cfg: RunConfig, data: DataBundle, run_dir) -> list:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    text_triples = build_triples(data.train, cap=cfg.triple_cap)
-    with open(run_dir / CKPT_TRIPLES, "w", encoding="utf-8") as fh:
-        for title, q, qm in text_triples:
-            fh.write(f"{title}\t{q}\t{qm}\n")
-    _finish_phase(run_dir, cfg, "triples", CKPT_TRIPLES, time.perf_counter() - t0)
+    with _phase(cfg, run_dir, "triples", CKPT_TRIPLES) as run:
+        text_triples = build_triples(data.train, cap=cfg.triple_cap)
+        with open(run.dir / CKPT_TRIPLES, "w", encoding="utf-8") as fh:
+            for title, q, qm in text_triples:
+                fh.write(f"{title}\t{q}\t{qm}\n")
     return text_triples
 
 
@@ -278,24 +301,23 @@ def read_triples(run_dir) -> list[tuple[str, str, str]]:
 
 def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                        clf: ClassifierParams | None = None):
-    run_dir = Path(run_dir)
-    set_precision(cfg)
-    if clf is None:
-        clf, _ = load_bundle(cfg, data, run_dir, CKPT_CLASSIFIER,
-                             need="pretrain-classifier")
-    text_triples = read_triples(run_dir)
-    triples = encode_triples(text_triples, data.vocab_t, data.vocab_q,
-                             cfg.max_title_len, cfg.max_query_len)
-    rng = RunRng(cfg.seed, "ved")
-    ved = new_ved(cfg, data, rng)
-    t0 = time.perf_counter()
-    records = train_ved(clf, ved, triples, settings(cfg), rng, cfg.ved_epochs,
-                        ved_lr=cfg.ved_lr, kl_anneal_epochs=cfg.kl_anneal_epochs)
-    save_params(run_dir / CKPT_VED, {**clf.named(), **ved.named()})
-    with open(run_dir / "ved_history.json", "w", encoding="utf-8") as fh:
-        json.dump([dataclasses.asdict(r) for r in records], fh, indent=2)
-    _finish_phase(run_dir, cfg, "ved", CKPT_VED, time.perf_counter() - t0)
-    return ved, records
+    """Generator pretraining on the triples, with the shared encoder frozen:
+    the classifier arrays leave this phase bitwise unchanged."""
+    with _phase(cfg, run_dir, "ved", CKPT_VED) as run:
+        if clf is None:
+            clf, _ = load_bundle(cfg, data, run.dir, CKPT_CLASSIFIER,
+                                 need="pretrain-classifier")
+        triples = encode_triples(read_triples(run.dir), data.vocab_t, data.vocab_q,
+                                 cfg.max_title_len, cfg.max_query_len)
+        rng = RunRng(cfg.seed, "ved")
+        ved = new_ved(cfg, data, rng)
+        st = dataclasses.replace(settings(cfg), lr=cfg.ved_lr)
+        with frozen(clf.named()):
+            run.records = fit(clf, ved.named(),
+                              ved_loss(clf, ved, cfg.kl_anneal_epochs, rng),
+                              triples, [], st, rng, cfg.ved_epochs, "ved")
+        run.params = {**clf.named(), **ved.named()}
+    return ved, run.records
 
 
 def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
@@ -307,42 +329,38 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
     Updates classifier and generator parameters together unless the
     generator is frozen for ablation.
     """
-    run_dir = Path(run_dir)
-    ckpt = resume or CKPT_VED
-    clf, ved = load_bundle(cfg, data, run_dir, ckpt, need="pretrain-ved")
-    require(ved is not None, ckpt, "generator")
-    p = cfg.p if p is None else p
-    rng = RunRng(cfg.seed, "finetune")
-    st = settings(cfg, finetune=True)
-    named = {**clf.named(), **({} if freeze_generator else ved.named())}
-    t0 = time.perf_counter()
-    with frozen(ved.named() if freeze_generator else {}):
-        records = fit(clf, named,
-                      lambda batch: e2e_batch_loss(clf, ved, batch, p, st.beta,
-                                                   rng, training=True),
-                      data.merged_ex, data.val_ex, st, rng, cfg.e2e_epochs, "e2e")
-    save_params(run_dir / CKPT_E2E, {**clf.named(), **ved.named()})
-    _append_metrics(run_dir, "e2e", records)
-    _finish_phase(run_dir, cfg, "e2e", CKPT_E2E, time.perf_counter() - t0)
-    return clf, ved, records
+    with _phase(cfg, run_dir, "e2e", CKPT_E2E) as run:
+        ckpt = resume or CKPT_VED
+        clf, ved = load_bundle(cfg, data, run.dir, ckpt, need="pretrain-ved")
+        require(ved is not None, ckpt, "generator")
+        p = cfg.p if p is None else p
+        rng = RunRng(cfg.seed, "finetune")
+        st = settings(cfg, finetune=True)
+
+        def loss(batch, epoch):
+            value, s = e2e_batch_loss(clf, ved, batch, p, st.beta, rng, training=True)
+            return value, {"switch": s}
+
+        named = {**clf.named(), **({} if freeze_generator else ved.named())}
+        with frozen(ved.named() if freeze_generator else {}):
+            run.records = fit(clf, named, loss, data.merged_ex, data.val_ex, st, rng,
+                              cfg.e2e_epochs, "e2e")
+        run.params = {**clf.named(), **ved.named()}
+    return clf, ved, run.records
 
 
 def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
                      ) -> tuple[DssmParams, list[EpochRecord]]:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    set_precision(cfg)
-    rng = RunRng(cfg.seed, "dssm")
-    params = new_dssm(cfg, data, rng)
-    st = settings(cfg)
-    t0 = time.perf_counter()
-    records = fit(params, params.named(),
-                  lambda batch: (dssm_batch_loss(params, batch, st.beta), NO_SWITCH),
-                  data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "dssm")
-    save_params(run_dir / CKPT_DSSM, params.named())
-    _append_metrics(run_dir, "dssm", records)
-    _finish_phase(run_dir, cfg, "dssm", CKPT_DSSM, time.perf_counter() - t0)
-    return params, records
+    with _phase(cfg, run_dir, "dssm", CKPT_DSSM) as run:
+        rng = RunRng(cfg.seed, "dssm")
+        params = new_dssm(cfg, data, rng)
+        st = settings(cfg)
+        run.records = fit(params, params.named(),
+                          lambda batch, epoch: (dssm_batch_loss(params, batch, st.beta),
+                                                NO_SWITCH),
+                          data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "dssm")
+        run.params = params.named()
+    return params, run.records
 
 
 def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
@@ -355,27 +373,22 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
     continues from a checkpoint using the end-to-end phase streams, making
     it the exact reference for switched training at p=0.
     """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    set_precision(cfg)
-    finetune = resume is not None
-    if finetune:
-        clf, _ = load_bundle(cfg, data, run_dir, resume, need="pretrain-classifier")
-        require(isinstance(clf, ClassifierParams), resume, "classifier")
-        rng = RunRng(cfg.seed, "finetune")
-        epochs = cfg.e2e_epochs if epochs is None else epochs
-    else:
-        rng = RunRng(cfg.seed, "classifier")
-        clf = new_classifier(cfg, data, rng)
-        epochs = cfg.clf_epochs if epochs is None else epochs
-    st = settings(cfg, finetune=finetune)
-    t0 = time.perf_counter()
-    records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
-                  data.merged_ex, data.val_ex, st, rng, epochs, "augment")
-    save_params(run_dir / CKPT_AUGMENT, clf.named())
-    _append_metrics(run_dir, "augment", records)
-    _finish_phase(run_dir, cfg, "augment", CKPT_AUGMENT, time.perf_counter() - t0)
-    return clf, records
+    with _phase(cfg, run_dir, "augment", CKPT_AUGMENT) as run:
+        finetune = resume is not None
+        if finetune:
+            clf, _ = load_bundle(cfg, data, run.dir, resume, need="pretrain-classifier")
+            require(isinstance(clf, ClassifierParams), resume, "classifier")
+            rng = RunRng(cfg.seed, "finetune")
+            epochs = cfg.e2e_epochs if epochs is None else epochs
+        else:
+            rng = RunRng(cfg.seed, "classifier")
+            clf = new_classifier(cfg, data, rng)
+            epochs = cfg.clf_epochs if epochs is None else epochs
+        st = settings(cfg, finetune=finetune)
+        run.records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
+                          data.merged_ex, data.val_ex, st, rng, epochs, "augment")
+        run.params = clf.named()
+    return clf, run.records
 
 
 # --- evaluation --------------------------------------------------------------
@@ -436,34 +449,35 @@ def evaluate_generation(cfg: RunConfig, data: DataBundle,
 def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
                         split: str = "test", with_generation: bool = False,
                         scores_out=None) -> MetricsReport:
-    examples = {"train": data.train_ex, "val": data.val_ex,
-                "test": data.test_ex}[split]
-    model, ved = load_bundle(cfg, data, run_dir, ckpt,
-                             need=WRITTEN_BY.get(ckpt, "train-e2e"))
-    scores, labels = evaluate_probs(model, examples)
+    with run_dtype(cfg):
+        examples = {"train": data.train_ex, "val": data.val_ex,
+                    "test": data.test_ex}[split]
+        model, ved = load_bundle(cfg, data, run_dir, ckpt,
+                                 need=WRITTEN_BY.get(ckpt, "train-e2e"))
+        scores, labels = evaluate_probs(model, examples)
 
-    aupr = M.average_precision(scores, labels)
-    f1, thr = M.f1_best(scores, labels)
-    curve = M.pr_curve(scores, labels)
-    report = MetricsReport(
-        aupr=aupr, f1=f1, threshold=thr,
-        pr_points=[list(pt) for pt in curve.points],
-        counts={"examples": len(examples),
-                "positives": int(labels.sum())},
-        seed=cfg.seed, config_hash=cfg.hash())
+        aupr = M.average_precision(scores, labels)
+        f1, thr = M.f1_best(scores, labels)
+        curve = M.pr_curve(scores, labels)
+        report = MetricsReport(
+            aupr=aupr, f1=f1, threshold=thr,
+            pr_points=[list(pt) for pt in curve.points],
+            counts={"examples": len(examples),
+                    "positives": int(labels.sum())},
+            seed=cfg.seed, config_hash=cfg.hash())
 
-    if with_generation:
-        require(ved is not None, ckpt, "generator")
-        split_pairs_ = {"train": data.train, "val": data.val, "test": data.test}[split]
-        bleu, acc, n = evaluate_generation(cfg, data, model, ved, split_pairs_)
-        report.bleu = bleu.bleu
-        report.generation_accuracy = acc.accuracy
-        report.unresolvable_rate = acc.unresolvable_rate
-        report.counts["generation_pairs"] = n
-        report.counts["unresolvable"] = acc.unresolvable
+        if with_generation:
+            require(ved is not None, ckpt, "generator")
+            split_pairs_ = {"train": data.train, "val": data.val, "test": data.test}[split]
+            bleu, acc, n = evaluate_generation(cfg, data, model, ved, split_pairs_)
+            report.bleu = bleu.bleu
+            report.generation_accuracy = acc.accuracy
+            report.unresolvable_rate = acc.unresolvable_rate
+            report.counts["generation_pairs"] = n
+            report.counts["unresolvable"] = acc.unresolvable
 
-    if scores_out is not None:
-        with open(scores_out, "w", encoding="utf-8") as fh:
-            for s, y in zip(scores, labels):
-                fh.write(f"{s:.8f}\t{int(y)}\n")
+        if scores_out is not None:
+            with open(scores_out, "w", encoding="utf-8") as fh:
+                for s, y in zip(scores, labels):
+                    fh.write(f"{s:.8f}\t{int(y)}\n")
     return report

@@ -1,10 +1,11 @@
-"""Training loops: one ``fit`` for every phase trained on labeled pairs,
-and ``train_ved`` for generator pretraining.
+"""The one training loop, ``fit``, for every phase.
 
-``fit`` serves classifier pretraining, the naive-augment and pooled
-baselines, and switched end-to-end training; the caller hands it the
-batch loss. ``train_ved`` batches (item, matched, mismatched) triples
-and anneals the KL weight, so it keeps its own loop.
+The caller hands ``fit`` the batch loss: the weighted cross-entropy for
+classifier pretraining and the naive-augment baseline, the pooled
+baseline's loss, the VED loss for generator pretraining, and the
+switched loss for end-to-end training. Labeled pairs and (item, matched,
+mismatched) triples go through the same shuffled batching. The loss
+receives the epoch, so a schedule such as the KL annealing lives in it.
 
 All loops are single-threaded and deterministic given a RunRng; gradient
 reset is explicit and asserted before every backward pass.
@@ -20,26 +21,29 @@ import numpy as np
 
 from . import metrics as M
 from .classifier import ClassifierParams, DssmParams, batch_probs, dssm_batch_probs
-from .data import Batch, Example, batches
+from .data import Batch, Example, TripleBatch, TripleExample, batches
 from .optim import Adam, assert_grads_clear
 from .rng import RunRng
 from .tensor import Tape, Tensor
-from .ved import TripleExample, VedParams, make_triple_batch, ved_loss_batch
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class EpochRecord:
+    """One epoch of any phase; what the phase does not measure stays None."""
     epoch: int
-    split: str
-    aupr: float
-    f1: float
-    loss: float
-    s1_fraction: float
+    split: str | None = None
+    aupr: float | None = None
+    f1: float | None = None
+    loss: float | None = None
+    s1_fraction: float | None = None
+    nll: float | None = None
+    kl: float | None = None
+    kl_weight: float | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -83,57 +87,61 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
     return np.concatenate(scores)[back], np.concatenate(labels)[back]
 
 
-def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
-        loss_fn: Callable[[Batch], tuple[Tensor, np.ndarray]],
-        train_ex: list[Example], val_ex: list[Example], st: TrainSettings,
-        rng: RunRng, epochs: int, phase: str) -> list[EpochRecord]:
-    """Adam on ``named`` over shuffled batches, then a val pass per epoch.
+def _epoch_stats(stats: dict[str, list]) -> dict[str, float]:
+    """Fold the batch stats a loss reports into record fields.
 
-    ``loss_fn(batch)`` returns (loss, s): ``s`` holds the batch's switch
-    draws, empty for losses without a switch, and feeds the s1 fraction.
-    ``model`` is what the val pass scores.
+    ``switch`` (a batch's switch draws) becomes the share of ones among
+    all the epoch's draws, and ``kl_weight`` (the same for every batch)
+    is kept as is; any other stat becomes its mean over the batches.
+    """
+    out = {}
+    for key, values in stats.items():
+        if key == "switch":
+            out["s1_fraction"] = (sum(int(s.sum()) for s in values)
+                                  / max(sum(len(s) for s in values), 1))
+        elif key == "kl_weight":
+            out[key] = values[-1]
+        else:
+            out[key] = float(np.mean(values))
+    return out
+
+
+def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
+        loss_fn: Callable[[Batch | TripleBatch, int], tuple[Tensor, dict]],
+        train_ex: list[Example] | list[TripleExample], val_ex: list[Example],
+        st: TrainSettings, rng: RunRng, epochs: int, phase: str,
+        ) -> list[EpochRecord]:
+    """Adam on ``named`` over shuffled batches, one record per epoch.
+
+    ``loss_fn(batch, epoch)`` returns (loss, stats), the batch's stats by
+    name (see ``_epoch_stats``). When there are val examples, each epoch
+    ends with a val pass that scores ``model``.
     """
     opt = Adam(named, st.lr)
     records = []
     for epoch in range(epochs):
         _maybe_decay(opt, st, epoch)
-        losses = []
-        s_total = 0
-        n_total = 0
+        losses, stats = [], {}
         for batch in batches(train_ex, st.batch_size, rng.shuffle):
             assert_grads_clear(named)
             with Tape() as tape:
-                loss, s = loss_fn(batch)
+                loss, batch_stats = loss_fn(batch, epoch)
                 tape.backward(loss)
             opt.step()
             opt.zero_grad()
             losses.append(loss.item())
-            s_total += int(s.sum())
-            n_total += len(s)
-        scores, labels = evaluate_probs(model, val_ex)
-        rec = EpochRecord(epoch, "val", M.average_precision(scores, labels),
-                          M.f1_best(scores, labels)[0], float(np.mean(losses)),
-                          s_total / max(n_total, 1))
+            for key, value in batch_stats.items():
+                stats.setdefault(key, []).append(value)
+        rec = EpochRecord(epoch, loss=float(np.mean(losses)), **_epoch_stats(stats))
+        if val_ex:
+            scores, labels = evaluate_probs(model, val_ex)
+            rec.split = "val"
+            rec.aupr = M.average_precision(scores, labels)
+            rec.f1 = M.f1_best(scores, labels)[0]
         records.append(rec)
-        log.info("%s epoch %d: val aupr=%.4f f1=%.4f loss=%.4f s1=%.3f",
-                 phase, epoch, rec.aupr, rec.f1, rec.loss, rec.s1_fraction)
+        log.info("%s epoch %d: %s", phase, epoch, " ".join(
+            f"{k}={v:.4f}" for k, v in rec.to_json().items() if k not in ("epoch", "split")))
     return records
-
-
-@dataclass
-class VedEpoch:
-    epoch: int
-    loss: float
-    nll: float
-    kl: float
-    kl_weight: float
-
-
-def kl_weight_at(epoch: int, anneal_epochs: int) -> float:
-    """Linear 0 -> 1 over the first ``anneal_epochs`` epochs."""
-    if anneal_epochs <= 1:
-        return 1.0
-    return min(1.0, epoch / (anneal_epochs - 1))
 
 
 @contextmanager
@@ -146,41 +154,3 @@ def frozen(params: dict[str, Tensor]) -> Iterator[None]:
     finally:
         for p in params.values():
             p.requires_grad = True
-
-
-def train_ved(clf: ClassifierParams, ved: VedParams,
-              triples: list[TripleExample], st: TrainSettings, rng: RunRng,
-              epochs: int, ved_lr: float, kl_anneal_epochs: int = 5,
-              ) -> list[VedEpoch]:
-    """Decoder/latent pretraining with the encoder frozen.
-
-    The classifier tensors are not touched: they are marked untracked for
-    the duration, so this phase leaves them bitwise unchanged.
-    """
-    named = ved.named()
-    opt = Adam(named, ved_lr)
-    records = []
-    with frozen(clf.named()):
-        for epoch in range(epochs):
-            _maybe_decay(opt, st, epoch)
-            w = kl_weight_at(epoch, kl_anneal_epochs)
-            losses, nlls, kls = [], [], []
-            order = rng.shuffle.permutation(len(triples))
-            for start in range(0, len(triples), st.batch_size):
-                chunk = [triples[i] for i in order[start:start + st.batch_size]]
-                tb = make_triple_batch(chunk)
-                assert_grads_clear(named)
-                with Tape() as tape:
-                    loss, nll, kl = ved_loss_batch(clf, ved, tb, w, rng=rng.latent)
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-                losses.append(loss.item())
-                nlls.append(nll)
-                kls.append(kl)
-            rec = VedEpoch(epoch, float(np.mean(losses)), float(np.mean(nlls)),
-                           float(np.mean(kls)), w)
-            records.append(rec)
-            log.info("ved epoch %d: loss=%.4f nll=%.4f kl=%.4f (w=%.2f)",
-                     epoch, rec.loss, rec.nll, rec.kl, w)
-    return records

@@ -27,8 +27,8 @@ import numpy as np
 from . import tensor as T
 from .classifier import (ClassifierParams, LstmParams, encode_batch, init_lstm,
                          lstm_scan, _uniform)
-from .data import (BOS, EOS, RawPair, TripleExample, Vocabulary, pad_mask,
-                   pad_matrix, tokenize)
+from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
+                   pad_mask, tokenize)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -187,6 +187,13 @@ def sample_latent(c: Tensor, lat: LatentParams,
     return z, mu, logvar
 
 
+def kl_weight_at(epoch: int, anneal_epochs: int) -> float:
+    """Linear 0 -> 1 over the first ``anneal_epochs`` epochs."""
+    if anneal_epochs <= 1:
+        return 1.0
+    return min(1.0, epoch / (anneal_epochs - 1))
+
+
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:
     """KL(N(mu, exp(logvar)) || N(0, I)) of (B, d) rows, summed over dims,
     batch-averaged."""
@@ -245,28 +252,6 @@ def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
 
 
 # --- training loss ----------------------------------------------------------
-
-@dataclass
-class TripleBatch:
-    item_ids: np.ndarray
-    item_lens: np.ndarray
-    query_ids: np.ndarray
-    query_lens: np.ndarray
-    prev_ids: np.ndarray     # (B, L): BOS then the mismatched query
-    target_ids: np.ndarray   # (B, L): mismatched query then EOS
-    target_lens: np.ndarray  # (B,)
-
-    def __len__(self):
-        return self.item_ids.shape[0]
-
-
-def make_triple_batch(triples: list[TripleExample]) -> TripleBatch:
-    items, item_lens = pad_matrix([t.item_ids for t in triples])
-    queries, query_lens = pad_matrix([t.matched_query_ids for t in triples])
-    prev, _ = pad_matrix([[BOS] + t.mismatched_query_ids for t in triples])
-    target, target_lens = pad_matrix([t.mismatched_query_ids + [EOS] for t in triples])
-    return TripleBatch(items, item_lens, queries, query_lens, prev, target, target_lens)
-
 
 def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
                    kl_weight: float, rng: np.random.Generator | None = None,

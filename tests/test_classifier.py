@@ -10,12 +10,6 @@ from quarts.tensor import Tape, Tensor
 from quarts.train import evaluate_probs
 
 
-@pytest.fixture
-def f64():
-    with T.using_dtype(np.float64):
-        yield
-
-
 def zero_classifier(vocab_q=9, vocab_t=9, d=4, k=4):
     p = C.init_classifier(np.random.default_rng(0), vocab_q, vocab_t, d, k)
     for t in p.named().values():

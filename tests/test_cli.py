@@ -8,6 +8,7 @@ import pytest
 
 from quarts import pipeline as P
 from quarts import tensor as T
+from quarts import train as TR
 from quarts.checkpoint import load_arrays
 from quarts.cli import main
 from quarts.config import desk_profile, load_config
@@ -114,6 +115,16 @@ class TestPhases:
         assert code == 2
         assert "train-e2e" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tool", [
+        ["heatmap", "--title", "alvora running shoes", "--query", "???"],
+        ["knn", "--text", "!!!"],
+    ], ids=["heatmap", "knn"])
+    def test_tool_text_without_tokens_fails(self, workspace, capsys, tool):
+        _, _, _, base = workspace
+        code = main(tool[:1] + base + ["--checkpoint", P.CKPT_VED] + tool[1:])
+        assert code == 2
+        assert f"{tool[-1]!r} has no tokens" in capsys.readouterr().err
+
     def test_generate_needs_generator_arrays(self, workspace, capsys):
         root, _, _, base = workspace
         code = main(["generate"] + base + ["--checkpoint", P.CKPT_CLASSIFIER,
@@ -126,10 +137,38 @@ class TestPhases:
         cfg = load_config(root / "tiny.cfg", base=desk_profile()).replace(
             precision="f64")
         data = P.load_data(data_dir, cfg)
-        with T.using_dtype(T.get_default_dtype()):
-            clf, ved = P.load_bundle(cfg, data, run, P.CKPT_VED, need="pretrain-ved")
+        clf, ved = P.load_bundle(cfg, data, run, P.CKPT_VED, need="pretrain-ved")
         assert clf.emb_q.data.dtype == np.float64
         assert ved.dec.w_v.data.dtype == np.float64
+        assert T.get_default_dtype() is np.float32
+
+    def test_ved_phase_writes_epochs_to_metrics(self, workspace, monkeypatch):
+        # the VED epochs go to metrics.jsonl like every other phase's, with
+        # no val pass, and the frozen encoder leaves the classifier as is
+        root, data_dir, _, _ = workspace
+        cfg = load_config(root / "tiny.cfg", base=desk_profile()).replace(
+            ved_epochs=3, kl_anneal_epochs=4)
+        data = P.load_data(data_dir, cfg)
+        run = root / "ved_run"
+        P.phase_pretrain_classifier(cfg, data, run)
+        P.phase_build_triples(cfg, data, run)
+
+        def no_val_pass(*args, **kwargs):
+            raise AssertionError("the VED phase ran a val pass")
+
+        monkeypatch.setattr(TR, "evaluate_probs", no_val_pass)
+        _, records = P.phase_pretrain_ved(cfg, data, run)
+        lines = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
+        ved = [r for r in lines if r["phase"] == "ved"]
+        assert [list(r) for r in ved] == [
+            ["phase", "epoch", "loss", "nll", "kl", "kl_weight"]] * 3
+        assert [r["kl_weight"] for r in ved] == [0.0, 1 / 3, 2 / 3]
+        assert ved == [{"phase": "ved", **r.to_json()} for r in records]
+        assert not (run / "ved_history.json").exists()
+        before = load_arrays(run / P.CKPT_CLASSIFIER)
+        after = load_arrays(run / P.CKPT_VED)
+        for k, v in before.items():
+            assert after[k].tobytes() == v.tobytes(), k
 
     def test_eval_missing_data_dir(self, workspace, capsys):
         root, _, run, _ = workspace

@@ -6,22 +6,15 @@ a relative 1e-10 (of each array's largest magnitude); only the order of
 floating-point operations differs between the two.
 """
 import numpy as np
-import pytest
 
 import unfused as U
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import ved as V
-from quarts.data import PAD, TripleExample, pad_mask
+from quarts.data import PAD, TripleExample, make_triple_batch, pad_mask
 from quarts.tensor import Tape
 
 RTOL = 1e-10
-
-
-@pytest.fixture
-def f64():
-    with T.using_dtype(np.float64):
-        yield
 
 
 def close(got, want):
@@ -100,9 +93,9 @@ def test_attention_matches_unfused(f64):
 
 
 def triple_batch():
-    return V.make_triple_batch([TripleExample([4, 5], [6, 7], [8, 6]),
-                                TripleExample([6, 7, 8], [5], [4, 7, 9, 10]),
-                                TripleExample([6], [5, 9, 9], [4])])
+    return make_triple_batch([TripleExample([4, 5], [6, 7], [8, 6]),
+                              TripleExample([6, 7, 8], [5], [4, 7, 9, 10]),
+                              TripleExample([6], [5, 9, 9], [4])])
 
 
 def test_ved_nll_matches_unfused(f64):

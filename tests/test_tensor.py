@@ -7,12 +7,6 @@ from quarts.gradcheck import grad_check, model_checks, op_checks
 from quarts.tensor import Tape, Tensor
 
 
-@pytest.fixture
-def f64():
-    with T.using_dtype(np.float64):
-        yield
-
-
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[2.0, -1.0], [0.5, 3.0]])

@@ -1,20 +1,13 @@
 """Generator components: triples, latent, decoding, beam search, training."""
 import numpy as np
-import pytest
 
-from quarts import tensor as T
 from quarts import ved as V
 from quarts.classifier import init_classifier
-from quarts.data import BOS, EOS, RawPair, TripleExample
+from quarts.data import BOS, EOS, RawPair, TripleExample, make_triple_batch
+from quarts.pipeline import ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tensor
-from quarts.train import TrainSettings, train_ved
-
-
-@pytest.fixture
-def f64():
-    with T.using_dtype(np.float64):
-        yield
+from quarts.train import TrainSettings, fit, frozen
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3):
@@ -153,7 +146,7 @@ class TestVedLoss:
         clf, ved = models(vocab=9)
         for t in {**clf.named(), **ved.named()}.values():
             t.data[...] = 0.0
-        tb = V.make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
+        tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
         loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
                                          deterministic=True)
         assert abs(nll - np.log(9)) < 1e-12
@@ -161,8 +154,8 @@ class TestVedLoss:
 
     def test_zero_weight_is_pure_reconstruction(self, f64):
         clf, ved = models(seed=2)
-        tb = V.make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
-                                  TripleExample([5, 6, 7], [8], [4])])
+        tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
+                                TripleExample([5, 6, 7], [8], [4])])
         loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
                                          deterministic=True)
         assert abs(loss.item() - nll) < 1e-12
@@ -182,9 +175,11 @@ class TestVedLoss:
         rng = np.random.default_rng(5)
         clf = init_classifier(rng, len(vq), len(vt), 16, 16, dropout=0.0)
         ved = V.init_ved(rng, 16, 16, 8, len(vq))
-        records = train_ved(clf, ved, triples,
-                            TrainSettings(batch_size=16, lr=1e-3),
-                            RunRng(0, "ved"), epochs=5, ved_lr=3e-3)
+        run_rng = RunRng(0, "ved")
+        with frozen(clf.named()):
+            records = fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples,
+                          [], TrainSettings(batch_size=16, lr=3e-3), run_rng,
+                          epochs=5, phase="ved")
         losses = [r.loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -193,8 +188,10 @@ class TestVedLoss:
         before = {k: t.data.copy() for k, t in clf.named().items()}
         triples = [TripleExample([4, 5], [6], [7, 8]),
                    TripleExample([5, 6], [8, 9], [10])]
-        train_ved(clf, ved, triples, TrainSettings(batch_size=2, lr=1e-3),
-                  RunRng(1, "ved"), epochs=2, ved_lr=1e-3)
+        run_rng = RunRng(1, "ved")
+        with frozen(clf.named()):
+            fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples, [],
+                TrainSettings(batch_size=2, lr=1e-3), run_rng, epochs=2, phase="ved")
         for k_, t in clf.named().items():
             np.testing.assert_array_equal(t.data, before[k_], err_msg=k_)
 

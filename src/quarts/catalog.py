@@ -9,6 +9,7 @@ standing in for human annotation.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -84,9 +85,6 @@ class CatalogSpec:
     positive_rate: float = 0.15
     hard_fraction: float = 0.6
     logs_noise: float = 0.25
-    logs_items: int = 0  # fresh item pool for logs pairs; 0 reuses the
-                         # labeled pool (behavioral data covers catalog
-                         # regions annotation never reaches)
     seed: int = 0
 
     def __post_init__(self):
@@ -120,34 +118,25 @@ class CatalogSpec:
         if not 0.0 <= self.logs_noise < 1.0:
             raise DataError("logs_noise must be in [0, 1)")
 
-    def to_json(self) -> dict:
-        return {
-            "product_types": self.product_types,
-            "brands": self.brands,
-            "attributes": self.attributes,
-            "accessory_map": self.accessory_map,
-            "items": self.items,
-            "labeled_pairs": self.labeled_pairs,
-            "logs_pairs": self.logs_pairs,
-            "positive_rate": self.positive_rate,
-            "hard_fraction": self.hard_fraction,
-            "logs_noise": self.logs_noise,
-            "logs_items": self.logs_items,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CatalogSpec":
-        return cls(**obj)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+            json.dump(dataclasses.asdict(self), fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "CatalogSpec":
+        """Read a saved spec; malformed JSON or an unknown key is a DataError."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: malformed JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: expected a JSON object")
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key in obj:
+            if key not in known:
+                raise DataError(f"{path}: unknown catalog key {key!r}")
+        return cls(**obj)
 
 
 class MatchOracle:

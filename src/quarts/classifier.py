@@ -225,18 +225,19 @@ def encode_batch(ids: np.ndarray, lens: np.ndarray, emb: Tensor,
     """
     if lens.size and lens.min() < 1:
         raise ValueError("every sequence needs at least one token")
-    mask = pad_mask(lens, ids.shape[1]) > 0
+    mask = pad_mask(lens, ids.shape[1])
     xw = T.matmul(T.lookup(emb, ids[mask]), lstm.wx)
     states, final, _ = lstm_scan(xw, lstm.wh, lstm.b, mask)
     return states, final
 
 
-def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
+def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
                         h_states: Tensor, query_lens: np.ndarray,
                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
     """Word-by-word attention of the query over the title, batched.
 
-    k_states (B, m, k) and h_states (B, n, k) are encoder stacks. For each
+    k_states (B, m, k) and h_states (B, n, k) are encoder stacks of titles
+    and queries with true lengths ``item_lens`` and ``query_lens``. For each
     query step t: scores over title words from tanh of an additive blend
     of the title states, the current query state, and the previous summary
     r_{t-1} (r_0 = 0); the new summary is the score-weighted title mix
@@ -255,8 +256,8 @@ def wbw_attention_batch(k_states: Tensor, title_mask: np.ndarray,
     ks, hs = k_states.data, h_states.data
     w_h, w, w_r = attn.w_h.data, attn.w.data, attn.w_r.data
     w_k, w_q, w_s = w_h[:k], w_h[k:2 * k], w_h[2 * k:]
-    tmask = np.asarray(title_mask) > 0
-    qmask = pad_mask(query_lens, n) > 0
+    tmask = pad_mask(item_lens, m)
+    qmask = pad_mask(query_lens, n)
     tmf = tmask.astype(dt)
     proj_k = np.zeros((bsz, m, k), dt)
     proj_k[tmask] = ks[tmask] @ w_k
@@ -330,7 +331,7 @@ def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:
 
 def head_logit(h_star: Tensor, head: HeadParams, rng: np.random.Generator | None,
                training: bool) -> Tensor:
-    h = T.dropout(h_star, head.dropout, rng, training) if training else h_star
+    h = T.dropout(h_star, head.dropout, rng) if training else h_star
     a1 = T.tanh(T.matmul(h, head.w1) + head.b1)
     return T.matmul(a1, head.w2) + head.b2
 
@@ -357,8 +358,7 @@ def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.nd
         h_lens = query_lens
     else:
         h_states, q_n, h_lens = h_override
-    tmask = pad_mask(item_lens, item_ids.shape[1])
-    r_n, alpha = wbw_attention_batch(k_states, tmask, h_states, h_lens, params.attn)
+    r_n, alpha = wbw_attention_batch(k_states, item_lens, h_states, h_lens, params.attn)
     h_star = combine(r_n, q_n, params.attn.w_x)
     logit = head_logit(h_star, params.head, rng, training)
     probs = T.sigmoid(T.reshape(logit, (-1,)))
@@ -384,11 +384,11 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
 
 
 def classifier_batch_loss(params: ClassifierParams, batch: Batch, beta: float,
-                          rng: np.random.Generator | None, training: bool = True,
-                          ) -> Tensor:
+                          rng: np.random.Generator | None) -> Tensor:
+    """Training-mode weighted cross-entropy; dropout draws from ``rng``."""
     probs, _ = batch_probs(params, batch.item_ids, batch.item_lens,
                            batch.query_ids, batch.query_lens,
-                           rng=rng, training=training)
+                           rng=rng, training=True)
     return weighted_ce_loss(probs, batch.labels, beta)
 
 

@@ -69,7 +69,10 @@ def cmd_gen_data(args) -> int:
                        positive_rate=args.positive_rate,
                        hard_fraction=args.hard_fraction,
                        seed=args.seed if args.seed is not None else 0)
-    ratios = tuple(float(x) for x in args.split.split(","))
+    try:
+        ratios = tuple(float(x) for x in args.split.split(","))
+    except ValueError:
+        raise DataError(f"--split {args.split!r}: ratios must be numbers") from None
     if len(ratios) != 3:
         raise DataError("--split needs three comma-separated ratios")
     manifest = P.generate_data(spec, args.out, ratios)
@@ -122,14 +125,14 @@ def cmd_train_e2e(args) -> int:
 
 def cmd_train_baseline(args) -> int:
     cfg = _config(args)
+    if args.epochs is not None:
+        cfg = cfg.replace(**{"e2e_epochs" if args.resume else "clf_epochs": args.epochs})
     data = P.load_data(args.data_dir, cfg)
     run_dir = _run_dir(args)
     if args.kind == "dssm":
         _, records = P.phase_train_dssm(cfg, data, run_dir)
     else:
-        _, records = P.phase_naive_augment(cfg, data, run_dir,
-                                           resume=args.resume,
-                                           epochs=args.epochs)
+        _, records = P.phase_naive_augment(cfg, data, run_dir, resume=args.resume)
     log.info("baseline %s done: final val aupr=%.4f", args.kind, records[-1].aupr)
     return EXIT_OK
 

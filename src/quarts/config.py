@@ -25,8 +25,6 @@ class RunConfig:
     latent_dim: int = 64        # d_z
     lr: float = 1e-4
     ved_lr: float = 1e-3
-    e2e_lr: float = 0.0         # 0 = inherit lr; phase-5 steps (and the
-                                # resumed baseline) may want a gentler rate
     decay_factor: float = 0.8
     decay_every: int = 10
     beta: float = 5.0
@@ -53,6 +51,9 @@ class RunConfig:
             raise ConfigError(f"switch probability must be in [0, 1), got {self.p}")
         if self.beta < 1.0:
             raise ConfigError(f"positive weight must be >= 1, got {self.beta}")
+        for name in ("clf_epochs", "ved_epochs", "e2e_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

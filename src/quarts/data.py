@@ -17,9 +17,6 @@ import numpy as np
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
-MAX_TITLE_LEN = 16
-MAX_QUERY_LEN = 8
-
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 
@@ -99,7 +96,6 @@ class Example:
     item_ids: list[int]
     query_ids: list[int]
     label: int
-    source: str
 
 
 @dataclass
@@ -132,15 +128,14 @@ def read_pairs(path) -> list[RawPair]:
 
 
 def encode_pairs(pairs: Iterable[RawPair], vocab_t: Vocabulary, vocab_q: Vocabulary,
-                 max_title_len: int = MAX_TITLE_LEN,
-                 max_query_len: int = MAX_QUERY_LEN) -> list[Example]:
+                 max_title_len: int, max_query_len: int) -> list[Example]:
     out = []
     for p in pairs:
         t = vocab_t.encode(tokenize(p.title)[:max_title_len])
         q = vocab_q.encode(tokenize(p.query)[:max_query_len])
         if not t or not q:
             raise DataError(f"empty sequence after tokenization: {p.title!r} / {p.query!r}")
-        out.append(Example(t, q, p.label, p.source))
+        out.append(Example(t, q, p.label))
     return out
 
 
@@ -181,7 +176,6 @@ class Batch:
     query_ids: np.ndarray    # (B, Tq)
     query_lens: np.ndarray
     labels: np.ndarray       # (B,) float
-    sources: list[str]
 
     def __len__(self):
         return self.item_ids.shape[0]
@@ -198,8 +192,9 @@ def pad_matrix(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pad_mask(lens: np.ndarray, width: int) -> np.ndarray:
-    """(B, width) float mask: 1.0 at real positions, 0.0 at padding."""
-    return (np.arange(width)[None, :] < lens[:, None]).astype(np.float64)
+    """(B, width) bool mask, True at each row's first ``lens[i]`` (real)
+    positions; it indexes the real steps (``x[mask]``) directly."""
+    return np.arange(width)[None, :] < lens[:, None]
 
 
 @dataclass
@@ -217,8 +212,7 @@ def make_batch(examples: list[Example]) -> Batch:
     items, item_lens = pad_matrix([e.item_ids for e in examples])
     queries, query_lens = pad_matrix([e.query_ids for e in examples])
     labels = np.array([e.label for e in examples], dtype=np.float64)
-    return Batch(items, item_lens, queries, query_lens, labels,
-                 [e.source for e in examples])
+    return Batch(items, item_lens, queries, query_lens, labels)
 
 
 def make_triple_batch(triples: list[TripleExample]) -> TripleBatch:

@@ -32,16 +32,15 @@ def sample_switches(labels: np.ndarray, p: float,
 
 def _subset(batch: Batch, idx: np.ndarray) -> Batch:
     return Batch(batch.item_ids[idx], batch.item_lens[idx],
-                 batch.query_ids[idx], batch.query_lens[idx],
-                 batch.labels[idx], [batch.sources[i] for i in idx])
+                 batch.query_ids[idx], batch.query_lens[idx], batch.labels[idx])
 
 
 def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
-                   p: float, beta: float, rng: RunRng, training: bool = True,
+                   p: float, beta: float, rng: RunRng,
                    force_switch: int | None = None,
                    latent_eps: np.ndarray | None = None,
                    ) -> tuple[Tensor, np.ndarray]:
-    """Mixed real/generated batch loss; returns (loss, s vector).
+    """Training-mode mixed real/generated batch loss; returns (loss, s vector).
 
     ``force_switch`` pins every draw (testing); matched pairs still obey
     s = (1-y)z. With no s=1 examples this is exactly the classifier batch
@@ -54,8 +53,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
         s = (1 - batch.labels.astype(np.int64)) * z
     idx1 = np.flatnonzero(s == 1)
     if idx1.size == 0:
-        return classifier_batch_loss(clf, batch, beta, rng.dropout,
-                                     training=training), s
+        return classifier_batch_loss(clf, batch, beta, rng.dropout), s
 
     idx0 = np.flatnonzero(s == 0)
     probs_parts, label_parts = [], []
@@ -63,7 +61,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
         sub0 = _subset(batch, idx0)
         p0, _ = batch_probs(clf, sub0.item_ids, sub0.item_lens,
                             sub0.query_ids, sub0.query_lens,
-                            rng=rng.dropout, training=training)
+                            rng=rng.dropout, training=True)
         probs_parts.append(p0)
         label_parts.append(sub0.labels)
 
@@ -71,11 +69,10 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     enc = encode_pair_batch(clf, sub1.item_ids, sub1.item_lens,
                             sub1.query_ids, sub1.query_lens)
     h_gen, gen_final, gen_lens = hgen_forward_batch(
-        clf, ved, enc, sub1.query_lens, rng=rng.latent,
-        deterministic=not training, eps=latent_eps)
+        clf, ved, enc, sub1.query_lens, rng=rng.latent, eps=latent_eps)
     p1, _ = batch_probs(clf, sub1.item_ids, sub1.item_lens,
                         sub1.query_ids, sub1.query_lens,
-                        rng=rng.dropout, training=training,
+                        rng=rng.dropout, training=True,
                         h_override=(h_gen, gen_final, gen_lens),
                         k_precomputed=enc.k_states)
     probs_parts.append(p1)

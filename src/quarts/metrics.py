@@ -126,30 +126,6 @@ def bleu_counts(candidate: list, reference: list, max_order: int = 4):
     return matches, totals
 
 
-def _bleu_from_counts(matches, totals, cand_len: int, ref_len: int,
-                      max_order: int) -> BleuReport:
-    precisions = [float(m) / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
-    if cand_len == 0:
-        return BleuReport([0.0] * max_order, precisions, 0.0)
-    bp = 1.0 if cand_len >= ref_len else float(np.exp(1.0 - ref_len / cand_len))
-    bleu = []
-    for n in range(1, max_order + 1):
-        ps = precisions[:n]
-        if any(p == 0.0 for p in ps):
-            bleu.append(0.0)
-        else:
-            bleu.append(bp * float(np.exp(np.mean(np.log(ps)))))
-    return BleuReport(bleu, precisions, bp)
-
-
-def bleu(candidate: list, reference: list, max_order: int = 4) -> BleuReport:
-    """Single-reference BLEU-1..max_order, no smoothing."""
-    if not reference:
-        raise MetricError("BLEU needs a nonempty reference")
-    matches, totals = bleu_counts(candidate, reference, max_order)
-    return _bleu_from_counts(matches, totals, len(candidate), len(reference), max_order)
-
-
 def corpus_bleu(pairs: list[tuple[list, list]], max_order: int = 4) -> BleuReport:
     """Corpus-level BLEU: counts and lengths aggregated before the ratio."""
     if not pairs:
@@ -165,7 +141,18 @@ def corpus_bleu(pairs: list[tuple[list, list]], max_order: int = 4) -> BleuRepor
         totals += t
         cand_len += len(cand)
         ref_len += len(ref)
-    return _bleu_from_counts(matches, totals, cand_len, ref_len, max_order)
+    precisions = [float(m) / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
+    if cand_len == 0:
+        return BleuReport([0.0] * max_order, precisions, 0.0)
+    bp = 1.0 if cand_len >= ref_len else float(np.exp(1.0 - ref_len / cand_len))
+    bleu = []
+    for n in range(1, max_order + 1):
+        ps = precisions[:n]
+        if any(p == 0.0 for p in ps):
+            bleu.append(0.0)
+        else:
+            bleu.append(bp * float(np.exp(np.mean(np.log(ps)))))
+    return BleuReport(bleu, precisions, bp)
 
 
 @dataclass

@@ -147,9 +147,8 @@ def load_data(data_dir, cfg: RunConfig) -> DataBundle:
 
 # --- shared helpers ----------------------------------------------------------
 
-def settings(cfg: RunConfig, finetune: bool = False) -> TrainSettings:
-    lr = cfg.e2e_lr if (finetune and cfg.e2e_lr > 0) else cfg.lr
-    return TrainSettings(batch_size=cfg.batch_size, lr=lr, beta=cfg.beta,
+def settings(cfg: RunConfig) -> TrainSettings:
+    return TrainSettings(batch_size=cfg.batch_size, lr=cfg.lr, beta=cfg.beta,
                          decay_factor=cfg.decay_factor, decay_every=cfg.decay_every)
 
 
@@ -248,8 +247,8 @@ def require(ok: bool, ckpt: str, part: str) -> None:
 
 def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
     """Weighted cross-entropy on the real pairs; dropout from ``rng``."""
-    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout,
-                                                       training=True), NO_SWITCH)
+    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout),
+                                 NO_SWITCH)
 
 
 def ved_loss(clf: ClassifierParams, ved: VedParams, anneal_epochs: int, rng: RunRng):
@@ -335,10 +334,10 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
         require(ved is not None, ckpt, "generator")
         p = cfg.p if p is None else p
         rng = RunRng(cfg.seed, "finetune")
-        st = settings(cfg, finetune=True)
+        st = settings(cfg)
 
         def loss(batch, epoch):
-            value, s = e2e_batch_loss(clf, ved, batch, p, st.beta, rng, training=True)
+            value, s = e2e_batch_loss(clf, ved, batch, p, st.beta, rng)
             return value, {"switch": s}
 
         named = {**clf.named(), **({} if freeze_generator else ved.named())}
@@ -364,7 +363,7 @@ def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
 
 
 def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
-                        resume: str | None = None, epochs: int | None = None,
+                        resume: str | None = None,
                         ) -> tuple[ClassifierParams, list[EpochRecord]]:
     """Classifier on annotated + logs data; no generator, no switch.
 
@@ -374,17 +373,16 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
     it the exact reference for switched training at p=0.
     """
     with _phase(cfg, run_dir, "augment", CKPT_AUGMENT) as run:
-        finetune = resume is not None
-        if finetune:
+        if resume is not None:
             clf, _ = load_bundle(cfg, data, run.dir, resume, need="pretrain-classifier")
             require(isinstance(clf, ClassifierParams), resume, "classifier")
             rng = RunRng(cfg.seed, "finetune")
-            epochs = cfg.e2e_epochs if epochs is None else epochs
+            epochs = cfg.e2e_epochs
         else:
             rng = RunRng(cfg.seed, "classifier")
             clf = new_classifier(cfg, data, rng)
-            epochs = cfg.clf_epochs if epochs is None else epochs
-        st = settings(cfg, finetune=finetune)
+            epochs = cfg.clf_epochs
+        st = settings(cfg)
         run.records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
                           data.merged_ex, data.val_ex, st, rng, epochs, "augment")
         run.params = clf.named()

@@ -1,19 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays, float32 by default for training speed. Switching
-the engine to float64 (``set_default_dtype``) is required for gradient
-checking. Operations record backward rules onto the active ``Tape``; with
-no tape active they are plain forward computations, which is how
-evaluation runs.
+Values are numpy arrays, float32 by default for training speed. Gradient
+checking runs the engine in float64 (``with using_dtype(np.float64)``).
+Operations record backward rules onto the active ``Tape``; with no tape
+active they are plain forward computations, which is how evaluation runs.
 
 Every op goes through ``record``: it wraps the forward result and, when a
 tape is active and an input is tracked on it, appends one record holding
-the backward rule. Fused ops (the LSTM scan, word-by-word attention) run
-a whole recurrence in plain numpy and record it once; a record may have
-several outputs, whose rule then receives one gradient per output (None
-for an output nothing differentiated). Fused ops ask ``needs_grad`` first
-and keep no backward cache when nothing will be recorded, which is the
-no-grad path of evaluation and beam search.
+the backward rule. A rule computes what only the backward pass needs,
+such as a local derivative, when it runs, so an op that is not recorded
+does no backward work. Fused ops (the LSTM scan, word-by-word attention)
+run a whole recurrence in plain numpy and record it once; a record may
+have several outputs, whose rule then receives one gradient per output
+(None for an output nothing differentiated). Fused ops ask ``needs_grad``
+first and keep no backward cache when nothing will be recorded, which is
+the no-grad path of evaluation and beam search.
 
 Tensors are immutable values once created (the optimizer mutates leaf
 parameter storage between tapes, never inside one). A Tape is single-owner
@@ -28,13 +29,13 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "VocabularyError",
-    "set_default_dtype", "get_default_dtype", "using_dtype",
+    "get_default_dtype", "using_dtype",
     "record", "needs_grad",
     "constant", "zeros",
     "matmul", "add", "sub", "mul", "scale", "neg",
     "tanh", "sigmoid", "absval", "log", "exp", "clamp",
     "dropout", "softmax_rows", "log_softmax_rows",
-    "concat", "slice_axis", "pick_columns", "lookup",
+    "concat", "pick_columns", "lookup",
     "mean_all", "sum_axis", "transpose_last2", "reshape",
 ]
 
@@ -50,35 +51,30 @@ class VocabularyError(ValueError):
 _DEFAULT_DTYPE = np.float32
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch the engine storage dtype (np.float32 or np.float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
 def get_default_dtype():
     return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
-    """Temporarily switch the engine dtype (used by tests and gradcheck)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Switch the engine storage dtype (np.float32 or np.float64) for the
+    block, restoring the previous one on exit."""
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype).type
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"unsupported dtype {dtype}")
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class Tensor:
     """A dense array value, optionally tracked for gradients.
 
-    ``grad`` accumulates across backward calls until ``zero_grad``;
-    the reset is caller-controlled.
+    ``grad`` accumulates across backward calls until the caller resets it
+    to None (``Adam.zero_grad`` does so for its parameters).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape")
@@ -115,9 +111,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -151,9 +144,9 @@ class Tape:
     """Ordered record of operations supporting one reverse sweep.
 
     Records are appended in creation order, which is a topological order
-    by construction. ``backward`` walks them once in reverse; clearing the
-    tape (or dropping it) frees every non-parameter node. A record's output
-    is one node id, or a tuple of ids for a multi-output op.
+    by construction. ``backward`` walks them once in reverse; dropping the
+    tape frees every non-parameter node. A record's output is one node id,
+    or a tuple of ids for a multi-output op.
     """
 
     _stack: list["Tape"] = []
@@ -175,10 +168,6 @@ class Tape:
         Tape._stack.pop()
         return False
 
-    def clear(self) -> None:
-        self._records.clear()
-        self._leaves.clear()
-
     def __len__(self):
         return len(self._records)
 
@@ -193,11 +182,10 @@ class Tape:
             self._leaves[nid] = t
         return nid
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every tracked leaf's ``grad``.
 
-        Returns the leaf gradient map for this sweep. Repeated calls
-        without ``zero_grad`` accumulate, by contract.
+        Repeated calls without resetting ``grad`` accumulate, by contract.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -222,14 +210,10 @@ class Tape:
                 acc = grads.get(iid)
                 grads[iid] = gin if acc is None else acc + gin
 
-        out: dict[Tensor, np.ndarray] = {}
         for nid, leaf in self._leaves.items():
             g = grads.get(nid)
-            if g is None:
-                continue
-            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
-            out[leaf] = leaf.grad
-        return out
+            if g is not None:
+                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 def _tracked(t: Tensor | None, tape: Tape) -> bool:
@@ -408,61 +392,60 @@ def _matmul_shared(a: Tensor, b: Tensor) -> Tensor:
     return record((rows @ db).reshape(*shape[:-1], db.shape[1]), (a, b), rule)
 
 
-def _unary(a, out_data: np.ndarray, dlocal: np.ndarray) -> Tensor:
-    return record(out_data, (a,), lambda g: (g * dlocal,))
-
-
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-    return _unary(a, y, 1.0 - y * y)
+    return record(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     # 0.5 * (1 + tanh(x / 2)) is the logistic function, stable in both tails
     y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    return _unary(a, y, y * (1.0 - y))
+    return record(y, (a,), lambda g: (g * (y * (1.0 - y)),))
 
 
 def absval(a) -> Tensor:
     a = _as_tensor(a)
+    x = a.data
     # sign(0) = 0, the subgradient convention
-    return _unary(a, np.abs(a.data), np.sign(a.data))
+    return record(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _unary(a, np.log(a.data), 1.0 / a.data)
+    x = a.data
+    return record(np.log(x), (a,), lambda g: (g * (1.0 / x),))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     y = np.exp(a.data)
-    return _unary(a, y, y)
+    return record(y, (a,), lambda g: (g * y,))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
-    y = np.clip(a.data, lo, hi)
-    inside = ((a.data > lo) & (a.data < hi)).astype(a.data.dtype)
-    return _unary(a, y, inside)
+    x = a.data
+    return record(np.clip(x, lo, hi), (a,),
+                  lambda g: (g * ((x > lo) & (x < hi)).astype(x.dtype),))
 
 
-def dropout(a, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     """Zero entries with probability p, scaling survivors by 1/(1-p).
 
-    Identity (same object, no rng draw) in eval mode or at p=0, so that
-    disabling dropout cannot shift other random streams.
+    Identity (same object, no rng draw) at p=0, so that disabling dropout
+    cannot shift other random streams. In eval mode the caller skips it
+    (``classifier.head_logit``).
     """
     a = _as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     keep = (rng.random(a.shape) >= p).astype(a.data.dtype)
     m = keep / np.asarray(1.0 - p, dtype=a.data.dtype)
-    return _unary(a, a.data * m, m)
+    return record(a.data * m, (a,), lambda g: (g * m,))
 
 
 def softmax_rows(a) -> Tensor:
@@ -480,9 +463,8 @@ def log_softmax_rows(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    soft = np.exp(out)
     return record(out, (a,),
-                  lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
+                  lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
 
 
 def concat(tensors: Sequence, axis: int) -> Tensor:
@@ -495,27 +477,8 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
         raise ShapeError(
             f"concat axis={axis} shapes disagree: {[t.shape for t in ts]}") from None
     sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return record(out, ts, rule)
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = a.shape
-
-    def rule(g):
-        z = np.zeros(shape, dtype=g.dtype)
-        z[idx] = g
-        return (z,)
-
-    return record(a.data[idx], (a,), rule)
+    return record(out, ts,
+                  lambda g: tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
 
 
 def pick_columns(a, cols: np.ndarray) -> Tensor:

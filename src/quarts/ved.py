@@ -127,8 +127,8 @@ def build_triples(pairs: list[RawPair], cap: int = 10) -> list[tuple[str, str, s
 
 
 def encode_triples(triples: list[tuple[str, str, str]], vocab_t: Vocabulary,
-                   vocab_q: Vocabulary, max_title_len: int = 16,
-                   max_query_len: int = 8) -> list[TripleExample]:
+                   vocab_q: Vocabulary, max_title_len: int,
+                   max_query_len: int) -> list[TripleExample]:
     out = []
     for title, q, qm in triples:
         out.append(TripleExample(
@@ -144,7 +144,6 @@ def encode_triples(triples: list[tuple[str, str, str]], vocab_t: Vocabulary,
 class EncodedPair:
     """Shared-encoder view of one (item, query) batch."""
     k_states: Tensor        # (B, m, k) title encodings
-    title_mask: np.ndarray  # (B, m)
     u_states: Tensor        # (B, m+n, k) attention memory
     u_logmask: np.ndarray   # (B, m+n), 0 real / -inf-ish padded
     c: Tensor               # (B, 2k) latent context
@@ -160,7 +159,7 @@ def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
     qmask = pad_mask(query_lens, query_ids.shape[1])
     logmask = (1.0 - np.concatenate([tmask, qmask], axis=1)) * _MASK_NEG
     c = T.concat([t_final, q_final], axis=1)
-    return EncodedPair(k_states, tmask, u, logmask, c)
+    return EncodedPair(k_states, u, logmask, c)
 
 
 def sample_latent(c: Tensor, lat: LatentParams,
@@ -268,7 +267,7 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
                                   deterministic=deterministic, eps=eps)
     h0, c0 = decoder_init(z, ved.latent)
     bsz, width = batch.target_ids.shape
-    mask = pad_mask(batch.target_lens, width) > 0
+    mask = pad_mask(batch.target_lens, width)
     states, _, _ = _decoder_lstm(ved, clf.emb_q, batch.prev_ids, mask, z, h0, c0)
     d_tilde, _ = _attend(states, enc, ved)
     # the output projection runs on real target steps only

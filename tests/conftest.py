@@ -15,7 +15,8 @@ def f64():
 @pytest.fixture(autouse=True)
 def engine_dtype_restored():
     """Fail a test that leaves the engine dtype other than float32."""
-    yield
-    left = T.get_default_dtype()
-    T.set_default_dtype(np.float32)   # so one leak fails one test, not the rest
+    # the scope restores float32 on exit, so one leak fails one test, not the rest
+    with T.using_dtype(np.float32):
+        yield
+        left = T.get_default_dtype()
     assert left is np.float32, f"the test left the engine dtype at {left.__name__}"

@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-from quarts import tensor as T
 from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_arrays,
                                save_arrays, save_params)
 from quarts.classifier import init_classifier
@@ -119,6 +118,9 @@ class TestConfig:
             RunConfig(beta=0.5)
         with pytest.raises(ConfigError):
             RunConfig(precision="f16")
+        for name in ("clf_epochs", "ved_epochs", "e2e_epochs"):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: 0})
 
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())

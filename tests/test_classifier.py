@@ -81,7 +81,7 @@ def attend_one(k_cols, h_cols, attn):
     """Attention for one pair given (k, m) title and (k, n) query columns."""
     ks = Tensor(k_cols.data.T[None])
     hs = Tensor(h_cols.data.T[None])
-    return C.wbw_attention_batch(ks, np.ones((1, ks.shape[1])), hs,
+    return C.wbw_attention_batch(ks, np.array([ks.shape[1]]), hs,
                                  np.array([hs.shape[1]]), attn)
 
 
@@ -222,7 +222,7 @@ class TestTape:
             queries = np.full((2, width), PAD)
             queries[:, :2] = [[5, 6], [7, PAD]]
             batch = Batch(items, np.array([3, 2]), queries, np.array([2, 1]),
-                          np.array([0.0, 1.0]), ["annotated", "annotated"])
+                          np.array([0.0, 1.0]))
             with Tape() as tape:
                 C.classifier_batch_loss(p, batch, 5.0, np.random.default_rng(0))
                 return len(tape)
@@ -280,7 +280,7 @@ class TestDssm:
         p = C.init_dssm(np.random.default_rng(2), 9, 9, 4, 4)
         batch = Batch(np.array([[4, 5], [6, PAD]]), np.array([2, 1]),
                       np.array([[7], [8]]), np.array([1, 1]),
-                      np.array([0.0, 1.0]), ["annotated", "annotated"])
+                      np.array([0.0, 1.0]))
         with Tape() as tape:
             loss = C.dssm_batch_loss(p, batch, beta=5.0)
             tape.backward(loss)
@@ -334,7 +334,7 @@ class TestEvaluateProbs:
         def ids(longest):
             return [int(t) for t in rng.integers(4, 9, size=rng.integers(1, longest + 1))]
 
-        examples = [Example(ids(7), ids(5), int(rng.integers(0, 2)), "annotated")
+        examples = [Example(ids(7), ids(5), int(rng.integers(0, 2)))
                     for _ in range(23)]
         with T.using_dtype(dtype):
             p = tiny_classifier(seed=11)

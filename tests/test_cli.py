@@ -1,6 +1,6 @@
 """CLI plumbing: subcommand wiring, prerequisites, exit codes, idempotence."""
 import json
-import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,41 @@ class TestGenData:
         man = json.loads((data / "data_manifest.json").read_text())
         assert man["counts"]["labeled"] == 1200
         assert man["seed"] == 3
+
+
+    def test_split_must_be_numbers(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--split", "a,b,c"])
+        assert code == 2
+        assert "'a,b,c'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
+class TestCatalogFile:
+    """A catalog.json that does not describe a spec fails with exit 2."""
+
+    def _run(self, workspace, tmp_path, catalog_text):
+        root, data, _, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "catalog.json").write_text(catalog_text)
+        return main(["pretrain-classifier", "--data-dir", str(copy),
+                     "--run-dir", str(tmp_path / "run"),
+                     "--config", str(root / "tiny.cfg")]), copy / "catalog.json"
+
+    @pytest.mark.parametrize("key", ["logs_items", "colour"])
+    def test_unknown_key_names_file_and_key(self, workspace, tmp_path, capsys, key):
+        _, data, _, _ = workspace
+        spec = json.loads((data / "catalog.json").read_text())
+        code, path = self._run(workspace, tmp_path, json.dumps({**spec, key: 0}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
+    @pytest.mark.parametrize("text", ['{"items": 150,', "[]"], ids=["truncated", "list"])
+    def test_malformed_json(self, workspace, tmp_path, capsys, text):
+        code, path = self._run(workspace, tmp_path, text)
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestPhases:
@@ -176,6 +211,22 @@ class TestPhases:
                      "--run-dir", str(run), "--checkpoint", P.CKPT_CLASSIFIER])
         assert code == 2
         assert "gen-data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["pretrain-classifier"], "clf_epochs"),
+        (["pretrain-ved"], "ved_epochs"),
+        (["train-e2e"], "e2e_epochs"),
+        (["train-baseline", "--kind", "augment"], "clf_epochs"),
+        (["train-baseline", "--kind", "augment", "--resume", P.CKPT_VED], "e2e_epochs"),
+    ], ids=["classifier", "ved", "e2e", "augment", "augment-resumed"])
+    def test_zero_epochs_fails_before_writing(self, workspace, capsys, argv, key):
+        root, data, _, _ = workspace
+        run = root / "zero_epochs_run"
+        code = main(argv + ["--data-dir", str(data), "--run-dir", str(run),
+                            "--config", str(root / "tiny.cfg"), "--epochs", "0"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not run.exists()
 
     def test_unknown_config_key_fails_fast(self, workspace, capsys):
         root, data, run, _ = workspace

@@ -153,7 +153,7 @@ class TestCorpus:
         spec = small_spec()
         spec.save(tmp_path / "catalog.json")
         again = CatalogSpec.load(tmp_path / "catalog.json")
-        assert again.to_json() == spec.to_json()
+        assert again == spec
 
 
 class TestSplit:
@@ -189,7 +189,7 @@ class TestSplit:
 
 class TestBatching:
     def _examples(self, n):
-        return [D.Example([4, 5, 6], [4, 5, 6], i % 2, "annotated") for i in range(n)]
+        return [D.Example([4, 5, 6], [4, 5, 6], i % 2) for i in range(n)]
 
     def test_batch_sizes(self):
         got = [len(b) for b in D.batches(self._examples(5), 2)]
@@ -201,8 +201,7 @@ class TestBatching:
             assert (b.query_ids != D.PAD).all()
 
     def test_true_lengths(self):
-        exs = [D.Example([4], [4, 5], 0, "annotated"),
-               D.Example([4, 5, 6, 7], [4], 1, "annotated")]
+        exs = [D.Example([4], [4, 5], 0), D.Example([4, 5, 6, 7], [4], 1)]
         b = next(D.batches(exs, 2))
         np.testing.assert_array_equal(b.item_lens, [1, 4])
         np.testing.assert_array_equal(b.query_lens, [2, 1])
@@ -235,14 +234,16 @@ class TestBatching:
     def test_unknown_token_maps_to_unk(self):
         vq = D.build_vocab([["known"]])
         vt = D.build_vocab([["title"]])
-        exs = D.encode_pairs([D.RawPair("title", "mystery known", 0, "annotated")], vt, vq)
+        exs = D.encode_pairs([D.RawPair("title", "mystery known", 0, "annotated")],
+                             vt, vq, 16, 8)
         assert exs[0].query_ids == [D.UNK, vq.token_to_id["known"]]
 
     def test_truncation_from_the_right(self):
         vq = D.build_vocab([[str(i) for i in range(20)]])
         vt = D.build_vocab([[str(i) for i in range(20)]])
         long_text = " ".join(str(i) for i in range(20))
-        ex = D.encode_pairs([D.RawPair(long_text, long_text, 0, "annotated")], vt, vq)[0]
-        assert len(ex.item_ids) == D.MAX_TITLE_LEN
-        assert len(ex.query_ids) == D.MAX_QUERY_LEN
+        ex = D.encode_pairs([D.RawPair(long_text, long_text, 0, "annotated")],
+                            vt, vq, 16, 8)[0]
+        assert len(ex.item_ids) == 16
+        assert len(ex.query_ids) == 8
         assert vt.decode(ex.item_ids)[0] == "0"

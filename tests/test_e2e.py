@@ -3,7 +3,7 @@ import numpy as np
 
 from quarts import tensor as T
 from quarts.classifier import classifier_batch_loss, init_classifier
-from quarts.data import Batch, Example
+from quarts.data import Batch
 from quarts.e2e import e2e_batch_loss, sample_switches
 from quarts.rng import RunRng
 from quarts.tensor import Tape
@@ -23,7 +23,7 @@ def toy_batch(labels):
     items = rng.integers(4, 9, size=(n, 3)).astype(np.int64)
     queries = rng.integers(4, 9, size=(n, 2)).astype(np.int64)
     return Batch(items, np.full(n, 3), queries, np.full(n, 2),
-                 np.asarray(labels, dtype=np.float64), ["annotated"] * n)
+                 np.asarray(labels, dtype=np.float64))
 
 
 class TestSwitch:
@@ -72,7 +72,7 @@ class TestE2ELoss:
         loss_a, s = e2e_batch_loss(clf, ved, batch, p=0.0, beta=5.0, rng=rng_a)
         assert s.sum() == 0
         rng_b = RunRng(7, "finetune")
-        loss_b = classifier_batch_loss(clf, batch, 5.0, rng_b.dropout, training=True)
+        loss_b = classifier_batch_loss(clf, batch, 5.0, rng_b.dropout)
         assert loss_a.item() == loss_b.item()
 
     def test_all_positive_batch_never_generates(self):
@@ -91,7 +91,7 @@ class TestE2ELoss:
             named = ved.named()
             with Tape() as tape:
                 loss, s = e2e_batch_loss(clf, ved, batch, p=0.5, beta=5.0,
-                                         rng=rng, training=True, force_switch=1)
+                                         rng=rng, force_switch=1)
                 tape.backward(loss)
             assert s.sum() == 2
             total = sum(np.abs(t.grad).sum() for t in named.values()
@@ -105,10 +105,10 @@ class TestE2ELoss:
             batch = toy_batch([0])
             rng1 = RunRng(10, "finetune")
             loss_b5, _ = e2e_batch_loss(clf, ved, batch, 0.5, 5.0, rng1,
-                                        training=False, force_switch=1)
+                                        force_switch=1)
             rng2 = RunRng(10, "finetune")
             loss_b1, _ = e2e_batch_loss(clf, ved, batch, 0.5, 1.0, rng2,
-                                        training=False, force_switch=1)
+                                        force_switch=1)
             assert abs(loss_b5.item() - 5 * loss_b1.item()) < 1e-12
 
     def test_switch_stream_isolated_from_dropout(self):

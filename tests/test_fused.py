@@ -74,12 +74,11 @@ def test_encoder_matches_unfused(f64):
 def test_attention_matches_unfused(f64):
     clf, _, rng = models(seed=1)
     w_r = T.constant(rng.normal(size=(3, 4)))
-    tmask = pad_mask(ITEM_LENS, 4)
 
     def run(attend):
         ks, _ = C.encode_batch(ITEMS, ITEM_LENS, clf.emb_t, clf.lstm_t)
         hs, _ = C.encode_batch(QUERIES, QUERY_LENS, clf.emb_q, clf.lstm_q)
-        return attend(ks, tmask, hs, QUERY_LENS, clf.attn)
+        return attend(ks, ITEM_LENS, hs, QUERY_LENS, clf.attn)
 
     params = list(clf.named().values())[:12]   # embeddings, LSTMs, attention
     assert_same(lambda: T.sum_axis(run(C.wbw_attention_batch)[0] * w_r),
@@ -87,7 +86,7 @@ def test_attention_matches_unfused(f64):
     # score rows agree on real query steps; the fused op zeroes the rest
     _, got = run(C.wbw_attention_batch)
     _, want = run(U.wbw_attention_batch)
-    qmask = pad_mask(QUERY_LENS, 3) > 0
+    qmask = pad_mask(QUERY_LENS, 3)
     close(got.data[qmask], want.data[qmask])
     assert not got.data[~qmask].any()
 

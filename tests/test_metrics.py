@@ -225,25 +225,25 @@ class TestPrCurve:
 
 class TestBleu:
     def test_identity(self):
-        rep = M.bleu("the cat sat".split(), "the cat sat".split())
+        rep = M.corpus_bleu([("the cat sat".split(), "the cat sat".split())])
         assert rep.bleu == [1.0, 1.0, 1.0] or all(abs(b - 1) < 1e-12 for b in rep.bleu[:3])
         assert rep.brevity_penalty == 1.0
 
     def test_hand_case_brevity(self):
-        rep = M.bleu(list("abcd"), list("abcde"))
+        rep = M.corpus_bleu([(list("abcd"), list("abcde"))])
         assert abs(rep.brevity_penalty - np.exp(-0.25)) < 1e-12
         assert abs(rep.bleu[0] - np.exp(-0.25)) < 1e-12
 
     def test_empty_candidate_all_zero(self):
-        rep = M.bleu([], ["a"])
+        rep = M.corpus_bleu([([], ["a"])])
         assert rep.bleu == [0.0, 0.0, 0.0, 0.0]
 
     def test_empty_reference_rejected(self):
         with pytest.raises(M.MetricError):
-            M.bleu(["a"], [])
+            M.corpus_bleu([(["a"], [])])
 
     def test_zero_precision_zeroes_higher_orders(self):
-        rep = M.bleu(["a", "c"], ["a", "b"])
+        rep = M.corpus_bleu([(["a", "c"], ["a", "b"])])
         assert rep.bleu[0] > 0
         assert rep.bleu[1] == 0.0 and rep.bleu[3] == 0.0
 
@@ -253,7 +253,7 @@ class TestBleu:
         for _ in range(300):
             cand = [alphabet[i] for i in rng.integers(0, 5, size=rng.integers(1, 9))]
             ref = [alphabet[i] for i in rng.integers(0, 5, size=rng.integers(1, 9))]
-            got = M.bleu(cand, ref).bleu
+            got = M.corpus_bleu([(cand, ref)]).bleu
             want = bleu_bruteforce(cand, ref)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -289,7 +289,7 @@ class TestBleu:
         for _ in range(100):
             cand = [str(i) for i in rng.integers(0, 4, size=rng.integers(1, 6))]
             ref = [str(i) for i in rng.integers(0, 4, size=rng.integers(1, 6))]
-            assert all(0.0 <= b <= 1.0 for b in M.bleu(cand, ref).bleu)
+            assert all(0.0 <= b <= 1.0 for b in M.corpus_bleu([(cand, ref)]).bleu)
 
 
 class TestGenerationAccuracy:

@@ -171,7 +171,7 @@ class TestVedLoss:
         text_triples = V.build_triples(labeled)[:50]
         vt = build_vocab([tokenize(p.title) for p in labeled])
         vq = build_vocab([tokenize(p.query) for p in labeled])
-        triples = V.encode_triples(text_triples, vt, vq)
+        triples = V.encode_triples(text_triples, vt, vq, 16, 8)
         rng = np.random.default_rng(5)
         clf = init_classifier(rng, len(vq), len(vt), 16, 16, dropout=0.0)
         ved = V.init_ved(rng, 16, 16, 8, len(vq))

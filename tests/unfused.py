@@ -4,21 +4,37 @@ Each function builds its recurrence one step at a time from primitive
 tape ops, with 0/1 update masks freezing state past each row's length.
 They are slow, but every op in them is gradient-checked on its own, so
 the fused ops are held to them: forward values and gradients must agree
-at float64 within a relative 1e-10.
+at float64 within a relative 1e-10. ``slice_axis``, which only these
+references use, lives here with them.
 """
 import numpy as np
 
 from quarts import tensor as T
-from quarts.data import BOS
+from quarts.data import BOS, pad_mask
+
+
+def slice_axis(a, axis, start, stop):
+    """``a[start:stop]`` along ``axis``; backward scatters into zeros."""
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    shape = a.shape
+
+    def rule(g):
+        z = np.zeros(shape, dtype=g.dtype)
+        z[idx] = g
+        return (z,)
+
+    return T.record(a.data[idx], (a,), rule)
 
 
 def lstm_step(p, x, h, c):
     k = p.wh.shape[0]
     gates = T.matmul(x, p.wx) + T.matmul(h, p.wh) + p.b
-    i = T.sigmoid(T.slice_axis(gates, 1, 0, k))
-    f = T.sigmoid(T.slice_axis(gates, 1, k, 2 * k))
-    g = T.tanh(T.slice_axis(gates, 1, 2 * k, 3 * k))
-    o = T.sigmoid(T.slice_axis(gates, 1, 3 * k, 4 * k))
+    i = T.sigmoid(slice_axis(gates, 1, 0, k))
+    f = T.sigmoid(slice_axis(gates, 1, k, 2 * k))
+    g = T.tanh(slice_axis(gates, 1, 2 * k, 3 * k))
+    o = T.sigmoid(slice_axis(gates, 1, 3 * k, 4 * k))
     c2 = f * c + i * g
     return o * T.tanh(c2), c2
 
@@ -43,15 +59,15 @@ def encode_batch(ids, lens, emb, lstm):
     return T.concat(cols, axis=1), h
 
 
-def wbw_attention_batch(k_states, title_mask, h_states, query_lens, attn):
+def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     bsz, m, k = k_states.shape
     n = h_states.shape[1]
     ones_m = T.constant(np.ones((m, 1)))
-    tmask = T.constant(title_mask)
+    tmask = T.constant(pad_mask(item_lens, m))
     r = T.zeros((bsz, k))
     alphas = []
     for t in range(n):
-        h_t = T.reshape(T.slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
+        h_t = T.reshape(slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
         r_blk = T.matmul(ones_m, T.reshape(r, (bsz, 1, k)))
         h_blk = T.matmul(ones_m, h_t)
         m_t = T.tanh(T.matmul(T.concat([k_states, h_blk, r_blk], axis=2), attn.w_h))

@@ -113,8 +113,13 @@ class CatalogSpec:
         for t in self.product_types:
             if t not in self.accessory_map:
                 raise DataError(f"type {t!r} missing from the accessory map")
+        for name in ("items", "labeled_pairs", "logs_pairs"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.positive_rate < 1.0:
             raise DataError("positive_rate must be in (0, 1)")
+        if not 0.0 <= self.hard_fraction <= 1.0:
+            raise DataError("hard_fraction must be in [0, 1]")
         if not 0.0 <= self.logs_noise < 1.0:
             raise DataError("logs_noise must be in [0, 1)")
 

@@ -126,6 +126,45 @@ def _gate_affine(k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
+def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
+              scale: np.ndarray, shift: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step in plain numpy, shared by every fused recurrence.
+
+    ``pre`` (B, 4k) is the step's input projection with the bias added.
+    Returns (gate activations, new c, tanh(new c), new h).
+    """
+    k = h.shape[1]
+    act = np.tanh((pre + h @ wh) * scale)
+    act *= scale
+    act += shift
+    c_new = act[:, k:2 * k] * c + act[:, :k] * act[:, 2 * k:3 * k]
+    tc = np.tanh(c_new)
+    return act, c_new, tc, act[:, 3 * k:] * tc
+
+
+def gate_slopes(acts: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block."""
+    is_sig = shift * 2
+    return acts * (is_sig - acts) + (1 - is_sig)
+
+
+def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, act: np.ndarray,
+                       tc: np.ndarray, c_prev: np.ndarray, dact: np.ndarray,
+                       g: np.ndarray) -> np.ndarray:
+    """Backward of one ``lstm_cell`` step: writes the gradient of the gate
+    pre-activations into ``g`` (B, 4k) and returns the gradient reaching
+    the previous c. ``dh``/``dc`` are the gradients of the new h and c."""
+    k = tc.shape[1]
+    dc_t = dc + dh * act[:, 3 * k:] * (1 - tc * tc)
+    np.multiply(dc_t, act[:, 2 * k:3 * k], out=g[:, :k])
+    np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
+    np.multiply(dc_t, act[:, :k], out=g[:, 2 * k:3 * k])
+    np.multiply(dh, tc, out=g[:, 3 * k:])
+    g *= dact
+    return dc_t * act[:, k:2 * k]
+
+
 def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
               h0: Tensor | None = None, c0: Tensor | None = None,
               ) -> tuple[Tensor, Tensor, Tensor]:
@@ -160,12 +199,7 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
         tanh_c = np.empty((bsz, width, k), dt)
     h, c = h_init, c_init
     for t in range(width):
-        act = np.tanh((pre[:, t] + h @ w) * scale)
-        act *= scale
-        act += shift
-        c_new = act[:, k:2 * k] * c + act[:, :k] * act[:, 2 * k:3 * k]
-        tc = np.tanh(c_new)
-        h_new = act[:, 3 * k:] * tc
+        act, c_new, tc, h_new = lstm_cell(pre[:, t], h, c, w, scale, shift)
         if t >= full:
             on = mask[:, t:t + 1]
             h_new = np.where(on, h_new, h)
@@ -181,23 +215,14 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
         g_states, g_h, g_c = grads
         dh = np.zeros((bsz, k), dt) if g_h is None else g_h
         dc = np.zeros((bsz, k), dt) if g_c is None else g_c
-        # d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block
-        is_sig = shift * 2
-        dact = acts * (is_sig - acts) + (1 - is_sig)
+        dact = gate_slopes(acts, shift)
         gates = np.empty_like(acts)
         for t in reversed(range(width)):
             if g_states is not None:
                 dh = dh + g_states[:, t]
-            a, tc = acts[:, t], tanh_c[:, t]
-            c_prev = cells[:, t - 1] if t else c_init
-            dc_t = dc + dh * a[:, 3 * k:] * (1 - tc * tc)
             g = gates[:, t]
-            np.multiply(dc_t, a[:, 2 * k:3 * k], out=g[:, :k])
-            np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
-            np.multiply(dc_t, a[:, :k], out=g[:, 2 * k:3 * k])
-            np.multiply(dh, tc, out=g[:, 3 * k:])
-            g *= dact[:, t]
-            dc_prev = dc_t * a[:, k:2 * k]
+            dc_prev = lstm_cell_backward(dh, dc, acts[:, t], tanh_c[:, t],
+                                         cells[:, t - 1] if t else c_init, dact[:, t], g)
             if t >= full:
                 on = mask[:, t:t + 1]
                 g *= on

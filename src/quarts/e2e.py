@@ -8,6 +8,10 @@ one of the two rather than mixing them, and the example contributes the
 same loss with proxy label 1. A batch whose draws are all zero reduces
 to the plain classifier batch loss, bitwise; ``train.fit`` runs this
 loss like any other batch loss.
+
+A switched batch is encoded once. The generator reads the s=1 rows' U
+and c by row gather, its states take the place of those rows' query
+states, and one classifier pass scores the whole batch.
 """
 from __future__ import annotations
 
@@ -15,11 +19,11 @@ import numpy as np
 
 from . import tensor as T
 from .classifier import ClassifierParams, batch_probs, classifier_batch_loss, \
-    weighted_ce_loss
+    encode_batch, weighted_ce_loss
 from .data import Batch
 from .rng import RunRng
 from .tensor import Tensor
-from .ved import VedParams, encode_pair_batch, hgen_forward_batch
+from .ved import EncodedPair, VedParams, hgen_forward_batch, pair_memory
 
 
 def sample_switches(labels: np.ndarray, p: float,
@@ -28,11 +32,6 @@ def sample_switches(labels: np.ndarray, p: float,
     of label, keeping the stream aligned across label compositions."""
     z = (rng.random(len(labels)) < p).astype(np.int64)
     return (1 - labels.astype(np.int64)) * z
-
-
-def _subset(batch: Batch, idx: np.ndarray) -> Batch:
-    return Batch(batch.item_ids[idx], batch.item_lens[idx],
-                 batch.query_ids[idx], batch.query_lens[idx], batch.labels[idx])
 
 
 def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
@@ -55,29 +54,26 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     if idx1.size == 0:
         return classifier_batch_loss(clf, batch, beta, rng.dropout), s
 
-    idx0 = np.flatnonzero(s == 0)
-    probs_parts, label_parts = [], []
-    if idx0.size:
-        sub0 = _subset(batch, idx0)
-        p0, _ = batch_probs(clf, sub0.item_ids, sub0.item_lens,
-                            sub0.query_ids, sub0.query_lens,
-                            rng=rng.dropout, training=True)
-        probs_parts.append(p0)
-        label_parts.append(sub0.labels)
-
-    sub1 = _subset(batch, idx1)
-    enc = encode_pair_batch(clf, sub1.item_ids, sub1.item_lens,
-                            sub1.query_ids, sub1.query_lens)
-    h_gen, gen_final, gen_lens = hgen_forward_batch(
-        clf, ved, enc, sub1.query_lens, rng=rng.latent, eps=latent_eps)
-    p1, _ = batch_probs(clf, sub1.item_ids, sub1.item_lens,
-                        sub1.query_ids, sub1.query_lens,
-                        rng=rng.dropout, training=True,
-                        h_override=(h_gen, gen_final, gen_lens),
-                        k_precomputed=enc.k_states)
-    probs_parts.append(p1)
-    label_parts.append(np.ones(idx1.size))  # proxy label z = 1
-
-    probs = probs_parts[0] if len(probs_parts) == 1 else T.concat(probs_parts, axis=0)
-    labels = np.concatenate(label_parts)
+    item_lens, query_lens = batch.item_lens, batch.query_lens
+    k_states, t_final = encode_batch(batch.item_ids, item_lens, clf.emb_t, clf.lstm_t)
+    h_states, q_final = encode_batch(batch.query_ids, query_lens, clf.emb_q, clf.lstm_q)
+    enc = pair_memory(k_states, t_final, item_lens, h_states, q_final, query_lens)
+    gen_enc = EncodedPair(T.lookup(enc.u_states, idx1), enc.u_logmask[idx1],
+                          T.lookup(enc.c, idx1))
+    h_gen, gen_final, _ = hgen_forward_batch(
+        clf, ved, gen_enc, query_lens[idx1], rng=rng.latent, eps=latent_eps)
+    # the generated rows take the place of their rows' query encodings
+    bsz, width, k = h_states.shape
+    short = width - h_gen.shape[1]
+    if short:
+        h_gen = T.concat([h_gen, T.zeros((idx1.size, short, k))], axis=1)
+    order = np.arange(bsz)
+    order[idx1] = bsz + np.arange(idx1.size)
+    h_mixed = T.lookup(T.concat([h_states, h_gen], axis=0), order)
+    q_mixed = T.lookup(T.concat([q_final, gen_final], axis=0), order)
+    probs, _ = batch_probs(clf, batch.item_ids, item_lens, batch.query_ids, query_lens,
+                           rng=rng.dropout, training=True,
+                           h_override=(h_mixed, q_mixed, query_lens),
+                           k_precomputed=k_states)
+    labels = np.where(s == 1, 1.0, batch.labels)   # proxy label z = 1
     return weighted_ce_loss(probs, labels, beta), s

@@ -82,13 +82,14 @@ def run_dtype(cfg: RunConfig):
 
 def generate_data(spec: CatalogSpec, out_dir, ratios=(0.7, 0.15, 0.15)) -> dict:
     """Write labeled.tsv, logs.tsv, catalog.json, split files, and a manifest."""
+    # split before the first write, so rejected ratios leave no partial data dir
+    labeled, logs, _ = generate_corpus(spec)
+    splits = split_pairs(labeled, tuple(ratios), spec.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labeled, logs, _ = generate_corpus(spec)
     write_pairs(out / LABELED_TSV, labeled)
     write_pairs(out / LOGS_TSV, logs)
     spec.save(out / CATALOG_JSON)
-    splits = split_pairs(labeled, tuple(ratios), spec.seed)
     for name, pairs in zip(SPLITS, splits):
         write_pairs(out / f"{name}.tsv", pairs)
     manifest = {

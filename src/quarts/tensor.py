@@ -144,9 +144,11 @@ class Tape:
     """Ordered record of operations supporting one reverse sweep.
 
     Records are appended in creation order, which is a topological order
-    by construction. ``backward`` walks them once in reverse; dropping the
-    tape frees every non-parameter node. A record's output is one node id,
-    or a tuple of ids for a multi-output op.
+    by construction. ``backward`` walks them once in reverse. Leaving the
+    ``with`` block drops the records and detaches the parameters, so the
+    step's cached activations are freed there, even while its loss lives
+    on. A record's output is one node id, or a tuple of ids for a
+    multi-output op.
     """
 
     _stack: list["Tape"] = []
@@ -166,6 +168,12 @@ class Tape:
 
     def __exit__(self, *exc):
         Tape._stack.pop()
+        for t in self._leaves.values():
+            if t._tape is self:
+                t._tape = None
+                t.node_id = None
+        self._records.clear()
+        self._leaves.clear()
         return False
 
     def __len__(self):

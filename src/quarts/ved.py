@@ -13,9 +13,11 @@ flowing through the recurrence but not through token choices.
 Teacher-forced training knows every decoder input up front, so its
 recurrence is one fused ``lstm_scan`` record over the padded target
 matrix (state frozen past each target's length), and attention and the
-output projection run over all steps at once. ``decode_step`` runs one
-step for inputs chosen as it goes (beam search, ``hgen_forward_batch``)
-through the same scan with a single step.
+output projection run over all steps at once. Free-running decoding,
+where each step's input is the previous step's choice, runs one numpy
+step function: ``hgen_forward_batch`` loops it in a fused scan recorded
+once with a hand-written backward pass, and ``decode_step``, beam
+search's step, runs it once with no tape.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .classifier import (ClassifierParams, LstmParams, encode_batch, init_lstm,
-                         lstm_scan, _uniform)
+from .classifier import (ClassifierParams, LstmParams, encode_batch, gate_slopes,
+                         init_lstm, lstm_cell, lstm_cell_backward, lstm_scan,
+                         _gate_affine, _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, tokenize)
 from .tensor import Tensor
@@ -143,10 +146,22 @@ def encode_triples(triples: list[tuple[str, str, str]], vocab_t: Vocabulary,
 @dataclass
 class EncodedPair:
     """Shared-encoder view of one (item, query) batch."""
-    k_states: Tensor        # (B, m, k) title encodings
     u_states: Tensor        # (B, m+n, k) attention memory
     u_logmask: np.ndarray   # (B, m+n), 0 real / -inf-ish padded
     c: Tensor               # (B, 2k) latent context
+
+
+def pair_memory(k_states: Tensor, t_final: Tensor, item_lens: np.ndarray,
+                h_states: Tensor, q_final: Tensor, query_lens: np.ndarray,
+                ) -> EncodedPair:
+    """The generator's view of encoded titles and queries: U is the title
+    states followed by the query states, masked past each true length,
+    and c the two final states side by side."""
+    u = T.concat([k_states, h_states], axis=1)
+    real = np.concatenate([pad_mask(item_lens, k_states.shape[1]),
+                           pad_mask(query_lens, h_states.shape[1])], axis=1)
+    logmask = ((1.0 - real) * _MASK_NEG).astype(u.data.dtype)
+    return EncodedPair(u, logmask, T.concat([t_final, q_final], axis=1))
 
 
 def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
@@ -154,12 +169,7 @@ def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
                       query_lens: np.ndarray) -> EncodedPair:
     k_states, t_final = encode_batch(item_ids, item_lens, clf.emb_t, clf.lstm_t)
     h_states, q_final = encode_batch(query_ids, query_lens, clf.emb_q, clf.lstm_q)
-    u = T.concat([k_states, h_states], axis=1)
-    tmask = pad_mask(item_lens, item_ids.shape[1])
-    qmask = pad_mask(query_lens, query_ids.shape[1])
-    logmask = (1.0 - np.concatenate([tmask, qmask], axis=1)) * _MASK_NEG
-    c = T.concat([t_final, q_final], axis=1)
-    return EncodedPair(k_states, u, logmask, c)
+    return pair_memory(k_states, t_final, item_lens, h_states, q_final, query_lens)
 
 
 def sample_latent(c: Tensor, lat: LatentParams,
@@ -207,47 +217,42 @@ def decoder_init(z: Tensor, lat: LatentParams) -> tuple[Tensor, Tensor]:
     return h0, T.zeros(h0.shape)
 
 
-def _decoder_lstm(ved: VedParams, emb_q: Tensor, prev_ids: np.ndarray,
-                  mask: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
-                  ) -> tuple[Tensor, Tensor, Tensor]:
-    """The decoder LSTM over the (B, T) token matrix ``prev_ids``.
+def _decoder_step(prev_ids: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray,
+                  u: np.ndarray, logmask: np.ndarray, ved: VedParams, emb_q: Tensor,
+                  ) -> tuple[np.ndarray, ...]:
+    """One free-running decoder step in plain numpy, shared by
+    ``decode_step`` and the ``hgen_forward_batch`` scan.
 
-    Each real step's input is [token embedding ++ z]; their projections
-    are one GEMM over the packed real steps, and the recurrence one
-    ``lstm_scan`` (see there for ``mask`` and the outputs).
+    The LSTM input is [embedding(prev) ++ z]; ``zx`` = z @ W_x[d:] + b is
+    its z part. Then attention over U (B, L, k), d~ = tanh([h ++ ctx] @ W_c)
+    and the logits d~ @ W_v + b_v. Returns (logits, d~, h, c, weights) and
+    the backward cache (gate activations, tanh(c), [h ++ ctx]).
     """
-    x = T.concat([T.lookup(emb_q, prev_ids[mask]), T.lookup(z, np.nonzero(mask)[0])],
-                 axis=1)
-    lstm = ved.dec.lstm
-    return lstm_scan(T.matmul(x, lstm.wx), lstm.wh, lstm.b, mask, h, c)
-
-
-def _attend(states: Tensor, enc: EncodedPair, ved: VedParams) -> tuple[Tensor, Tensor]:
-    """Multiplicative attention of decoder states (B, T, k) over U.
-
-    Returns the attentional states d~ (B, T, k) and the weights (B, T, m+n).
-    """
-    scores = T.matmul(T.matmul(states, ved.dec.w_a), T.transpose_last2(enc.u_states))
-    weights = T.softmax_rows(scores + T.constant(enc.u_logmask[:, None, :]))
-    ctx = T.matmul(weights, enc.u_states)
-    return T.tanh(T.matmul(T.concat([states, ctx], axis=2), ved.dec.w_c)), weights
+    dec = ved.dec
+    scale, shift = _gate_affine(h.shape[1], h.dtype)
+    pre = emb_q.data[prev_ids] @ dec.lstm.wx.data[:emb_q.shape[1]] + zx
+    act, c2, tc, h2 = lstm_cell(pre, h, c, dec.lstm.wh.data, scale, shift)
+    scores = np.matmul(u, (h2 @ dec.w_a.data)[:, :, None])[:, :, 0] + logmask
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    hc = np.concatenate([h2, np.matmul(alpha[:, None, :], u)[:, 0]], axis=1)
+    d_tilde = np.tanh(hc @ dec.w_c.data)
+    return d_tilde @ dec.w_v.data + dec.b_v.data, d_tilde, h2, c2, alpha, act, tc, hc
 
 
 def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
                 enc: EncodedPair, ved: VedParams, emb_q: Tensor,
                 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """One decoder step over a batch.
+    """One decoder step over a batch, for inputs chosen as decoding goes
+    (beam search). Nothing is recorded: no gradient flows through it.
 
-    Returns (logits over V_q, attentional state d~, new h, new c, weights);
-    the attention weights are untracked.
+    Returns (logits over V_q, attentional state d~, new h, new c, weights).
     """
-    bsz = len(prev_ids)
-    _, h2, c2 = _decoder_lstm(ved, emb_q, prev_ids[:, None], np.ones((bsz, 1), bool),
-                              z, h, c)
-    d_tilde, weights = _attend(T.reshape(h2, (bsz, 1, -1)), enc, ved)
-    d_tilde = T.reshape(d_tilde, (bsz, -1))
-    logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
-    return logits, d_tilde, h2, c2, T.constant(weights.data[:, 0])
+    lstm = ved.dec.lstm
+    zx = z.data @ lstm.wx.data[emb_q.shape[1]:] + lstm.b.data
+    out = _decoder_step(prev_ids, zx, h.data, c.data, enc.u_states.data, enc.u_logmask,
+                        ved, emb_q)
+    return tuple(map(T.constant, out[:5]))
 
 
 # --- training loss ----------------------------------------------------------
@@ -268,11 +273,20 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
     h0, c0 = decoder_init(z, ved.latent)
     bsz, width = batch.target_ids.shape
     mask = pad_mask(batch.target_lens, width)
-    states, _, _ = _decoder_lstm(ved, clf.emb_q, batch.prev_ids, mask, z, h0, c0)
-    d_tilde, _ = _attend(states, enc, ved)
+    # each real step's input is [token embedding ++ z]: one GEMM over the
+    # packed real steps, then one scan (state frozen past each target)
+    lstm, dec = ved.dec.lstm, ved.dec
+    x = T.concat([T.lookup(clf.emb_q, batch.prev_ids[mask]),
+                  T.lookup(z, np.nonzero(mask)[0])], axis=1)
+    states, _, _ = lstm_scan(T.matmul(x, lstm.wx), lstm.wh, lstm.b, mask, h0, c0)
+    # multiplicative attention over U, every step at once
+    scores = T.matmul(T.matmul(states, dec.w_a), T.transpose_last2(enc.u_states))
+    weights = T.softmax_rows(scores + T.constant(enc.u_logmask[:, None, :]))
+    ctx = T.matmul(weights, enc.u_states)
+    d_tilde = T.tanh(T.matmul(T.concat([states, ctx], axis=2), dec.w_c))
     # the output projection runs on real target steps only
     real = T.lookup(T.reshape(d_tilde, (bsz * width, -1)), np.flatnonzero(mask))
-    logp = T.log_softmax_rows(T.matmul(real, ved.dec.w_v) + ved.dec.b_v)
+    logp = T.log_softmax_rows(T.matmul(real, dec.w_v) + dec.b_v)
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
     weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
@@ -291,28 +305,86 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
     """Continuous query stand-in: per-step attentional states, argmax feedback.
 
     ``steps[i]`` is the number of columns generated for example i (the
-    source query's true length). Gradients flow through hidden states and
-    attention, not through the argmax token choice. Returns
-    (states (B, n, k), final state (B, k), lens) shaped like an encoder's
-    output, ready to replace it: ``final`` is each row's state at its last
-    step, and columns past a row's length (the row decodes on with the
-    batch) are ignored downstream, as attention stops at ``lens``.
+    source query's true length). Returns (states (B, n, k), final state
+    (B, k), lens) shaped like an encoder's output, ready to replace it:
+    ``final`` is each row's state at its last step, and columns past a
+    row's length (the row decodes on with the batch) are ignored
+    downstream, as attention stops at ``lens``.
+
+    The ``steps.max()`` decoder steps are one tape record with a
+    hand-written backward pass, so the tape grows by the same count
+    whatever the length. Gradients flow through hidden states and
+    attention, not through the argmax, so W_v and b_v get none. Every
+    step's output gradient is known up front, so the backward pass runs
+    attention and W_c for all steps at once, its loop carries only the h/c
+    recurrence, and the weight and embedding gradients are one GEMM or
+    scatter each after it.
     """
     z, _, _ = sample_latent(enc.c, ved.latent, rng=rng,
                             deterministic=deterministic, eps=eps)
-    h, c = decoder_init(z, ved.latent)
-    bsz = enc.c.shape[0]
+    h0, c0 = decoder_init(z, ved.latent)
+    lstm, dec = ved.dec.lstm, ved.dec
+    emb, wh, w_a, w_c = clf.emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
+    wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
+    zs, u, h_init, c_init = z.data, enc.u_states.data, h0.data, c0.data
+    zx = zs @ wx_z + lstm.b.data
+    bsz, k = c_init.shape
+    dt = zs.dtype
     width = int(steps.max())
+    inputs = (z, h0, c0, clf.emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a,
+              dec.w_c)
+    grad = T.needs_grad(*inputs)
+    states = np.empty((bsz, width, k), dt)
+    prevs = np.empty((bsz, width), np.int64)
+    cache = []   # per step: gate activations, c, tanh(c), [h ++ ctx], weights
+    h, c = h_init, c_init
     prev = np.full(bsz, BOS, dtype=np.int64)
-    cols = []
-    for _ in range(width):
-        logits, d_tilde, h, c, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
-        prev = np.argmax(logits.data, axis=1)
-        cols.append(d_tilde)
-    states = T.reshape(T.concat(cols, axis=1), (bsz, width, -1))
-    last = np.arange(bsz) * width + steps - 1
-    final = T.lookup(T.reshape(states, (bsz * width, -1)), last)
-    return states, final, steps.copy()
+    for t in range(width):
+        prevs[:, t] = prev
+        logits, states[:, t], h, c, alpha, act, tc, hc = _decoder_step(
+            prev, zx, h, c, u, enc.u_logmask, ved, clf.emb_q)
+        prev = np.argmax(logits, axis=1)
+        if grad:
+            cache.append((act, c, tc, hc, alpha))
+    rows, last = np.arange(bsz), steps - 1
+
+    def rule(grads):
+        g_states, g_final = grads
+        acts, cells, tanh_c, hcs, alphas = (np.stack(x, axis=1) for x in zip(*cache))
+        g = np.zeros_like(states) if g_states is None else g_states.copy()
+        if g_final is not None:
+            g[rows, last] += g_final
+        g_pre = g * (1 - states * states)           # through d~ = tanh(.)
+        g_hc = g_pre @ w_c.T
+        h2s = hcs[:, :, :k]
+        g_alpha = np.matmul(g_hc[:, :, k:], u.transpose(0, 2, 1))
+        g_scores = alphas * (g_alpha - (g_alpha * alphas).sum(axis=2, keepdims=True))
+        g_hw = np.matmul(g_scores, u)
+        g_u = (np.matmul(alphas.transpose(0, 2, 1), g_hc[:, :, k:])
+               + np.matmul(g_scores.transpose(0, 2, 1), h2s @ w_a))
+        g_h2 = g_hc[:, :, :k] + g_hw @ w_a.T
+        dact = gate_slopes(acts, _gate_affine(k, dt)[1])
+        gates = np.empty_like(acts)
+        dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
+        for t in reversed(range(width)):
+            dh = dh + g_h2[:, t]
+            dc = lstm_cell_backward(dh, dc, acts[:, t], tanh_c[:, t],
+                                    cells[:, t - 1] if t else c_init, dact[:, t],
+                                    gates[:, t])
+            dh = gates[:, t] @ wh.T
+        flat = gates.reshape(-1, 4 * k)
+        g_zx = gates.sum(axis=1)
+        ids = prevs.reshape(-1)
+        g_emb = np.zeros_like(emb)
+        np.add.at(g_emb, ids, flat @ wx_e.T)
+        g_wx = np.concatenate([emb[ids].T @ flat, zs.T @ g_zx])
+        h_prev = np.concatenate([h_init[:, None], h2s[:, :-1]], axis=1)
+        return (g_zx @ wx_z.T, dh, dc, g_emb, g_wx, h_prev.reshape(-1, k).T @ flat,
+                g_zx.sum(axis=0), g_u, h2s.reshape(-1, k).T @ g_hw.reshape(-1, k),
+                hcs.reshape(-1, 2 * k).T @ g_pre.reshape(-1, k))
+
+    out, final = T.record((states, states[rows, last]), inputs, rule if grad else None)
+    return out, final, steps.copy()
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],

@@ -54,6 +54,19 @@ class TestGenData:
         assert "'a,b,c'" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--hard-fraction", "1.5"], "hard_fraction"),
+        (["--items", "0"], "items"),
+        (["--split", "0.5,0.5,0.5"], "sum to 1"),
+    ], ids=["hard_fraction", "items", "split_sum"])
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--items", "50",
+                     "--labeled-pairs", "200", "--logs-pairs", "20",
+                     "--positive-rate", "0.2"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestCatalogFile:
     """A catalog.json that does not describe a spec fails with exit 2."""

@@ -1,13 +1,16 @@
 """Switch semantics and the mixed objective."""
+import gc
+import weakref
+
 import numpy as np
 
 from quarts import tensor as T
 from quarts.classifier import classifier_batch_loss, init_classifier
-from quarts.data import Batch
+from quarts.data import Batch, TripleExample, make_triple_batch
 from quarts.e2e import e2e_batch_loss, sample_switches
 from quarts.rng import RunRng
 from quarts.tensor import Tape
-from quarts.ved import init_ved
+from quarts.ved import init_ved, ved_loss_batch
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3, dropout=0.1):
@@ -121,3 +124,28 @@ class TestE2ELoss:
         rng_b = RunRng(11, "finetune")
         loss_b, _ = e2e_batch_loss(clf, ved, batch, 0.0, 5.0, rng_b)
         assert loss_a.item() == loss_b.item()
+
+
+def test_tape_freed_when_block_ends():
+    """A step's tape, with every activation it cached, dies with its block,
+    even with the cycle collector off: nothing the parameters or a backward
+    rule hold keeps it alive."""
+    clf, ved = models()
+    batch = toy_batch([0, 1, 0])
+    triples = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
+    steps = [
+        lambda rng: classifier_batch_loss(clf, batch, 5.0, rng.dropout),
+        lambda rng: ved_loss_batch(clf, ved, triples, 0.5, rng=rng.latent)[0],
+        lambda rng: e2e_batch_loss(clf, ved, batch, 0.5, 5.0, rng, force_switch=1)[0],
+    ]
+    gc.disable()
+    try:
+        for step in steps:
+            with Tape() as tape:
+                loss = step(RunRng(0, "finetune"))
+                tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape, loss
+            assert ref() is None
+    finally:
+        gc.enable()

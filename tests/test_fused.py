@@ -1,17 +1,22 @@
 """Fused recurrent ops against the unfused per-step compositions.
 
-At float64 the fused LSTM scan, word-by-word attention and decoder must
-give the forward values and the gradients of ``tests/unfused.py`` within
-a relative 1e-10 (of each array's largest magnitude); only the order of
-floating-point operations differs between the two.
+At float64 the fused LSTM scan, word-by-word attention and decoder, and
+the one-pass switched loss, must give the forward values and the
+gradients of ``tests/unfused.py`` within a relative 1e-10 (of each
+array's largest magnitude); only the order of floating-point operations
+differs between the two.
 """
+import pytest
+
 import numpy as np
 
 import unfused as U
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import ved as V
-from quarts.data import PAD, TripleExample, make_triple_batch, pad_mask
+from quarts.data import PAD, Batch, TripleExample, make_triple_batch, pad_mask
+from quarts.e2e import e2e_batch_loss
+from quarts.rng import RunRng
 from quarts.tensor import Tape
 
 RTOL = 1e-10
@@ -149,3 +154,34 @@ def test_hgen_matches_unfused(f64):
         return loss(*U.hgen_states(clf, ved, enc, z, h, c, steps))
 
     assert_same(fused, unfused, list(clf.named().values()) + list(ved.named().values()))
+
+
+def test_hgen_records_independent_of_length():
+    clf, ved, _ = models(seed=5)
+    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+    added = []
+    for steps in (np.array([2, 1, 2]), np.array([7, 3, 5])):
+        with Tape() as tape:
+            before = len(tape)
+            V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
+            added.append(len(tape) - before)
+    assert added[0] == added[1]
+
+
+# [1, 0, 0]: the s=1 rows decode 2 steps, short of the width 3, so their
+# states are padded; [0, 1, 0]: they decode the full width
+@pytest.mark.parametrize("labels", [[1, 0, 0], [0, 1, 0]], ids=["padded", "full"])
+def test_e2e_loss_matches_two_sub_batches(f64, labels):
+    clf, ved, rng = models(seed=6)
+    batch = Batch(ITEMS, ITEM_LENS, QUERIES, QUERY_LENS, np.array(labels, float))
+    s = 1 - batch.labels.astype(np.int64)   # every matched pair switched
+    eps = rng.standard_normal((int(s.sum()), 3))
+
+    def one_pass():
+        loss, got = e2e_batch_loss(clf, ved, batch, p=0.5, beta=5.0,
+                                   rng=RunRng(0, "misc"), force_switch=1, latent_eps=eps)
+        np.testing.assert_array_equal(got, s)
+        return loss
+
+    assert_same(one_pass, lambda: U.e2e_batch_loss(clf, ved, batch, s, 5.0, eps),
+                list(clf.named().values()) + list(ved.named().values()))

@@ -10,6 +10,8 @@ references use, lives here with them.
 import numpy as np
 
 from quarts import tensor as T
+from quarts import ved as V
+from quarts.classifier import batch_probs, weighted_ce_loss
 from quarts.data import BOS, pad_mask
 
 
@@ -124,3 +126,26 @@ def hgen_states(clf, ved, enc, z, h, c, steps):
         h, c = _blend(on, h2, h), _blend(on, c2, c)
     return T.concat(cols, axis=1), final
 
+
+def e2e_batch_loss(clf, ved, batch, s, beta, latent_eps):
+    """The switched loss as two sub-batches, without dropout: the s=0 rows
+    scored as one batch; the s=1 rows encoded again, decoded one step at a
+    time and scored as another, with proxy label 1."""
+    probs, labels = [], []
+    idx0, idx1 = np.flatnonzero(s == 0), np.flatnonzero(s == 1)
+    if idx0.size:
+        p0, _ = batch_probs(clf, batch.item_ids[idx0], batch.item_lens[idx0],
+                            batch.query_ids[idx0], batch.query_lens[idx0])
+        probs.append(p0)
+        labels.append(batch.labels[idx0])
+    items, item_lens = batch.item_ids[idx1], batch.item_lens[idx1]
+    queries, query_lens = batch.query_ids[idx1], batch.query_lens[idx1]
+    enc = V.encode_pair_batch(clf, items, item_lens, queries, query_lens)
+    z, _, _ = V.sample_latent(enc.c, ved.latent, eps=latent_eps)
+    h, c = V.decoder_init(z, ved.latent)
+    states, final = hgen_states(clf, ved, enc, z, h, c, query_lens)
+    p1, _ = batch_probs(clf, items, item_lens, queries, query_lens,
+                        h_override=(states, final, query_lens))
+    probs.append(p1)
+    labels.append(np.ones(idx1.size))
+    return weighted_ce_loss(T.concat(probs, axis=0), np.concatenate(labels), beta)

@@ -9,14 +9,16 @@ be negative; heatmap export min-max normalizes per row for display only.
 Internally sequences run in row-major batches: states are (B, k) rows and
 title/query encodings are (B, T, k) stacks.
 
-Both recurrences are fused tape ops: ``lstm_scan`` and
-``wbw_attention_batch`` each run their whole loop in plain numpy and
+Both recurrences are fused tape ops: ``lstm_scan`` (the two encoders)
+and ``wbw_attention_batch`` each run their whole loop in plain numpy and
 record once, with a hand-written backward pass through time. Input
 projections that do not depend on the recurrent state (``x @ W_x``, and
 the title and query thirds of the attention's ``W_h``) run once, outside
 the loop, and only on real positions. Inside a scan, a row past its true
 length keeps its state unchanged and passes gradient straight through,
-so padding can neither leak into results nor change them.
+so padding can neither leak into results nor change them. The LSTM cell,
+its gate slopes and its one-step backward are shared with the
+generator's decoder scan in ``ved``.
 """
 from __future__ import annotations
 
@@ -146,7 +148,8 @@ def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
 def gate_slopes(acts: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block."""
     is_sig = shift * 2
-    return acts * (is_sig - acts) + (1 - is_sig)
+    out = is_sig - acts   # then in place: (B, T, 4k) temporaries are the scans' largest
+    return np.add(np.multiply(out, acts, out=out), 1 - is_sig, out=out)
 
 
 def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, act: np.ndarray,
@@ -166,19 +169,18 @@ def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, act: np.ndarray,
 
 
 def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
-              h0: Tensor | None = None, c0: Tensor | None = None,
-              ) -> tuple[Tensor, Tensor, Tensor]:
-    """A masked LSTM recurrence as one tape record with a hand-written BPTT.
+              ) -> tuple[Tensor, Tensor]:
+    """A masked LSTM recurrence from a zero state as one tape record with a
+    hand-written BPTT; the encoders' recurrence.
 
     ``mask`` (B, T) marks each row's real steps, a prefix of the row.
     ``xw`` (N, 4k) holds the input projections ``x @ W_x`` of the N real
     steps packed in row-major order (``x[mask]``), so the hoisted GEMM
     never runs on padding and its rows do not depend on the padded width.
     Past a row's true length its state is frozen: h and c carry over
-    unchanged and the gates there get no gradient. ``h0``/``c0`` default
-    to zeros. Returns (states (B, T, k), final h (B, k), final c (B, k));
-    the frozen updates make the final state the one at each row's last
-    real step.
+    unchanged and the gates there get no gradient. Returns (states
+    (B, T, k), final h (B, k)); the frozen updates make the final state
+    the one at each row's last real step.
     """
     bsz, width = mask.shape
     k = wh.shape[0]
@@ -188,16 +190,15 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     pre[mask] = xw.data
     pre += b.data
     scale, shift = _gate_affine(k, dt)
-    h_init = np.zeros((bsz, k), dt) if h0 is None else h0.data
-    c_init = np.zeros((bsz, k), dt) if c0 is None else c0.data
-    grad = T.needs_grad(xw, wh, b, h0, c0)
+    zero = np.zeros((bsz, k), dt)
+    grad = T.needs_grad(xw, wh, b)
     full = int(mask.sum(axis=1).min())   # steps real in every row
     states = np.empty((bsz, width, k), dt)
     if grad:
         acts = np.empty((bsz, width, 4 * k), dt)
         cells = np.empty((bsz, width, k), dt)
         tanh_c = np.empty((bsz, width, k), dt)
-    h, c = h_init, c_init
+    h, c = zero, zero
     for t in range(width):
         act, c_new, tc, h_new = lstm_cell(pre[:, t], h, c, w, scale, shift)
         if t >= full:
@@ -212,9 +213,8 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
         c = c_new
 
     def rule(grads):
-        g_states, g_h, g_c = grads
-        dh = np.zeros((bsz, k), dt) if g_h is None else g_h
-        dc = np.zeros((bsz, k), dt) if g_c is None else g_c
+        g_states, g_h = grads
+        dh, dc = (zero if g_h is None else g_h), zero
         dact = gate_slopes(acts, shift)
         gates = np.empty_like(acts)
         for t in reversed(range(width)):
@@ -222,7 +222,7 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
                 dh = dh + g_states[:, t]
             g = gates[:, t]
             dc_prev = lstm_cell_backward(dh, dc, acts[:, t], tanh_c[:, t],
-                                         cells[:, t - 1] if t else c_init, dact[:, t], g)
+                                         cells[:, t - 1] if t else zero, dact[:, t], g)
             if t >= full:
                 on = mask[:, t:t + 1]
                 g *= on
@@ -231,11 +231,11 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
             else:
                 dh = g @ w.T
                 dc = dc_prev
-        h_prev = np.concatenate([h_init[:, None], states[:, :-1]], axis=1)
+        h_prev = np.concatenate([zero[:, None], states[:, :-1]], axis=1)
         g_wh = h_prev.reshape(-1, k).T @ gates.reshape(-1, 4 * k)
-        return gates[mask], g_wh, gates.sum(axis=(0, 1)), dh, dc
+        return gates[mask], g_wh, gates.sum(axis=(0, 1))
 
-    return T.record((states, h, c), (xw, wh, b, h0, c0), rule if grad else None)
+    return T.record((states, h), (xw, wh, b), rule if grad else None)
 
 
 def encode_batch(ids: np.ndarray, lens: np.ndarray, emb: Tensor,
@@ -252,8 +252,7 @@ def encode_batch(ids: np.ndarray, lens: np.ndarray, emb: Tensor,
         raise ValueError("every sequence needs at least one token")
     mask = pad_mask(lens, ids.shape[1])
     xw = T.matmul(T.lookup(emb, ids[mask]), lstm.wx)
-    states, final, _ = lstm_scan(xw, lstm.wh, lstm.b, mask)
-    return states, final
+    return lstm_scan(xw, lstm.wh, lstm.b, mask)
 
 
 def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
@@ -364,14 +363,15 @@ def head_logit(h_star: Tensor, head: HeadParams, rng: np.random.Generator | None
 def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.ndarray,
                 query_ids: np.ndarray, query_lens: np.ndarray,
                 rng: np.random.Generator | None = None, training: bool = False,
-                h_override: tuple[Tensor, Tensor, np.ndarray] | None = None,
+                h_override: tuple[Tensor, Tensor] | None = None,
                 k_precomputed: Tensor | None = None,
                 ) -> tuple[Tensor, Tensor]:
     """Mismatch probabilities for a padded batch; returns (probs (B,), alpha).
 
     ``h_override`` swaps in replacement query-side states
-    (states (B, n, k), final (B, k), lens) in place of the encoded query,
-    which is how generated representations enter the model.
+    (states (B, n, k), final (B, k)) of lengths ``query_lens`` in place of
+    the encoded query, which is how generated representations enter the
+    model.
     ``k_precomputed`` reuses already-encoded title states.
     """
     if k_precomputed is not None:
@@ -380,10 +380,9 @@ def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.nd
         k_states, _ = encode_batch(item_ids, item_lens, params.emb_t, params.lstm_t)
     if h_override is None:
         h_states, q_n = encode_batch(query_ids, query_lens, params.emb_q, params.lstm_q)
-        h_lens = query_lens
     else:
-        h_states, q_n, h_lens = h_override
-    r_n, alpha = wbw_attention_batch(k_states, item_lens, h_states, h_lens, params.attn)
+        h_states, q_n = h_override
+    r_n, alpha = wbw_attention_batch(k_states, item_lens, h_states, query_lens, params.attn)
     h_star = combine(r_n, q_n, params.attn.w_x)
     logit = head_logit(h_star, params.head, rng, training)
     probs = T.sigmoid(T.reshape(logit, (-1,)))

@@ -51,9 +51,16 @@ class RunConfig:
             raise ConfigError(f"switch probability must be in [0, 1), got {self.p}")
         if self.beta < 1.0:
             raise ConfigError(f"positive weight must be >= 1, got {self.beta}")
-        for name in ("clf_epochs", "ved_epochs", "e2e_epochs"):
+        for name in ("hidden_size", "embed_dim", "latent_dim", "batch_size", "clf_epochs",
+                     "ved_epochs", "e2e_epochs", "triple_cap", "beam_size", "gen_max_len",
+                     "max_title_len", "max_query_len", "min_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("lr", "ved_lr"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

@@ -123,6 +123,8 @@ def read_pairs(path) -> list[RawPair]:
             if len(fields) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
             title, query, label, source = fields
+            if label not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
             out.append(RawPair(title, query, int(label), source))
     return out
 

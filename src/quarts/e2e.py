@@ -60,7 +60,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     enc = pair_memory(k_states, t_final, item_lens, h_states, q_final, query_lens)
     gen_enc = EncodedPair(T.lookup(enc.u_states, idx1), enc.u_logmask[idx1],
                           T.lookup(enc.c, idx1))
-    h_gen, gen_final, _ = hgen_forward_batch(
+    h_gen, gen_final = hgen_forward_batch(
         clf, ved, gen_enc, query_lens[idx1], rng=rng.latent, eps=latent_eps)
     # the generated rows take the place of their rows' query encodings
     bsz, width, k = h_states.shape
@@ -73,7 +73,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     q_mixed = T.lookup(T.concat([q_final, gen_final], axis=0), order)
     probs, _ = batch_probs(clf, batch.item_ids, item_lens, batch.query_ids, query_lens,
                            rng=rng.dropout, training=True,
-                           h_override=(h_mixed, q_mixed, query_lens),
+                           h_override=(h_mixed, q_mixed),
                            k_precomputed=k_states)
     labels = np.where(s == 1, 1.0, batch.labels)   # proxy label z = 1
     return weighted_ce_loss(probs, labels, beta), s

@@ -38,7 +38,7 @@ from .checkpoint import load_arrays, assign_params, save_params
 from .classifier import (ClassifierParams, DssmParams, classifier_batch_loss,
                          dssm_batch_loss, init_classifier, init_dssm)
 from .config import RunConfig, RunManifest, file_sha256
-from .data import (Example, RawPair, Vocabulary, build_vocab, encode_pairs,
+from .data import (DataError, Example, RawPair, Vocabulary, build_vocab, encode_pairs,
                    read_pairs, split_pairs, tokenize, write_pairs)
 from .e2e import e2e_batch_loss
 from .rng import RunRng
@@ -291,11 +291,13 @@ def read_triples(run_dir) -> list[tuple[str, str, str]]:
         raise PipelineError(f"missing {path}; run `quarts build-triples` first")
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line:
-                title, q, qm = line.split("\t")
-                out.append((title, q, qm))
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                out.append(tuple(fields))
     return out
 
 

@@ -34,7 +34,7 @@ __all__ = [
     "constant", "zeros",
     "matmul", "add", "sub", "mul", "scale", "neg",
     "tanh", "sigmoid", "absval", "log", "exp", "clamp",
-    "dropout", "softmax_rows", "log_softmax_rows",
+    "dropout", "log_softmax_rows",
     "concat", "pick_columns", "lookup",
     "mean_all", "sum_axis", "transpose_last2", "reshape",
 ]
@@ -454,16 +454,6 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(a.shape) >= p).astype(a.data.dtype)
     m = keep / np.asarray(1.0 - p, dtype=a.data.dtype)
     return record(a.data * m, (a,), lambda g: (g * m,))
-
-
-def softmax_rows(a) -> Tensor:
-    """Softmax over the last axis; each row sums to 1 within 1e-12."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    return record(y, (a,),
-                  lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,))
 
 
 def log_softmax_rows(a) -> Tensor:

@@ -10,14 +10,11 @@ end-to-end training the decoder instead exposes its per-step attentional
 states as a continuous stand-in for the query encoding, with gradients
 flowing through the recurrence but not through token choices.
 
-Teacher-forced training knows every decoder input up front, so its
-recurrence is one fused ``lstm_scan`` record over the padded target
-matrix (state frozen past each target's length), and attention and the
-output projection run over all steps at once. Free-running decoding,
-where each step's input is the previous step's choice, runs one numpy
-step function: ``hgen_forward_batch`` loops it in a fused scan recorded
-once with a hand-written backward pass, and ``decode_step``, beam
-search's step, runs it once with no tape.
+Both uses of the decoder run one fused scan, recorded once with a
+hand-written backward pass: teacher-forced VED training reads the given
+previous tokens, and ``hgen_forward_batch`` feeds back its own argmax.
+The two differ only in where each step's input token comes from. Beam
+search's ``decode_step`` runs the same numpy step once, with no tape.
 """
 from __future__ import annotations
 
@@ -28,8 +25,8 @@ import numpy as np
 
 from . import tensor as T
 from .classifier import (ClassifierParams, LstmParams, encode_batch, gate_slopes,
-                         init_lstm, lstm_cell, lstm_cell_backward, lstm_scan,
-                         _gate_affine, _uniform)
+                         init_lstm, lstm_cell, lstm_cell_backward, _gate_affine,
+                         _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, tokenize)
 from .tensor import Tensor
@@ -217,27 +214,24 @@ def decoder_init(z: Tensor, lat: LatentParams) -> tuple[Tensor, Tensor]:
     return h0, T.zeros(h0.shape)
 
 
-def _decoder_step(prev_ids: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray,
-                  u: np.ndarray, logmask: np.ndarray, ved: VedParams, emb_q: Tensor,
-                  ) -> tuple[np.ndarray, ...]:
-    """One free-running decoder step in plain numpy, shared by
-    ``decode_step`` and the ``hgen_forward_batch`` scan.
-
-    The LSTM input is [embedding(prev) ++ z]; ``zx`` = z @ W_x[d:] + b is
-    its z part. Then attention over U (B, L, k), d~ = tanh([h ++ ctx] @ W_c)
-    and the logits d~ @ W_v + b_v. Returns (logits, d~, h, c, weights) and
-    the backward cache (gate activations, tanh(c), [h ++ ctx]).
-    """
-    dec = ved.dec
+def _decoder_step(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
+                  logmask: np.ndarray, dec: DecoderParams) -> tuple[np.ndarray, ...]:
+    """One decoder step in plain numpy, shared by ``decode_step`` and
+    ``_decoder_scan``: the LSTM cell on ``pre`` = [embedding(prev) ++ z] @ W_x
+    + b, attention over U (B, L, k) and d~ = tanh([h ++ ctx] @ W_c). Returns
+    (d~, h, c, weights, gate activations, tanh(c), [h ++ ctx])."""
     scale, shift = _gate_affine(h.shape[1], h.dtype)
-    pre = emb_q.data[prev_ids] @ dec.lstm.wx.data[:emb_q.shape[1]] + zx
     act, c2, tc, h2 = lstm_cell(pre, h, c, dec.lstm.wh.data, scale, shift)
     scores = np.matmul(u, (h2 @ dec.w_a.data)[:, :, None])[:, :, 0] + logmask
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
     hc = np.concatenate([h2, np.matmul(alpha[:, None, :], u)[:, 0]], axis=1)
-    d_tilde = np.tanh(hc @ dec.w_c.data)
-    return d_tilde @ dec.w_v.data + dec.b_v.data, d_tilde, h2, c2, alpha, act, tc, hc
+    return np.tanh(hc @ dec.w_c.data), h2, c2, alpha, act, tc, hc
+
+
+def _logits(d_tilde: np.ndarray, dec: DecoderParams) -> np.ndarray:
+    """d~ @ W_v + b_v: the one place decoding reads the vocabulary logits."""
+    return d_tilde @ dec.w_v.data + dec.b_v.data
 
 
 def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
@@ -248,19 +242,117 @@ def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
 
     Returns (logits over V_q, attentional state d~, new h, new c, weights).
     """
-    lstm = ved.dec.lstm
-    zx = z.data @ lstm.wx.data[emb_q.shape[1]:] + lstm.b.data
-    out = _decoder_step(prev_ids, zx, h.data, c.data, enc.u_states.data, enc.u_logmask,
-                        ved, emb_q)
-    return tuple(map(T.constant, out[:5]))
+    wx, d = ved.dec.lstm.wx.data, emb_q.shape[1]
+    pre = emb_q.data[prev_ids] @ wx[:d] + (z.data @ wx[d:] + ved.dec.lstm.b.data)
+    d_tilde, h2, c2, alpha = _decoder_step(pre, h.data, c.data, enc.u_states.data,
+                                           enc.u_logmask, ved.dec)[:4]
+    return tuple(map(T.constant, (_logits(d_tilde, ved.dec), d_tilde, h2, c2, alpha)))
+
+
+def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
+                  h0: Tensor, steps: np.ndarray, prev_ids: np.ndarray | None = None,
+                  ) -> tuple[Tensor, Tensor]:
+    """The decoder over a batch as one tape record, teacher-forced or free.
+
+    Given ``prev_ids`` (B, W), step t reads prev_ids[:, t] on each row's
+    first ``steps`` steps (one embedding GEMM before the loop) and no token
+    past them. Without, it runs ``steps.max()`` steps reading BOS, then its
+    own argmax. Returns (d~ states (B, W, k), each row's state at step
+    ``steps - 1``). The backward pass runs attention and W_c for all steps
+    at once, its loop carries only the h/c recurrence, and each weight and
+    embedding gradient is one GEMM or scatter after it. No gradient flows
+    through token choices (W_v and b_v get none), and none is computed
+    for an untracked ``emb_q`` or U.
+    """
+    lstm, dec = ved.dec.lstm, ved.dec
+    emb, wh, w_a, w_c = emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
+    wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
+    zs, u, h_init = z.data, enc.u_states.data, h0.data
+    zx = zs @ wx_z + lstm.b.data
+    bsz, k = h_init.shape
+    dt = zs.dtype
+    if prev_ids is None:
+        real, width = None, int(steps.max())
+        ids = np.empty((bsz, width), np.int64)   # each step's input token
+        prev = np.full(bsz, BOS, dtype=np.int64)
+    else:
+        width = prev_ids.shape[1]
+        real = pad_mask(steps, width)   # the real steps, the only ones reading a token
+        ids = prev_ids[real]
+        xe = np.zeros((bsz, width, 4 * k), dt)
+        xe[real] = emb[ids] @ wx_e
+    inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a, dec.w_c)
+    grad = T.needs_grad(*inputs)
+    want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(enc.u_states)
+    states = np.empty((bsz, width, k), dt)
+    cache = []   # per step: gate activations, c, tanh(c), [h ++ ctx], weights
+    c_init = np.zeros((bsz, k), dt)
+    h, c = h_init, c_init
+    for t in range(width):
+        if real is None:
+            ids[:, t] = prev
+            pre = emb[prev] @ wx_e + zx
+        else:
+            pre = xe[:, t] + zx
+        states[:, t], h, c, alpha, act, tc, hc = _decoder_step(
+            pre, h, c, u, enc.u_logmask, dec)
+        if real is None:
+            prev = np.argmax(_logits(states[:, t], dec), axis=1)
+        if grad:
+            cache.append((act, c, tc, hc, alpha))
+    rows, last = np.arange(bsz), steps - 1
+
+    def rule(grads):
+        g_states, g_final = grads
+        hcs, alphas = (np.stack([step[i] for step in cache], axis=1) for i in (3, 4))
+        g = np.zeros_like(states) if g_states is None else g_states.copy()
+        if g_final is not None:
+            g[rows, last] += g_final
+        # stacked products run as 2-D GEMMs over all B * W steps
+        g_pre = (g * (1 - states * states)).reshape(-1, k)   # through d~ = tanh(.)
+        g_hc = (g_pre @ w_c.T).reshape(bsz, width, 2 * k)
+        h2s = hcs[:, :, :k]
+        g_ctx = g_hc[:, :, k:]
+        g_alpha = np.matmul(g_ctx, u.transpose(0, 2, 1))
+        g_scores = alphas * (g_alpha - (g_alpha * alphas).sum(axis=2, keepdims=True))
+        g_hw = np.matmul(g_scores, u).reshape(-1, k)
+        g_h2 = g_hc[:, :, :k] + (g_hw @ w_a.T).reshape(bsz, width, k)
+        g_u = None
+        if want_u:
+            g_u = (np.matmul(alphas.transpose(0, 2, 1), g_ctx)
+                   + np.matmul(g_scores.transpose(0, 2, 1),
+                               (h2s.reshape(-1, k) @ w_a).reshape(bsz, width, k)))
+        shift = _gate_affine(k, dt)[1]
+        gates = np.empty((bsz, width, 4 * k), dt)
+        dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
+        for t in reversed(range(width)):   # only attention needs the cache stacked
+            act, _, tc = cache[t][:3]
+            dh = dh + g_h2[:, t]
+            dc = lstm_cell_backward(dh, dc, act, tc, cache[t - 1][1] if t else c_init,
+                                    gate_slopes(act, shift), gates[:, t])
+            dh = gates[:, t] @ wh.T
+        flat = gates.reshape(-1, 4 * k)
+        g_zx = gates.sum(axis=1)
+        # the token inputs: every step free-running, real steps teacher-forced
+        x_ids, g_x = (ids.reshape(-1), flat) if real is None else (ids, gates[real])
+        g_emb = None
+        if want_emb:
+            g_emb = np.zeros_like(emb)
+            np.add.at(g_emb, x_ids, g_x @ wx_e.T)
+        g_wx = np.concatenate([emb[x_ids].T @ g_x, zs.T @ g_zx])
+        h_prev = np.concatenate([h_init[:, None], h2s[:, :-1]], axis=1)
+        return (g_zx @ wx_z.T, dh, g_emb, g_wx, h_prev.reshape(-1, k).T @ flat,
+                g_zx.sum(axis=0), g_u, h2s.reshape(-1, k).T @ g_hw,
+                hcs.reshape(-1, 2 * k).T @ g_pre)
+
+    return T.record((states, states[rows, last]), inputs, rule if grad else None)
 
 
 # --- training loss ----------------------------------------------------------
 
 def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
                    kl_weight: float, rng: np.random.Generator | None = None,
-                   deterministic: bool = False, eps: np.ndarray | None = None,
-                   ) -> tuple[Tensor, float, float]:
+                   eps: np.ndarray | None = None) -> tuple[Tensor, float, float]:
     """Teacher-forced reconstruction of the mismatched query plus weighted KL.
 
     The per-triple NLL is the mean over its target tokens (mismatched
@@ -268,25 +360,15 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
     """
     enc = encode_pair_batch(clf, batch.item_ids, batch.item_lens,
                             batch.query_ids, batch.query_lens)
-    z, mu, logvar = sample_latent(enc.c, ved.latent, rng=rng,
-                                  deterministic=deterministic, eps=eps)
-    h0, c0 = decoder_init(z, ved.latent)
-    bsz, width = batch.target_ids.shape
+    z, mu, logvar = sample_latent(enc.c, ved.latent, rng=rng, eps=eps)
+    h0, _ = decoder_init(z, ved.latent)
+    states, _ = _decoder_scan(clf.emb_q, ved, enc, z, h0, batch.target_lens,
+                              batch.prev_ids)
+    bsz, width, k = states.shape
     mask = pad_mask(batch.target_lens, width)
-    # each real step's input is [token embedding ++ z]: one GEMM over the
-    # packed real steps, then one scan (state frozen past each target)
-    lstm, dec = ved.dec.lstm, ved.dec
-    x = T.concat([T.lookup(clf.emb_q, batch.prev_ids[mask]),
-                  T.lookup(z, np.nonzero(mask)[0])], axis=1)
-    states, _, _ = lstm_scan(T.matmul(x, lstm.wx), lstm.wh, lstm.b, mask, h0, c0)
-    # multiplicative attention over U, every step at once
-    scores = T.matmul(T.matmul(states, dec.w_a), T.transpose_last2(enc.u_states))
-    weights = T.softmax_rows(scores + T.constant(enc.u_logmask[:, None, :]))
-    ctx = T.matmul(weights, enc.u_states)
-    d_tilde = T.tanh(T.matmul(T.concat([states, ctx], axis=2), dec.w_c))
     # the output projection runs on real target steps only
-    real = T.lookup(T.reshape(d_tilde, (bsz * width, -1)), np.flatnonzero(mask))
-    logp = T.log_softmax_rows(T.matmul(real, dec.w_v) + dec.b_v)
+    real = T.lookup(T.reshape(states, (bsz * width, k)), np.flatnonzero(mask))
+    logp = T.log_softmax_rows(T.matmul(real, ved.dec.w_v) + ved.dec.b_v)
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
     weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
@@ -301,90 +383,19 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
 def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
                        steps: np.ndarray, rng: np.random.Generator | None = None,
                        deterministic: bool = False, eps: np.ndarray | None = None,
-                       ) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Continuous query stand-in: per-step attentional states, argmax feedback.
+                       ) -> tuple[Tensor, Tensor]:
+    """Continuous query stand-in: the free-running decoder's states.
 
     ``steps[i]`` is the number of columns generated for example i (the
-    source query's true length). Returns (states (B, n, k), final state
-    (B, k), lens) shaped like an encoder's output, ready to replace it:
-    ``final`` is each row's state at its last step, and columns past a
+    source query's true length). Returns (states (B, n, k), final (B, k))
+    shaped like an encoder's output, ready to replace it. Columns past a
     row's length (the row decodes on with the batch) are ignored
-    downstream, as attention stops at ``lens``.
-
-    The ``steps.max()`` decoder steps are one tape record with a
-    hand-written backward pass, so the tape grows by the same count
-    whatever the length. Gradients flow through hidden states and
-    attention, not through the argmax, so W_v and b_v get none. Every
-    step's output gradient is known up front, so the backward pass runs
-    attention and W_c for all steps at once, its loop carries only the h/c
-    recurrence, and the weight and embedding gradients are one GEMM or
-    scatter each after it.
+    downstream, as attention stops at the query length.
     """
     z, _, _ = sample_latent(enc.c, ved.latent, rng=rng,
                             deterministic=deterministic, eps=eps)
-    h0, c0 = decoder_init(z, ved.latent)
-    lstm, dec = ved.dec.lstm, ved.dec
-    emb, wh, w_a, w_c = clf.emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
-    wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
-    zs, u, h_init, c_init = z.data, enc.u_states.data, h0.data, c0.data
-    zx = zs @ wx_z + lstm.b.data
-    bsz, k = c_init.shape
-    dt = zs.dtype
-    width = int(steps.max())
-    inputs = (z, h0, c0, clf.emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a,
-              dec.w_c)
-    grad = T.needs_grad(*inputs)
-    states = np.empty((bsz, width, k), dt)
-    prevs = np.empty((bsz, width), np.int64)
-    cache = []   # per step: gate activations, c, tanh(c), [h ++ ctx], weights
-    h, c = h_init, c_init
-    prev = np.full(bsz, BOS, dtype=np.int64)
-    for t in range(width):
-        prevs[:, t] = prev
-        logits, states[:, t], h, c, alpha, act, tc, hc = _decoder_step(
-            prev, zx, h, c, u, enc.u_logmask, ved, clf.emb_q)
-        prev = np.argmax(logits, axis=1)
-        if grad:
-            cache.append((act, c, tc, hc, alpha))
-    rows, last = np.arange(bsz), steps - 1
-
-    def rule(grads):
-        g_states, g_final = grads
-        acts, cells, tanh_c, hcs, alphas = (np.stack(x, axis=1) for x in zip(*cache))
-        g = np.zeros_like(states) if g_states is None else g_states.copy()
-        if g_final is not None:
-            g[rows, last] += g_final
-        g_pre = g * (1 - states * states)           # through d~ = tanh(.)
-        g_hc = g_pre @ w_c.T
-        h2s = hcs[:, :, :k]
-        g_alpha = np.matmul(g_hc[:, :, k:], u.transpose(0, 2, 1))
-        g_scores = alphas * (g_alpha - (g_alpha * alphas).sum(axis=2, keepdims=True))
-        g_hw = np.matmul(g_scores, u)
-        g_u = (np.matmul(alphas.transpose(0, 2, 1), g_hc[:, :, k:])
-               + np.matmul(g_scores.transpose(0, 2, 1), h2s @ w_a))
-        g_h2 = g_hc[:, :, :k] + g_hw @ w_a.T
-        dact = gate_slopes(acts, _gate_affine(k, dt)[1])
-        gates = np.empty_like(acts)
-        dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
-        for t in reversed(range(width)):
-            dh = dh + g_h2[:, t]
-            dc = lstm_cell_backward(dh, dc, acts[:, t], tanh_c[:, t],
-                                    cells[:, t - 1] if t else c_init, dact[:, t],
-                                    gates[:, t])
-            dh = gates[:, t] @ wh.T
-        flat = gates.reshape(-1, 4 * k)
-        g_zx = gates.sum(axis=1)
-        ids = prevs.reshape(-1)
-        g_emb = np.zeros_like(emb)
-        np.add.at(g_emb, ids, flat @ wx_e.T)
-        g_wx = np.concatenate([emb[ids].T @ flat, zs.T @ g_zx])
-        h_prev = np.concatenate([h_init[:, None], h2s[:, :-1]], axis=1)
-        return (g_zx @ wx_z.T, dh, dc, g_emb, g_wx, h_prev.reshape(-1, k).T @ flat,
-                g_zx.sum(axis=0), g_u, h2s.reshape(-1, k).T @ g_hw.reshape(-1, k),
-                hcs.reshape(-1, 2 * k).T @ g_pre.reshape(-1, k))
-
-    out, final = T.record((states, states[rows, last]), inputs, rule if grad else None)
-    return out, final, steps.copy()
+    h0, _ = decoder_init(z, ved.latent)
+    return _decoder_scan(clf.emb_q, ved, enc, z, h0, steps)
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],

@@ -121,6 +121,18 @@ class TestConfig:
         for name in ("clf_epochs", "ved_epochs", "e2e_epochs"):
             with pytest.raises(ConfigError, match=name):
                 RunConfig(**{name: 0})
+        for name in ("hidden_size", "embed_dim", "latent_dim", "batch_size",
+                     "max_title_len", "max_query_len", "gen_max_len", "beam_size",
+                     "triple_cap", "min_count"):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: 0})
+        for dropout in (-0.1, 1.0, 1.5):
+            with pytest.raises(ConfigError, match="dropout"):
+                RunConfig(dropout=dropout)
+        for name in ("lr", "ved_lr"):
+            for value in (0.0, -1.0, float("nan")):
+                with pytest.raises(ConfigError, match=name):
+                    RunConfig(**{name: value})
 
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())

@@ -241,6 +241,48 @@ class TestPhases:
         assert key in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("batch_size = 0", "batch_size"), ("hidden_size = 0", "hidden_size"),
+        ("dropout = 1.5", "dropout"), ("lr = -1", "lr"),
+    ], ids=["batch_size", "hidden_size", "dropout", "lr"])
+    def test_bad_config_value_fails_before_writing(self, workspace, capsys, line, key):
+        root, data, _, _ = workspace
+        bad = root / f"bad_{key}.cfg"
+        bad.write_text((root / "tiny.cfg").read_text() + line + "\n")
+        run = root / "bad_value_run"
+        code = main(["pretrain-classifier", "--data-dir", str(data), "--run-dir", str(run),
+                     "--config", str(bad)])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_non_integer_label_names_file_and_line(self, workspace, tmp_path, capsys):
+        root, data, _, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        lines = (copy / "train.tsv").read_text().splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        fields[2] = "yes"
+        lines[2] = "\t".join(fields)
+        (copy / "train.tsv").write_text("".join(lines))
+        code = main(["pretrain-classifier", "--data-dir", str(copy), "--run-dir",
+                     str(tmp_path / "run"), "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert "train.tsv:3" in capsys.readouterr().err
+
+    def test_short_triple_line_names_file_and_line(self, workspace, tmp_path, capsys):
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        triples = copy / P.CKPT_TRIPLES
+        count = len(triples.read_text().splitlines())
+        with open(triples, "a", encoding="utf-8") as fh:
+            fh.write("a title\tonly two fields\n")
+        code = main(["pretrain-ved", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert f"{P.CKPT_TRIPLES}:{count + 1}" in capsys.readouterr().err
+
     def test_unknown_config_key_fails_fast(self, workspace, capsys):
         root, data, run, _ = workspace
         bad = root / "bad.cfg"

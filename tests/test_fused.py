@@ -4,7 +4,9 @@ At float64 the fused LSTM scan, word-by-word attention and decoder, and
 the one-pass switched loss, must give the forward values and the
 gradients of ``tests/unfused.py`` within a relative 1e-10 (of each
 array's largest magnitude); only the order of floating-point operations
-differs between the two.
+differs between the two. The decoder scan's two modes are also held to
+each other bit for bit, and freezing its embedding and memory inputs must
+leave every other gradient bit for bit unchanged.
 """
 import pytest
 
@@ -14,10 +16,11 @@ import unfused as U
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import ved as V
-from quarts.data import PAD, Batch, TripleExample, make_triple_batch, pad_mask
+from quarts.data import BOS, PAD, Batch, TripleExample, make_triple_batch, pad_mask
 from quarts.e2e import e2e_batch_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape
+from quarts.train import frozen
 
 RTOL = 1e-10
 
@@ -144,7 +147,7 @@ def test_hgen_matches_unfused(f64):
 
     def fused():
         enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-        states, final, _ = V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
+        states, final = V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
         return loss(states * on, final)   # columns past ``steps`` are unspecified
 
     def unfused():
@@ -185,3 +188,53 @@ def test_e2e_loss_matches_two_sub_batches(f64, labels):
 
     assert_same(one_pass, lambda: U.e2e_batch_loss(clf, ved, batch, s, 5.0, eps),
                 list(clf.named().values()) + list(ved.named().values()))
+
+
+def scan_inputs(clf, ved):
+    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+    z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+    h0, _ = V.decoder_init(z, ved.latent)
+    return enc, z, h0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_scan_forced_on_own_choices_equals_free_run(dtype):
+    steps = np.array([3, 1, 2])
+    with T.using_dtype(dtype):
+        clf, ved, _ = models(seed=7)
+        enc, z, h0 = scan_inputs(clf, ved)
+        free, free_final = V._decoder_scan(clf.emb_q, ved, enc, z, h0, steps)
+        chosen = [np.argmax(V._logits(free.data[:, t], ved.dec), axis=1) for t in range(2)]
+        prev = np.stack([np.full(3, BOS)] + chosen, axis=1)
+        forced, forced_final = V._decoder_scan(clf.emb_q, ved, enc, z, h0, steps, prev)
+    real = pad_mask(steps, 3)
+    np.testing.assert_array_equal(forced.data[real], free.data[real])
+    np.testing.assert_array_equal(forced_final.data, free_final.data)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_scan_frozen_inputs_leave_other_gradients(forced):
+    clf, ved, rng = models(seed=8)
+    steps = np.array([3, 1, 2])
+    prev = np.array([[BOS, 5, 6], [BOS, PAD, PAD], [BOS, 7, PAD]]) if forced else None
+    w_states = T.constant(rng.normal(size=(3, 3, 4)))
+
+    def grads():
+        for p in {**clf.named(), **ved.named()}.values():
+            p.grad = None
+        with Tape() as tape:
+            enc, z, h0 = scan_inputs(clf, ved)
+            states, final = V._decoder_scan(clf.emb_q, ved, enc, z, h0, steps, prev)
+            tape.backward(T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final))
+        return {name: p.grad for name, p in ved.named().items()}
+
+    tracked = grads()
+    # the tracked run reaches the embedding, and the title encoder through U
+    assert clf.emb_q.grad is not None and clf.lstm_t.wx.grad is not None
+    with frozen(clf.named()):
+        untracked = grads()
+    assert clf.emb_q.grad is None and clf.lstm_t.wx.grad is None
+    for name, g in tracked.items():
+        assert (g is None) == (untracked[name] is None), name
+        if g is not None:
+            np.testing.assert_array_equal(untracked[name], g, err_msg=name)

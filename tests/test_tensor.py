@@ -93,19 +93,25 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_uniform(self):
-        np.testing.assert_allclose(T.softmax_rows(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        np.testing.assert_allclose(U.softmax_rows(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
     def test_hand_case(self, f64):
-        out = T.softmax_rows(Tensor([np.log(2.0), 0.0])).data
+        out = U.softmax_rows(Tensor([np.log(2.0), 0.0])).data
         np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_rows_are_simplex(self, f64):
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = Tensor(rng.normal(scale=10, size=(4, 7)))
-            y = T.softmax_rows(x).data
+            y = U.softmax_rows(x).data
             assert np.all(y > 0) and np.all(y < 1)
             np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_gradient(self, f64):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(-0.9, 0.9, size=(3, 4)), requires_grad=True)
+        row = T.constant(rng.uniform(-0.9, 0.9, size=4))
+        assert grad_check(lambda: T.mean_all(T.mul(U.softmax_rows(x), row)), [x]) < 1e-4
 
 
 class TestStructuralOps:

@@ -148,7 +148,7 @@ class TestVedLoss:
             t.data[...] = 0.0
         tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
         loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
-                                         deterministic=True)
+                                         eps=np.zeros((1, 3)))   # z = mu
         assert abs(nll - np.log(9)) < 1e-12
         assert kl == 0.0
 
@@ -157,7 +157,7 @@ class TestVedLoss:
         tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
                                 TripleExample([5, 6, 7], [8], [4])])
         loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
-                                         deterministic=True)
+                                         eps=np.zeros((2, 3)))   # z = mu
         assert abs(loss.item() - nll) < 1e-12
         assert kl > 0.0 or kl == 0.0
 
@@ -233,9 +233,9 @@ class TestGeneration:
 
 def hgen_one(clf, ved, item_ids, query_ids, rng=None, deterministic=True):
     """Generated query states (1, n, k) for one pair."""
-    states, _, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids),
-                                        np.array([len(query_ids)]), rng=rng,
-                                        deterministic=deterministic)
+    states, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids),
+                                     np.array([len(query_ids)]), rng=rng,
+                                     deterministic=deterministic)
     return states
 
 

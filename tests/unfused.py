@@ -4,8 +4,8 @@ Each function builds its recurrence one step at a time from primitive
 tape ops, with 0/1 update masks freezing state past each row's length.
 They are slow, but every op in them is gradient-checked on its own, so
 the fused ops are held to them: forward values and gradients must agree
-at float64 within a relative 1e-10. ``slice_axis``, which only these
-references use, lives here with them.
+at float64 within a relative 1e-10. ``slice_axis`` and ``softmax_rows``,
+which only these references use, live here with them.
 """
 import numpy as np
 
@@ -28,6 +28,14 @@ def slice_axis(a, axis, start, stop):
         return (z,)
 
     return T.record(a.data[idx], (a,), rule)
+
+
+def softmax_rows(a):
+    """Softmax over the last axis; each row sums to 1 within 1e-12."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    return T.record(y, (a,), lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,))
 
 
 def lstm_step(p, x, h, c):
@@ -88,7 +96,7 @@ def decode_step(prev_ids, z, h, c, enc, ved, emb_q):
     scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
                       T.transpose_last2(enc.u_states))
     scores = T.reshape(scores, (bsz, enc.u_states.shape[1]))
-    weights = T.softmax_rows(scores + T.constant(enc.u_logmask))
+    weights = softmax_rows(scores + T.constant(enc.u_logmask))
     ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), enc.u_states), (bsz, k))
     d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
     logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
@@ -145,7 +153,7 @@ def e2e_batch_loss(clf, ved, batch, s, beta, latent_eps):
     h, c = V.decoder_init(z, ved.latent)
     states, final = hgen_states(clf, ved, enc, z, h, c, query_lens)
     p1, _ = batch_probs(clf, items, item_lens, queries, query_lens,
-                        h_override=(states, final, query_lens))
+                        h_override=(states, final))
     probs.append(p1)
     labels.append(np.ones(idx1.size))
     return weighted_ce_loss(T.concat(probs, axis=0), np.concatenate(labels), beta)

@@ -80,6 +80,12 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _final_val(records) -> str:
+    """The done message's val AUPR, or nothing when no val pass ran."""
+    aupr = records[-1].aupr
+    return "" if aupr is None else f": final val aupr={aupr:.4f}"
+
+
 def cmd_pretrain_classifier(args) -> int:
     cfg = _config(args)
     if args.epochs is not None:
@@ -88,7 +94,7 @@ def cmd_pretrain_classifier(args) -> int:
     run_dir = _run_dir(args)
     _, records = P.phase_pretrain_classifier(cfg, data, run_dir)
     cfg.save(run_dir / "config.cfg")
-    log.info("classifier pretraining done: final val aupr=%.4f", records[-1].aupr)
+    log.info("classifier pretraining done%s", _final_val(records))
     return EXIT_OK
 
 
@@ -118,8 +124,8 @@ def cmd_train_e2e(args) -> int:
     _, _, records = P.phase_train_e2e(cfg, data, _run_dir(args), p=args.p,
                                       freeze_generator=args.freeze_generator,
                                       resume=args.resume)
-    log.info("end-to-end training done: final val aupr=%.4f s1=%.3f",
-             records[-1].aupr, records[-1].s1_fraction)
+    log.info("end-to-end training done%s s1=%.3f", _final_val(records),
+             records[-1].s1_fraction)
     return EXIT_OK
 
 
@@ -133,7 +139,7 @@ def cmd_train_baseline(args) -> int:
         _, records = P.phase_train_dssm(cfg, data, run_dir)
     else:
         _, records = P.phase_naive_augment(cfg, data, run_dir, resume=args.resume)
-    log.info("baseline %s done: final val aupr=%.4f", args.kind, records[-1].aupr)
+    log.info("baseline %s done%s", args.kind, _final_val(records))
     return EXIT_OK
 
 

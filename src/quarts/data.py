@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,13 +184,12 @@ class Batch:
         return self.item_ids.shape[0]
 
 
-def pad_matrix(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+def pad_matrix(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """PAD-filled (B, longest) id matrix and the (B,) true lengths."""
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    width = int(lens.max())
-    mat = np.full((len(seqs), width), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        mat[i, :len(s)] = s
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    mat = np.full((len(seqs), int(lens.max())), PAD, dtype=np.int64)
+    mat[pad_mask(lens, mat.shape[1])] = np.fromiter(
+        chain.from_iterable(seqs), dtype=np.int64, count=int(lens.sum()))
     return mat, lens
 
 

@@ -42,7 +42,8 @@ from .data import (DataError, Example, RawPair, Vocabulary, build_vocab, encode_
                    read_pairs, split_pairs, tokenize, write_pairs)
 from .e2e import e2e_batch_loss
 from .rng import RunRng
-from .train import EpochRecord, TrainSettings, evaluate_probs, fit, frozen
+from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, TrainSettings,
+                    evaluate_probs, fit, frozen)
 from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
                   kl_weight_at, ved_loss_batch)
 
@@ -399,6 +400,8 @@ class MetricsReport:
     aupr: float
     f1: float
     threshold: float
+    eval_batch_size: int
+    grouping: str
     pr_points: list = field(default_factory=list)
     bleu: list = field(default_factory=list)
     generation_accuracy: float | None = None
@@ -422,6 +425,8 @@ class MetricsReport:
             lines.append(f"count_{k}: {v}")
         lines.append(f"seed: {self.seed}")
         lines.append(f"config_hash: {self.config_hash}")
+        lines.append(f"eval_batch_size: {self.eval_batch_size}")
+        lines.append(f"grouping: {self.grouping}")
         return "\n".join(lines) + "\n"
 
 
@@ -453,9 +458,11 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
     with run_dtype(cfg):
         examples = {"train": data.train_ex, "val": data.val_ex,
                     "test": data.test_ex}[split]
+        if not examples:
+            raise DataError(f"the {split} split is empty: nothing to evaluate")
         model, ved = load_bundle(cfg, data, run_dir, ckpt,
                                  need=WRITTEN_BY.get(ckpt, "train-e2e"))
-        scores, labels = evaluate_probs(model, examples)
+        scores, labels = evaluate_probs(model, examples, EVAL_BATCH_SIZE)
 
         aupr = M.average_precision(scores, labels)
         f1, thr = M.f1_best(scores, labels)
@@ -465,7 +472,8 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
             pr_points=[list(pt) for pt in curve.points],
             counts={"examples": len(examples),
                     "positives": int(labels.sum())},
-            seed=cfg.seed, config_hash=cfg.hash())
+            seed=cfg.seed, config_hash=cfg.hash(),
+            eval_batch_size=EVAL_BATCH_SIZE, grouping=EVAL_GROUPING)
 
         if with_generation:
             require(ved is not None, ckpt, "generator")

@@ -20,8 +20,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import metrics as M
-from .classifier import ClassifierParams, DssmParams, batch_probs, dssm_batch_probs
-from .data import Batch, Example, TripleBatch, TripleExample, batches
+from .classifier import (ClassifierParams, DssmParams, batch_probs, dssm_batch_probs,
+                         encode_batch)
+from .data import Batch, Example, TripleBatch, TripleExample, batches, pad_matrix
 from .optim import Adam, assert_grads_clear
 from .rng import RunRng
 from .tensor import Tape, Tensor
@@ -61,26 +62,63 @@ def _maybe_decay(opt: Adam, st: TrainSettings, epoch: int) -> None:
         opt.decay_lr(st.decay_factor)
 
 
+EVAL_BATCH_SIZE = 256
+EVAL_GROUPING = ("pairs sorted by query length, then title length; classifier "
+                 "titles encoded once per distinct title, in length-sorted batches")
+
+
+def _encode_titles(model: ClassifierParams, examples: list[Example],
+                   batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encode each distinct title once; the title LSTM never sees the query.
+
+    Returns (title_of, states): example i's title is row ``title_of[i]``
+    of ``states`` (distinct, widest, k), which repeats each title's final
+    state past its length, as ``encode_batch`` leaves a row in a wider
+    batch.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    title_of = np.array([index.setdefault(tuple(e.item_ids), len(index))
+                         for e in examples])
+    ids, lens = pad_matrix(list(index))
+    states = np.empty(ids.shape + (model.lstm_t.wh.shape[0],), model.emb_t.data.dtype)
+    by_len = np.argsort(lens, kind="stable")
+    for rows in np.split(by_len, range(batch_size, len(by_len), batch_size)):
+        width = int(lens[rows].max())
+        k_states, final = encode_batch(ids[rows, :width], lens[rows],
+                                       model.emb_t, model.lstm_t)
+        states[rows] = final.data[:, None]
+        states[rows, :width] = k_states.data
+    return title_of, states
+
+
 def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
-                   batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                   batch_size: int = EVAL_BATCH_SIZE) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode mismatch probabilities over a dataset (no rng consumed).
 
     Examples are scored in order of query length, then title length, so
     each batch pads to near its own lengths; scores and labels come back
-    in input order. No score depends on the padded width, but BLAS may
-    round a row differently in a GEMM with another row count, so a
-    float32 score can move in its last bits against input-order batches.
+    in input order. The classifier encodes each distinct title once per
+    call (``_encode_titles``), and each pair batch gathers its titles'
+    states, trimmed to the batch's title width. No score depends on the
+    padded width, but BLAS may round a row differently in a GEMM with
+    another row count, so a float32 score can move in its last bits
+    against input-order batches.
     """
     order = np.lexsort(([len(e.item_ids) for e in examples],
                         [len(e.query_ids) for e in examples]))
+    if isinstance(model, ClassifierParams):
+        title_of, title_states = _encode_titles(model, examples, batch_size)
+        title_of = title_of[order]
     scores, labels = [], []
-    for b in batches([examples[i] for i in order], batch_size):
-        if isinstance(model, DssmParams):
+    for start, b in zip(range(0, len(order), batch_size),
+                        batches([examples[i] for i in order], batch_size)):
+        if isinstance(model, ClassifierParams):
+            k_states = title_states[title_of[start:start + len(b)], :b.item_ids.shape[1]]
+            probs, _ = batch_probs(model, b.item_ids, b.item_lens, b.query_ids,
+                                   b.query_lens, k_precomputed=Tensor(k_states))
+        else:
             probs = dssm_batch_probs(model, b.item_ids, b.item_lens,
                                      b.query_ids, b.query_lens)
-        else:
-            probs, _ = batch_probs(model, b.item_ids, b.item_lens,
-                                   b.query_ids, b.query_lens, training=False)
         scores.append(probs.data)
         labels.append(b.labels)
     back = np.argsort(order)   # the inverse permutation

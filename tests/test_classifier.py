@@ -4,7 +4,8 @@ import pytest
 
 from quarts import classifier as C
 from quarts import tensor as T
-from quarts.data import PAD, Batch, Example, batches, pad_matrix
+from quarts import train as TR
+from quarts.data import PAD, Batch, Example, batches, make_batch, pad_matrix
 from quarts.gradcheck import grad_check
 from quarts.tensor import Tape, Tensor
 from quarts.train import evaluate_probs
@@ -346,3 +347,51 @@ class TestEvaluateProbs:
         assert scores.dtype == want.dtype == dtype
         assert scores.tobytes() == want.tobytes()
         np.testing.assert_array_equal(labels, [e.label for e in examples])
+
+    @staticmethod
+    def _repeated_titles(rng, n=40):
+        """Examples whose few titles recur; a title of width 1, 2 or 3
+        lands in batches of several title widths once length-sorted."""
+        titles = [[int(t) for t in rng.integers(4, 9, size=w)] for w in (1, 2, 3, 5, 7, 7)]
+        return [Example(titles[int(rng.integers(len(titles)))],
+                        [int(t) for t in rng.integers(4, 9, size=rng.integers(1, 6))],
+                        int(rng.integers(0, 2))) for _ in range(n)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_titles_match_batch_probs(self, dtype):
+        examples = self._repeated_titles(np.random.default_rng(4))
+        bs = 6
+        ranked = sorted(range(len(examples)), key=lambda i: (
+            len(examples[i].query_ids), len(examples[i].item_ids)))
+        chunks = [[examples[i] for i in ranked[s:s + bs]]
+                  for s in range(0, len(ranked), bs)]
+        widths = {}
+        for chunk in chunks:
+            for e in chunk:
+                widths.setdefault(tuple(e.item_ids), set()).add(
+                    max(len(x.item_ids) for x in chunk))
+        assert any(len(w) > 1 for w in widths.values())
+        with T.using_dtype(dtype):
+            p = tiny_classifier(seed=5)
+            scores, _ = evaluate_probs(p, examples, batch_size=bs)
+            want = np.empty(len(examples), dtype)
+            want[ranked] = np.concatenate([
+                C.batch_probs(p, b.item_ids, b.item_lens, b.query_ids,
+                              b.query_lens)[0].data for b in map(make_batch, chunks)])
+        assert scores.dtype == dtype
+        assert scores.tobytes() == want.tobytes()
+
+    def test_each_distinct_title_encoded_once(self, monkeypatch):
+        examples = self._repeated_titles(np.random.default_rng(6), n=60)
+        seen = []
+
+        def counting(ids, lens, emb, lstm):
+            seen.extend(tuple(int(t) for t in row[:n]) for row, n in zip(ids, lens))
+            return C.encode_batch(ids, lens, emb, lstm)
+
+        monkeypatch.setattr(TR, "encode_batch", counting)
+        p = tiny_classifier(seed=5)
+        for _ in range(2):
+            seen.clear()
+            evaluate_probs(p, examples, batch_size=4)
+            assert sorted(seen) == sorted({tuple(e.item_ids) for e in examples})

@@ -1,5 +1,6 @@
 """CLI plumbing: subcommand wiring, prerequisites, exit codes, idempotence."""
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -291,6 +292,38 @@ class TestPhases:
                      "--run-dir", str(run), "--config", str(bad)])
         assert code == 2
         assert "hiden_size" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def no_val_workspace(tmp_path_factory):
+    """A corpus whose val split is empty, plus a tiny config."""
+    root = tmp_path_factory.mktemp("noval")
+    assert main(["gen-data", "--out", str(root / "data"), "--items", "60",
+                 "--labeled-pairs", "300", "--logs-pairs", "100",
+                 "--split", "0.85,0,0.15"]) == 0
+    (root / "tiny.cfg").write_text("hidden_size = 8\nembed_dim = 8\nclf_epochs = 1\n")
+    return ["--data-dir", str(root / "data"), "--run-dir", str(root / "run"),
+            "--config", str(root / "tiny.cfg")]
+
+
+class TestEmptyValSplit:
+    @pytest.mark.parametrize("argv", [["pretrain-classifier"],
+                                      ["train-baseline", "--kind", "dssm"]],
+                             ids=["classifier", "dssm"])
+    def test_done_message_without_val_pass(self, no_val_workspace, capsys, caplog, argv):
+        caplog.set_level(logging.INFO)
+        assert main(argv + no_val_workspace) == 0
+        assert "Logging error" not in capsys.readouterr().err
+        done = [m for m in caplog.messages if " done" in m]
+        assert len(done) == 1 and "aupr" not in done[0]
+
+    def test_eval_of_empty_split_fails(self, no_val_workspace, capsys):
+        assert main(["pretrain-classifier"] + no_val_workspace) == 0
+        capsys.readouterr()
+        code = main(["eval"] + no_val_workspace + ["--checkpoint", P.CKPT_CLASSIFIER,
+                                                   "--split", "val"])
+        assert code == 2
+        assert "val split is empty" in capsys.readouterr().err
 
 
 class TestTools:

@@ -207,6 +207,18 @@ class TestBatching:
         np.testing.assert_array_equal(b.query_lens, [2, 1])
         assert b.item_ids[0, 1] == D.PAD
 
+    def test_pad_matrix_matches_row_loop(self):
+        rng = np.random.default_rng(5)
+        seqs = [[1]] + [[int(t) for t in rng.integers(4, 40, size=rng.integers(1, 9))]
+                        for _ in range(40)] + [[7], [8, 9]]
+        mat, lens = D.pad_matrix(seqs)
+        want = np.full((len(seqs), max(map(len, seqs))), D.PAD, dtype=np.int64)
+        for i, s in enumerate(seqs):
+            want[i, :len(s)] = s
+        assert (mat.dtype, lens.dtype) == (np.int64, np.int64)
+        assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(lens, [len(s) for s in seqs])
+
     def test_shuffle_stream(self):
         exs = self._examples(64)
         r1 = np.random.default_rng(3)

@@ -116,6 +116,8 @@ class CatalogSpec:
         for name in ("items", "labeled_pairs", "logs_pairs"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.positive_rate < 1.0:
             raise DataError("positive_rate must be in (0, 1)")
         if not 0.0 <= self.hard_fraction <= 1.0:

@@ -68,17 +68,17 @@ class ClassifierParams:
     attn: AttentionParams
     head: HeadParams
 
-    def named(self, prefix: str = "clf") -> dict[str, Tensor]:
-        out = {f"{prefix}.emb_q": self.emb_q, f"{prefix}.emb_t": self.emb_t}
+    def named(self) -> dict[str, Tensor]:
+        out = {"clf.emb_q": self.emb_q, "clf.emb_t": self.emb_t}
         for side, p in (("q", self.lstm_q), ("t", self.lstm_t)):
-            out[f"{prefix}.lstm_{side}.wx"] = p.wx
-            out[f"{prefix}.lstm_{side}.wh"] = p.wh
-            out[f"{prefix}.lstm_{side}.b"] = p.b
+            out[f"clf.lstm_{side}.wx"] = p.wx
+            out[f"clf.lstm_{side}.wh"] = p.wh
+            out[f"clf.lstm_{side}.b"] = p.b
         a, h = self.attn, self.head
-        out.update({f"{prefix}.attn.w_h": a.w_h, f"{prefix}.attn.w": a.w,
-                    f"{prefix}.attn.w_r": a.w_r, f"{prefix}.attn.w_x": a.w_x,
-                    f"{prefix}.head.w1": h.w1, f"{prefix}.head.b1": h.b1,
-                    f"{prefix}.head.w2": h.w2, f"{prefix}.head.b2": h.b2})
+        out.update({"clf.attn.w_h": a.w_h, "clf.attn.w": a.w,
+                    "clf.attn.w_r": a.w_r, "clf.attn.w_x": a.w_x,
+                    "clf.head.w1": h.w1, "clf.head.b1": h.b1,
+                    "clf.head.w2": h.w2, "clf.head.b2": h.b2})
         return out
 
 
@@ -353,21 +353,22 @@ def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:
     return T.tanh(T.matmul(z, T.transpose_last2(w_x)))
 
 
-def head_logit(h_star: Tensor, head: HeadParams, rng: np.random.Generator | None,
-               training: bool) -> Tensor:
-    h = T.dropout(h_star, head.dropout, rng) if training else h_star
+def head_logit(h_star: Tensor, head: HeadParams,
+               rng: np.random.Generator | None) -> Tensor:
+    h = h_star if rng is None else T.dropout(h_star, head.dropout, rng)
     a1 = T.tanh(T.matmul(h, head.w1) + head.b1)
     return T.matmul(a1, head.w2) + head.b2
 
 
 def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.ndarray,
                 query_ids: np.ndarray, query_lens: np.ndarray,
-                rng: np.random.Generator | None = None, training: bool = False,
+                rng: np.random.Generator | None = None,
                 h_override: tuple[Tensor, Tensor] | None = None,
                 k_precomputed: Tensor | None = None,
                 ) -> tuple[Tensor, Tensor]:
     """Mismatch probabilities for a padded batch; returns (probs (B,), alpha).
 
+    Dropout draws from ``rng`` when one is given (training).
     ``h_override`` swaps in replacement query-side states
     (states (B, n, k), final (B, k)) of lengths ``query_lens`` in place of
     the encoded query, which is how generated representations enter the
@@ -384,7 +385,7 @@ def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.nd
         h_states, q_n = h_override
     r_n, alpha = wbw_attention_batch(k_states, item_lens, h_states, query_lens, params.attn)
     h_star = combine(r_n, q_n, params.attn.w_x)
-    logit = head_logit(h_star, params.head, rng, training)
+    logit = head_logit(h_star, params.head, rng)
     probs = T.sigmoid(T.reshape(logit, (-1,)))
     return probs, alpha
 
@@ -408,11 +409,10 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
 
 
 def classifier_batch_loss(params: ClassifierParams, batch: Batch, beta: float,
-                          rng: np.random.Generator | None) -> Tensor:
+                          rng: np.random.Generator) -> Tensor:
     """Training-mode weighted cross-entropy; dropout draws from ``rng``."""
     probs, _ = batch_probs(params, batch.item_ids, batch.item_lens,
-                           batch.query_ids, batch.query_lens,
-                           rng=rng, training=True)
+                           batch.query_ids, batch.query_lens, rng=rng)
     return weighted_ce_loss(probs, batch.labels, beta)
 
 
@@ -427,10 +427,10 @@ class DssmParams:
     w2: Tensor  # (k, 1)
     b2: Tensor
 
-    def named(self, prefix: str = "dssm") -> dict[str, Tensor]:
-        return {f"{prefix}.emb_q": self.emb_q, f"{prefix}.emb_t": self.emb_t,
-                f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
+    def named(self) -> dict[str, Tensor]:
+        return {"dssm.emb_q": self.emb_q, "dssm.emb_t": self.emb_t,
+                "dssm.w1": self.w1, "dssm.b1": self.b1,
+                "dssm.w2": self.w2, "dssm.b2": self.b2}
 
 
 def init_dssm(rng: np.random.Generator, vocab_q: int, vocab_t: int,

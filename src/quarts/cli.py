@@ -20,7 +20,7 @@ from .checkpoint import CheckpointError
 from .classifier import ClassifierParams, attention_heatmap, normalize_heatmap, \
     heatmap_text, encode_batch
 from .config import ConfigError, RunConfig, desk_profile, load_config, paper_profile
-from .data import DataError, pad_matrix, read_pairs, tokenize
+from .data import DataError, encode_pairs, pad_matrix, read_pairs, tokenize
 from .metrics import MetricError, knn as knn_search
 from .ved import beam_generate
 
@@ -47,20 +47,27 @@ def _config(args) -> RunConfig:
         cfg = desk_profile()
     if getattr(args, "config", None):
         cfg = load_config(args.config, base=cfg)
-    for key in ("seed", "p"):
-        val = getattr(args, key, None)
+    for flag, key in (("seed", "seed"), ("p", "p"), ("beam", "beam_size"),
+                      ("max_len", "gen_max_len")):
+        val = getattr(args, flag, None)
         if val is not None:
             cfg = cfg.replace(**{key: val})
     return cfg
 
 
-def _add_common(sub, data=True):
+def _count(value: int | None, flag: str) -> int | None:
+    """A count flag's value, None when not given; below 1 is an error."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _add_common(sub):
     sub.add_argument("--run-dir", help="run directory (or $QUARTS_RUN_DIR)")
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--profile", choices=["desk", "paper"], default="desk")
     sub.add_argument("--seed", type=int)
-    if data:
-        sub.add_argument("--data-dir", required=True)
+    sub.add_argument("--data-dir", required=True)
 
 
 def cmd_gen_data(args) -> int:
@@ -68,7 +75,7 @@ def cmd_gen_data(args) -> int:
                        logs_pairs=args.logs_pairs,
                        positive_rate=args.positive_rate,
                        hard_fraction=args.hard_fraction,
-                       seed=args.seed if args.seed is not None else 0)
+                       seed=args.seed)
     try:
         ratios = tuple(float(x) for x in args.split.split(","))
     except ValueError:
@@ -121,7 +128,7 @@ def cmd_train_e2e(args) -> int:
     if args.epochs is not None:
         cfg = cfg.replace(e2e_epochs=args.epochs)
     data = P.load_data(args.data_dir, cfg)
-    _, _, records = P.phase_train_e2e(cfg, data, _run_dir(args), p=args.p,
+    _, _, records = P.phase_train_e2e(cfg, data, _run_dir(args),
                                       freeze_generator=args.freeze_generator,
                                       resume=args.resume)
     log.info("end-to-end training done%s s1=%.3f", _final_val(records),
@@ -179,30 +186,23 @@ def _load_tool_model(args, cfg, data, with_generator: bool):
 def cmd_generate(args) -> int:
     cfg = _config(args)
     data = P.load_data(args.data_dir, cfg)
-    if args.pairs:
-        rows = [(p.title, p.query) for p in read_pairs(args.pairs) if p.label == 0]
-    else:
-        split = {"train": data.train, "val": data.val, "test": data.test}[args.split]
-        rows = [(p.title, p.query) for p in split if p.label == 0]
-    if args.limit:
-        rows = rows[:args.limit]
-    beam = args.beam or cfg.beam_size
+    split = {"train": data.train, "val": data.val, "test": data.test}[args.split]
+    pairs = [p for p in (read_pairs(args.pairs) if args.pairs else split) if p.label == 0]
+    pairs = pairs[:_count(args.limit, "--limit")]
+    examples = encode_pairs(pairs, data.vocab_t, data.vocab_q,
+                            cfg.max_title_len, cfg.max_query_len)
     with P.run_dtype(cfg):
         clf, ved = _load_tool_model(args, cfg, data, with_generator=True)
         with open(args.out, "w", encoding="utf-8") as fh:
-            for title, query in rows:
-                item_ids = data.vocab_t.encode(tokenize(title)[:cfg.max_title_len])
-                query_ids = data.vocab_q.encode(tokenize(query)[:cfg.max_query_len])
-                out = beam_generate(item_ids, query_ids, clf, ved, beam=beam,
-                                    max_len=args.max_len or cfg.gen_max_len)
-                if not out:
-                    continue
-                tokens, score = out[0]
+            for pair, ex in zip(pairs, examples):
+                tokens, score = beam_generate(ex.item_ids, ex.query_ids, clf, ved,
+                                              beam=cfg.beam_size,
+                                              max_len=cfg.gen_max_len)[0]
                 gen = " ".join(data.vocab_q.decode(tokens))
-                label = data.oracle.label(title, gen)
-                fh.write(f"{title}\t{query}\t{gen}\t{score:.4f}\t"
+                label = data.oracle.label(pair.title, gen)
+                fh.write(f"{pair.title}\t{pair.query}\t{gen}\t{score:.4f}\t"
                          f"{'?' if label is None else label}\n")
-    log.info("wrote generations for %d pairs to %s", len(rows), args.out)
+    log.info("wrote generations for %d pairs to %s", len(pairs), args.out)
     return EXIT_OK
 
 
@@ -237,9 +237,7 @@ def cmd_knn(args) -> int:
     vocab = data.vocab_q if side == "query" else data.vocab_t
     texts = sorted({(p.query if side == "query" else p.title)
                     for p in data.test + data.val})
-    if args.limit:
-        texts = texts[:args.limit]
-
+    texts = texts[:_count(args.limit, "--limit")]
     mat, lens = pad_matrix([vocab.encode(tokenize(t)[:max_len]) for t in texts]
                            + [vocab.encode(source)])
     with P.run_dtype(cfg):
@@ -249,7 +247,8 @@ def cmd_knn(args) -> int:
         states, _ = encode_batch(mat, lens, emb, lstm)
     pooled = np.stack([row[:n].mean(axis=0) for row, n in zip(states.data, lens)])
     exclude = texts.index(args.text) if args.text in texts else None
-    hits = knn_search(pooled[-1], pooled[:-1], top_k=args.top, exclude=exclude)
+    hits = knn_search(pooled[-1], pooled[:-1], top_k=_count(args.top, "--top"),
+                      exclude=exclude)
     print(f"source: {args.text}")
     for idx, sim in hits:
         print(f"  {sim:.4f}  {texts[idx]}")
@@ -258,7 +257,7 @@ def cmd_knn(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_suite
-    ok = run_suite(seed=args.seed if args.seed is not None else 0)
+    ok = run_suite(_config(args).seed)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

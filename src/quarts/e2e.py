@@ -35,21 +35,14 @@ def sample_switches(labels: np.ndarray, p: float,
 
 
 def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
-                   p: float, beta: float, rng: RunRng,
-                   force_switch: int | None = None,
-                   latent_eps: np.ndarray | None = None,
-                   ) -> tuple[Tensor, np.ndarray]:
+                   p: float, beta: float, rng: RunRng) -> tuple[Tensor, np.ndarray]:
     """Training-mode mixed real/generated batch loss; returns (loss, s vector).
 
-    ``force_switch`` pins every draw (testing); matched pairs still obey
-    s = (1-y)z. With no s=1 examples this is exactly the classifier batch
-    loss on the full batch.
+    The switch, the s=1 rows' latent noise and dropout draw from ``rng``;
+    p=1 switches every matched pair. With no s=1 examples this is exactly
+    the classifier batch loss on the full batch.
     """
-    if force_switch is None:
-        s = sample_switches(batch.labels, p, rng.switch)
-    else:
-        z = np.full(len(batch), int(force_switch), dtype=np.int64)
-        s = (1 - batch.labels.astype(np.int64)) * z
+    s = sample_switches(batch.labels, p, rng.switch)
     idx1 = np.flatnonzero(s == 1)
     if idx1.size == 0:
         return classifier_batch_loss(clf, batch, beta, rng.dropout), s
@@ -61,7 +54,8 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     gen_enc = EncodedPair(T.lookup(enc.u_states, idx1), enc.u_logmask[idx1],
                           T.lookup(enc.c, idx1))
     h_gen, gen_final = hgen_forward_batch(
-        clf, ved, gen_enc, query_lens[idx1], rng=rng.latent, eps=latent_eps)
+        clf, ved, gen_enc, query_lens[idx1],
+        rng.latent.standard_normal((idx1.size, ved.d_z)))
     # the generated rows take the place of their rows' query encodings
     bsz, width, k = h_states.shape
     short = width - h_gen.shape[1]
@@ -72,8 +66,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     h_mixed = T.lookup(T.concat([h_states, h_gen], axis=0), order)
     q_mixed = T.lookup(T.concat([q_final, gen_final], axis=0), order)
     probs, _ = batch_probs(clf, batch.item_ids, item_lens, batch.query_ids, query_lens,
-                           rng=rng.dropout, training=True,
-                           h_override=(h_mixed, q_mixed),
+                           rng=rng.dropout, h_override=(h_mixed, q_mixed),
                            k_precomputed=k_states)
     labels = np.where(s == 1, 1.0, batch.labels)   # proxy label z = 1
     return weighted_ce_loss(probs, labels, beta), s

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_ORDER = 4   # BLEU-1 to BLEU-4, the cumulative scores every report gives
+
 
 class MetricError(ValueError):
     """Raised when a metric's preconditions are not met."""
@@ -30,7 +32,7 @@ class PRCurve:
 
 @dataclass
 class BleuReport:
-    bleu: list[float]          # cumulative BLEU-1..max_order
+    bleu: list[float]          # cumulative BLEU-1..MAX_ORDER
     precisions: list[float]    # modified n-gram precisions p_1..p_max
     brevity_penalty: float
 
@@ -114,11 +116,11 @@ def _ngrams(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_counts(candidate: list, reference: list, max_order: int = 4):
+def bleu_counts(candidate: list, reference: list):
     """Clipped n-gram matches and totals for one candidate/reference pair."""
-    matches = np.zeros(max_order, dtype=np.int64)
-    totals = np.zeros(max_order, dtype=np.int64)
-    for n in range(1, max_order + 1):
+    matches = np.zeros(MAX_ORDER, dtype=np.int64)
+    totals = np.zeros(MAX_ORDER, dtype=np.int64)
+    for n in range(1, MAX_ORDER + 1):
         cand = _ngrams(candidate, n)
         ref = _ngrams(reference, n)
         totals[n - 1] = max(len(candidate) - n + 1, 0)
@@ -126,27 +128,27 @@ def bleu_counts(candidate: list, reference: list, max_order: int = 4):
     return matches, totals
 
 
-def corpus_bleu(pairs: list[tuple[list, list]], max_order: int = 4) -> BleuReport:
+def corpus_bleu(pairs: list[tuple[list, list]]) -> BleuReport:
     """Corpus-level BLEU: counts and lengths aggregated before the ratio."""
     if not pairs:
         raise MetricError("corpus BLEU needs at least one pair")
-    matches = np.zeros(max_order, dtype=np.int64)
-    totals = np.zeros(max_order, dtype=np.int64)
+    matches = np.zeros(MAX_ORDER, dtype=np.int64)
+    totals = np.zeros(MAX_ORDER, dtype=np.int64)
     cand_len = ref_len = 0
     for cand, ref in pairs:
         if not ref:
             raise MetricError("BLEU needs a nonempty reference")
-        m, t = bleu_counts(cand, ref, max_order)
+        m, t = bleu_counts(cand, ref)
         matches += m
         totals += t
         cand_len += len(cand)
         ref_len += len(ref)
     precisions = [float(m) / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
     if cand_len == 0:
-        return BleuReport([0.0] * max_order, precisions, 0.0)
+        return BleuReport([0.0] * MAX_ORDER, precisions, 0.0)
     bp = 1.0 if cand_len >= ref_len else float(np.exp(1.0 - ref_len / cand_len))
     bleu = []
-    for n in range(1, max_order + 1):
+    for n in range(1, MAX_ORDER + 1):
         ps = precisions[:n]
         if any(p == 0.0 for p in ps):
             bleu.append(0.0)

@@ -42,8 +42,8 @@ from .data import (DataError, Example, RawPair, Vocabulary, build_vocab, encode_
                    read_pairs, split_pairs, tokenize, write_pairs)
 from .e2e import e2e_batch_loss
 from .rng import RunRng
-from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, TrainSettings,
-                    evaluate_probs, fit, frozen)
+from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, evaluate_probs,
+                    fit, frozen)
 from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
                   kl_weight_at, ved_loss_batch)
 
@@ -149,11 +149,6 @@ def load_data(data_dir, cfg: RunConfig) -> DataBundle:
 
 # --- shared helpers ----------------------------------------------------------
 
-def settings(cfg: RunConfig) -> TrainSettings:
-    return TrainSettings(batch_size=cfg.batch_size, lr=cfg.lr, beta=cfg.beta,
-                         decay_factor=cfg.decay_factor, decay_every=cfg.decay_every)
-
-
 def _append_metrics(run_dir: Path, phase: str, records: list[EpochRecord]) -> None:
     """The one writer of epoch records: a JSON line each in ``metrics.jsonl``."""
     if not records:
@@ -257,7 +252,8 @@ def ved_loss(clf: ClassifierParams, ved: VedParams, anneal_epochs: int, rng: Run
     """The VED loss at the epoch's KL weight; latent noise from ``rng``."""
     def loss(batch, epoch):
         w = kl_weight_at(epoch, anneal_epochs)
-        value, nll, kl = ved_loss_batch(clf, ved, batch, w, rng=rng.latent)
+        eps = rng.latent.standard_normal((len(batch.target_lens), ved.d_z))
+        value, nll, kl = ved_loss_batch(clf, ved, batch, w, eps)
         return value, {"nll": nll, "kl": kl, "kl_weight": w}
     return loss
 
@@ -267,9 +263,8 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
     with _phase(cfg, run_dir, "classifier", CKPT_CLASSIFIER) as run:
         rng = RunRng(cfg.seed, "classifier")
         clf = new_classifier(cfg, data, rng)
-        st = settings(cfg)
-        run.records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
-                          data.train_ex, data.val_ex, st, rng, cfg.clf_epochs,
+        run.records = fit(clf, clf.named(), classifier_loss(clf, cfg.beta, rng),
+                          data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
                           "classifier")
         run.params = clf.named()
         data.vocab_q.save(run.dir / "vocab_q.txt")
@@ -314,18 +309,16 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                                  cfg.max_title_len, cfg.max_query_len)
         rng = RunRng(cfg.seed, "ved")
         ved = new_ved(cfg, data, rng)
-        st = dataclasses.replace(settings(cfg), lr=cfg.ved_lr)
         with frozen(clf.named()):
             run.records = fit(clf, ved.named(),
                               ved_loss(clf, ved, cfg.kl_anneal_epochs, rng),
-                              triples, [], st, rng, cfg.ved_epochs, "ved")
+                              triples, [], cfg, cfg.ved_lr, rng, cfg.ved_epochs, "ved")
         run.params = {**clf.named(), **ved.named()}
     return ved, run.records
 
 
 def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
-                    p: float | None = None, freeze_generator: bool = False,
-                    resume: str | None = None,
+                    freeze_generator: bool = False, resume: str | None = None,
                     ) -> tuple[ClassifierParams, VedParams, list[EpochRecord]]:
     """Switched training over the concatenated annotated + logs data.
 
@@ -336,18 +329,16 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
         ckpt = resume or CKPT_VED
         clf, ved = load_bundle(cfg, data, run.dir, ckpt, need="pretrain-ved")
         require(ved is not None, ckpt, "generator")
-        p = cfg.p if p is None else p
         rng = RunRng(cfg.seed, "finetune")
-        st = settings(cfg)
 
         def loss(batch, epoch):
-            value, s = e2e_batch_loss(clf, ved, batch, p, st.beta, rng)
+            value, s = e2e_batch_loss(clf, ved, batch, cfg.p, cfg.beta, rng)
             return value, {"switch": s}
 
         named = {**clf.named(), **({} if freeze_generator else ved.named())}
         with frozen(ved.named() if freeze_generator else {}):
-            run.records = fit(clf, named, loss, data.merged_ex, data.val_ex, st, rng,
-                              cfg.e2e_epochs, "e2e")
+            run.records = fit(clf, named, loss, data.merged_ex, data.val_ex, cfg, cfg.lr,
+                              rng, cfg.e2e_epochs, "e2e")
         run.params = {**clf.named(), **ved.named()}
     return clf, ved, run.records
 
@@ -357,11 +348,11 @@ def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
     with _phase(cfg, run_dir, "dssm", CKPT_DSSM) as run:
         rng = RunRng(cfg.seed, "dssm")
         params = new_dssm(cfg, data, rng)
-        st = settings(cfg)
         run.records = fit(params, params.named(),
-                          lambda batch, epoch: (dssm_batch_loss(params, batch, st.beta),
+                          lambda batch, epoch: (dssm_batch_loss(params, batch, cfg.beta),
                                                 NO_SWITCH),
-                          data.train_ex, data.val_ex, st, rng, cfg.clf_epochs, "dssm")
+                          data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
+                          "dssm")
         run.params = params.named()
     return params, run.records
 
@@ -386,9 +377,9 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
             rng = RunRng(cfg.seed, "classifier")
             clf = new_classifier(cfg, data, rng)
             epochs = cfg.clf_epochs
-        st = settings(cfg)
-        run.records = fit(clf, clf.named(), classifier_loss(clf, st.beta, rng),
-                          data.merged_ex, data.val_ex, st, rng, epochs, "augment")
+        run.records = fit(clf, clf.named(), classifier_loss(clf, cfg.beta, rng),
+                          data.merged_ex, data.val_ex, cfg, cfg.lr, rng, epochs,
+                          "augment")
         run.params = clf.named()
     return clf, run.records
 
@@ -444,7 +435,7 @@ def evaluate_generation(cfg: RunConfig, data: DataBundle,
         query_ids = data.vocab_q.encode(tokenize(q)[:cfg.max_query_len])
         out = beam_generate(item_ids, query_ids, clf, ved, beam=1,
                             max_len=cfg.gen_max_len)
-        gen_tokens = data.vocab_q.decode(out[0][0]) if out else []
+        gen_tokens = data.vocab_q.decode(out[0][0])
         bleu_pairs.append((gen_tokens, tokenize(qm)))
         acc_pairs.append((title, " ".join(gen_tokens)))
     bleu = M.corpus_bleu(bleu_pairs) if bleu_pairs else M.BleuReport([0] * 4, [0] * 4, 0)

@@ -6,6 +6,7 @@ baseline's loss, the VED loss for generator pretraining, and the
 switched loss for end-to-end training. Labeled pairs and (item, matched,
 mismatched) triples go through the same shuffled batching. The loss
 receives the epoch, so a schedule such as the KL annealing lives in it.
+The batch size and the rate decay come from the run's ``RunConfig``.
 
 All loops are single-threaded and deterministic given a RunRng; gradient
 reset is explicit and asserted before every backward pass.
@@ -22,6 +23,7 @@ import numpy as np
 from . import metrics as M
 from .classifier import (ClassifierParams, DssmParams, batch_probs, dssm_batch_probs,
                          encode_batch)
+from .config import RunConfig
 from .data import Batch, Example, TripleBatch, TripleExample, batches, pad_matrix
 from .optim import Adam, assert_grads_clear
 from .rng import RunRng
@@ -45,21 +47,6 @@ class EpochRecord:
 
     def to_json(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-@dataclass
-class TrainSettings:
-    """The knobs every loop shares."""
-    batch_size: int = 32
-    lr: float = 1e-4
-    beta: float = 5.0
-    decay_factor: float = 0.8
-    decay_every: int = 10
-
-
-def _maybe_decay(opt: Adam, st: TrainSettings, epoch: int) -> None:
-    if epoch > 0 and st.decay_every > 0 and epoch % st.decay_every == 0:
-        opt.decay_lr(st.decay_factor)
 
 
 EVAL_BATCH_SIZE = 256
@@ -147,20 +134,22 @@ def _epoch_stats(stats: dict[str, list]) -> dict[str, float]:
 def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
         loss_fn: Callable[[Batch | TripleBatch, int], tuple[Tensor, dict]],
         train_ex: list[Example] | list[TripleExample], val_ex: list[Example],
-        st: TrainSettings, rng: RunRng, epochs: int, phase: str,
+        cfg: RunConfig, lr: float, rng: RunRng, epochs: int, phase: str,
         ) -> list[EpochRecord]:
-    """Adam on ``named`` over shuffled batches, one record per epoch.
+    """Adam on ``named`` at rate ``lr`` over shuffled batches, one record
+    per epoch; ``cfg`` gives the batch size and the rate's decay.
 
     ``loss_fn(batch, epoch)`` returns (loss, stats), the batch's stats by
     name (see ``_epoch_stats``). When there are val examples, each epoch
     ends with a val pass that scores ``model``.
     """
-    opt = Adam(named, st.lr)
+    opt = Adam(named, lr)
     records = []
     for epoch in range(epochs):
-        _maybe_decay(opt, st, epoch)
+        if epoch > 0 and cfg.decay_every > 0 and epoch % cfg.decay_every == 0:
+            opt.decay_lr(cfg.decay_factor)
         losses, stats = [], {}
-        for batch in batches(train_ex, st.batch_size, rng.shuffle):
+        for batch in batches(train_ex, cfg.batch_size, rng.shuffle):
             assert_grads_clear(named)
             with Tape() as tape:
                 loss, batch_stats = loss_fn(batch, epoch)

@@ -65,16 +65,16 @@ class VedParams:
     def d_z(self) -> int:
         return self.latent.w_mu.shape[1]
 
-    def named(self, prefix: str = "ved") -> dict[str, Tensor]:
+    def named(self) -> dict[str, Tensor]:
         l, d = self.latent, self.dec
         return {
-            f"{prefix}.lat.w_mu": l.w_mu, f"{prefix}.lat.b_mu": l.b_mu,
-            f"{prefix}.lat.w_logvar": l.w_logvar, f"{prefix}.lat.b_logvar": l.b_logvar,
-            f"{prefix}.lat.w_init": l.w_init, f"{prefix}.lat.b_init": l.b_init,
-            f"{prefix}.dec.lstm.wx": d.lstm.wx, f"{prefix}.dec.lstm.wh": d.lstm.wh,
-            f"{prefix}.dec.lstm.b": d.lstm.b,
-            f"{prefix}.dec.w_a": d.w_a, f"{prefix}.dec.w_c": d.w_c,
-            f"{prefix}.dec.w_v": d.w_v, f"{prefix}.dec.b_v": d.b_v,
+            "ved.lat.w_mu": l.w_mu, "ved.lat.b_mu": l.b_mu,
+            "ved.lat.w_logvar": l.w_logvar, "ved.lat.b_logvar": l.b_logvar,
+            "ved.lat.w_init": l.w_init, "ved.lat.b_init": l.b_init,
+            "ved.dec.lstm.wx": d.lstm.wx, "ved.dec.lstm.wh": d.lstm.wh,
+            "ved.dec.lstm.b": d.lstm.b,
+            "ved.dec.w_a": d.w_a, "ved.dec.w_c": d.w_c,
+            "ved.dec.w_v": d.w_v, "ved.dec.b_v": d.b_v,
         }
 
 
@@ -170,26 +170,17 @@ def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
 
 
 def sample_latent(c: Tensor, lat: LatentParams,
-                  rng: np.random.Generator | None = None,
-                  deterministic: bool = False,
-                  eps: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                  eps: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
     """Reparameterized Gaussian draw for each (B, 2k) row of c:
     z = mu + exp(logvar/2) * eps.
 
-    Deterministic mode returns z = mu (evaluation); ``eps`` can be pinned
-    for gradient checking.
+    The caller draws ``eps`` (B, d_z) from its latent stream; zeros give
+    z = mu, the latent that beam search decodes from.
     """
     mu = T.matmul(c, lat.w_mu) + lat.b_mu
     logvar = T.clamp(T.matmul(c, lat.w_logvar) + lat.b_logvar,
                      LOGVAR_MIN, LOGVAR_MAX)
-    if deterministic:
-        z = mu
-    else:
-        if eps is None:
-            if rng is None:
-                raise ValueError("sampling the latent needs the latent substream")
-            eps = rng.standard_normal(mu.shape)
-        z = mu + T.exp(T.scale(logvar, 0.5)) * T.constant(eps)
+    z = mu + T.exp(T.scale(logvar, 0.5)) * T.constant(eps)
     return z, mu, logvar
 
 
@@ -351,16 +342,16 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
 # --- training loss ----------------------------------------------------------
 
 def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
-                   kl_weight: float, rng: np.random.Generator | None = None,
-                   eps: np.ndarray | None = None) -> tuple[Tensor, float, float]:
+                   kl_weight: float, eps: np.ndarray) -> tuple[Tensor, float, float]:
     """Teacher-forced reconstruction of the mismatched query plus weighted KL.
 
     The per-triple NLL is the mean over its target tokens (mismatched
-    query plus the end marker). Returns (loss, nll value, kl value).
+    query plus the end marker); ``eps`` (B, d_z) is the latent noise.
+    Returns (loss, nll value, kl value).
     """
     enc = encode_pair_batch(clf, batch.item_ids, batch.item_lens,
                             batch.query_ids, batch.query_lens)
-    z, mu, logvar = sample_latent(enc.c, ved.latent, rng=rng, eps=eps)
+    z, mu, logvar = sample_latent(enc.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)
     states, _ = _decoder_scan(clf.emb_q, ved, enc, z, h0, batch.target_lens,
                               batch.prev_ids)
@@ -381,10 +372,9 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
 # --- generation -------------------------------------------------------------
 
 def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
-                       steps: np.ndarray, rng: np.random.Generator | None = None,
-                       deterministic: bool = False, eps: np.ndarray | None = None,
-                       ) -> tuple[Tensor, Tensor]:
-    """Continuous query stand-in: the free-running decoder's states.
+                       steps: np.ndarray, eps: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Continuous query stand-in: the free-running decoder's states from
+    the latent with noise ``eps`` (B, d_z).
 
     ``steps[i]`` is the number of columns generated for example i (the
     source query's true length). Returns (states (B, n, k), final (B, k))
@@ -392,8 +382,7 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
     row's length (the row decodes on with the batch) are ignored
     downstream, as attention stops at the query length.
     """
-    z, _, _ = sample_latent(enc.c, ved.latent, rng=rng,
-                            deterministic=deterministic, eps=eps)
+    z, _, _ = sample_latent(enc.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)
     return _decoder_scan(clf.emb_q, ved, enc, z, h0, steps)
 
@@ -401,7 +390,7 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
 def beam_generate(item_ids: list[int], query_ids: list[int],
                   clf: ClassifierParams, ved: VedParams, beam: int = 4,
                   max_len: int = 12) -> list[tuple[list[int], float]]:
-    """Length-normalized beam search with the deterministic latent.
+    """Length-normalized beam search from the latent mean z = mu.
 
     Returns up to ``beam`` token sequences (end marker stripped) sorted by
     score = total log-probability / length. beam=1 is exactly greedy
@@ -410,7 +399,7 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
     enc = encode_pair_batch(
         clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
         np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
-    z, _, _ = sample_latent(enc.c, ved.latent, deterministic=True)
+    z, _, _ = sample_latent(enc.c, ved.latent, np.zeros((1, ved.d_z)))
     h0, c0 = decoder_init(z, ved.latent)
 
     # live: (tokens, logp_sum, h, c); finished: (tokens, normalized score)

@@ -59,7 +59,8 @@ class TestGenData:
         (["--hard-fraction", "1.5"], "hard_fraction"),
         (["--items", "0"], "items"),
         (["--split", "0.5,0.5,0.5"], "sum to 1"),
-    ], ids=["hard_fraction", "items", "split_sum"])
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["hard_fraction", "items", "split_sum", "negative_seed"])
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
         code = main(["gen-data", "--out", str(tmp_path / "d"), "--items", "50",
                      "--labeled-pairs", "200", "--logs-pairs", "20",
@@ -257,6 +258,17 @@ class TestPhases:
         assert f"{key} must be" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain-classifier", "gradcheck"])
+    def test_negative_seed_fails_before_writing(self, workspace, capsys, command):
+        root, data, _, _ = workspace
+        run = root / "negative_seed_run"
+        dirs = [] if command == "gradcheck" else ["--data-dir", str(data),
+                                                  "--run-dir", str(run)]
+        code = main([command] + dirs + ["--seed", "-1"])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_non_integer_label_names_file_and_line(self, workspace, tmp_path, capsys):
         root, data, _, _ = workspace
         copy = tmp_path / "data"
@@ -340,6 +352,43 @@ class TestTools:
                                            "--out", str(out)]) == 0
         rows = [l.split("\t") for l in out.read_text().strip().splitlines()]
         assert rows and all(len(r) == 5 for r in rows)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--beam", "0"], "beam_size must be >= 1"),
+        (["generate", "--beam", "-1"], "beam_size must be >= 1"),
+        (["generate", "--max-len", "0"], "gen_max_len must be >= 1"),
+        (["generate", "--limit", "0"], "--limit must be >= 1"),
+        (["generate", "--limit", "-1"], "--limit must be >= 1"),
+        (["knn", "--text", "running shoes", "--top", "0"], "--top must be >= 1"),
+        (["knn", "--text", "running shoes", "--top", "-1"], "--top must be >= 1"),
+        (["knn", "--text", "running shoes", "--limit", "0"], "--limit must be >= 1"),
+    ], ids=["beam0", "beam-1", "max_len0", "limit0", "limit-1", "top0", "top-1",
+            "knn_limit0"])
+    def test_count_flag_below_one_fails(self, workspace, tmp_path, capsys, argv, message):
+        _, _, _, base = workspace
+        out = tmp_path / "gen.tsv"
+        extra = ["--out", str(out)] if argv[0] == "generate" else []
+        code = main(argv[:1] + base + ["--checkpoint", P.CKPT_VED] + argv[1:] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "source:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("title, query", [
+        ("alvora running shoes", "!!!"), ("???", "running shoes"),
+    ], ids=["query", "title"])
+    def test_generate_pair_without_tokens_fails(self, workspace, tmp_path, capsys,
+                                                title, query):
+        _, _, _, base = workspace
+        pairs, out = tmp_path / "pairs.tsv", tmp_path / "gen.tsv"
+        pairs.write_text(f"alvora trail shoes\tshoes\t0\tannotated\n"
+                         f"{title}\t{query}\t0\tannotated\n")
+        code = main(["generate"] + base + ["--checkpoint", P.CKPT_VED,
+                                           "--pairs", str(pairs), "--out", str(out)])
+        assert code == 2
+        assert f"{title!r} / {query!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_heatmap_export(self, workspace, capsys):
         root, _, _, base = workspace

@@ -8,6 +8,7 @@ from quarts import tensor as T
 from quarts.classifier import classifier_batch_loss, init_classifier
 from quarts.data import Batch, TripleExample, make_triple_batch
 from quarts.e2e import e2e_batch_loss, sample_switches
+from quarts.pipeline import ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape
 from quarts.ved import init_ved, ved_loss_batch
@@ -93,8 +94,7 @@ class TestE2ELoss:
             rng = RunRng(9, "finetune")
             named = ved.named()
             with Tape() as tape:
-                loss, s = e2e_batch_loss(clf, ved, batch, p=0.5, beta=5.0,
-                                         rng=rng, force_switch=1)
+                loss, s = e2e_batch_loss(clf, ved, batch, p=1.0, beta=5.0, rng=rng)
                 tape.backward(loss)
             assert s.sum() == 2
             total = sum(np.abs(t.grad).sum() for t in named.values()
@@ -107,11 +107,9 @@ class TestE2ELoss:
             clf, ved = models(dropout=0.0)
             batch = toy_batch([0])
             rng1 = RunRng(10, "finetune")
-            loss_b5, _ = e2e_batch_loss(clf, ved, batch, 0.5, 5.0, rng1,
-                                        force_switch=1)
+            loss_b5, _ = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, rng1)
             rng2 = RunRng(10, "finetune")
-            loss_b1, _ = e2e_batch_loss(clf, ved, batch, 0.5, 1.0, rng2,
-                                        force_switch=1)
+            loss_b1, _ = e2e_batch_loss(clf, ved, batch, 1.0, 1.0, rng2)
             assert abs(loss_b5.item() - 5 * loss_b1.item()) < 1e-12
 
     def test_switch_stream_isolated_from_dropout(self):
@@ -126,6 +124,24 @@ class TestE2ELoss:
         assert loss_a.item() == loss_b.item()
 
 
+def test_latent_draws_match_a_plain_generator():
+    """A VED batch draws (B, d_z) and a switched batch (s.sum(), d_z)
+    standard normals from the latent stream, and nothing else: the stream
+    alignment that keeps checkpoints bitwise equal."""
+    clf, ved = models()
+    rng = RunRng(5, "finetune")
+    triples = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
+                                 TripleExample([5, 6, 7], [8], [4]),
+                                 TripleExample([6], [7, 8], [5])])
+    ved_loss(clf, ved, 5, rng)(triples, 0)
+    _, s = e2e_batch_loss(clf, ved, toy_batch([0, 1, 0, 0, 1]), 1.0, 5.0, rng)
+    assert s.sum() == 3
+    plain = RunRng(5, "finetune").latent
+    plain.standard_normal((3, ved.d_z))
+    plain.standard_normal((3, ved.d_z))
+    assert rng.latent.bit_generator.state == plain.bit_generator.state
+
+
 def test_tape_freed_when_block_ends():
     """A step's tape, with every activation it cached, dies with its block,
     even with the cycle collector off: nothing the parameters or a backward
@@ -135,8 +151,9 @@ def test_tape_freed_when_block_ends():
     triples = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
     steps = [
         lambda rng: classifier_batch_loss(clf, batch, 5.0, rng.dropout),
-        lambda rng: ved_loss_batch(clf, ved, triples, 0.5, rng=rng.latent)[0],
-        lambda rng: e2e_batch_loss(clf, ved, batch, 0.5, 5.0, rng, force_switch=1)[0],
+        lambda rng: ved_loss_batch(clf, ved, triples, 0.5,
+                                   rng.latent.standard_normal((1, ved.d_z)))[0],
+        lambda rng: e2e_batch_loss(clf, ved, batch, 1.0, 5.0, rng)[0],
     ]
     gc.disable()
     try:

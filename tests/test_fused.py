@@ -127,7 +127,7 @@ def test_ved_nll_matches_unfused(f64):
 def test_decode_step_matches_unfused(f64):
     clf, ved, _ = models(seed=3)
     enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-    z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+    z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((3, 3)))
     h, c = V.decoder_init(z, ved.latent)
     prev = np.array([2, 5, 7])
     for got, want in zip(V.decode_step(prev, z, h, c, enc, ved, clf.emb_q),
@@ -147,12 +147,12 @@ def test_hgen_matches_unfused(f64):
 
     def fused():
         enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-        states, final = V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
+        states, final = V.hgen_forward_batch(clf, ved, enc, steps, np.zeros((3, 3)))
         return loss(states * on, final)   # columns past ``steps`` are unspecified
 
     def unfused():
         enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-        z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((3, 3)))
         h, c = V.decoder_init(z, ved.latent)
         return loss(*U.hgen_states(clf, ved, enc, z, h, c, steps))
 
@@ -166,7 +166,7 @@ def test_hgen_records_independent_of_length():
     for steps in (np.array([2, 1, 2]), np.array([7, 3, 5])):
         with Tape() as tape:
             before = len(tape)
-            V.hgen_forward_batch(clf, ved, enc, steps, deterministic=True)
+            V.hgen_forward_batch(clf, ved, enc, steps, np.zeros((3, 3)))
             added.append(len(tape) - before)
     assert added[0] == added[1]
 
@@ -175,14 +175,13 @@ def test_hgen_records_independent_of_length():
 # states are padded; [0, 1, 0]: they decode the full width
 @pytest.mark.parametrize("labels", [[1, 0, 0], [0, 1, 0]], ids=["padded", "full"])
 def test_e2e_loss_matches_two_sub_batches(f64, labels):
-    clf, ved, rng = models(seed=6)
+    clf, ved, _ = models(seed=6)
     batch = Batch(ITEMS, ITEM_LENS, QUERIES, QUERY_LENS, np.array(labels, float))
-    s = 1 - batch.labels.astype(np.int64)   # every matched pair switched
-    eps = rng.standard_normal((int(s.sum()), 3))
+    s = 1 - batch.labels.astype(np.int64)   # p=1: every matched pair switched
+    eps = RunRng(0, "misc").latent.standard_normal((int(s.sum()), 3))
 
-    def one_pass():
-        loss, got = e2e_batch_loss(clf, ved, batch, p=0.5, beta=5.0,
-                                   rng=RunRng(0, "misc"), force_switch=1, latent_eps=eps)
+    def one_pass():   # a fresh stream per call draws the same noise
+        loss, got = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(0, "misc"))
         np.testing.assert_array_equal(got, s)
         return loss
 
@@ -192,7 +191,7 @@ def test_e2e_loss_matches_two_sub_batches(f64, labels):
 
 def scan_inputs(clf, ved):
     enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-    z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+    z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((3, 3)))
     h0, _ = V.decoder_init(z, ved.latent)
     return enc, z, h0
 

@@ -7,7 +7,8 @@ from quarts.data import BOS, EOS, RawPair, TripleExample, make_triple_batch
 from quarts.pipeline import ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tensor
-from quarts.train import TrainSettings, fit, frozen
+from quarts.config import desk_profile
+from quarts.train import fit, frozen
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3):
@@ -88,14 +89,14 @@ class TestLatent:
     def test_deterministic_mode_returns_mean(self, f64):
         clf, ved = models()
         c = Tensor(np.random.default_rng(0).normal(size=(2, 8)))
-        z, mu, _ = V.sample_latent(c, ved.latent, deterministic=True)
+        z, mu, _ = V.sample_latent(c, ved.latent, np.zeros((2, 3)))
         np.testing.assert_array_equal(z.data, mu.data)
 
     def test_logvar_clamped(self, f64):
         _, ved = models()
         ved.latent.b_logvar.data[...] = 50.0
         c = Tensor(np.zeros((1, 8)))
-        _, _, logvar = V.sample_latent(c, ved.latent, deterministic=True)
+        _, _, logvar = V.sample_latent(c, ved.latent, np.zeros((1, 3)))
         assert logvar.data.max() <= V.LOGVAR_MAX
 
 
@@ -121,7 +122,7 @@ class TestDecodeStep:
         clf, ved = models()
         enc = V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
                                   np.array([[6, 7]]), np.array([2]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
         _, _, _, _, w = V.decode_step(np.array([BOS]), z, h, c, enc, ved, clf.emb_q)
         assert abs(w.data.sum() - 1.0) < 1e-12
@@ -134,7 +135,7 @@ class TestDecodeStep:
             t.data[...] = 0.0
         enc = V.encode_pair_batch(clf, np.array([[4, 5]]), np.array([2]),
                                   np.array([[6]]), np.array([1]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
         logits, _, _, _, _ = V.decode_step(np.array([BOS]), z, h, c, enc, ved,
                                            clf.emb_q)
@@ -178,7 +179,7 @@ class TestVedLoss:
         run_rng = RunRng(0, "ved")
         with frozen(clf.named()):
             records = fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples,
-                          [], TrainSettings(batch_size=16, lr=3e-3), run_rng,
+                          [], desk_profile(batch_size=16), 3e-3, run_rng,
                           epochs=5, phase="ved")
         losses = [r.loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
@@ -191,7 +192,7 @@ class TestVedLoss:
         run_rng = RunRng(1, "ved")
         with frozen(clf.named()):
             fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples, [],
-                TrainSettings(batch_size=2, lr=1e-3), run_rng, epochs=2, phase="ved")
+                desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved")
         for k_, t in clf.named().items():
             np.testing.assert_array_equal(t.data, before[k_], err_msg=k_)
 
@@ -207,7 +208,7 @@ class TestGeneration:
         # greedy reference: argmax step by step
         enc = V.encode_pair_batch(clf, np.array([item]), np.array([3]),
                                   np.array([query]), np.array([2]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, deterministic=True)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
         prev, greedy = BOS, []
         for _ in range(6):
@@ -231,11 +232,12 @@ class TestGeneration:
         assert scores == sorted(scores, reverse=True)
 
 
-def hgen_one(clf, ved, item_ids, query_ids, rng=None, deterministic=True):
-    """Generated query states (1, n, k) for one pair."""
+def hgen_one(clf, ved, item_ids, query_ids, rng=None):
+    """Generated query states (1, n, k) for one pair; the latent noise is
+    drawn from ``rng``, or zero without one."""
+    eps = np.zeros((1, ved.d_z)) if rng is None else rng.standard_normal((1, ved.d_z))
     states, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids),
-                                     np.array([len(query_ids)]), rng=rng,
-                                     deterministic=deterministic)
+                                     np.array([len(query_ids)]), eps)
     return states
 
 
@@ -254,8 +256,8 @@ class TestHgen:
         clf, ved = models(seed=9)
         r1 = np.random.default_rng(0)
         r2 = np.random.default_rng(0)
-        a = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1, deterministic=False)
-        b = hgen_one(clf, ved, [4, 5], [6, 7], rng=r2, deterministic=False)
+        a = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1)
+        b = hgen_one(clf, ved, [4, 5], [6, 7], rng=r2)
         np.testing.assert_array_equal(a.data, b.data)
-        c = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1, deterministic=False)
+        c = hgen_one(clf, ved, [4, 5], [6, 7], rng=r1)
         assert not np.array_equal(a.data, c.data)

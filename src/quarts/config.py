@@ -53,7 +53,7 @@ class RunConfig:
             raise ConfigError(f"positive weight must be >= 1, got {self.beta}")
         for name in ("hidden_size", "embed_dim", "latent_dim", "batch_size", "clf_epochs",
                      "ved_epochs", "e2e_epochs", "triple_cap", "beam_size", "gen_max_len",
-                     "max_title_len", "max_query_len", "min_count"):
+                     "max_title_len", "max_query_len", "min_count", "decay_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -63,6 +63,8 @@ class RunConfig:
         for name in ("lr", "ved_lr"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ConfigError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

@@ -208,6 +208,7 @@ class TripleBatch:
     prev_ids: np.ndarray     # (B, L): BOS then the mismatched query
     target_ids: np.ndarray   # (B, L): mismatched query then EOS
     target_lens: np.ndarray  # (B,)
+    index: np.ndarray        # (B,) each triple's position in the batched list
 
 
 def make_batch(examples: list[Example]) -> Batch:
@@ -217,26 +218,34 @@ def make_batch(examples: list[Example]) -> Batch:
     return Batch(items, item_lens, queries, query_lens, labels)
 
 
-def make_triple_batch(triples: list[TripleExample]) -> TripleBatch:
+def make_triple_batch(triples: list[TripleExample],
+                      index: np.ndarray | None = None) -> TripleBatch:
+    """Collate triples; ``index`` gives their positions in the list they
+    were drawn from (default: the list is ``triples`` itself)."""
     items, item_lens = pad_matrix([t.item_ids for t in triples])
     queries, query_lens = pad_matrix([t.matched_query_ids for t in triples])
     prev, _ = pad_matrix([[BOS] + t.mismatched_query_ids for t in triples])
     target, target_lens = pad_matrix([t.mismatched_query_ids + [EOS] for t in triples])
-    return TripleBatch(items, item_lens, queries, query_lens, prev, target, target_lens)
+    if index is None:
+        index = np.arange(len(triples))
+    return TripleBatch(items, item_lens, queries, query_lens, prev, target, target_lens,
+                       index)
 
 
 def batches(examples: list[Example] | list[TripleExample], batch_size: int,
             rng: np.random.Generator | None = None) -> Iterator[Batch | TripleBatch]:
     """Yield padded batches; shuffles when given the shuffle substream.
 
-    Labeled pairs collate into a ``Batch``, triples into a ``TripleBatch``.
+    Labeled pairs collate into a ``Batch``, triples into a ``TripleBatch``
+    that carries their positions in ``examples``.
     """
     order = np.arange(len(examples))
     if rng is not None:
         order = rng.permutation(len(examples))
     for start in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[start:start + batch_size]]
+        index = order[start:start + batch_size]
+        chunk = [examples[i] for i in index]
         if isinstance(chunk[0], TripleExample):
-            yield make_triple_batch(chunk)
+            yield make_triple_batch(chunk, index)
         else:
             yield make_batch(chunk)

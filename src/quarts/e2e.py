@@ -51,8 +51,8 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     k_states, t_final = encode_batch(batch.item_ids, item_lens, clf.emb_t, clf.lstm_t)
     h_states, q_final = encode_batch(batch.query_ids, query_lens, clf.emb_q, clf.lstm_q)
     enc = pair_memory(k_states, t_final, item_lens, h_states, q_final, query_lens)
-    gen_enc = EncodedPair(T.lookup(enc.u_states, idx1), enc.u_logmask[idx1],
-                          T.lookup(enc.c, idx1))
+    gen_enc = EncodedPair(T.lookup(enc.u_states, idx1, unique=True), enc.u_logmask[idx1],
+                          T.lookup(enc.c, idx1, unique=True))
     h_gen, gen_final = hgen_forward_batch(
         clf, ved, gen_enc, query_lens[idx1],
         rng.latent.standard_normal((idx1.size, ved.d_z)))
@@ -63,8 +63,8 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
         h_gen = T.concat([h_gen, T.zeros((idx1.size, short, k))], axis=1)
     order = np.arange(bsz)
     order[idx1] = bsz + np.arange(idx1.size)
-    h_mixed = T.lookup(T.concat([h_states, h_gen], axis=0), order)
-    q_mixed = T.lookup(T.concat([q_final, gen_final], axis=0), order)
+    h_mixed = T.lookup(T.concat([h_states, h_gen], axis=0), order, unique=True)
+    q_mixed = T.lookup(T.concat([q_final, gen_final], axis=0), order, unique=True)
     probs, _ = batch_probs(clf, batch.item_ids, item_lens, batch.query_ids, query_lens,
                            rng=rng.dropout, h_override=(h_mixed, q_mixed),
                            k_precomputed=k_states)

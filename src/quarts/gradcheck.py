@@ -243,13 +243,17 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
     results.append(("dssm_loss",
                     grad_check(dssm_loss, list(dssm.named().values()), eps=MODEL_EPS)))
 
+    # ragged targets: the last triple's mismatched query is one token short
     triples = [TripleExample([4, 5], [6, 7], [8, 6]),
-               TripleExample([6, 7, 8], [5], [4, 7])]
+               TripleExample([6, 7, 8], [5], [4, 7]),
+               TripleExample([5], [7, 8], [6])]
     tb = make_triple_batch(triples)
-    eps_lat = rng.standard_normal((2, 3))
+    eps_lat = rng.standard_normal((3, 3))
 
     def ved_loss():
-        loss, _, _ = ved_loss_batch(clf, ved, tb, 0.7, eps_lat)
+        enc = encode_pair_batch(clf, tb.item_ids, tb.item_lens, tb.query_ids,
+                                tb.query_lens)
+        loss, _, _ = ved_loss_batch(clf, ved, enc, tb, 0.7, eps_lat)
         return loss
 
     ved_params = list(clf.named().values()) + list(ved.named().values())

@@ -27,7 +27,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,14 +38,15 @@ from .checkpoint import load_arrays, assign_params, save_params
 from .classifier import (ClassifierParams, DssmParams, classifier_batch_loss,
                          dssm_batch_loss, init_classifier, init_dssm)
 from .config import RunConfig, RunManifest, file_sha256
-from .data import (DataError, Example, RawPair, Vocabulary, build_vocab, encode_pairs,
-                   read_pairs, split_pairs, tokenize, write_pairs)
+from .data import (DataError, Example, RawPair, TripleBatch, TripleExample, Vocabulary,
+                   build_vocab, encode_pairs, read_pairs, split_pairs, tokenize,
+                   write_pairs)
 from .e2e import e2e_batch_loss
 from .rng import RunRng
-from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, evaluate_probs,
-                    fit, frozen)
-from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
-                  kl_weight_at, ved_loss_batch)
+from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, encode_distinct,
+                    evaluate_probs, fit, frozen)
+from .ved import (EncodedPair, VedParams, beam_generate, build_triples, encode_triples,
+                  init_ved, kl_weight_at, pair_memory, ved_loss_batch)
 
 log = logging.getLogger(__name__)
 
@@ -248,12 +249,45 @@ def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
                                  NO_SWITCH)
 
 
-def ved_loss(clf: ClassifierParams, ved: VedParams, anneal_epochs: int, rng: RunRng):
-    """The VED loss at the epoch's KL weight; latent noise from ``rng``."""
+def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
+                  ) -> Callable[[TripleBatch], EncodedPair]:
+    """Encode each distinct title and matched query of ``triples`` once;
+    returns the gather of a batch's ``EncodedPair`` rows from that cache.
+
+    The shared encoder must be frozen: cached rows carry no gradient to it.
+    """
+    encoder = [clf.emb_t, clf.emb_q] + [p for lstm in (clf.lstm_t, clf.lstm_q)
+                                        for p in (lstm.wx, lstm.wh, lstm.b)]
+    if any(t.requires_grad for t in encoder):
+        raise AssertionError("the VED cache needs a frozen shared encoder")
+    titles = encode_distinct([t.item_ids for t in triples], clf.emb_t, clf.lstm_t,
+                             EVAL_BATCH_SIZE)
+    queries = encode_distinct([t.matched_query_ids for t in triples], clf.emb_q,
+                              clf.lstm_q, EVAL_BATCH_SIZE)
+
+    def rows(cache, index, width):
+        row_of, states, final = cache
+        picked = row_of[index]
+        return T.constant(states[picked, :width]), T.constant(final[picked])
+
+    def gather(batch: TripleBatch) -> EncodedPair:
+        return pair_memory(*rows(titles, batch.index, batch.item_ids.shape[1]),
+                           batch.item_lens,
+                           *rows(queries, batch.index, batch.query_ids.shape[1]),
+                           batch.query_lens)
+    return gather
+
+
+def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample],
+             anneal_epochs: int, rng: RunRng):
+    """The VED loss on batches of ``triples`` at the epoch's KL weight, with
+    the shared encoder frozen (``triple_memory``); latent noise from ``rng``."""
+    memory = triple_memory(clf, triples)
+
     def loss(batch, epoch):
         w = kl_weight_at(epoch, anneal_epochs)
         eps = rng.latent.standard_normal((len(batch.target_lens), ved.d_z))
-        value, nll, kl = ved_loss_batch(clf, ved, batch, w, eps)
+        value, nll, kl = ved_loss_batch(clf, ved, memory(batch), batch, w, eps)
         return value, {"nll": nll, "kl": kl, "kl_weight": w}
     return loss
 
@@ -300,7 +334,8 @@ def read_triples(run_dir) -> list[tuple[str, str, str]]:
 def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                        clf: ClassifierParams | None = None):
     """Generator pretraining on the triples, with the shared encoder frozen:
-    the classifier arrays leave this phase bitwise unchanged."""
+    the classifier arrays leave this phase bitwise unchanged, and each
+    distinct title and matched query is encoded once for the phase."""
     with _phase(cfg, run_dir, "ved", CKPT_VED) as run:
         if clf is None:
             clf, _ = load_bundle(cfg, data, run.dir, CKPT_CLASSIFIER,
@@ -311,7 +346,7 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
         ved = new_ved(cfg, data, rng)
         with frozen(clf.named()):
             run.records = fit(clf, ved.named(),
-                              ved_loss(clf, ved, cfg.kl_anneal_epochs, rng),
+                              ved_loss(clf, ved, triples, cfg.kl_anneal_epochs, rng),
                               triples, [], cfg, cfg.ved_lr, rng, cfg.ved_epochs, "ved")
         run.params = {**clf.named(), **ved.named()}
     return ved, run.records

@@ -496,9 +496,10 @@ def pick_columns(a, cols: np.ndarray) -> Tensor:
     return record(a.data[rows, cols], (a,), rule)
 
 
-def lookup(table, ids: np.ndarray) -> Tensor:
+def lookup(table, ids: np.ndarray, unique: bool = False) -> Tensor:
     """Row gather (embedding retrieval); backward scatter-adds into the
-    table gradient."""
+    table gradient. A caller whose ``ids`` hold no id twice passes
+    ``unique``, and the backward assigns instead, with the same bits."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -509,7 +510,10 @@ def lookup(table, ids: np.ndarray) -> Tensor:
 
     def rule(g):
         z = np.zeros(shape, dtype=g.dtype)
-        np.add.at(z, ids, g)
+        if unique:
+            z[ids] = g
+        else:
+            np.add.at(z, ids, g)
         return (z,)
 
     return record(table.data[ids], (table,), rule)

@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import metrics as M
-from .classifier import (ClassifierParams, DssmParams, batch_probs, dssm_batch_probs,
-                         encode_batch)
+from .classifier import (ClassifierParams, DssmParams, LstmParams, batch_probs,
+                         dssm_batch_probs, encode_batch)
 from .config import RunConfig
 from .data import Batch, Example, TripleBatch, TripleExample, batches, pad_matrix
 from .optim import Adam, assert_grads_clear
@@ -54,28 +54,28 @@ EVAL_GROUPING = ("pairs sorted by query length, then title length; classifier "
                  "titles encoded once per distinct title, in length-sorted batches")
 
 
-def _encode_titles(model: ClassifierParams, examples: list[Example],
-                   batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encode each distinct title once; the title LSTM never sees the query.
+def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams,
+                    batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode each distinct id sequence once, in length-sorted batches.
 
-    Returns (title_of, states): example i's title is row ``title_of[i]``
-    of ``states`` (distinct, widest, k), which repeats each title's final
-    state past its length, as ``encode_batch`` leaves a row in a wider
-    batch.
+    Returns (row_of, states, final): sequence i is row ``row_of[i]`` of
+    ``states`` (distinct, widest, k) and of ``final`` (distinct, k).
+    ``states`` repeats each row's final state past its length, as
+    ``encode_batch`` leaves a row in a wider batch.
     """
     index: dict[tuple[int, ...], int] = {}
-    title_of = np.array([index.setdefault(tuple(e.item_ids), len(index))
-                         for e in examples])
+    row_of = np.array([index.setdefault(tuple(s), len(index)) for s in seqs])
     ids, lens = pad_matrix(list(index))
-    states = np.empty(ids.shape + (model.lstm_t.wh.shape[0],), model.emb_t.data.dtype)
+    states = np.empty(ids.shape + (lstm.wh.shape[0],), emb.data.dtype)
+    final = np.empty((len(index), lstm.wh.shape[0]), emb.data.dtype)
     by_len = np.argsort(lens, kind="stable")
     for rows in np.split(by_len, range(batch_size, len(by_len), batch_size)):
         width = int(lens[rows].max())
-        k_states, final = encode_batch(ids[rows, :width], lens[rows],
-                                       model.emb_t, model.lstm_t)
-        states[rows] = final.data[:, None]
+        k_states, last = encode_batch(ids[rows, :width], lens[rows], emb, lstm)
+        final[rows] = last.data
+        states[rows] = last.data[:, None]
         states[rows, :width] = k_states.data
-    return title_of, states
+    return row_of, states, final
 
 
 def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
@@ -85,7 +85,7 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
     Examples are scored in order of query length, then title length, so
     each batch pads to near its own lengths; scores and labels come back
     in input order. The classifier encodes each distinct title once per
-    call (``_encode_titles``), and each pair batch gathers its titles'
+    call (``encode_distinct``), and each pair batch gathers its titles'
     states, trimmed to the batch's title width. No score depends on the
     padded width, but BLAS may round a row differently in a GEMM with
     another row count, so a float32 score can move in its last bits
@@ -94,7 +94,8 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
     order = np.lexsort(([len(e.item_ids) for e in examples],
                         [len(e.query_ids) for e in examples]))
     if isinstance(model, ClassifierParams):
-        title_of, title_states = _encode_titles(model, examples, batch_size)
+        title_of, title_states, _ = encode_distinct(
+            [e.item_ids for e in examples], model.emb_t, model.lstm_t, batch_size)
         title_of = title_of[order]
     scores, labels = [], []
     for start, b in zip(range(0, len(order), batch_size),
@@ -146,7 +147,7 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
     opt = Adam(named, lr)
     records = []
     for epoch in range(epochs):
-        if epoch > 0 and cfg.decay_every > 0 and epoch % cfg.decay_every == 0:
+        if epoch > 0 and epoch % cfg.decay_every == 0:
             opt.decay_lr(cfg.decay_factor)
         losses, stats = [], {}
         for batch in batches(train_ex, cfg.batch_size, rng.shuffle):

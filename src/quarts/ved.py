@@ -13,8 +13,14 @@ flowing through the recurrence but not through token choices.
 Both uses of the decoder run one fused scan, recorded once with a
 hand-written backward pass: teacher-forced VED training reads the given
 previous tokens, and ``hgen_forward_batch`` feeds back its own argmax.
-The two differ only in where each step's input token comes from. Beam
-search's ``decode_step`` runs the same numpy step once, with no tape.
+The two differ only in where each step's input token comes from. The
+scan steps each row only up to its own length, so its columns past that
+length are zero in both modes. Beam search's ``decode_step`` runs the
+same numpy step once, with no tape.
+
+VED training takes each batch's encoding as an argument: the shared
+encoder is frozen then, so the pipeline encodes each distinct title and
+matched query once per phase and gathers a batch's rows from that cache.
 """
 from __future__ import annotations
 
@@ -245,112 +251,135 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
                   ) -> tuple[Tensor, Tensor]:
     """The decoder over a batch as one tape record, teacher-forced or free.
 
-    Given ``prev_ids`` (B, W), step t reads prev_ids[:, t] on each row's
-    first ``steps`` steps (one embedding GEMM before the loop) and no token
-    past them. Without, it runs ``steps.max()`` steps reading BOS, then its
-    own argmax. Returns (d~ states (B, W, k), each row's state at step
-    ``steps - 1``). The backward pass runs attention and W_c for all steps
-    at once, its loop carries only the h/c recurrence, and each weight and
-    embedding gradient is one GEMM or scatter after it. No gradient flows
-    through token choices (W_v and b_v get none), and none is computed
-    for an untracked ``emb_q`` or U.
+    Row i decodes its first ``steps[i]`` steps and no more. Given
+    ``prev_ids`` (B, W), step t reads prev_ids[:, t] (one embedding GEMM
+    before the loop); without, W is ``steps.max()`` and each row reads
+    BOS, then its own argmax. Returns (d~ states (B, W, k), zero past each
+    row's steps; each row's state at step ``steps - 1``), in input order.
+
+    Rows are sorted once by ``steps``, longest first, so step t runs on
+    the prefix of rows still live, and its activations are kept packed:
+    the live rows of step 0, then of step 1, and so on. The backward loop
+    carries the h/c recurrence over the same prefixes; attention and W_c
+    run for all steps at once, and each weight and embedding gradient is
+    one GEMM or scatter over the real steps. No gradient flows through
+    token choices (W_v and b_v get none), and none is computed for an
+    untracked ``emb_q`` or U.
     """
     lstm, dec = ved.dec.lstm, ved.dec
     emb, wh, w_a, w_c = emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
     wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
-    zs, u, h_init = z.data, enc.u_states.data, h0.data
+    bsz, k = h0.shape
+    dt = z.data.dtype
+    order = np.argsort(-steps, kind="stable")   # longest first, ties in input order
+    zs, u, logmask = z.data[order], enc.u_states.data[order], enc.u_logmask[order]
     zx = zs @ wx_z + lstm.b.data
-    bsz, k = h_init.shape
-    dt = zs.dtype
+    live = pad_mask(steps[order], int(steps.max())).T   # (steps, B): step t, sorted row
+    n_live = live.sum(axis=1)
+    start = np.concatenate([[0], np.cumsum(n_live)])   # step t: slots start[t]:start[t+1]
+    slot_step, slot_row = np.nonzero(live)   # each packed slot's step and sorted row
+    rows = order[slot_row]                   # each packed slot's input row
+    last = np.empty(bsz, np.int64)   # each input row's slot at its last step
+    last[order] = start[steps[order] - 1] + np.arange(bsz)
     if prev_ids is None:
-        real, width = None, int(steps.max())
-        ids = np.empty((bsz, width), np.int64)   # each step's input token
+        width, ids = live.shape[0], []
         prev = np.full(bsz, BOS, dtype=np.int64)
     else:
-        width = prev_ids.shape[1]
-        real = pad_mask(steps, width)   # the real steps, the only ones reading a token
-        ids = prev_ids[real]
-        xe = np.zeros((bsz, width, 4 * k), dt)
-        xe[real] = emb[ids] @ wx_e
+        width, ids = prev_ids.shape[1], prev_ids[rows, slot_step]
+        xe = emb[ids] @ wx_e
     inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a, dec.w_c)
     grad = T.needs_grad(*inputs)
     want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(enc.u_states)
-    states = np.empty((bsz, width, k), dt)
+    outs = []    # per step: d~
     cache = []   # per step: gate activations, c, tanh(c), [h ++ ctx], weights
-    c_init = np.zeros((bsz, k), dt)
+    h_init, c_init = h0.data[order], np.zeros((bsz, k), dt)
     h, c = h_init, c_init
-    for t in range(width):
-        if real is None:
-            ids[:, t] = prev
-            pre = emb[prev] @ wx_e + zx
+    for t, n in enumerate(n_live):
+        if prev_ids is None:
+            ids.append(prev[:n])
+            pre = emb[prev[:n]] @ wx_e + zx[:n]
         else:
-            pre = xe[:, t] + zx
-        states[:, t], h, c, alpha, act, tc, hc = _decoder_step(
-            pre, h, c, u, enc.u_logmask, dec)
-        if real is None:
-            prev = np.argmax(_logits(states[:, t], dec), axis=1)
+            pre = xe[start[t]:start[t + 1]] + zx[:n]
+        d_t, h, c, alpha, act, tc, hc = _decoder_step(
+            pre, h[:n], c[:n], u[:n], logmask[:n], dec)
+        outs.append(d_t)
+        if prev_ids is None:
+            prev = np.argmax(_logits(d_t, dec), axis=1)
         if grad:
             cache.append((act, c, tc, hc, alpha))
-    rows, last = np.arange(bsz), steps - 1
+    if prev_ids is None:
+        ids = np.concatenate(ids)
+    packed = np.concatenate(outs)
+    states = np.zeros((bsz, width, k), dt)
+    states[rows, slot_step] = packed
+
+    def padded(x):
+        """Packed (N, ...) slots as (sorted rows, steps, ...), zero past a row's steps."""
+        out = np.zeros(live.shape + x.shape[1:], dt)
+        out[live] = x
+        return out.transpose(1, 0, 2)
 
     def rule(grads):
         g_states, g_final = grads
-        hcs, alphas = (np.stack([step[i] for step in cache], axis=1) for i in (3, 4))
-        g = np.zeros_like(states) if g_states is None else g_states.copy()
+        g = np.zeros_like(packed) if g_states is None else g_states[rows, slot_step]
         if g_final is not None:
-            g[rows, last] += g_final
-        # stacked products run as 2-D GEMMs over all B * W steps
-        g_pre = (g * (1 - states * states)).reshape(-1, k)   # through d~ = tanh(.)
-        g_hc = (g_pre @ w_c.T).reshape(bsz, width, 2 * k)
-        h2s = hcs[:, :, :k]
-        g_ctx = g_hc[:, :, k:]
+            g[last] += g_final
+        hcs = np.concatenate([step[3] for step in cache])
+        h2s = hcs[:, :k]
+        g_pre = g * (1 - packed * packed)   # through d~ = tanh(.)
+        g_hc = g_pre @ w_c.T
+        # attention over each row's memory, for all its steps at once
+        alphas = padded(np.concatenate([step[4] for step in cache]))
+        g_ctx = padded(g_hc[:, k:])
         g_alpha = np.matmul(g_ctx, u.transpose(0, 2, 1))
         g_scores = alphas * (g_alpha - (g_alpha * alphas).sum(axis=2, keepdims=True))
-        g_hw = np.matmul(g_scores, u).reshape(-1, k)
-        g_h2 = g_hc[:, :, :k] + (g_hw @ w_a.T).reshape(bsz, width, k)
+        g_hw = np.matmul(g_scores, u).transpose(1, 0, 2)[live]
+        g_h2 = g_hc[:, :k] + g_hw @ w_a.T
         g_u = None
         if want_u:
-            g_u = (np.matmul(alphas.transpose(0, 2, 1), g_ctx)
-                   + np.matmul(g_scores.transpose(0, 2, 1),
-                               (h2s.reshape(-1, k) @ w_a).reshape(bsz, width, k)))
+            g_u = np.empty_like(u)
+            g_u[order] = (np.matmul(alphas.transpose(0, 2, 1), g_ctx)
+                          + np.matmul(g_scores.transpose(0, 2, 1), padded(h2s @ w_a)))
         shift = _gate_affine(k, dt)[1]
-        gates = np.empty((bsz, width, 4 * k), dt)
+        gates = np.empty((len(packed), 4 * k), dt)
         dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
-        for t in reversed(range(width)):   # only attention needs the cache stacked
+        g_zx = np.zeros((bsz, 4 * k), dt)
+        for t in reversed(range(len(n_live))):   # rows past their steps stay at zero
+            n, span = n_live[t], slice(start[t], start[t + 1])
             act, _, tc = cache[t][:3]
-            dh = dh + g_h2[:, t]
-            dc = lstm_cell_backward(dh, dc, act, tc, cache[t - 1][1] if t else c_init,
-                                    gate_slopes(act, shift), gates[:, t])
-            dh = gates[:, t] @ wh.T
-        flat = gates.reshape(-1, 4 * k)
-        g_zx = gates.sum(axis=1)
-        # the token inputs: every step free-running, real steps teacher-forced
-        x_ids, g_x = (ids.reshape(-1), flat) if real is None else (ids, gates[real])
+            dc[:n] = lstm_cell_backward(dh[:n] + g_h2[span], dc[:n], act, tc,
+                                        cache[t - 1][1][:n] if t else c_init,
+                                        gate_slopes(act, shift), gates[span])
+            dh[:n] = gates[span] @ wh.T
+            g_zx[:n] += gates[span]
         g_emb = None
         if want_emb:
             g_emb = np.zeros_like(emb)
-            np.add.at(g_emb, x_ids, g_x @ wx_e.T)
-        g_wx = np.concatenate([emb[x_ids].T @ g_x, zs.T @ g_zx])
-        h_prev = np.concatenate([h_init[:, None], h2s[:, :-1]], axis=1)
-        return (g_zx @ wx_z.T, dh, g_emb, g_wx, h_prev.reshape(-1, k).T @ flat,
-                g_zx.sum(axis=0), g_u, h2s.reshape(-1, k).T @ g_hw,
-                hcs.reshape(-1, 2 * k).T @ g_pre)
+            np.add.at(g_emb, ids, gates @ wx_e.T)
+        g_wx = np.concatenate([emb[ids].T @ gates, zs.T @ g_zx])
+        # each step's previous h: h0 at step 0, then the step before's prefix
+        h_prev = np.concatenate([h_init] + [
+            h2s[start[t - 1]:start[t - 1] + n_live[t]] for t in range(1, len(n_live))])
+        back = np.argsort(order)   # sorted row of each input row
+        return ((g_zx @ wx_z.T)[back], dh[back], g_emb, g_wx, h_prev.T @ gates,
+                g_zx.sum(axis=0), g_u, h2s.T @ g_hw, hcs.T @ g_pre)
 
-    return T.record((states, states[rows, last]), inputs, rule if grad else None)
+    return T.record((states, packed[last]), inputs, rule if grad else None)
 
 
 # --- training loss ----------------------------------------------------------
 
-def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
-                   kl_weight: float, eps: np.ndarray) -> tuple[Tensor, float, float]:
+def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
+                   batch: TripleBatch, kl_weight: float, eps: np.ndarray,
+                   ) -> tuple[Tensor, float, float]:
     """Teacher-forced reconstruction of the mismatched query plus weighted KL.
 
-    The per-triple NLL is the mean over its target tokens (mismatched
-    query plus the end marker); ``eps`` (B, d_z) is the latent noise.
-    Returns (loss, nll value, kl value).
+    ``enc`` is the batch's (title, matched query) encoding: rows gathered
+    from a phase's cache in training, ``encode_pair_batch`` output where
+    the encoder's gradient is wanted. The per-triple NLL is the mean over
+    its target tokens (mismatched query plus the end marker); ``eps``
+    (B, d_z) is the latent noise. Returns (loss, nll value, kl value).
     """
-    enc = encode_pair_batch(clf, batch.item_ids, batch.item_lens,
-                            batch.query_ids, batch.query_lens)
     z, mu, logvar = sample_latent(enc.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)
     states, _ = _decoder_scan(clf.emb_q, ved, enc, z, h0, batch.target_lens,
@@ -358,7 +387,8 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, batch: TripleBatch,
     bsz, width, k = states.shape
     mask = pad_mask(batch.target_lens, width)
     # the output projection runs on real target steps only
-    real = T.lookup(T.reshape(states, (bsz * width, k)), np.flatnonzero(mask))
+    real = T.lookup(T.reshape(states, (bsz * width, k)), np.flatnonzero(mask),
+                    unique=True)
     logp = T.log_softmax_rows(T.matmul(real, ved.dec.w_v) + ved.dec.b_v)
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
@@ -378,9 +408,8 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
 
     ``steps[i]`` is the number of columns generated for example i (the
     source query's true length). Returns (states (B, n, k), final (B, k))
-    shaped like an encoder's output, ready to replace it. Columns past a
-    row's length (the row decodes on with the batch) are ignored
-    downstream, as attention stops at the query length.
+    shaped like an encoder's output, ready to replace it. A row stops
+    decoding at its length, and its columns past it are zero.
     """
     z, _, _ = sample_latent(enc.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)

@@ -134,6 +134,15 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=name):
                     RunConfig(**{name: value})
 
+    def test_decay_settings_validated(self):
+        for value in (-1.0, 0.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="decay_factor"):
+                RunConfig(decay_factor=value)
+        for value in (0, -3):
+            with pytest.raises(ConfigError, match="decay_every"):
+                RunConfig(decay_every=value)
+        assert RunConfig(decay_factor=1.0, decay_every=1).decay_factor == 1.0
+
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())
         m.datasets["labeled.tsv"] = "abc123"

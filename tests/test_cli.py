@@ -246,7 +246,8 @@ class TestPhases:
     @pytest.mark.parametrize("line, key", [
         ("batch_size = 0", "batch_size"), ("hidden_size = 0", "hidden_size"),
         ("dropout = 1.5", "dropout"), ("lr = -1", "lr"),
-    ], ids=["batch_size", "hidden_size", "dropout", "lr"])
+        ("decay_factor = -1", "decay_factor"),
+    ], ids=["batch_size", "hidden_size", "dropout", "lr", "decay_factor"])
     def test_bad_config_value_fails_before_writing(self, workspace, capsys, line, key):
         root, data, _, _ = workspace
         bad = root / f"bad_{key}.cfg"

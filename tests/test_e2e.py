@@ -11,7 +11,8 @@ from quarts.e2e import e2e_batch_loss, sample_switches
 from quarts.pipeline import ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape
-from quarts.ved import init_ved, ved_loss_batch
+from quarts.train import frozen
+from quarts.ved import encode_pair_batch, init_ved, ved_loss_batch
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3, dropout=0.1):
@@ -130,10 +131,10 @@ def test_latent_draws_match_a_plain_generator():
     alignment that keeps checkpoints bitwise equal."""
     clf, ved = models()
     rng = RunRng(5, "finetune")
-    triples = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
-                                 TripleExample([5, 6, 7], [8], [4]),
-                                 TripleExample([6], [7, 8], [5])])
-    ved_loss(clf, ved, 5, rng)(triples, 0)
+    triples = [TripleExample([4, 5], [6], [7, 8]), TripleExample([5, 6, 7], [8], [4]),
+               TripleExample([6], [7, 8], [5])]
+    with frozen(clf.named()):
+        ved_loss(clf, ved, triples, 5, rng)(make_triple_batch(triples), 0)
     _, s = e2e_batch_loss(clf, ved, toy_batch([0, 1, 0, 0, 1]), 1.0, 5.0, rng)
     assert s.sum() == 3
     plain = RunRng(5, "finetune").latent
@@ -149,10 +150,16 @@ def test_tape_freed_when_block_ends():
     clf, ved = models()
     batch = toy_batch([0, 1, 0])
     triples = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
+
+    def ved_step(rng):
+        enc = encode_pair_batch(clf, triples.item_ids, triples.item_lens,
+                                triples.query_ids, triples.query_lens)
+        return ved_loss_batch(clf, ved, enc, triples, 0.5,
+                              rng.latent.standard_normal((1, ved.d_z)))[0]
+
     steps = [
         lambda rng: classifier_batch_loss(clf, batch, 5.0, rng.dropout),
-        lambda rng: ved_loss_batch(clf, ved, triples, 0.5,
-                                   rng.latent.standard_normal((1, ved.d_z)))[0],
+        ved_step,
         lambda rng: e2e_batch_loss(clf, ved, batch, 1.0, 5.0, rng)[0],
     ]
     gc.disable()

@@ -105,18 +105,23 @@ def triple_batch():
                               TripleExample([6], [5, 9, 9], [4])])
 
 
+def encode(clf, tb):
+    return V.encode_pair_batch(clf, tb.item_ids, tb.item_lens, tb.query_ids,
+                               tb.query_lens)
+
+
 def test_ved_nll_matches_unfused(f64):
     clf, ved, rng = models(seed=2)
     tb = triple_batch()
     eps = rng.standard_normal((3, 3))
 
     def fused():
-        loss, _, _ = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0, eps=eps)
+        loss, _, _ = V.ved_loss_batch(clf, ved, encode(clf, tb), tb, kl_weight=0.0,
+                                      eps=eps)
         return loss
 
     def unfused():
-        enc = V.encode_pair_batch(clf, tb.item_ids, tb.item_lens,
-                                  tb.query_ids, tb.query_lens)
+        enc = encode(clf, tb)
         z, _, _ = V.sample_latent(enc.c, ved.latent, eps=eps)
         h, c = V.decoder_init(z, ved.latent)
         return U.ved_nll(clf, ved, enc, z, h, c, tb)
@@ -237,3 +242,41 @@ def test_scan_frozen_inputs_leave_other_gradients(forced):
         assert (g is None) == (untracked[name] is None), name
         if g is not None:
             np.testing.assert_array_equal(untracked[name], g, err_msg=name)
+
+
+# five rows, unsorted, with ties in both the longest and a shorter length
+ITEMS5 = np.array([[4, 5, 6], [8, PAD, PAD], [10, 11, PAD], [5, 9, 7], [6, PAD, PAD]])
+ITEM_LENS5 = np.array([3, 1, 2, 3, 1])
+QUERIES5 = np.array([[6, 7], [4, PAD], [9, 11], [5, PAD], [7, 8]])
+QUERY_LENS5 = np.array([2, 1, 2, 1, 2])
+STEPS5 = np.array([2, 4, 1, 4, 2])
+PREV5 = np.array([[BOS, 5, PAD, PAD], [BOS, 6, 7, 8], [BOS, PAD, PAD, PAD],
+                  [BOS, 9, 4, 10], [BOS, 11, PAD, PAD]])
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_packed_scan_matches_unfused_on_ragged_steps(f64, forced):
+    clf, ved, rng = models(seed=9)
+    prev = PREV5 if forced else None
+    eps = rng.standard_normal((5, 3))
+    w_states = T.constant(rng.normal(size=(5, 4, 4)))
+    w_final = T.constant(rng.normal(size=(5, 4)))
+    outputs = []
+
+    def loss(scan):
+        enc = V.encode_pair_batch(clf, ITEMS5, ITEM_LENS5, QUERIES5, QUERY_LENS5)
+        z, _, _ = V.sample_latent(enc.c, ved.latent, eps)
+        h0, c0 = V.decoder_init(z, ved.latent)
+        states, final = scan(enc, z, h0, c0)
+        outputs.append((states.data, final.data))
+        return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
+
+    assert_same(lambda: loss(lambda enc, z, h0, c0: V._decoder_scan(
+                    clf.emb_q, ved, enc, z, h0, STEPS5, prev)),
+                lambda: loss(lambda enc, z, h0, c0: U.hgen_states(
+                    clf, ved, enc, z, h0, c0, STEPS5, prev)),
+                list(clf.named().values()) + list(ved.named().values()))
+    (got, got_final), (want, want_final) = outputs
+    close(got, want)
+    close(got_final, want_final)
+    assert not got[~pad_mask(STEPS5, 4)].any()   # exactly zero past each row's steps

@@ -146,6 +146,23 @@ class TestStructuralOps:
             tape.backward(T.sum_axis(T.lookup(table, np.array([1, 1, 3]))))
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_lookup_unique_backward_equals_scatter_add(self, dtype):
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(9)[:6]
+        grads = []
+        with T.using_dtype(dtype):
+            w = T.constant(rng.normal(size=(6, 5)))
+            data = rng.normal(size=(9, 5))
+            for unique in (False, True):
+                table = Tensor(data, requires_grad=True)
+                with Tape() as tape:
+                    out = T.tanh(T.lookup(table, ids, unique=unique)) * w
+                    tape.backward(T.sum_axis(out))
+                grads.append(table.grad)
+        assert grads[1].dtype == dtype
+        np.testing.assert_array_equal(grads[1], grads[0])
+
 
 class TestBackward:
     def test_sum_gives_ones(self, f64):

@@ -1,12 +1,14 @@
 """Generator components: triples, latent, decoding, beam search, training."""
 import numpy as np
+import pytest
 
+from quarts import classifier as C
 from quarts import ved as V
 from quarts.classifier import init_classifier
-from quarts.data import BOS, EOS, RawPair, TripleExample, make_triple_batch
-from quarts.pipeline import ved_loss
+from quarts.data import BOS, EOS, RawPair, TripleExample, batches, make_triple_batch
+from quarts.pipeline import triple_memory, ved_loss
 from quarts.rng import RunRng
-from quarts.tensor import Tensor
+from quarts.tensor import Tape, Tensor
 from quarts.config import desk_profile
 from quarts.train import fit, frozen
 
@@ -49,6 +51,12 @@ class TestBuildTriples:
         for title, q, qm in triples[:50]:
             assert oracle.label(title, q) == 0
             assert oracle.label(title, qm) == 1
+
+
+def enc_of(clf, tb):
+    """The shared-encoder view of a triple batch's (title, matched query) rows."""
+    return V.encode_pair_batch(clf, tb.item_ids, tb.item_lens, tb.query_ids,
+                               tb.query_lens)
 
 
 def enc_one(clf, item_ids, query_ids):
@@ -148,7 +156,7 @@ class TestVedLoss:
         for t in {**clf.named(), **ved.named()}.values():
             t.data[...] = 0.0
         tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
-        loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
+        loss, nll, kl = V.ved_loss_batch(clf, ved, enc_of(clf, tb), tb, kl_weight=0.0,
                                          eps=np.zeros((1, 3)))   # z = mu
         assert abs(nll - np.log(9)) < 1e-12
         assert kl == 0.0
@@ -157,7 +165,7 @@ class TestVedLoss:
         clf, ved = models(seed=2)
         tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
                                 TripleExample([5, 6, 7], [8], [4])])
-        loss, nll, kl = V.ved_loss_batch(clf, ved, tb, kl_weight=0.0,
+        loss, nll, kl = V.ved_loss_batch(clf, ved, enc_of(clf, tb), tb, kl_weight=0.0,
                                          eps=np.zeros((2, 3)))   # z = mu
         assert abs(loss.item() - nll) < 1e-12
         assert kl > 0.0 or kl == 0.0
@@ -178,8 +186,8 @@ class TestVedLoss:
         ved = V.init_ved(rng, 16, 16, 8, len(vq))
         run_rng = RunRng(0, "ved")
         with frozen(clf.named()):
-            records = fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples,
-                          [], desk_profile(batch_size=16), 3e-3, run_rng,
+            records = fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng),
+                          triples, [], desk_profile(batch_size=16), 3e-3, run_rng,
                           epochs=5, phase="ved")
         losses = [r.loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
@@ -191,10 +199,72 @@ class TestVedLoss:
                    TripleExample([5, 6], [8, 9], [10])]
         run_rng = RunRng(1, "ved")
         with frozen(clf.named()):
-            fit(clf, ved.named(), ved_loss(clf, ved, 5, run_rng), triples, [],
+            fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng), triples, [],
                 desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved")
         for k_, t in clf.named().items():
             np.testing.assert_array_equal(t.data, before[k_], err_msg=k_)
+
+
+TRIPLES = [TripleExample([4, 5], [6], [7, 8]), TripleExample([5, 6, 7], [8, 4], [4]),
+           TripleExample([4, 5], [8, 4], [6, 7, 5]), TripleExample([6], [6], [5, 8]),
+           TripleExample([5, 6, 7], [6], [7]), TripleExample([4, 5], [5, 7, 8], [8, 4])]
+
+
+class TestEncodingCache:
+    """VED training encodes each distinct title and matched query once per
+    phase (``pipeline.triple_memory``) and gathers each batch's rows."""
+
+    def test_cached_rows_match_encoded_batch(self, f64):
+        clf, ved = models(seed=10)
+        with frozen(clf.named()):
+            memory = triple_memory(clf, TRIPLES)
+            for batch in batches(TRIPLES, 4, np.random.default_rng(0)):
+                eps = np.random.default_rng(1).standard_normal((len(batch.index), 3))
+                runs = []
+                for enc in (memory(batch), enc_of(clf, batch)):
+                    for p in ved.named().values():
+                        p.grad = None
+                    with Tape() as tape:
+                        loss, _, _ = V.ved_loss_batch(clf, ved, enc, batch, 0.5, eps)
+                        tape.backward(loss)
+                    grads = [p.grad for p in ved.named().values()]
+                    runs.append((enc, loss.item(), grads))
+                (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
+                for a, b in ((cached.u_states.data, fresh.u_states.data),
+                             (cached.u_logmask, fresh.u_logmask),
+                             (cached.c.data, fresh.c.data), *zip(grads_c, grads_f)):
+                    np.testing.assert_array_equal(a, b)
+                assert loss_c == loss_f
+
+    def test_cache_refuses_a_tracked_encoder(self):
+        clf, _ = models()
+        with pytest.raises(AssertionError, match="frozen"):
+            triple_memory(clf, TRIPLES)
+        with frozen({"emb_t": clf.emb_t}):   # the query encoder is still tracked
+            with pytest.raises(AssertionError, match="frozen"):
+                triple_memory(clf, TRIPLES)
+
+    def test_ved_step_runs_no_encoder(self, monkeypatch):
+        clf, ved = models(seed=11)
+        calls = []
+
+        def counted(*args):
+            calls.append(Tape.current())
+            return scan(*args)
+
+        scan = C.lstm_scan
+        monkeypatch.setattr(C, "lstm_scan", counted)
+        with frozen(clf.named()):
+            loss_fn = ved_loss(clf, ved, TRIPLES, 5, RunRng(0, "ved"))
+            assert len(calls) == 2   # one batch of titles, one of matched queries
+            calls.clear()
+            for batch in batches(TRIPLES, 4):
+                with Tape() as tape:
+                    loss, _ = loss_fn(batch, 0)
+                    names = [rule.__qualname__ for _, _, rule in tape._records]
+                    tape.backward(loss)
+                assert not any("lstm_scan" in n for n in names), names
+        assert calls == []
 
 
 class TestGeneration:

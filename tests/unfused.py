@@ -118,14 +118,17 @@ def ved_nll(clf, ved, enc, z, h, c, batch):
     return T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
 
 
-def hgen_states(clf, ved, enc, z, h, c, steps):
-    """Attentional decoder states under argmax feedback, zero past ``steps``."""
+def hgen_states(clf, ved, enc, z, h, c, steps, prev_ids=None):
+    """Attentional decoder states under argmax feedback, or reading
+    ``prev_ids[:, t]`` at step t when given, zero past ``steps``."""
     bsz = enc.c.shape[0]
     k = h.shape[1]
     prev = np.full(bsz, BOS, dtype=np.int64)
     cols = []
     final = T.zeros((bsz, k))
     for t in range(int(steps.max())):
+        if prev_ids is not None:
+            prev = prev_ids[:, t]
         logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
         prev = np.argmax(logits.data, axis=1)
         on = t < steps

@@ -181,14 +181,6 @@ class MatchOracle:
             return None
         return 0 if query_type == item_type else 1
 
-    def is_hard_positive(self, item_title: str, query: str) -> bool:
-        """Mismatch whose query type is an accessory neighbor of the item's."""
-        item_type = self.resolve(item_title)
-        query_type = self.resolve(query)
-        if item_type is None or query_type is None:
-            return False
-        return query_type in self.spec.accessory_map.get(item_type, [])
-
     def accessory_token_overlap(self, item_title: str, query: str) -> bool:
         """Whether the query shares any token with the item's accessory phrases."""
         item_type = self.resolve(item_title)

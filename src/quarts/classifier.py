@@ -14,11 +14,12 @@ and ``wbw_attention_batch`` each run their whole loop in plain numpy and
 record once, with a hand-written backward pass through time. Input
 projections that do not depend on the recurrent state (``x @ W_x``, and
 the title and query thirds of the attention's ``W_h``) run once, outside
-the loop, and only on real positions. Inside a scan, a row past its true
-length keeps its state unchanged and passes gradient straight through,
-so padding can neither leak into results nor change them. The LSTM cell,
-its gate slopes and its one-step backward are shared with the
-generator's decoder scan in ``ved``.
+the loop, and only on real positions. Every recurrence, here and in the
+generator's decoder, steps its rows on one ``Ragged`` layout: step t runs
+only on the rows still live, so no padded step runs, and a row's outputs
+are zero past its true length, so padding can neither leak into results
+nor change them. The LSTM cell and its backward through time
+(``lstm_bptt``) are shared with the decoder scan in ``ved``.
 """
 from __future__ import annotations
 
@@ -145,114 +146,148 @@ def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
     return act, c_new, tc, act[:, 3 * k:] * tc
 
 
-def gate_slopes(acts: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block."""
-    is_sig = shift * 2
-    out = is_sig - acts   # then in place: (B, T, 4k) temporaries are the scans' largest
-    return np.add(np.multiply(out, acts, out=out), 1 - is_sig, out=out)
+class Ragged:
+    """Rows of lengths ``lens`` laid out for a recurrence that steps only
+    live rows; the one place a scan's row order and packed slots are built.
 
-
-def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, act: np.ndarray,
-                       tc: np.ndarray, c_prev: np.ndarray, dact: np.ndarray,
-                       g: np.ndarray) -> np.ndarray:
-    """Backward of one ``lstm_cell`` step: writes the gradient of the gate
-    pre-activations into ``g`` (B, 4k) and returns the gradient reaching
-    the previous c. ``dh``/``dc`` are the gradients of the new h and c."""
-    k = tc.shape[1]
-    dc_t = dc + dh * act[:, 3 * k:] * (1 - tc * tc)
-    np.multiply(dc_t, act[:, 2 * k:3 * k], out=g[:, :k])
-    np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
-    np.multiply(dc_t, act[:, :k], out=g[:, 2 * k:3 * k])
-    np.multiply(dh, tc, out=g[:, 3 * k:])
-    g *= dact
-    return dc_t * act[:, k:2 * k]
-
-
-def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
-              ) -> tuple[Tensor, Tensor]:
-    """A masked LSTM recurrence from a zero state as one tape record with a
-    hand-written BPTT; the encoders' recurrence.
-
-    ``mask`` (B, T) marks each row's real steps, a prefix of the row.
-    ``xw`` (N, 4k) holds the input projections ``x @ W_x`` of the N real
-    steps packed in row-major order (``x[mask]``), so the hoisted GEMM
-    never runs on padding and its rows do not depend on the padded width.
-    Past a row's true length its state is frozen: h and c carry over
-    unchanged and the gates there get no gradient. Returns (states
-    (B, T, k), final h (B, k)); the frozen updates make the final state
-    the one at each row's last real step.
+    Rows are sorted once, longest first with ties in input order, so the
+    rows live at step t are the first ``n_live[t]`` sorted rows. A packed
+    array holds one slot per real step, step-major: step t's live rows
+    fill slots ``start[t]:start[t + 1]``, slot j is input row ``rows[j]``
+    at step ``steps[j]``, and ``last[i]`` is row i's slot at its last step.
     """
-    bsz, width = mask.shape
+
+    def __init__(self, lens: np.ndarray, width: int | None = None):
+        longest = int(lens.max(initial=0))
+        self.width = longest if width is None else width
+        self.order = np.argsort(-lens, kind="stable")
+        live = pad_mask(lens[self.order], longest).T   # (step, sorted row)
+        self.n_live = live.sum(axis=1)
+        self.start = np.concatenate([[0], np.cumsum(self.n_live)])
+        self.steps, sorted_row = np.nonzero(live)
+        self.rows = self.order[sorted_row]
+        self.last = np.empty(len(lens), np.int64)
+        self.last[self.order] = self.start[lens[self.order] - 1] + np.arange(len(lens))
+
+    def span(self, t: int) -> slice:
+        return slice(self.start[t], self.start[t + 1])
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """Packed (N, ...) slots as (B, width, ...) in input order, zero
+        past each row's length."""
+        out = np.zeros((len(self.order), self.width) + x.shape[1:], x.dtype)
+        out[self.rows, self.steps] = x
+        return out
+
+
+def lstm_bptt(lay: Ragged, g_h: np.ndarray, acts: np.ndarray, cells: np.ndarray,
+              tanh_c: np.ndarray, hs: np.ndarray, h0: np.ndarray, wh: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through time of an LSTM run on ``lay`` from (h0, zero c);
+    the one LSTM BPTT, shared by the encoders and the decoder.
+
+    ``acts`` (N, 4k), ``cells``, ``tanh_c`` and ``hs`` (N, k) are each
+    packed slot's gate activations, c, tanh(c) and h, and ``g_h`` the
+    gradient reaching each slot's h from outside the recurrence. Step t
+    runs on its live prefix, so a row's dh and dc wait untouched until its
+    last step. Returns (gate pre-activation gradients (N, 4k), packed; the
+    gradient of h0 (B, k); the gradient of W_h).
+    """
+    bsz, k = h0.shape
+    dt, start = acts.dtype, lay.start
+    is_sig = _gate_affine(k, dt)[1] * 2   # 1 on the sigmoid blocks, 0 on the cell block
+    dact = is_sig - acts   # then in place: d act / d pre, y(1 - y) or 1 - y^2
+    np.add(np.multiply(dact, acts, out=dact), 1 - is_sig, out=dact)
+    gates = np.empty_like(acts)
+    dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
+    for t in reversed(range(len(lay.n_live))):
+        n, s = lay.n_live[t], lay.span(t)
+        act, tc, g = acts[s], tanh_c[s], gates[s]
+        c_prev = cells[start[t - 1]:start[t - 1] + n] if t else np.zeros((n, k), dt)
+        dh_t = dh[:n] + g_h[s]
+        dc_t = dc[:n] + dh_t * act[:, 3 * k:] * (1 - tc * tc)
+        np.multiply(dc_t, act[:, 2 * k:3 * k], out=g[:, :k])
+        np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
+        np.multiply(dc_t, act[:, :k], out=g[:, 2 * k:3 * k])
+        np.multiply(dh_t, tc, out=g[:, 3 * k:])
+        g *= dact[s]
+        dc[:n] = dc_t * act[:, k:2 * k]
+        dh[:n] = g @ wh.T
+    # each slot's previous h: h0 at step 0, then the prefix of the step before
+    h_prev = np.concatenate([h0[lay.order]] + [
+        hs[start[t - 1]:start[t - 1] + n] for t, n in enumerate(lay.n_live) if t])
+    g_h0 = np.empty_like(dh)
+    g_h0[lay.order] = dh
+    return gates, g_h0, h_prev.T @ gates
+
+
+def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, lay: Ragged) -> tuple[Tensor, Tensor]:
+    """An LSTM recurrence from a zero state over ``lay``'s rows as one tape
+    record with a hand-written BPTT (``lstm_bptt``); the encoders' recurrence.
+
+    ``xw`` (N, 4k) holds the input projections ``x @ W_x`` of the N real
+    steps in ``lay``'s packed order, so the hoisted GEMM never runs on
+    padding. Step t runs only on the rows still live. Returns (states
+    (B, width, k), zero past each row's length; final h (B, k), the state
+    at each row's last real step).
+    """
     k = wh.shape[0]
     dt = xw.data.dtype
     w = wh.data
-    pre = np.zeros((bsz, width, 4 * k), dtype=dt)
-    pre[mask] = xw.data
-    pre += b.data
+    pre = xw.data + b.data
     scale, shift = _gate_affine(k, dt)
-    zero = np.zeros((bsz, k), dt)
     grad = T.needs_grad(xw, wh, b)
-    full = int(mask.sum(axis=1).min())   # steps real in every row
-    states = np.empty((bsz, width, k), dt)
+    hs = np.empty((len(pre), k), dt)
     if grad:
-        acts = np.empty((bsz, width, 4 * k), dt)
-        cells = np.empty((bsz, width, k), dt)
-        tanh_c = np.empty((bsz, width, k), dt)
-    h, c = zero, zero
-    for t in range(width):
-        act, c_new, tc, h_new = lstm_cell(pre[:, t], h, c, w, scale, shift)
-        if t >= full:
-            on = mask[:, t:t + 1]
-            h_new = np.where(on, h_new, h)
-            c_new = np.where(on, c_new, c)
+        acts, cells, tanh_c = np.empty_like(pre), np.empty_like(hs), np.empty_like(hs)
+    h = c = np.zeros((len(lay.order), k), dt)
+    for t, n in enumerate(lay.n_live):
+        s = lay.span(t)
+        act, c, tc, h = lstm_cell(pre[s], h[:n], c[:n], w, scale, shift)
+        hs[s] = h
         if grad:
-            acts[:, t] = act
-            cells[:, t] = c_new
-            tanh_c[:, t] = tc
-        states[:, t] = h = h_new
-        c = c_new
+            acts[s], cells[s], tanh_c[s] = act, c, tc
 
     def rule(grads):
-        g_states, g_h = grads
-        dh, dc = (zero if g_h is None else g_h), zero
-        dact = gate_slopes(acts, shift)
-        gates = np.empty_like(acts)
-        for t in reversed(range(width)):
-            if g_states is not None:
-                dh = dh + g_states[:, t]
-            g = gates[:, t]
-            dc_prev = lstm_cell_backward(dh, dc, acts[:, t], tanh_c[:, t],
-                                         cells[:, t - 1] if t else zero, dact[:, t], g)
-            if t >= full:
-                on = mask[:, t:t + 1]
-                g *= on
-                dh = np.where(on, g @ w.T, dh)
-                dc = np.where(on, dc_prev, dc)
-            else:
-                dh = g @ w.T
-                dc = dc_prev
-        h_prev = np.concatenate([zero[:, None], states[:, :-1]], axis=1)
-        g_wh = h_prev.reshape(-1, k).T @ gates.reshape(-1, 4 * k)
-        return gates[mask], g_wh, gates.sum(axis=(0, 1))
+        g_states, g_final = grads
+        g_h = np.zeros_like(hs) if g_states is None else g_states[lay.rows, lay.steps]
+        if g_final is not None:
+            g_h[lay.last] += g_final
+        gates, _, g_wh = lstm_bptt(lay, g_h, acts, cells, tanh_c, hs,
+                                   np.zeros((len(lay.order), k), dt), w)
+        return gates, g_wh, gates.sum(axis=0)
 
-    return T.record((states, h), (xw, wh, b), rule if grad else None)
+    return T.record((lay.padded(hs), hs[lay.last]), (xw, wh, b), rule if grad else None)
 
 
 def encode_batch(ids: np.ndarray, lens: np.ndarray, emb: Tensor,
                  lstm: LstmParams) -> tuple[Tensor, Tensor]:
     """Run the LSTM over a padded id matrix.
 
-    Three tape records: one lookup of the real tokens, one GEMM with W_x
-    over all of them, one ``lstm_scan``. Returns (states, final): states
-    is (B, T, k) with one row of columns per step; state updates are
-    frozen past each example's true length, so ``final`` is exactly the
-    hidden state at the true last token.
+    Three tape records: one lookup of the real tokens, gathered straight
+    into ``Ragged`` packed order, one GEMM with W_x over all of them, one
+    ``lstm_scan``. Returns (states, final): states is (B, T, k) with one
+    row of columns per step, zero past each example's true length, and
+    ``final`` is the hidden state at the true last token.
     """
     if lens.size and lens.min() < 1:
         raise ValueError("every sequence needs at least one token")
-    mask = pad_mask(lens, ids.shape[1])
-    xw = T.matmul(T.lookup(emb, ids[mask]), lstm.wx)
-    return lstm_scan(xw, lstm.wh, lstm.b, mask)
+    lay = Ragged(lens, ids.shape[1])
+    xw = T.matmul(T.lookup(emb, ids[lay.rows, lay.steps]), lstm.wx)
+    return lstm_scan(xw, lstm.wh, lstm.b, lay)
+
+
+def attention_step(proj_k: np.ndarray, proj_q: np.ndarray, r: np.ndarray,
+                   ks: np.ndarray, tmf: np.ndarray, attn: AttentionParams,
+                   ) -> tuple[np.ndarray, ...]:
+    """One word-by-word attention step over the live rows in plain numpy.
+    Returns (blend, tanh of the scores, scores, carry, new summary)."""
+    w, w_s = attn.w.data, attn.w_h.data[2 * r.shape[1]:]
+    blend = np.tanh(proj_k + (proj_q + r @ w_s)[:, None, :])
+    ts = np.tanh((blend * w).sum(axis=-1))
+    a_t = ts * tmf
+    carry = np.tanh(r @ attn.w_r.data.T)
+    return blend, ts, a_t, carry, (a_t[:, :, None] * ks).sum(axis=1) + carry
 
 
 def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
@@ -265,85 +300,71 @@ def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
     query step t: scores over title words from tanh of an additive blend
     of the title states, the current query state, and the previous summary
     r_{t-1} (r_0 = 0); the new summary is the score-weighted title mix
-    plus a gated carry of r_{t-1}. Returns the final summary (B, k),
-    frozen at each true query length, and the (B, n, m) score stack, zero
-    past each true query length and at title padding.
+    plus a gated carry of r_{t-1}. Returns the summary (B, k) at each true
+    query length, and the (B, n, m) score stack, zero past each true query
+    length and at title padding.
 
     One tape record with a hand-written BPTT. The title and query
     projections through W_h run once, outside the step loop, and only on
-    real positions, so no result depends on the padded widths. The score
+    real positions; step t runs only on the rows whose query is still live
+    (``Ragged``), so no result depends on the padded widths. The score
     stack is returned untracked: nothing differentiates through it.
     """
     bsz, m, k = k_states.shape
-    n = h_states.shape[1]
     dt = k_states.data.dtype
     ks, hs = k_states.data, h_states.data
     w_h, w, w_r = attn.w_h.data, attn.w.data, attn.w_r.data
     w_k, w_q, w_s = w_h[:k], w_h[k:2 * k], w_h[2 * k:]
+    lay = Ragged(query_lens, h_states.shape[1])
     tmask = pad_mask(item_lens, m)
-    qmask = pad_mask(query_lens, n)
-    tmf = tmask.astype(dt)
+    ks_o, tmask_o = ks[lay.order], tmask[lay.order]   # title side in sorted rows
+    tmf = tmask_o.astype(dt)
     proj_k = np.zeros((bsz, m, k), dt)
-    proj_k[tmask] = ks[tmask] @ w_k
-    proj_q = np.zeros((bsz, n, k), dt)
-    proj_q[qmask] = hs[qmask] @ w_q
+    proj_k[tmask_o] = ks_o[tmask_o] @ w_k
+    hq = hs[lay.rows, lay.steps]   # the real query states, packed
+    proj_q = hq @ w_q
     grad = T.needs_grad(k_states, h_states, attn.w_h, attn.w, attn.w_r)
-    full = int(qmask.sum(axis=1).min())
-    r = np.zeros((bsz, k), dt)
-    alpha = np.empty((bsz, n, m), dt)
+    slots = len(hq)
+    rs, alphas = np.empty((slots, k), dt), np.empty((slots, m), dt)
     if grad:
-        r_prev, carries = np.empty((n, bsz, k), dt), np.empty((n, bsz, k), dt)
-        blends = np.empty((n, bsz, m, k), dt)
-        tanh_s = np.empty((n, bsz, m), dt)
-    for t in range(n):
-        blend = np.tanh(proj_k + (proj_q[:, t] + r @ w_s)[:, None, :])
-        ts = np.tanh((blend * w).sum(axis=-1))
-        a_t = ts * tmf
-        carry = np.tanh(r @ w_r.T)
-        r_new = (a_t[:, :, None] * ks).sum(axis=1) + carry
-        if t >= full:
-            r_new = np.where(qmask[:, t:t + 1], r_new, r)
-            a_t *= qmask[:, t:t + 1]
+        r_prev, carries = np.empty((slots, k), dt), np.empty((slots, k), dt)
+        blends, tanh_s = np.empty((slots, m, k), dt), np.empty((slots, m), dt)
+    r = np.zeros((bsz, k), dt)
+    for t, n in enumerate(lay.n_live):
+        s = lay.span(t)
+        blend, ts, alphas[s], carry, r_new = attention_step(
+            proj_k[:n], proj_q[s], r[:n], ks_o[:n], tmf[:n], attn)
         if grad:
-            r_prev[t], blends[t], tanh_s[t], carries[t] = r, blend, ts, carry
-        alpha[:, t] = a_t
-        r = r_new
+            r_prev[s], blends[s], tanh_s[s], carries[s] = r[:n], blend, ts, carry
+        rs[s] = r = r_new
+    alpha = lay.padded(alphas)
 
     def rule(g_r):
-        g_ks = np.zeros((bsz, m, k), dt)
+        g_r = g_r[lay.order]   # each row's gradient waits until its last step
+        g_on, g_carry = np.empty((slots, k), dt), np.empty((slots, k), dt)
+        g_score, g_proj_q = np.empty((slots, m), dt), np.empty((slots, k), dt)
         g_proj_k = np.zeros((bsz, m, k), dt)
-        g_proj_q = np.zeros((bsz, n, k), dt)
-        g_on = np.empty((n, bsz, k), dt)
-        g_carry = np.empty((n, bsz, k), dt)
-        g_score = np.empty((n, bsz, m), dt)
-        for t in reversed(range(n)):
-            g = g_r * qmask[:, t:t + 1] if t >= full else g_r
-            g_on[t] = g
-            g_carry[t] = gc = g * (1 - carries[t] * carries[t])
-            g_a = (ks * g[:, None, :]).sum(axis=-1)
-            g_score[t] = gs = g_a * tmf * (1 - tanh_s[t] * tanh_s[t])
-            g_blend = gs[:, :, None] * w * (1 - blends[t] * blends[t])
-            g_proj_k += g_blend
-            g_proj_q[:, t] = g_row = g_blend.sum(axis=1)
-            g_prev = gc @ w_r + g_row @ w_s.T
-            if t >= full:   # rows past their length pass r through
-                g_prev += g_r * ~qmask[:, t:t + 1]
-            g_r = g_prev
+        for t in reversed(range(len(lay.n_live))):
+            n, s = lay.n_live[t], lay.span(t)
+            g_on[s] = g = g_r[:n]
+            g_carry[s] = gc = g * (1 - carries[s] * carries[s])
+            g_a = (ks_o[:n] * g[:, None, :]).sum(axis=-1)
+            g_score[s] = gs = g_a * tmf[:n] * (1 - tanh_s[s] * tanh_s[s])
+            g_blend = gs[:, :, None] * w * (1 - blends[s] * blends[s])
+            g_proj_k[:n] += g_blend
+            g_proj_q[s] = g_row = g_blend.sum(axis=1)
+            g_r[:n] = gc @ w_r + g_row @ w_s.T
         # the title mix over all steps: d/dK of sum_t a_t K = sum_t a_t^T g_t
-        g_ks += np.matmul(alpha.transpose(0, 2, 1), g_on.transpose(1, 0, 2))
+        g_ks = np.matmul(alpha.transpose(0, 2, 1), lay.padded(g_on))
+        g_proj_k[lay.order] = g_proj_k.copy()   # back to input order
         g_ks[tmask] += g_proj_k[tmask] @ w_k.T
-        g_hs = np.zeros((bsz, n, k), dt)
-        g_hs[qmask] = g_proj_q[qmask] @ w_q.T
-        g_w_h = np.concatenate([
-            ks[tmask].T @ g_proj_k[tmask],
-            hs[qmask].T @ g_proj_q[qmask],
-            r_prev.reshape(-1, k).T @ g_proj_q.transpose(1, 0, 2).reshape(-1, k)])
+        g_w_h = np.concatenate([ks[tmask].T @ g_proj_k[tmask], hq.T @ g_proj_q,
+                                r_prev.T @ g_proj_q])
         g_w = g_score.reshape(-1) @ blends.reshape(-1, k)
-        g_w_r = g_carry.reshape(-1, k).T @ r_prev.reshape(-1, k)
-        return g_ks, g_hs, g_w_h, g_w, g_w_r
+        return g_ks, lay.padded(g_proj_q @ w_q.T), g_w_h, g_w, g_carry.T @ r_prev
 
     inputs = (k_states, h_states, attn.w_h, attn.w, attn.w_r)
-    return T.record(r, inputs, rule if grad else None), T.constant(alpha)
+    return T.record(rs[lay.last], inputs, rule if grad else None), T.constant(alpha)
 
 
 def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:

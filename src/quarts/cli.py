@@ -1,7 +1,7 @@
 """Command-line entry point wiring every phase of the workflow.
 
 Exit codes: 0 success, 2 validation error (bad config, missing inputs,
-malformed data), 3 numeric-check failure (gradcheck).
+malformed data).
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ log = logging.getLogger("quarts")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_NUMERIC = 3
 
 
 def _run_dir(args) -> Path:
@@ -255,12 +254,6 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_suite
-    ok = run_suite(_config(args).seed)
-    return EXIT_OK if ok else EXIT_NUMERIC
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quarts",
@@ -345,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--top", type=int, default=3)
     s.add_argument("--limit", type=int)
     s.set_defaults(fn=cmd_knn)
-
-    s = sub.add_parser("gradcheck", help="finite-difference suite")
-    s.add_argument("--seed", type=int)
-    s.set_defaults(fn=cmd_gradcheck)
     return ap
 
 

@@ -146,14 +146,17 @@ def file_sha256(path) -> str:
 @dataclass
 class RunManifest:
     """Reproducibility record: same inputs regenerate the same metrics."""
-    config_hash: str = ""
+    config_hash: str = ""                             # the config the run dir began with
     seed: int = 0
     datasets: dict = field(default_factory=dict)      # path -> content hash
-    phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds}
+    phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds,
+                                                      #   config_hash}
     created: str = ""
 
-    def record_phase(self, name: str, checkpoint: str, seconds: float) -> None:
-        self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6)}
+    def record_phase(self, name: str, checkpoint: str, seconds: float,
+                     config_hash: str) -> None:
+        self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6),
+                             "config_hash": config_hash}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

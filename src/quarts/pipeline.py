@@ -174,7 +174,8 @@ def _phase(cfg: RunConfig, run_dir, name: str, ckpt: str) -> Iterator[PhaseRun]:
     Creates the run dir and runs the body timed, at the run's precision.
     After the body, writes ``run.params`` to ``ckpt``, appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
-    phase in ``manifest.json``. A body that raises writes none of these.
+    phase, with its config hash, in ``manifest.json``. A body that raises
+    writes none of these.
     """
     run = PhaseRun(Path(run_dir))
     run.dir.mkdir(parents=True, exist_ok=True)
@@ -186,7 +187,7 @@ def _phase(cfg: RunConfig, run_dir, name: str, ckpt: str) -> Iterator[PhaseRun]:
     _append_metrics(run.dir, name, run.records)
     path = run.dir / "manifest.json"
     man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
-    man.record_phase(name, ckpt, time.perf_counter() - t0)
+    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash())
     man.save(path)
 
 

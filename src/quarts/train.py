@@ -60,20 +60,20 @@ def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams,
 
     Returns (row_of, states, final): sequence i is row ``row_of[i]`` of
     ``states`` (distinct, widest, k) and of ``final`` (distinct, k).
-    ``states`` repeats each row's final state past its length, as
-    ``encode_batch`` leaves a row in a wider batch.
+    ``states`` is zero past each row's length, as ``encode_batch`` leaves
+    a row in a wider batch, so a gathered row trimmed to any batch's width
+    is that row's encoding in the batch.
     """
     index: dict[tuple[int, ...], int] = {}
     row_of = np.array([index.setdefault(tuple(s), len(index)) for s in seqs])
     ids, lens = pad_matrix(list(index))
-    states = np.empty(ids.shape + (lstm.wh.shape[0],), emb.data.dtype)
+    states = np.zeros(ids.shape + (lstm.wh.shape[0],), emb.data.dtype)
     final = np.empty((len(index), lstm.wh.shape[0]), emb.data.dtype)
     by_len = np.argsort(lens, kind="stable")
     for rows in np.split(by_len, range(batch_size, len(by_len), batch_size)):
         width = int(lens[rows].max())
         k_states, last = encode_batch(ids[rows, :width], lens[rows], emb, lstm)
         final[rows] = last.data
-        states[rows] = last.data[:, None]
         states[rows, :width] = k_states.data
     return row_of, states, final
 

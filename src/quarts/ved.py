@@ -14,9 +14,10 @@ Both uses of the decoder run one fused scan, recorded once with a
 hand-written backward pass: teacher-forced VED training reads the given
 previous tokens, and ``hgen_forward_batch`` feeds back its own argmax.
 The two differ only in where each step's input token comes from. The
-scan steps each row only up to its own length, so its columns past that
-length are zero in both modes. Beam search's ``decode_step`` runs the
-same numpy step once, with no tape.
+scan steps each row only up to its own length, on the classifier's
+``Ragged`` layout and through its ``lstm_bptt``, so its columns past that
+length are zero in both modes, as the encoders' are. Beam search's
+``decode_step`` runs the same numpy step once, with no tape.
 
 VED training takes each batch's encoding as an argument: the shared
 encoder is frozen then, so the pipeline encodes each distinct title and
@@ -30,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .classifier import (ClassifierParams, LstmParams, encode_batch, gate_slopes,
-                         init_lstm, lstm_cell, lstm_cell_backward, _gate_affine,
-                         _uniform)
+from .classifier import (ClassifierParams, LstmParams, Ragged, encode_batch, init_lstm,
+                         lstm_bptt, lstm_cell, _gate_affine, _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, tokenize)
 from .tensor import Tensor
@@ -257,114 +257,83 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
     BOS, then its own argmax. Returns (d~ states (B, W, k), zero past each
     row's steps; each row's state at step ``steps - 1``), in input order.
 
-    Rows are sorted once by ``steps``, longest first, so step t runs on
-    the prefix of rows still live, and its activations are kept packed:
-    the live rows of step 0, then of step 1, and so on. The backward loop
-    carries the h/c recurrence over the same prefixes; attention and W_c
-    run for all steps at once, and each weight and embedding gradient is
-    one GEMM or scatter over the real steps. No gradient flows through
-    token choices (W_v and b_v get none), and none is computed for an
-    untracked ``emb_q`` or U.
+    The rows run on the ``Ragged`` layout of ``steps``, as the encoders'
+    do: step t runs on the rows still live, and activations stay packed.
+    The backward pass runs attention and W_c for all steps at once, the
+    recurrence through ``lstm_bptt``, and each weight and embedding
+    gradient as one GEMM or scatter over the real steps. No gradient flows
+    through token choices (W_v and b_v get none), and none is computed for
+    an untracked ``emb_q`` or U.
     """
     lstm, dec = ved.dec.lstm, ved.dec
     emb, wh, w_a, w_c = emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
     wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
-    bsz, k = h0.shape
+    k = h0.shape[1]
     dt = z.data.dtype
-    order = np.argsort(-steps, kind="stable")   # longest first, ties in input order
-    zs, u, logmask = z.data[order], enc.u_states.data[order], enc.u_logmask[order]
-    zx = zs @ wx_z + lstm.b.data
-    live = pad_mask(steps[order], int(steps.max())).T   # (steps, B): step t, sorted row
-    n_live = live.sum(axis=1)
-    start = np.concatenate([[0], np.cumsum(n_live)])   # step t: slots start[t]:start[t+1]
-    slot_step, slot_row = np.nonzero(live)   # each packed slot's step and sorted row
-    rows = order[slot_row]                   # each packed slot's input row
-    last = np.empty(bsz, np.int64)   # each input row's slot at its last step
-    last[order] = start[steps[order] - 1] + np.arange(bsz)
+    lay = Ragged(steps, None if prev_ids is None else prev_ids.shape[1])
+    u, logmask = enc.u_states.data[lay.order], enc.u_logmask[lay.order]
+    zx = z.data[lay.order] @ wx_z + lstm.b.data
     if prev_ids is None:
-        width, ids = live.shape[0], []
-        prev = np.full(bsz, BOS, dtype=np.int64)
+        ids, prev = [], np.full(len(steps), BOS, dtype=np.int64)
     else:
-        width, ids = prev_ids.shape[1], prev_ids[rows, slot_step]
+        ids = prev_ids[lay.rows, lay.steps]
         xe = emb[ids] @ wx_e
     inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a, dec.w_c)
     grad = T.needs_grad(*inputs)
     want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(enc.u_states)
-    outs = []    # per step: d~
-    cache = []   # per step: gate activations, c, tanh(c), [h ++ ctx], weights
-    h_init, c_init = h0.data[order], np.zeros((bsz, k), dt)
-    h, c = h_init, c_init
-    for t, n in enumerate(n_live):
+    slots = len(lay.rows)
+    packed = np.empty((slots, k), dt)   # d~ of each slot
+    if grad:
+        acts, cells, tanh_c = (np.empty((slots, 4 * k), dt), np.empty((slots, k), dt),
+                               np.empty((slots, k), dt))
+        hcs, alphas = np.empty((slots, 2 * k), dt), np.empty((slots, u.shape[1]), dt)
+    h, c = h0.data[lay.order], np.zeros((len(steps), k), dt)
+    for t, n in enumerate(lay.n_live):
+        s = lay.span(t)
         if prev_ids is None:
             ids.append(prev[:n])
             pre = emb[prev[:n]] @ wx_e + zx[:n]
         else:
-            pre = xe[start[t]:start[t + 1]] + zx[:n]
-        d_t, h, c, alpha, act, tc, hc = _decoder_step(
+            pre = xe[s] + zx[:n]
+        packed[s], h, c, alpha, act, tc, hc = _decoder_step(
             pre, h[:n], c[:n], u[:n], logmask[:n], dec)
-        outs.append(d_t)
         if prev_ids is None:
-            prev = np.argmax(_logits(d_t, dec), axis=1)
+            prev = np.argmax(_logits(packed[s], dec), axis=1)
         if grad:
-            cache.append((act, c, tc, hc, alpha))
+            acts[s], cells[s], tanh_c[s], hcs[s], alphas[s] = act, c, tc, hc, alpha
     if prev_ids is None:
         ids = np.concatenate(ids)
-    packed = np.concatenate(outs)
-    states = np.zeros((bsz, width, k), dt)
-    states[rows, slot_step] = packed
-
-    def padded(x):
-        """Packed (N, ...) slots as (sorted rows, steps, ...), zero past a row's steps."""
-        out = np.zeros(live.shape + x.shape[1:], dt)
-        out[live] = x
-        return out.transpose(1, 0, 2)
 
     def rule(grads):
         g_states, g_final = grads
-        g = np.zeros_like(packed) if g_states is None else g_states[rows, slot_step]
+        g = np.zeros_like(packed) if g_states is None else g_states[lay.rows, lay.steps]
         if g_final is not None:
-            g[last] += g_final
-        hcs = np.concatenate([step[3] for step in cache])
+            g[lay.last] += g_final
         h2s = hcs[:, :k]
         g_pre = g * (1 - packed * packed)   # through d~ = tanh(.)
         g_hc = g_pre @ w_c.T
         # attention over each row's memory, for all its steps at once
-        alphas = padded(np.concatenate([step[4] for step in cache]))
-        g_ctx = padded(g_hc[:, k:])
-        g_alpha = np.matmul(g_ctx, u.transpose(0, 2, 1))
-        g_scores = alphas * (g_alpha - (g_alpha * alphas).sum(axis=2, keepdims=True))
-        g_hw = np.matmul(g_scores, u).transpose(1, 0, 2)[live]
-        g_h2 = g_hc[:, :k] + g_hw @ w_a.T
+        u_in, a = enc.u_states.data, lay.padded(alphas)
+        g_ctx = lay.padded(g_hc[:, k:])
+        g_alpha = np.matmul(g_ctx, u_in.transpose(0, 2, 1))
+        g_scores = a * (g_alpha - (g_alpha * a).sum(axis=2, keepdims=True))
+        g_hw = np.matmul(g_scores, u_in)[lay.rows, lay.steps]
         g_u = None
         if want_u:
-            g_u = np.empty_like(u)
-            g_u[order] = (np.matmul(alphas.transpose(0, 2, 1), g_ctx)
-                          + np.matmul(g_scores.transpose(0, 2, 1), padded(h2s @ w_a)))
-        shift = _gate_affine(k, dt)[1]
-        gates = np.empty((len(packed), 4 * k), dt)
-        dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
-        g_zx = np.zeros((bsz, 4 * k), dt)
-        for t in reversed(range(len(n_live))):   # rows past their steps stay at zero
-            n, span = n_live[t], slice(start[t], start[t + 1])
-            act, _, tc = cache[t][:3]
-            dc[:n] = lstm_cell_backward(dh[:n] + g_h2[span], dc[:n], act, tc,
-                                        cache[t - 1][1][:n] if t else c_init,
-                                        gate_slopes(act, shift), gates[span])
-            dh[:n] = gates[span] @ wh.T
-            g_zx[:n] += gates[span]
+            g_u = (np.matmul(a.transpose(0, 2, 1), g_ctx)
+                   + np.matmul(g_scores.transpose(0, 2, 1), lay.padded(h2s @ w_a)))
+        gates, g_h0, g_wh = lstm_bptt(lay, g_hc[:, :k] + g_hw @ w_a.T, acts, cells,
+                                      tanh_c, h2s, h0.data, wh)
+        g_zx = lay.padded(gates).sum(axis=1)
         g_emb = None
         if want_emb:
             g_emb = np.zeros_like(emb)
             np.add.at(g_emb, ids, gates @ wx_e.T)
-        g_wx = np.concatenate([emb[ids].T @ gates, zs.T @ g_zx])
-        # each step's previous h: h0 at step 0, then the step before's prefix
-        h_prev = np.concatenate([h_init] + [
-            h2s[start[t - 1]:start[t - 1] + n_live[t]] for t in range(1, len(n_live))])
-        back = np.argsort(order)   # sorted row of each input row
-        return ((g_zx @ wx_z.T)[back], dh[back], g_emb, g_wx, h_prev.T @ gates,
-                g_zx.sum(axis=0), g_u, h2s.T @ g_hw, hcs.T @ g_pre)
+        g_wx = np.concatenate([emb[ids].T @ gates, z.data.T @ g_zx])
+        return (g_zx @ wx_z.T, g_h0, g_emb, g_wx, g_wh, g_zx.sum(axis=0), g_u,
+                h2s.T @ g_hw, hcs.T @ g_pre)
 
-    return T.record((states, packed[last]), inputs, rule if grad else None)
+    return T.record((lay.padded(packed), packed[lay.last]), inputs, rule if grad else None)
 
 
 # --- training loss ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Finite-difference verification of tape gradients.
+"""Finite-difference verification of tape gradients: the float64
+gradcheck suite that ``test_tensor.py`` runs over every op and model loss.
 
 The whole suite runs in float64; checking in float32 is meaningless at
 eps=1e-5 and is rejected. Functions under check must be pure and
@@ -11,15 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as T
-from .classifier import (AttentionParams, batch_probs, dssm_batch_probs,
-                         init_classifier, init_dssm, lstm_scan, wbw_attention_batch,
-                         weighted_ce_loss)
-from .data import Batch, TripleExample, make_triple_batch, pad_mask
-from .e2e import e2e_batch_loss
-from .rng import RunRng
-from .tensor import Tape, Tensor
-from .ved import encode_pair_batch, hgen_forward_batch, init_ved, sample_latent, \
+from quarts import tensor as T
+from quarts.classifier import (AttentionParams, Ragged, batch_probs, dssm_batch_probs,
+                               init_classifier, init_dssm, lstm_scan,
+                               wbw_attention_batch, weighted_ce_loss)
+from quarts.data import Batch, TripleExample, make_triple_batch
+from quarts.e2e import e2e_batch_loss
+from quarts.rng import RunRng
+from quarts.tensor import Tape, Tensor
+from quarts.ved import encode_pair_batch, hgen_forward_batch, init_ved, sample_latent, \
     ved_loss_batch
 
 
@@ -174,13 +175,12 @@ def op_checks(seed: int = 0) -> list[tuple[str, float]]:
     # fused recurrences on mixed-length batches with padded rows
     k = 3
     lens = np.array([3, 1, 2])
-    mask = pad_mask(lens, 3)
     xw = _p(rng, int(lens.sum()), 4 * k)
     wh, bias = _p(rng, k, 4 * k), _p(rng, 4 * k)
     cs, ch = _const(rng, 3, 3, k), _const(rng, 3, k)
 
     def scan():
-        states, h = lstm_scan(xw, wh, bias, mask)
+        states, h = lstm_scan(xw, wh, bias, Ragged(lens))
         return T.sum_axis(states * cs) + T.sum_axis(h * ch)
 
     run("lstm_scan", [xw, wh, bias], scan)
@@ -291,14 +291,3 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
                     grad_check(e2e_forced, all_params, eps=MODEL_EPS)))
     return results
 
-
-def run_suite(seed: int = 0) -> bool:
-    """Full finite-difference suite; prints one line per check and returns
-    True when every error is below ``TOLERANCE``."""
-    ok = True
-    with T.using_dtype(np.float64):
-        for name, err in op_checks(seed) + model_checks(seed):
-            passed = err < TOLERANCE
-            ok = ok and passed
-            print(f"{'PASS' if passed else 'FAIL'}  {name:28s} max_rel_err={err:.3e}")
-    return ok

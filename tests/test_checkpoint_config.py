@@ -146,8 +146,9 @@ class TestConfig:
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())
         m.datasets["labeled.tsv"] = "abc123"
-        m.record_phase("classifier", "phase1.qrts", 1.25)
+        m.record_phase("classifier", "phase1.qrts", 1.25, m.config_hash)
         m.save(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
         assert back.config_hash == m.config_hash
+        assert back.phases["classifier"]["config_hash"] == m.config_hash
         assert back.phases["classifier"]["checkpoint"] == "phase1.qrts"

@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
+from gradcheck import MODEL_EPS, grad_check
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import train as TR
 from quarts.data import PAD, Batch, Example, batches, make_batch, pad_matrix
-from quarts.gradcheck import grad_check
 from quarts.tensor import Tape, Tensor
 from quarts.train import evaluate_probs
 
@@ -207,7 +207,6 @@ class TestClassify:
                                      batch_queries, np.array([3]))
             return C.weighted_ce_loss(probs, labels, beta=5.0)
 
-        from quarts.gradcheck import MODEL_EPS
         err = grad_check(loss, params, eps=MODEL_EPS)
         assert err < 1e-4
 

@@ -125,6 +125,19 @@ class TestPhases:
             for key in ("epoch", "split", "aupr", "f1", "loss", "s1_fraction"):
                 assert key in r
 
+    def test_manifest_records_each_phase_config(self, workspace, tmp_path):
+        _, _, run, base = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        argv = [str(copy) if a == str(run) else a for a in base]
+        hashes = []
+        for p in ("0", "0.3"):
+            assert main(["train-e2e"] + argv + ["--p", p]) == 0
+            phases = json.loads((copy / "manifest.json").read_text())["phases"]
+            hashes.append(phases["e2e"]["config_hash"])
+        assert hashes[0] != hashes[1]
+        assert hashes[1] == load_config(base[-1], base=desk_profile()).replace(p=0.3).hash()
+
     def test_missing_prerequisite_names_prior_command(self, workspace, capsys):
         root, data, _, _ = workspace
         empty_run = root / "empty_run"
@@ -259,13 +272,12 @@ class TestPhases:
         assert f"{key} must be" in capsys.readouterr().err
         assert not run.exists()
 
-    @pytest.mark.parametrize("command", ["pretrain-classifier", "gradcheck"])
+    @pytest.mark.parametrize("command", ["pretrain-classifier", "train-e2e"])
     def test_negative_seed_fails_before_writing(self, workspace, capsys, command):
         root, data, _, _ = workspace
         run = root / "negative_seed_run"
-        dirs = [] if command == "gradcheck" else ["--data-dir", str(data),
-                                                  "--run-dir", str(run)]
-        code = main([command] + dirs + ["--seed", "-1"])
+        code = main([command, "--data-dir", str(data), "--run-dir", str(run),
+                     "--seed", "-1"])
         assert code == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not run.exists()

@@ -66,37 +66,79 @@ QUERIES = np.array([[6, 7, 8], [4, PAD, PAD], [9, 11, PAD]])
 QUERY_LENS = np.array([3, 1, 2])
 
 
+# the mixed lengths above, and five unsorted rows with ties (2, 4, 1, 4, 2)
+RAGGED_TITLES = [(ITEMS, ITEM_LENS),
+                 (np.array([[4, 5, PAD, PAD], [6, 7, 8, 9], [10, PAD, PAD, PAD],
+                            [11, 4, 5, 6], [7, 8, PAD, PAD]]), np.array([2, 4, 1, 4, 2]))]
+RAGGED_QUERIES = [(QUERIES, QUERY_LENS),
+                  (np.array([[6, 7, PAD, PAD], [4, 5, 6, 7], [9, PAD, PAD, PAD],
+                             [8, 9, 10, 11], [5, 4, PAD, PAD]]), np.array([2, 4, 1, 4, 2]))]
+
+
 def test_encoder_matches_unfused(f64):
-    clf, _, rng = models()
-    w_states = T.constant(rng.normal(size=(3, 4, 4)))
-    w_final = T.constant(rng.normal(size=(3, 4)))
+    for ids, lens in RAGGED_TITLES:
+        clf, _, rng = models()
+        real = pad_mask(lens, ids.shape[1])
+        # only real columns are weighted: past each length the two differ by design
+        w_states = T.constant(rng.normal(size=ids.shape + (4,)) * real[:, :, None])
+        w_final = T.constant(rng.normal(size=(len(ids), 4)))
+        outputs = []
 
-    def loss(encode):
-        states, final = encode(ITEMS, ITEM_LENS, clf.emb_t, clf.lstm_t)
-        return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
+        def loss(encode):
+            states, final = encode(ids, lens, clf.emb_t, clf.lstm_t)
+            outputs.append(states.data)
+            return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
 
-    assert_same(lambda: loss(C.encode_batch), lambda: loss(U.encode_batch),
-                [clf.emb_t, clf.lstm_t.wx, clf.lstm_t.wh, clf.lstm_t.b])
+        assert_same(lambda: loss(C.encode_batch), lambda: loss(U.encode_batch),
+                    [clf.emb_t, clf.lstm_t.wx, clf.lstm_t.wh, clf.lstm_t.b])
+        got, want = outputs
+        close(got[real], want[real])
+        assert not got[~real].any()   # exactly zero past each row's length
 
 
 def test_attention_matches_unfused(f64):
-    clf, _, rng = models(seed=1)
-    w_r = T.constant(rng.normal(size=(3, 4)))
+    for (items, item_lens), (queries, query_lens) in zip(RAGGED_TITLES, RAGGED_QUERIES):
+        clf, _, rng = models(seed=1)
+        w_r = T.constant(rng.normal(size=(len(items), 4)))
 
-    def run(attend):
-        ks, _ = C.encode_batch(ITEMS, ITEM_LENS, clf.emb_t, clf.lstm_t)
-        hs, _ = C.encode_batch(QUERIES, QUERY_LENS, clf.emb_q, clf.lstm_q)
-        return attend(ks, ITEM_LENS, hs, QUERY_LENS, clf.attn)
+        def run(attend):
+            ks, _ = C.encode_batch(items, item_lens, clf.emb_t, clf.lstm_t)
+            hs, _ = C.encode_batch(queries, query_lens, clf.emb_q, clf.lstm_q)
+            return attend(ks, item_lens, hs, query_lens, clf.attn)
 
-    params = list(clf.named().values())[:12]   # embeddings, LSTMs, attention
-    assert_same(lambda: T.sum_axis(run(C.wbw_attention_batch)[0] * w_r),
-                lambda: T.sum_axis(run(U.wbw_attention_batch)[0] * w_r), params)
-    # score rows agree on real query steps; the fused op zeroes the rest
-    _, got = run(C.wbw_attention_batch)
-    _, want = run(U.wbw_attention_batch)
-    qmask = pad_mask(QUERY_LENS, 3)
-    close(got.data[qmask], want.data[qmask])
-    assert not got.data[~qmask].any()
+        params = list(clf.named().values())[:12]   # embeddings, LSTMs, attention
+        assert_same(lambda: T.sum_axis(run(C.wbw_attention_batch)[0] * w_r),
+                    lambda: T.sum_axis(run(U.wbw_attention_batch)[0] * w_r), params)
+        # score rows agree on real query steps; the fused op zeroes the rest
+        _, got = run(C.wbw_attention_batch)
+        _, want = run(U.wbw_attention_batch)
+        qmask = pad_mask(query_lens, queries.shape[1])
+        close(got.data[qmask], want.data[qmask])
+        assert not got.data[~qmask].any()
+
+
+def test_no_padded_step_runs(monkeypatch):
+    # a step runs only on the rows still live, however wide the padding
+    clf, _, _ = models()
+    (items, item_lens), (queries, query_lens) = RAGGED_TITLES[1], RAGGED_QUERIES[1]
+    items, queries = np.pad(items, ((0, 0), (0, 3))), np.pad(queries, ((0, 0), (0, 2)))
+    stepped = []
+
+    def counted(step):
+        def run(live, *args):
+            stepped.append(len(live))
+            return step(live, *args)
+        return run
+
+    monkeypatch.setattr(C, "lstm_cell", counted(C.lstm_cell))
+    monkeypatch.setattr(C, "attention_step", counted(C.attention_step))
+    with Tape():
+        ks, _ = C.encode_batch(items, item_lens, clf.emb_t, clf.lstm_t)
+        assert sum(stepped) == item_lens.sum()
+        hs, _ = C.encode_batch(queries, query_lens, clf.emb_q, clf.lstm_q)
+        del stepped[:]
+        C.wbw_attention_batch(ks, item_lens, hs, query_lens, clf.attn)
+        assert sum(stepped) == query_lens.sum()
 
 
 def triple_batch():

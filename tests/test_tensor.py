@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import unfused as U
+from gradcheck import TOLERANCE, grad_check, model_checks, op_checks
 from quarts import tensor as T
-from quarts.gradcheck import grad_check, model_checks, op_checks
 from quarts.tensor import Tape, Tensor
 
 
@@ -230,7 +230,7 @@ class TestDtypeMode:
 def test_every_registered_op_passes_gradcheck():
     with T.using_dtype(np.float64):
         for name, err in op_checks(seed=0):
-            assert err < 1e-4, f"{name}: {err}"
+            assert err < TOLERANCE, f"{name}: {err}"
 
 
 def test_every_model_loss_passes_gradcheck():
@@ -238,4 +238,4 @@ def test_every_model_loss_passes_gradcheck():
         results = model_checks(seed=0)
     assert {"ved_loss", "hgen_states", "e2e_loss_forced_switch"} <= {n for n, _ in results}
     for name, err in results:
-        assert err < 1e-4, f"{name}: {err}"
+        assert err < TOLERANCE, f"{name}: {err}"

@@ -1,10 +1,14 @@
 """The unfused per-step compositions the fused ops replaced.
 
 Each function builds its recurrence one step at a time from primitive
-tape ops, with 0/1 update masks freezing state past each row's length.
-They are slow, but every op in them is gradient-checked on its own, so
-the fused ops are held to them: forward values and gradients must agree
-at float64 within a relative 1e-10. ``slice_axis`` and ``softmax_rows``,
+tape ops over every row of the padded batch, with 0/1 update masks
+freezing state past each row's length. They are slow, but every op in
+them is gradient-checked on its own, so the fused ops are held to them:
+forward values and gradients must agree at float64 within a relative
+1e-10. The fused ops step only live rows and leave their outputs zero
+past each row's length, where these references repeat the frozen state
+(the decoder reference zeroes its columns too); tests compare real
+columns and final states. ``slice_axis`` and ``softmax_rows``,
 which only these references use, live here with them.
 """
 import numpy as np

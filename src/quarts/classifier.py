@@ -20,6 +20,11 @@ only on the rows still live, so no padded step runs, and a row's outputs
 are zero past its true length, so padding can neither leak into results
 nor change them. The LSTM cell and its backward through time
 (``lstm_bptt``) are shared with the decoder scan in ``ved``.
+
+A batch's shared-encoder output is one ``EncodedBatch`` record, built by
+``encode_pair_batch`` or gathered from an encode-once cache
+(``train.encode_distinct``). ``batch_probs`` scores it, the generator
+reads it (``ved.pair_memory``), and ``e2e`` swaps its query half.
 """
 from __future__ import annotations
 
@@ -381,38 +386,49 @@ def head_logit(h_star: Tensor, head: HeadParams,
     return T.matmul(a1, head.w2) + head.b2
 
 
-def batch_probs(params: ClassifierParams, item_ids: np.ndarray, item_lens: np.ndarray,
-                query_ids: np.ndarray, query_lens: np.ndarray,
-                rng: np.random.Generator | None = None,
-                h_override: tuple[Tensor, Tensor] | None = None,
-                k_precomputed: Tensor | None = None,
-                ) -> tuple[Tensor, Tensor]:
-    """Mismatch probabilities for a padded batch; returns (probs (B,), alpha).
+@dataclass
+class EncodedBatch:
+    """(title, query) pairs through the shared encoder; states are zero
+    past each row's length."""
+    title_states: Tensor   # (B, m, k)
+    title_final: Tensor    # (B, k)
+    query_states: Tensor   # (B, n, k)
+    query_final: Tensor    # (B, k)
+    item_lens: np.ndarray
+    query_lens: np.ndarray
+
+    def rows(self, index: np.ndarray) -> "EncodedBatch":
+        """Rows ``index``, none twice, gathered as one tape record."""
+        parts = (self.title_states, self.title_final, self.query_states, self.query_final)
+
+        def rule(grads):
+            out = [np.zeros_like(p.data) for p in parts]
+            for z, g in zip(out, grads):
+                z[index] = 0.0 if g is None else g
+            return out
+
+        picked = T.record(tuple(p.data[index] for p in parts), parts, rule)
+        return EncodedBatch(*picked, self.item_lens[index], self.query_lens[index])
+
+
+def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray, item_lens: np.ndarray,
+                      query_ids: np.ndarray, query_lens: np.ndarray) -> EncodedBatch:
+    return EncodedBatch(*encode_batch(item_ids, item_lens, clf.emb_t, clf.lstm_t),
+                        *encode_batch(query_ids, query_lens, clf.emb_q, clf.lstm_q),
+                        item_lens, query_lens)
+
+
+def batch_probs(params: ClassifierParams, enc: EncodedBatch,
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    """Mismatch probabilities of an encoded batch; returns (probs (B,), alpha).
 
     Dropout draws from ``rng`` when one is given (training).
-    ``h_override`` swaps in replacement query-side states
-    (states (B, n, k), final (B, k)) of lengths ``query_lens`` in place of
-    the encoded query, which is how generated representations enter the
-    model.
-    ``k_precomputed`` reuses already-encoded title states.
     """
-    if k_precomputed is not None:
-        k_states = k_precomputed
-    else:
-        k_states, _ = encode_batch(item_ids, item_lens, params.emb_t, params.lstm_t)
-    if h_override is None:
-        h_states, q_n = encode_batch(query_ids, query_lens, params.emb_q, params.lstm_q)
-    else:
-        h_states, q_n = h_override
-    r_n, alpha = wbw_attention_batch(k_states, item_lens, h_states, query_lens, params.attn)
-    h_star = combine(r_n, q_n, params.attn.w_x)
+    r_n, alpha = wbw_attention_batch(enc.title_states, enc.item_lens, enc.query_states,
+                                     enc.query_lens, params.attn)
+    h_star = combine(r_n, enc.query_final, params.attn.w_x)
     logit = head_logit(h_star, params.head, rng)
-    probs = T.sigmoid(T.reshape(logit, (-1,)))
-    return probs, alpha
-
-
-def ce_clamp_eps() -> float:
-    return CE_CLAMP_F64 if T.get_default_dtype() is np.float64 else CE_CLAMP_F32
+    return T.sigmoid(T.reshape(logit, (-1,))), alpha
 
 
 def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Tensor:
@@ -421,7 +437,7 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
     Positives (mismatches) are up-weighted by beta; probabilities are
     clamped away from 0 and 1 before the logs.
     """
-    eps = ce_clamp_eps()
+    eps = CE_CLAMP_F64 if T.get_default_dtype() is np.float64 else CE_CLAMP_F32
     f = T.clamp(probs, eps, 1.0 - eps)
     y = np.asarray(labels, dtype=np.float64)
     pos = T.constant(beta * y) * T.log(f)
@@ -432,8 +448,9 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
 def classifier_batch_loss(params: ClassifierParams, batch: Batch, beta: float,
                           rng: np.random.Generator) -> Tensor:
     """Training-mode weighted cross-entropy; dropout draws from ``rng``."""
-    probs, _ = batch_probs(params, batch.item_ids, batch.item_lens,
-                           batch.query_ids, batch.query_lens, rng=rng)
+    enc = encode_pair_batch(params, batch.item_ids, batch.item_lens, batch.query_ids,
+                            batch.query_lens)
+    probs, _ = batch_probs(params, enc, rng)
     return weighted_ce_loss(probs, batch.labels, beta)
 
 
@@ -497,10 +514,9 @@ def dssm_batch_loss(params: DssmParams, batch: Batch, beta: float) -> Tensor:
 def attention_heatmap(item_ids: list[int], query_ids: list[int],
                       params: ClassifierParams) -> np.ndarray:
     """Raw (n, m) attention scores for one pair, rows = query words."""
-    _, alpha = batch_probs(params, np.asarray([item_ids], dtype=np.int64),
-                           np.array([len(item_ids)]),
-                           np.asarray([query_ids], dtype=np.int64),
-                           np.array([len(query_ids)]))
+    _, alpha = batch_probs(params, encode_pair_batch(
+        params, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
+        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])))
     return np.array(alpha.data[0], dtype=np.float64)
 
 

@@ -31,19 +31,11 @@ EXIT_VALIDATION = 2
 
 
 def _run_dir(args) -> Path:
-    if args.run_dir:
-        return Path(args.run_dir)
-    env = os.environ.get("QUARTS_RUN_DIR")
-    if env:
-        return Path(env)
-    return Path("runs/default")
+    return Path(args.run_dir or os.environ.get("QUARTS_RUN_DIR") or "runs/default")
 
 
 def _config(args) -> RunConfig:
-    if getattr(args, "profile", None) == "paper":
-        cfg = paper_profile()
-    else:
-        cfg = desk_profile()
+    cfg = paper_profile() if getattr(args, "profile", None) == "paper" else desk_profile()
     if getattr(args, "config", None):
         cfg = load_config(args.config, base=cfg)
     for flag, key in (("seed", "seed"), ("p", "p"), ("beam", "beam_size"),
@@ -136,6 +128,9 @@ def cmd_train_e2e(args) -> int:
 
 
 def cmd_train_baseline(args) -> int:
+    if args.kind == "dssm" and args.resume:
+        raise ConfigError("--resume applies to --kind augment only; dssm has no checkpoint "
+                          "to continue from")
     cfg = _config(args)
     if args.epochs is not None:
         cfg = cfg.replace(**{"e2e_epochs" if args.resume else "clf_epochs": args.epochs})

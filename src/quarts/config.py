@@ -119,20 +119,22 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), base=base)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    return parse_config(text, base=base)
 
 
 def desk_profile(**overrides) -> RunConfig:
     """Laptop-scale profile: small model, small batches, quick epochs."""
-    cfg = RunConfig(hidden_size=64, embed_dim=64, batch_size=32,
-                    lr=1e-3, clf_epochs=3, ved_epochs=5, e2e_epochs=2)
-    return cfg.replace(**overrides) if overrides else cfg
+    return RunConfig(hidden_size=64, embed_dim=64, batch_size=32,
+                     lr=1e-3, clf_epochs=3, ved_epochs=5, e2e_epochs=2).replace(**overrides)
 
 
 def paper_profile(**overrides) -> RunConfig:
-    cfg = RunConfig()
-    return cfg.replace(**overrides) if overrides else cfg
+    return RunConfig(**overrides)
 
 
 def file_sha256(path) -> str:
@@ -148,15 +150,15 @@ class RunManifest:
     """Reproducibility record: same inputs regenerate the same metrics."""
     config_hash: str = ""                             # the config the run dir began with
     seed: int = 0
-    datasets: dict = field(default_factory=dict)      # path -> content hash
     phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds,
-                                                      #   config_hash}
+                                                      #   config_hash, data}
     created: str = ""
 
     def record_phase(self, name: str, checkpoint: str, seconds: float,
-                     config_hash: str) -> None:
+                     config_hash: str, data: dict[str, str]) -> None:
+        """``data``: the content hash of each data file the phase read."""
         self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6),
-                             "config_hash": config_hash}
+                             "config_hash": config_hash, "data": data}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -165,7 +167,9 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            fields = json.load(fh)
+        fields.pop("datasets", None)   # an unused field of older manifests
+        return cls(**fields)
 
     @classmethod
     def start(cls, cfg: RunConfig) -> "RunManifest":

@@ -114,8 +114,12 @@ def write_pairs(path, pairs: Iterable[RawPair]) -> None:
 
 
 def read_pairs(path) -> list[RawPair]:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read pairs {path}: {exc.strerror}") from None
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

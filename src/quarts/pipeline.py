@@ -35,7 +35,7 @@ from . import metrics as M
 from . import tensor as T
 from .catalog import CatalogSpec, MatchOracle, generate_corpus
 from .checkpoint import load_arrays, assign_params, save_params
-from .classifier import (ClassifierParams, DssmParams, classifier_batch_loss,
+from .classifier import (ClassifierParams, DssmParams, EncodedBatch, classifier_batch_loss,
                          dssm_batch_loss, init_classifier, init_dssm)
 from .config import RunConfig, RunManifest, file_sha256
 from .data import (DataError, Example, RawPair, TripleBatch, TripleExample, Vocabulary,
@@ -45,8 +45,8 @@ from .e2e import e2e_batch_loss
 from .rng import RunRng
 from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, encode_distinct,
                     evaluate_probs, fit, frozen)
-from .ved import (EncodedPair, VedParams, beam_generate, build_triples, encode_triples,
-                  init_ved, kl_weight_at, pair_memory, ved_loss_batch)
+from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
+                  kl_weight_at, ved_loss_batch)
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +66,6 @@ CKPT_AUGMENT = "baseline_augment.qrts"
 WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
               CKPT_E2E: "train-e2e", CKPT_DSSM: "train-baseline --kind dssm",
               CKPT_AUGMENT: "train-baseline --kind augment"}
-
-# The stats of a batch loss on labeled pairs that has no switch.
-NO_SWITCH = {"switch": np.zeros(0, dtype=np.int64)}
-
 
 class PipelineError(RuntimeError):
     """A phase is missing its prerequisites; the message names the fix."""
@@ -121,11 +117,13 @@ class DataBundle:
     val_ex: list[Example]
     test_ex: list[Example]
     merged_ex: list[Example]  # annotated train + logs, phase-4 data
+    files: dict[str, str]     # content hash of each file read, by name
 
 
 def load_data(data_dir, cfg: RunConfig) -> DataBundle:
     d = Path(data_dir)
-    for required in [CATALOG_JSON, LOGS_TSV] + [f"{s}.tsv" for s in SPLITS]:
+    names = [CATALOG_JSON, LOGS_TSV] + [f"{s}.tsv" for s in SPLITS]
+    for required in names:
         if not (d / required).exists():
             raise PipelineError(
                 f"missing {required} under {d}; run `quarts gen-data` first")
@@ -144,8 +142,8 @@ def load_data(data_dir, cfg: RunConfig) -> DataBundle:
 
     train_ex, val_ex, test_ex = enc(train), enc(val), enc(test)
     merged_ex = train_ex + enc(logs)
-    return DataBundle(train, val, test, logs, oracle, vocab_q, vocab_t,
-                      train_ex, val_ex, test_ex, merged_ex)
+    return DataBundle(train, val, test, logs, oracle, vocab_q, vocab_t, train_ex, val_ex,
+                      test_ex, merged_ex, {n: file_sha256(d / n) for n in names})
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -168,14 +166,15 @@ class PhaseRun:
 
 
 @contextmanager
-def _phase(cfg: RunConfig, run_dir, name: str, ckpt: str) -> Iterator[PhaseRun]:
+def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
+           ckpt: str) -> Iterator[PhaseRun]:
     """Set-up and tear-down shared by every phase.
 
     Creates the run dir and runs the body timed, at the run's precision.
     After the body, writes ``run.params`` to ``ckpt``, appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
-    phase, with its config hash, in ``manifest.json``. A body that raises
-    writes none of these.
+    phase, with its config hash and the hashes of the data files it read,
+    in ``manifest.json``. A body that raises writes none of these.
     """
     run = PhaseRun(Path(run_dir))
     run.dir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +186,7 @@ def _phase(cfg: RunConfig, run_dir, name: str, ckpt: str) -> Iterator[PhaseRun]:
     _append_metrics(run.dir, name, run.records)
     path = run.dir / "manifest.json"
     man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
-    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash())
+    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files)
     man.save(path)
 
 
@@ -246,37 +245,27 @@ def require(ok: bool, ckpt: str, part: str) -> None:
 
 def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
     """Weighted cross-entropy on the real pairs; dropout from ``rng``."""
-    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout),
-                                 NO_SWITCH)
+    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout), {})
 
 
 def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
-                  ) -> Callable[[TripleBatch], EncodedPair]:
+                  ) -> Callable[[TripleBatch], EncodedBatch]:
     """Encode each distinct title and matched query of ``triples`` once;
-    returns the gather of a batch's ``EncodedPair`` rows from that cache.
+    returns the gather of a batch's ``EncodedBatch`` from that cache.
 
     The shared encoder must be frozen: cached rows carry no gradient to it.
     """
-    encoder = [clf.emb_t, clf.emb_q] + [p for lstm in (clf.lstm_t, clf.lstm_q)
-                                        for p in (lstm.wx, lstm.wh, lstm.b)]
-    if any(t.requires_grad for t in encoder):
+    if any(t.requires_grad for name, t in clf.named().items()
+           if name.startswith(("clf.emb_", "clf.lstm_"))):
         raise AssertionError("the VED cache needs a frozen shared encoder")
     titles = encode_distinct([t.item_ids for t in triples], clf.emb_t, clf.lstm_t,
                              EVAL_BATCH_SIZE)
     queries = encode_distinct([t.matched_query_ids for t in triples], clf.emb_q,
                               clf.lstm_q, EVAL_BATCH_SIZE)
-
-    def rows(cache, index, width):
-        row_of, states, final = cache
-        picked = row_of[index]
-        return T.constant(states[picked, :width]), T.constant(final[picked])
-
-    def gather(batch: TripleBatch) -> EncodedPair:
-        return pair_memory(*rows(titles, batch.index, batch.item_ids.shape[1]),
-                           batch.item_lens,
-                           *rows(queries, batch.index, batch.query_ids.shape[1]),
-                           batch.query_lens)
-    return gather
+    return lambda batch: EncodedBatch(
+        *titles(batch.index, batch.item_ids.shape[1]),
+        *queries(batch.index, batch.query_ids.shape[1]),
+        batch.item_lens, batch.query_lens)
 
 
 def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample],
@@ -295,7 +284,7 @@ def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample]
 
 def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
                               ) -> tuple[ClassifierParams, list[EpochRecord]]:
-    with _phase(cfg, run_dir, "classifier", CKPT_CLASSIFIER) as run:
+    with _phase(cfg, data, run_dir, "classifier", CKPT_CLASSIFIER) as run:
         rng = RunRng(cfg.seed, "classifier")
         clf = new_classifier(cfg, data, rng)
         run.records = fit(clf, clf.named(), classifier_loss(clf, cfg.beta, rng),
@@ -308,7 +297,7 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
 
 
 def phase_build_triples(cfg: RunConfig, data: DataBundle, run_dir) -> list:
-    with _phase(cfg, run_dir, "triples", CKPT_TRIPLES) as run:
+    with _phase(cfg, data, run_dir, "triples", CKPT_TRIPLES) as run:
         text_triples = build_triples(data.train, cap=cfg.triple_cap)
         with open(run.dir / CKPT_TRIPLES, "w", encoding="utf-8") as fh:
             for title, q, qm in text_triples:
@@ -337,7 +326,7 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
     """Generator pretraining on the triples, with the shared encoder frozen:
     the classifier arrays leave this phase bitwise unchanged, and each
     distinct title and matched query is encoded once for the phase."""
-    with _phase(cfg, run_dir, "ved", CKPT_VED) as run:
+    with _phase(cfg, data, run_dir, "ved", CKPT_VED) as run:
         if clf is None:
             clf, _ = load_bundle(cfg, data, run.dir, CKPT_CLASSIFIER,
                                  need="pretrain-classifier")
@@ -361,7 +350,7 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
     Updates classifier and generator parameters together unless the
     generator is frozen for ablation.
     """
-    with _phase(cfg, run_dir, "e2e", CKPT_E2E) as run:
+    with _phase(cfg, data, run_dir, "e2e", CKPT_E2E) as run:
         ckpt = resume or CKPT_VED
         clf, ved = load_bundle(cfg, data, run.dir, ckpt, need="pretrain-ved")
         require(ved is not None, ckpt, "generator")
@@ -381,12 +370,11 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
 
 def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
                      ) -> tuple[DssmParams, list[EpochRecord]]:
-    with _phase(cfg, run_dir, "dssm", CKPT_DSSM) as run:
+    with _phase(cfg, data, run_dir, "dssm", CKPT_DSSM) as run:
         rng = RunRng(cfg.seed, "dssm")
         params = new_dssm(cfg, data, rng)
         run.records = fit(params, params.named(),
-                          lambda batch, epoch: (dssm_batch_loss(params, batch, cfg.beta),
-                                                NO_SWITCH),
+                          lambda batch, epoch: (dssm_batch_loss(params, batch, cfg.beta), {}),
                           data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
                           "dssm")
         run.params = params.named()
@@ -403,7 +391,7 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
     continues from a checkpoint using the end-to-end phase streams, making
     it the exact reference for switched training at p=0.
     """
-    with _phase(cfg, run_dir, "augment", CKPT_AUGMENT) as run:
+    with _phase(cfg, data, run_dir, "augment", CKPT_AUGMENT) as run:
         if resume is not None:
             clf, _ = load_bundle(cfg, data, run.dir, resume, need="pretrain-classifier")
             require(isinstance(clf, ClassifierParams), resume, "classifier")
@@ -483,8 +471,7 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
                         split: str = "test", with_generation: bool = False,
                         scores_out=None) -> MetricsReport:
     with run_dtype(cfg):
-        examples = {"train": data.train_ex, "val": data.val_ex,
-                    "test": data.test_ex}[split]
+        examples = getattr(data, f"{split}_ex")
         if not examples:
             raise DataError(f"the {split} split is empty: nothing to evaluate")
         model, ved = load_bundle(cfg, data, run_dir, ckpt,
@@ -504,8 +491,7 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
 
         if with_generation:
             require(ved is not None, ckpt, "generator")
-            split_pairs_ = {"train": data.train, "val": data.val, "test": data.test}[split]
-            bleu, acc, n = evaluate_generation(cfg, data, model, ved, split_pairs_)
+            bleu, acc, n = evaluate_generation(cfg, data, model, ved, getattr(data, split))
             report.bleu = bleu.bleu
             report.generation_accuracy = acc.accuracy
             report.unresolvable_rate = acc.unresolvable_rate

@@ -8,6 +8,10 @@ mismatched) triples go through the same shuffled batching. The loss
 receives the epoch, so a schedule such as the KL annealing lives in it.
 The batch size and the rate decay come from the run's ``RunConfig``.
 
+Evaluation scores a ``classifier.EncodedBatch`` per batch, gathered in
+part from the encode-once cache (``encode_distinct``) that VED
+pretraining gathers its records from too.
+
 All loops are single-threaded and deterministic given a RunRng; gradient
 reset is explicit and asserted before every backward pass.
 """
@@ -21,8 +25,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import metrics as M
-from .classifier import (ClassifierParams, DssmParams, LstmParams, batch_probs,
-                         dssm_batch_probs, encode_batch)
+from .classifier import (ClassifierParams, DssmParams, EncodedBatch, LstmParams,
+                         batch_probs, dssm_batch_probs, encode_batch)
 from .config import RunConfig
 from .data import Batch, Example, TripleBatch, TripleExample, batches, pad_matrix
 from .optim import Adam, assert_grads_clear
@@ -54,15 +58,14 @@ EVAL_GROUPING = ("pairs sorted by query length, then title length; classifier "
                  "titles encoded once per distinct title, in length-sorted batches")
 
 
-def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams,
-                    batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams, batch_size: int,
+                    ) -> Callable[[np.ndarray, int], tuple[Tensor, Tensor]]:
     """Encode each distinct id sequence once, in length-sorted batches.
 
-    Returns (row_of, states, final): sequence i is row ``row_of[i]`` of
-    ``states`` (distinct, widest, k) and of ``final`` (distinct, k).
-    ``states`` is zero past each row's length, as ``encode_batch`` leaves
-    a row in a wider batch, so a gathered row trimmed to any batch's width
-    is that row's encoding in the batch.
+    Returns the cache's one gather: ``gather(seq_index, width)`` gives the
+    untracked (states, final) of sequences ``seq_index``, states trimmed
+    to ``width``. A row is zero past its length, as ``encode_batch``
+    leaves it in a wider batch, so that is its encoding in such a batch.
     """
     index: dict[tuple[int, ...], int] = {}
     row_of = np.array([index.setdefault(tuple(s), len(index)) for s in seqs])
@@ -75,7 +78,11 @@ def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams,
         k_states, last = encode_batch(ids[rows, :width], lens[rows], emb, lstm)
         final[rows] = last.data
         states[rows, :width] = k_states.data
-    return row_of, states, final
+
+    def gather(seq_index: np.ndarray, width: int) -> tuple[Tensor, Tensor]:
+        picked = row_of[seq_index]
+        return Tensor(states[picked, :width]), Tensor(final[picked])
+    return gather
 
 
 def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
@@ -85,25 +92,26 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
     Examples are scored in order of query length, then title length, so
     each batch pads to near its own lengths; scores and labels come back
     in input order. The classifier encodes each distinct title once per
-    call (``encode_distinct``), and each pair batch gathers its titles'
-    states, trimmed to the batch's title width. No score depends on the
-    padded width, but BLAS may round a row differently in a GEMM with
-    another row count, so a float32 score can move in its last bits
+    call (``encode_distinct``); a pair batch's ``EncodedBatch`` gathers
+    its titles from that cache and encodes its queries. No score depends
+    on the padded width, but BLAS may round a row differently in a GEMM
+    with another row count, so a float32 score can move in its last bits
     against input-order batches.
     """
     order = np.lexsort(([len(e.item_ids) for e in examples],
                         [len(e.query_ids) for e in examples]))
     if isinstance(model, ClassifierParams):
-        title_of, title_states, _ = encode_distinct(
-            [e.item_ids for e in examples], model.emb_t, model.lstm_t, batch_size)
-        title_of = title_of[order]
+        titles = encode_distinct([e.item_ids for e in examples], model.emb_t,
+                                 model.lstm_t, batch_size)
     scores, labels = [], []
     for start, b in zip(range(0, len(order), batch_size),
                         batches([examples[i] for i in order], batch_size)):
         if isinstance(model, ClassifierParams):
-            k_states = title_states[title_of[start:start + len(b)], :b.item_ids.shape[1]]
-            probs, _ = batch_probs(model, b.item_ids, b.item_lens, b.query_ids,
-                                   b.query_lens, k_precomputed=Tensor(k_states))
+            enc = EncodedBatch(
+                *titles(order[start:start + len(b)], b.item_ids.shape[1]),
+                *encode_batch(b.query_ids, b.query_lens, model.emb_q, model.lstm_q),
+                b.item_lens, b.query_lens)
+            probs, _ = batch_probs(model, enc)
         else:
             probs = dssm_batch_probs(model, b.item_ids, b.item_lens,
                                      b.query_ids, b.query_lens)
@@ -116,15 +124,15 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
 def _epoch_stats(stats: dict[str, list]) -> dict[str, float]:
     """Fold the batch stats a loss reports into record fields.
 
-    ``switch`` (a batch's switch draws) becomes the share of ones among
-    all the epoch's draws, and ``kl_weight`` (the same for every batch)
-    is kept as is; any other stat becomes its mean over the batches.
+    ``switch`` (an e2e batch's switch draws) becomes the share of ones
+    among all the epoch's draws, and ``kl_weight`` (the same for every
+    batch) is kept as is; any other stat becomes its mean over the
+    batches. A loss reports only what its phase measures.
     """
     out = {}
     for key, values in stats.items():
         if key == "switch":
-            out["s1_fraction"] = (sum(int(s.sum()) for s in values)
-                                  / max(sum(len(s) for s in values), 1))
+            out["s1_fraction"] = float(np.mean(np.concatenate(values)))
         elif key == "kl_weight":
             out[key] = values[-1]
         else:

@@ -19,20 +19,24 @@ scan steps each row only up to its own length, on the classifier's
 length are zero in both modes, as the encoders' are. Beam search's
 ``decode_step`` runs the same numpy step once, with no tape.
 
-VED training takes each batch's encoding as an argument: the shared
-encoder is frozen then, so the pipeline encodes each distinct title and
-matched query once per phase and gathers a batch's rows from that cache.
+The generator reads the shared encoder's ``classifier.EncodedBatch``;
+``pair_memory`` alone derives U, its mask and c from it. VED training
+takes each batch's record as an argument: the shared encoder is frozen
+then, so the pipeline encodes each distinct title and matched query
+once per phase and gathers a batch's record from that cache.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .classifier import (ClassifierParams, LstmParams, Ragged, encode_batch, init_lstm,
-                         lstm_bptt, lstm_cell, _gate_affine, _uniform)
+from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Ragged,
+                         encode_pair_batch, init_lstm, lstm_bptt, lstm_cell, _gate_affine,
+                         _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, tokenize)
 from .tensor import Tensor
@@ -115,18 +119,8 @@ def build_triples(pairs: list[RawPair], cap: int = 10) -> list[tuple[str, str, s
         bucket.setdefault(p.title, []).append(p.query)
     out = []
     for title, good in matched.items():
-        bad = mismatched.get(title)
-        if not bad:
-            continue
-        taken = 0
-        for q in good:
-            for qm in bad:
-                if taken >= cap:
-                    break
-                out.append((title, q, qm))
-                taken += 1
-            if taken >= cap:
-                break
+        crossed = itertools.product(good, mismatched.get(title, []))
+        out.extend((title, q, qm) for q, qm in itertools.islice(crossed, cap))
     if not out:
         log.warning("no (item, matched, mismatched) triples could be built")
     return out
@@ -135,44 +129,30 @@ def build_triples(pairs: list[RawPair], cap: int = 10) -> list[tuple[str, str, s
 def encode_triples(triples: list[tuple[str, str, str]], vocab_t: Vocabulary,
                    vocab_q: Vocabulary, max_title_len: int,
                    max_query_len: int) -> list[TripleExample]:
-    out = []
-    for title, q, qm in triples:
-        out.append(TripleExample(
-            vocab_t.encode(tokenize(title)[:max_title_len]),
-            vocab_q.encode(tokenize(q)[:max_query_len]),
-            vocab_q.encode(tokenize(qm)[:max_query_len])))
-    return out
+    return [TripleExample(vocab_t.encode(tokenize(title)[:max_title_len]),
+                          vocab_q.encode(tokenize(q)[:max_query_len]),
+                          vocab_q.encode(tokenize(qm)[:max_query_len]))
+            for title, q, qm in triples]
 
 
 # --- encoding and the latent ----------------------------------------------
 
 @dataclass
-class EncodedPair:
-    """Shared-encoder view of one (item, query) batch."""
+class _Memory:
     u_states: Tensor        # (B, m+n, k) attention memory
     u_logmask: np.ndarray   # (B, m+n), 0 real / -inf-ish padded
     c: Tensor               # (B, 2k) latent context
 
 
-def pair_memory(k_states: Tensor, t_final: Tensor, item_lens: np.ndarray,
-                h_states: Tensor, q_final: Tensor, query_lens: np.ndarray,
-                ) -> EncodedPair:
-    """The generator's view of encoded titles and queries: U is the title
-    states followed by the query states, masked past each true length,
-    and c the two final states side by side."""
-    u = T.concat([k_states, h_states], axis=1)
-    real = np.concatenate([pad_mask(item_lens, k_states.shape[1]),
-                           pad_mask(query_lens, h_states.shape[1])], axis=1)
+def pair_memory(enc: EncodedBatch) -> _Memory:
+    """The generator's view of an encoded batch: U is the title states
+    followed by the query states, masked past each true length, and c the
+    two final states side by side."""
+    u = T.concat([enc.title_states, enc.query_states], axis=1)
+    real = np.concatenate([pad_mask(enc.item_lens, enc.title_states.shape[1]),
+                           pad_mask(enc.query_lens, enc.query_states.shape[1])], axis=1)
     logmask = ((1.0 - real) * _MASK_NEG).astype(u.data.dtype)
-    return EncodedPair(u, logmask, T.concat([t_final, q_final], axis=1))
-
-
-def encode_pair_batch(clf: ClassifierParams, item_ids: np.ndarray,
-                      item_lens: np.ndarray, query_ids: np.ndarray,
-                      query_lens: np.ndarray) -> EncodedPair:
-    k_states, t_final = encode_batch(item_ids, item_lens, clf.emb_t, clf.lstm_t)
-    h_states, q_final = encode_batch(query_ids, query_lens, clf.emb_q, clf.lstm_q)
-    return pair_memory(k_states, t_final, item_lens, h_states, q_final, query_lens)
+    return _Memory(u, logmask, T.concat([enc.title_final, enc.query_final], axis=1))
 
 
 def sample_latent(c: Tensor, lat: LatentParams,
@@ -232,7 +212,7 @@ def _logits(d_tilde: np.ndarray, dec: DecoderParams) -> np.ndarray:
 
 
 def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
-                enc: EncodedPair, ved: VedParams, emb_q: Tensor,
+                mem: _Memory, ved: VedParams, emb_q: Tensor,
                 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """One decoder step over a batch, for inputs chosen as decoding goes
     (beam search). Nothing is recorded: no gradient flows through it.
@@ -241,12 +221,12 @@ def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
     """
     wx, d = ved.dec.lstm.wx.data, emb_q.shape[1]
     pre = emb_q.data[prev_ids] @ wx[:d] + (z.data @ wx[d:] + ved.dec.lstm.b.data)
-    d_tilde, h2, c2, alpha = _decoder_step(pre, h.data, c.data, enc.u_states.data,
-                                           enc.u_logmask, ved.dec)[:4]
+    d_tilde, h2, c2, alpha = _decoder_step(pre, h.data, c.data, mem.u_states.data,
+                                           mem.u_logmask, ved.dec)[:4]
     return tuple(map(T.constant, (_logits(d_tilde, ved.dec), d_tilde, h2, c2, alpha)))
 
 
-def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
+def _decoder_scan(emb_q: Tensor, ved: VedParams, mem: _Memory, z: Tensor,
                   h0: Tensor, steps: np.ndarray, prev_ids: np.ndarray | None = None,
                   ) -> tuple[Tensor, Tensor]:
     """The decoder over a batch as one tape record, teacher-forced or free.
@@ -271,16 +251,16 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
     k = h0.shape[1]
     dt = z.data.dtype
     lay = Ragged(steps, None if prev_ids is None else prev_ids.shape[1])
-    u, logmask = enc.u_states.data[lay.order], enc.u_logmask[lay.order]
+    u, logmask = mem.u_states.data[lay.order], mem.u_logmask[lay.order]
     zx = z.data[lay.order] @ wx_z + lstm.b.data
     if prev_ids is None:
         ids, prev = [], np.full(len(steps), BOS, dtype=np.int64)
     else:
         ids = prev_ids[lay.rows, lay.steps]
         xe = emb[ids] @ wx_e
-    inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, enc.u_states, dec.w_a, dec.w_c)
+    inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, mem.u_states, dec.w_a, dec.w_c)
     grad = T.needs_grad(*inputs)
-    want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(enc.u_states)
+    want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(mem.u_states)
     slots = len(lay.rows)
     packed = np.empty((slots, k), dt)   # d~ of each slot
     if grad:
@@ -313,7 +293,7 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
         g_pre = g * (1 - packed * packed)   # through d~ = tanh(.)
         g_hc = g_pre @ w_c.T
         # attention over each row's memory, for all its steps at once
-        u_in, a = enc.u_states.data, lay.padded(alphas)
+        u_in, a = mem.u_states.data, lay.padded(alphas)
         g_ctx = lay.padded(g_hc[:, k:])
         g_alpha = np.matmul(g_ctx, u_in.transpose(0, 2, 1))
         g_scores = a * (g_alpha - (g_alpha * a).sum(axis=2, keepdims=True))
@@ -338,20 +318,21 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, enc: EncodedPair, z: Tensor,
 
 # --- training loss ----------------------------------------------------------
 
-def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
+def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
                    batch: TripleBatch, kl_weight: float, eps: np.ndarray,
                    ) -> tuple[Tensor, float, float]:
     """Teacher-forced reconstruction of the mismatched query plus weighted KL.
 
-    ``enc`` is the batch's (title, matched query) encoding: rows gathered
-    from a phase's cache in training, ``encode_pair_batch`` output where
-    the encoder's gradient is wanted. The per-triple NLL is the mean over
-    its target tokens (mismatched query plus the end marker); ``eps``
-    (B, d_z) is the latent noise. Returns (loss, nll value, kl value).
+    ``enc`` is the batch's (title, matched query) record: gathered from a
+    phase's cache in training, ``encode_pair_batch`` output where the
+    encoder's gradient is wanted. The per-triple NLL is the mean over its
+    target tokens (mismatched query plus the end marker); ``eps`` (B, d_z)
+    is the latent noise. Returns (loss, nll value, kl value).
     """
-    z, mu, logvar = sample_latent(enc.c, ved.latent, eps)
+    mem = pair_memory(enc)
+    z, mu, logvar = sample_latent(mem.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)
-    states, _ = _decoder_scan(clf.emb_q, ved, enc, z, h0, batch.target_lens,
+    states, _ = _decoder_scan(clf.emb_q, ved, mem, z, h0, batch.target_lens,
                               batch.prev_ids)
     bsz, width, k = states.shape
     mask = pad_mask(batch.target_lens, width)
@@ -370,19 +351,20 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
 
 # --- generation -------------------------------------------------------------
 
-def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedPair,
+def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
                        steps: np.ndarray, eps: np.ndarray) -> tuple[Tensor, Tensor]:
     """Continuous query stand-in: the free-running decoder's states from
-    the latent with noise ``eps`` (B, d_z).
+    the latent with noise ``eps`` (B, d_z), conditioned on ``enc``.
 
     ``steps[i]`` is the number of columns generated for example i (the
     source query's true length). Returns (states (B, n, k), final (B, k))
-    shaped like an encoder's output, ready to replace it. A row stops
+    shaped like the record's query half, ready to replace it. A row stops
     decoding at its length, and its columns past it are zero.
     """
-    z, _, _ = sample_latent(enc.c, ved.latent, eps)
+    mem = pair_memory(enc)
+    z, _, _ = sample_latent(mem.c, ved.latent, eps)
     h0, _ = decoder_init(z, ved.latent)
-    return _decoder_scan(clf.emb_q, ved, enc, z, h0, steps)
+    return _decoder_scan(clf.emb_q, ved, mem, z, h0, steps)
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],
@@ -394,10 +376,10 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
     score = total log-probability / length. beam=1 is exactly greedy
     argmax decoding.
     """
-    enc = encode_pair_batch(
+    mem = pair_memory(encode_pair_batch(
         clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
-    z, _, _ = sample_latent(enc.c, ved.latent, np.zeros((1, ved.d_z)))
+        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])))
+    z, _, _ = sample_latent(mem.c, ved.latent, np.zeros((1, ved.d_z)))
     h0, c0 = decoder_init(z, ved.latent)
 
     # live: (tokens, logp_sum, h, c); finished: (tokens, normalized score)
@@ -407,7 +389,7 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
         candidates = []
         for tokens, logp, h, c in live:
             prev = np.array([tokens[-1] if tokens else BOS], dtype=np.int64)
-            logits, _, h2, c2, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
+            logits, _, h2, c2, _ = decode_step(prev, z, h, c, mem, ved, clf.emb_q)
             logprob = T.log_softmax_rows(logits).data[0]
             top = np.argsort(-logprob, kind="stable")[:beam]
             for tok in top:

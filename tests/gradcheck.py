@@ -14,14 +14,13 @@ import numpy as np
 
 from quarts import tensor as T
 from quarts.classifier import (AttentionParams, Ragged, batch_probs, dssm_batch_probs,
-                               init_classifier, init_dssm, lstm_scan,
+                               encode_pair_batch, init_classifier, init_dssm, lstm_scan,
                                wbw_attention_batch, weighted_ce_loss)
 from quarts.data import Batch, TripleExample, make_triple_batch
 from quarts.e2e import e2e_batch_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
-from quarts.ved import encode_pair_batch, hgen_forward_batch, init_ved, sample_latent, \
-    ved_loss_batch
+from quarts.ved import hgen_forward_batch, init_ved, sample_latent, ved_loss_batch
 
 
 # Step ladder for deep compositions. No single step serves every
@@ -228,7 +227,8 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
     labels = np.array([1.0, 0.0])
 
     def clf_loss():
-        probs, _ = batch_probs(clf, items, item_lens, queries, query_lens)
+        probs, _ = batch_probs(clf, encode_pair_batch(clf, items, item_lens, queries,
+                                                      query_lens))
         return weighted_ce_loss(probs, labels, beta=5.0)
 
     results.append(("classifier_loss",

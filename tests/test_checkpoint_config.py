@@ -1,4 +1,5 @@
 """Checkpoint container format and configuration parsing."""
+import json
 import struct
 
 import numpy as np
@@ -145,10 +146,24 @@ class TestConfig:
 
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())
-        m.datasets["labeled.tsv"] = "abc123"
-        m.record_phase("classifier", "phase1.qrts", 1.25, m.config_hash)
+        m.record_phase("classifier", "phase1.qrts", 1.25, m.config_hash,
+                       {"train.tsv": "abc123"})
         m.save(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
         assert back.config_hash == m.config_hash
         assert back.phases["classifier"]["config_hash"] == m.config_hash
         assert back.phases["classifier"]["checkpoint"] == "phase1.qrts"
+        assert back.phases["classifier"]["data"] == {"train.tsv": "abc123"}
+
+    def test_manifest_written_with_datasets_still_loads(self, tmp_path):
+        """Manifests written before phases carried their data hashes have a
+        top-level ``datasets`` field that nothing ever filled."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "config_hash": "c0ffee", "seed": 3, "datasets": {}, "created": "then",
+            "phases": {"classifier": {"checkpoint": "phase1.qrts", "seconds": 1.0,
+                                      "config_hash": "c0ffee"}}}))
+        back = RunManifest.load(path)
+        assert back.seed == 3 and back.phases["classifier"]["checkpoint"] == "phase1.qrts"
+        back.save(path)
+        assert "datasets" not in json.loads(path.read_text())

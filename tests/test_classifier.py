@@ -162,9 +162,9 @@ def probs_of(p, item_ids, query_ids, item_lens=None, query_lens=None):
         item_lens = np.full(len(items), items.shape[1])
     if query_lens is None:
         query_lens = np.full(len(queries), queries.shape[1])
-    probs, _ = C.batch_probs(p, items, np.asarray(item_lens), queries,
-                             np.asarray(query_lens))
-    return probs.data
+    enc = C.encode_pair_batch(p, items, np.asarray(item_lens), queries,
+                              np.asarray(query_lens))
+    return C.batch_probs(p, enc)[0].data
 
 
 class TestClassify:
@@ -203,8 +203,8 @@ class TestClassify:
         params = list(p.named().values())
 
         def loss():
-            probs, _ = C.batch_probs(p, batch_items, np.array([2]),
-                                     batch_queries, np.array([3]))
+            probs, _ = C.batch_probs(p, C.encode_pair_batch(
+                p, batch_items, np.array([2]), batch_queries, np.array([3])))
             return C.weighted_ce_loss(probs, labels, beta=5.0)
 
         err = grad_check(loss, params, eps=MODEL_EPS)
@@ -326,6 +326,12 @@ class TestBatchSingleConsistency:
         np.testing.assert_allclose(probs, [one, two], atol=1e-10)
 
 
+def batch_probs_of(p, b):
+    """Eval-mode probabilities of one ``Batch``, encoded as a whole."""
+    enc = C.encode_pair_batch(p, b.item_ids, b.item_lens, b.query_ids, b.query_lens)
+    return C.batch_probs(p, enc)[0].data
+
+
 class TestEvaluateProbs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_length_grouping_keeps_input_order(self, dtype):
@@ -339,9 +345,7 @@ class TestEvaluateProbs:
         with T.using_dtype(dtype):
             p = tiny_classifier(seed=11)
             scores, labels = evaluate_probs(p, examples, batch_size=4)
-            want = [C.batch_probs(p, b.item_ids, b.item_lens, b.query_ids,
-                                  b.query_lens)[0].data
-                    for b in batches(examples, 4)]
+            want = [batch_probs_of(p, b) for b in batches(examples, 4)]
         want = np.concatenate(want)
         assert scores.dtype == want.dtype == dtype
         assert scores.tobytes() == want.tobytes()
@@ -375,8 +379,7 @@ class TestEvaluateProbs:
             scores, _ = evaluate_probs(p, examples, batch_size=bs)
             want = np.empty(len(examples), dtype)
             want[ranked] = np.concatenate([
-                C.batch_probs(p, b.item_ids, b.item_lens, b.query_ids,
-                              b.query_lens)[0].data for b in map(make_batch, chunks)])
+                batch_probs_of(p, b) for b in map(make_batch, chunks)])
         assert scores.dtype == dtype
         assert scores.tobytes() == want.tobytes()
 
@@ -385,7 +388,8 @@ class TestEvaluateProbs:
         seen = []
 
         def counting(ids, lens, emb, lstm):
-            seen.extend(tuple(int(t) for t in row[:n]) for row, n in zip(ids, lens))
+            if emb is p.emb_t:   # the title encoder; queries are encoded per batch
+                seen.extend(tuple(int(t) for t in row[:n]) for row, n in zip(ids, lens))
             return C.encode_batch(ids, lens, emb, lstm)
 
         monkeypatch.setattr(TR, "encode_batch", counting)

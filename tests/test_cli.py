@@ -12,7 +12,7 @@ from quarts import tensor as T
 from quarts import train as TR
 from quarts.checkpoint import load_arrays
 from quarts.cli import main
-from quarts.config import desk_profile, load_config
+from quarts.config import desk_profile, file_sha256, load_config
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,36 @@ class TestPhases:
         for r in e2e:
             for key in ("epoch", "split", "aupr", "f1", "loss", "s1_fraction"):
                 assert key in r
+
+    def test_manifest_records_each_phase_data(self, workspace, tmp_path):
+        """A phase's manifest entry holds the hash of each data file it read,
+        so two runs on data dirs that differ in one file tell them apart."""
+        root, data, _, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        logs = (copy / P.LOGS_TSV).read_text().splitlines(keepends=True)
+        (copy / P.LOGS_TSV).write_text("".join(logs[:-1]))
+        entries = []
+        for data_dir in (data, copy):
+            run = tmp_path / f"run_{data_dir.name}"
+            assert main(["build-triples", "--data-dir", str(data_dir), "--run-dir", str(run),
+                         "--config", str(root / "tiny.cfg")]) == 0
+            entries.append(json.loads((run / "manifest.json").read_text())
+                           ["phases"]["triples"]["data"])
+        assert sorted(entries[0]) == sorted(
+            [P.CATALOG_JSON, P.LOGS_TSV] + [f"{s}.tsv" for s in P.SPLITS])
+        assert entries[0][P.LOGS_TSV] == file_sha256(data / P.LOGS_TSV)
+        assert entries[1][P.LOGS_TSV] == file_sha256(copy / P.LOGS_TSV)
+        assert entries[0][P.LOGS_TSV] != entries[1][P.LOGS_TSV]
+        assert {k: v for k, v in entries[0].items() if k != P.LOGS_TSV} == {
+            k: v for k, v in entries[1].items() if k != P.LOGS_TSV}
+
+    def test_classifier_records_carry_no_switch_share(self, workspace):
+        # the switch share is e2e's measure; a phase without a switch leaves it out
+        _, _, run, _ = workspace
+        recs = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
+        clf = [r for r in recs if r["phase"] == "classifier"]
+        assert clf and not any("s1_fraction" in r for r in clf)
 
     def test_manifest_records_each_phase_config(self, workspace, tmp_path):
         _, _, run, base = workspace
@@ -356,6 +386,37 @@ class TestTools:
         _, _, run, base = workspace
         assert main(["train-baseline", "--kind", "dssm"] + base) == 0
         assert (run / P.CKPT_DSSM).exists()
+
+    def test_baseline_dssm_refuses_resume(self, workspace, tmp_path, capsys):
+        # the pooled baseline has no checkpoint to continue from
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / P.CKPT_DSSM).unlink(missing_ok=True)
+        before = sorted(p.name for p in copy.iterdir())
+        code = main(["train-baseline", "--kind", "dssm", "--resume", P.CKPT_CLASSIFIER,
+                     "--epochs", "1", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (copy / P.CKPT_DSSM).exists()
+        assert sorted(p.name for p in copy.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["--config", "--pairs"])
+    def test_missing_input_file_names_path(self, workspace, tmp_path, capsys, flag):
+        root, data, run, _ = workspace
+        missing = tmp_path / "missing.txt"
+        out = tmp_path / "gen.tsv"
+        if flag == "--config":
+            argv = ["pretrain-classifier", "--run-dir", str(tmp_path / "run"),
+                    "--config", str(missing)]
+        else:
+            argv = ["generate", "--run-dir", str(run), "--config", str(root / "tiny.cfg"),
+                    "--checkpoint", P.CKPT_VED, "--pairs", str(missing), "--out", str(out)]
+        code = main(argv + ["--data-dir", str(data)])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not out.exists()
 
     def test_generate_writes_tsv(self, workspace):
         root, _, _, base = workspace

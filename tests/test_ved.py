@@ -54,13 +54,13 @@ class TestBuildTriples:
 
 
 def enc_of(clf, tb):
-    """The shared-encoder view of a triple batch's (title, matched query) rows."""
+    """The shared-encoder record of a triple batch's (title, matched query) rows."""
     return V.encode_pair_batch(clf, tb.item_ids, tb.item_lens, tb.query_ids,
                                tb.query_lens)
 
 
 def enc_one(clf, item_ids, query_ids):
-    """The shared-encoder view of one (item, query) pair."""
+    """The shared-encoder record of one (item, query) pair."""
     return V.encode_pair_batch(
         clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
         np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
@@ -69,17 +69,17 @@ def enc_one(clf, item_ids, query_ids):
 class TestEncodePair:
     def test_shapes(self, f64):
         clf, _ = models(k=2, d=3)
-        enc = enc_one(clf, [4, 5, 6, 7], [8, 4, 5])
-        assert enc.u_states.shape == (1, 7, 2)
-        assert enc.c.shape == (1, 4)
+        mem = V.pair_memory(enc_one(clf, [4, 5, 6, 7], [8, 4, 5]))
+        assert mem.u_states.shape == (1, 7, 2)
+        assert mem.c.shape == (1, 4)
 
     def test_zero_encoder(self, f64):
         clf, _ = models(k=2, d=3)
         for t in clf.named().values():
             t.data[...] = 0.0
-        enc = enc_one(clf, [4, 5], [6])
-        np.testing.assert_array_equal(enc.u_states.data, np.zeros((1, 3, 2)))
-        np.testing.assert_array_equal(enc.c.data, np.zeros((1, 4)))
+        mem = V.pair_memory(enc_one(clf, [4, 5], [6]))
+        np.testing.assert_array_equal(mem.u_states.data, np.zeros((1, 3, 2)))
+        np.testing.assert_array_equal(mem.c.data, np.zeros((1, 4)))
 
 
 class TestLatent:
@@ -128,11 +128,11 @@ class TestKl:
 class TestDecodeStep:
     def test_attention_weights_sum_to_one(self, f64):
         clf, ved = models()
-        enc = V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
-                                  np.array([[6, 7]]), np.array([2]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
+        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
+                                                np.array([[6, 7]]), np.array([2])))
+        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
-        _, _, _, _, w = V.decode_step(np.array([BOS]), z, h, c, enc, ved, clf.emb_q)
+        _, _, _, _, w = V.decode_step(np.array([BOS]), z, h, c, mem, ved, clf.emb_q)
         assert abs(w.data.sum() - 1.0) < 1e-12
         # padded memory column receives exactly zero weight
         assert w.data[0, 2] == 0.0
@@ -141,11 +141,11 @@ class TestDecodeStep:
         clf, ved = models()
         for t in {**clf.named(), **ved.named()}.values():
             t.data[...] = 0.0
-        enc = V.encode_pair_batch(clf, np.array([[4, 5]]), np.array([2]),
-                                  np.array([[6]]), np.array([1]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
+        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([[4, 5]]), np.array([2]),
+                                                np.array([[6]]), np.array([1])))
+        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
-        logits, _, _, _, _ = V.decode_step(np.array([BOS]), z, h, c, enc, ved,
+        logits, _, _, _, _ = V.decode_step(np.array([BOS]), z, h, c, mem, ved,
                                            clf.emb_q)
         np.testing.assert_array_equal(logits.data, np.zeros((1, 9)))
 
@@ -230,6 +230,7 @@ class TestEncodingCache:
                     grads = [p.grad for p in ved.named().values()]
                     runs.append((enc, loss.item(), grads))
                 (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
+                cached, fresh = V.pair_memory(cached), V.pair_memory(fresh)
                 for a, b in ((cached.u_states.data, fresh.u_states.data),
                              (cached.u_logmask, fresh.u_logmask),
                              (cached.c.data, fresh.c.data), *zip(grads_c, grads_f)):
@@ -276,14 +277,14 @@ class TestGeneration:
         tokens = out[0][0]
 
         # greedy reference: argmax step by step
-        enc = V.encode_pair_batch(clf, np.array([item]), np.array([3]),
-                                  np.array([query]), np.array([2]))
-        z, _, _ = V.sample_latent(enc.c, ved.latent, np.zeros((1, 3)))
+        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([item]), np.array([3]),
+                                                np.array([query]), np.array([2])))
+        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
         h, c = V.decoder_init(z, ved.latent)
         prev, greedy = BOS, []
         for _ in range(6):
             logits, _, h, c, _ = V.decode_step(np.array([prev]), z, h, c,
-                                               enc, ved, clf.emb_q)
+                                               mem, ved, clf.emb_q)
             prev = int(np.argmax(logits.data[0]))
             if prev == EOS:
                 break

@@ -11,11 +11,13 @@ past each row's length, where these references repeat the frozen state
 columns and final states. ``slice_axis`` and ``softmax_rows``,
 which only these references use, live here with them.
 """
+import dataclasses
+
 import numpy as np
 
 from quarts import tensor as T
 from quarts import ved as V
-from quarts.classifier import batch_probs, weighted_ce_loss
+from quarts.classifier import batch_probs, encode_pair_batch, weighted_ce_loss
 from quarts.data import BOS, pad_mask
 
 
@@ -93,27 +95,27 @@ def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     return r, T.concat(alphas, axis=1)
 
 
-def decode_step(prev_ids, z, h, c, enc, ved, emb_q):
+def decode_step(prev_ids, z, h, c, mem, ved, emb_q):
     x = T.concat([T.lookup(emb_q, prev_ids), z], axis=1)
     h2, c2 = lstm_step(ved.dec.lstm, x, h, c)
     bsz, k = h2.shape
     scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
-                      T.transpose_last2(enc.u_states))
-    scores = T.reshape(scores, (bsz, enc.u_states.shape[1]))
-    weights = softmax_rows(scores + T.constant(enc.u_logmask))
-    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), enc.u_states), (bsz, k))
+                      T.transpose_last2(mem.u_states))
+    scores = T.reshape(scores, (bsz, mem.u_states.shape[1]))
+    weights = softmax_rows(scores + T.constant(mem.u_logmask))
+    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), mem.u_states), (bsz, k))
     d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
     logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
     return logits, d_tilde, h2, c2, weights
 
 
-def ved_nll(clf, ved, enc, z, h, c, batch):
+def ved_nll(clf, ved, mem, z, h, c, batch):
     """Teacher-forced mean NLL of the target queries, one step at a time."""
     bsz, width = batch.target_ids.shape
     nlls = []
     for t in range(width):
         logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], z, h, c,
-                                           enc, ved, clf.emb_q)
+                                           mem, ved, clf.emb_q)
         nll_t = T.neg(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]))
         on = t < batch.target_lens
         nlls.append(T.reshape(nll_t * T.constant(on.astype(np.float64)), (bsz, 1)))
@@ -122,10 +124,10 @@ def ved_nll(clf, ved, enc, z, h, c, batch):
     return T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
 
 
-def hgen_states(clf, ved, enc, z, h, c, steps, prev_ids=None):
+def hgen_states(clf, ved, mem, z, h, c, steps, prev_ids=None):
     """Attentional decoder states under argmax feedback, or reading
     ``prev_ids[:, t]`` at step t when given, zero past ``steps``."""
-    bsz = enc.c.shape[0]
+    bsz = mem.c.shape[0]
     k = h.shape[1]
     prev = np.full(bsz, BOS, dtype=np.int64)
     cols = []
@@ -133,7 +135,7 @@ def hgen_states(clf, ved, enc, z, h, c, steps, prev_ids=None):
     for t in range(int(steps.max())):
         if prev_ids is not None:
             prev = prev_ids[:, t]
-        logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, enc, ved, clf.emb_q)
+        logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, mem, ved, clf.emb_q)
         prev = np.argmax(logits.data, axis=1)
         on = t < steps
         cols.append(T.reshape(_blend(on, d_tilde, T.zeros((bsz, k))), (bsz, 1, k)))
@@ -149,18 +151,20 @@ def e2e_batch_loss(clf, ved, batch, s, beta, latent_eps):
     probs, labels = [], []
     idx0, idx1 = np.flatnonzero(s == 0), np.flatnonzero(s == 1)
     if idx0.size:
-        p0, _ = batch_probs(clf, batch.item_ids[idx0], batch.item_lens[idx0],
-                            batch.query_ids[idx0], batch.query_lens[idx0])
+        p0, _ = batch_probs(clf, encode_pair_batch(
+            clf, batch.item_ids[idx0], batch.item_lens[idx0], batch.query_ids[idx0],
+            batch.query_lens[idx0]))
         probs.append(p0)
         labels.append(batch.labels[idx0])
     items, item_lens = batch.item_ids[idx1], batch.item_lens[idx1]
     queries, query_lens = batch.query_ids[idx1], batch.query_lens[idx1]
-    enc = V.encode_pair_batch(clf, items, item_lens, queries, query_lens)
-    z, _, _ = V.sample_latent(enc.c, ved.latent, eps=latent_eps)
+    enc = encode_pair_batch(clf, items, item_lens, queries, query_lens)
+    mem = V.pair_memory(enc)
+    z, _, _ = V.sample_latent(mem.c, ved.latent, eps=latent_eps)
     h, c = V.decoder_init(z, ved.latent)
-    states, final = hgen_states(clf, ved, enc, z, h, c, query_lens)
-    p1, _ = batch_probs(clf, items, item_lens, queries, query_lens,
-                        h_override=(states, final))
+    states, final = hgen_states(clf, ved, mem, z, h, c, query_lens)
+    p1, _ = batch_probs(clf, dataclasses.replace(enc, query_states=states,
+                                                 query_final=final))
     probs.append(p1)
     labels.append(np.ones(idx1.size))
     return weighted_ce_loss(T.concat(probs, axis=0), np.concatenate(labels), beta)

@@ -9,10 +9,10 @@ same loss with proxy label 1. A batch whose draws are all zero reduces
 to the plain classifier batch loss, bitwise; ``train.fit`` runs this
 loss like any other batch loss.
 
-A switched batch is encoded once into a ``classifier.EncodedBatch``.
-The generator reads the s=1 rows of that record, its states replace
-those rows in the record's query half, and one classifier pass scores
-the whole record.
+Every batch is encoded once into a ``classifier.EncodedBatch``. When
+some rows switch, the generator reads their rows of that record and its
+states replace them in the record's query half; one classifier pass
+scores the whole record.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import tensor as T
-from .classifier import ClassifierParams, batch_probs, classifier_batch_loss, \
-    encode_pair_batch, weighted_ce_loss
+from .classifier import ClassifierParams, batch_probs, encode_pair_batch, weighted_ce_loss
 from .data import Batch
 from .rng import RunRng
 from .tensor import Tensor
@@ -42,32 +41,26 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
     """Training-mode mixed real/generated batch loss; returns (loss, s vector).
 
     The switch, the s=1 rows' latent noise and dropout draw from ``rng``;
-    p=1 switches every matched pair. With no s=1 examples this is exactly
-    the classifier batch loss on the full batch.
+    p=1 switches every matched pair. With no s=1 examples nothing is
+    spliced, and this is exactly the classifier batch loss.
     """
     s = sample_switches(batch.labels, p, rng.switch)
     idx1 = np.flatnonzero(s == 1)
-    if idx1.size == 0:
-        return classifier_batch_loss(clf, batch, beta, rng.dropout), s
-
     enc = encode_pair_batch(clf, batch.item_ids, batch.item_lens, batch.query_ids,
                             batch.query_lens)
-    h_gen, gen_final = hgen_forward_batch(
-        clf, ved, enc.rows(idx1), batch.query_lens[idx1],
-        rng.latent.standard_normal((idx1.size, ved.d_z)))
-    # the generated rows take the place of their rows' query encodings
-    bsz, width, k = enc.query_states.shape
-    short = width - h_gen.shape[1]
-    if short:
-        h_gen = T.concat([h_gen, T.zeros((idx1.size, short, k))], axis=1)
-    order = np.arange(bsz)
-    order[idx1] = bsz + np.arange(idx1.size)
-    mixed = dataclasses.replace(
-        enc,
-        query_states=T.lookup(T.concat([enc.query_states, h_gen], axis=0), order,
-                              unique=True),
-        query_final=T.lookup(T.concat([enc.query_final, gen_final], axis=0), order,
-                             unique=True))
-    probs, _ = batch_probs(clf, mixed, rng.dropout)
-    labels = np.where(s == 1, 1.0, batch.labels)   # proxy label z = 1
-    return weighted_ce_loss(probs, labels, beta), s
+    if idx1.size:
+        h_gen, gen_final = hgen_forward_batch(
+            clf, ved, enc.rows(idx1), batch.query_lens[idx1],
+            rng.latent.standard_normal((idx1.size, ved.d_z)))
+        # the generated rows take the place of their rows' query encodings
+        bsz, width, k = enc.query_states.shape
+        short = width - h_gen.shape[1]
+        if short:
+            h_gen = T.concat([h_gen, T.zeros((idx1.size, short, k))], axis=1)
+        order = np.arange(bsz)
+        order[idx1] = bsz + np.arange(idx1.size)
+        enc = dataclasses.replace(
+            enc, query_states=T.lookup(T.concat([enc.query_states, h_gen], axis=0), order),
+            query_final=T.lookup(T.concat([enc.query_final, gen_final], axis=0), order))
+    probs, _ = batch_probs(clf, enc, rng.dropout)
+    return weighted_ce_loss(probs, np.maximum(s, batch.labels), beta), s   # proxy label 1

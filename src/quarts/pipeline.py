@@ -61,6 +61,7 @@ CKPT_VED = "phase3_ved.qrts"
 CKPT_E2E = "phase5_e2e.qrts"
 CKPT_DSSM = "baseline_dssm.qrts"
 CKPT_AUGMENT = "baseline_augment.qrts"
+VOCAB_Q, VOCAB_T = "vocab_q.txt", "vocab_t.txt"
 
 # The command that writes each checkpoint, named when one is missing.
 WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
@@ -211,11 +212,18 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
 
     Returns the pooled baseline for ``dssm.`` arrays and the classifier
     otherwise, plus the generator when ``ved.`` arrays are present.
-    ``need`` is the command that writes the checkpoint.
+    ``need`` is the command that writes the checkpoint. A vocabulary the
+    run dir holds must equal the one rebuilt from the data dir, or the
+    checkpoint's token ids would silently mean other tokens.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
         raise PipelineError(f"missing checkpoint {path}; run `quarts {need}` first")
+    for saved, vocab in ((path.parent / VOCAB_Q, data.vocab_q),
+                         (path.parent / VOCAB_T, data.vocab_t)):
+        if saved.exists() and Vocabulary.load(saved).id_to_token != vocab.id_to_token:
+            raise PipelineError(f"{saved} differs from the vocabulary built from the data "
+                                "dir; use the --data-dir the run was trained on")
     arrays = load_arrays(path)
     with run_dtype(cfg):
         if any(k.startswith("dssm.") for k in arrays):
@@ -291,8 +299,8 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
                           data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
                           "classifier")
         run.params = clf.named()
-        data.vocab_q.save(run.dir / "vocab_q.txt")
-        data.vocab_t.save(run.dir / "vocab_t.txt")
+        data.vocab_q.save(run.dir / VOCAB_Q)
+        data.vocab_t.save(run.dir / VOCAB_T)
     return clf, run.records
 
 
@@ -332,6 +340,10 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                                  need="pretrain-classifier")
         triples = encode_triples(read_triples(run.dir), data.vocab_t, data.vocab_q,
                                  cfg.max_title_len, cfg.max_query_len)
+        if not triples:
+            raise PipelineError(f"{run.dir / CKPT_TRIPLES} holds no triples: no train item "
+                                "has both a matched and a mismatched query; rerun "
+                                "`quarts build-triples` on data that has some")
         rng = RunRng(cfg.seed, "ved")
         ved = new_ved(cfg, data, rng)
         with frozen(clf.named()):

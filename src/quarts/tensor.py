@@ -16,6 +16,19 @@ have several outputs, whose rule then receives one gradient per output
 first and keep no backward cache when nothing will be recorded, which is
 the no-grad path of evaluation and beam search.
 
+The engine keeps only the forms the model runs:
+
+- ``matmul`` multiplies 2-D operands, or stacks with equal leading axes;
+- elementwise ops (``add``, ``sub``, ``mul``) take equal shapes, a
+  scalar, or a trailing row vector (n,) against a stack whose last axis
+  is n.
+
+Any other pair of operands raises ``ShapeError`` naming both shapes.
+``Tensor`` defines only ``+`` and ``*``; the rest of the arithmetic is
+spelled as functions (``sub``, ``scale``, ``neg``). ``lookup``'s backward
+assigns the gathered rows' gradients when no id repeats and scatter-adds
+them otherwise.
+
 Tensors are immutable values once created (the optimizer mutates leaf
 parameter storage between tapes, never inside one). A Tape is single-owner
 and must not be shared across threads.
@@ -26,19 +39,6 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
-
-__all__ = [
-    "Tensor", "Tape", "ShapeError", "VocabularyError",
-    "get_default_dtype", "using_dtype",
-    "record", "needs_grad",
-    "constant", "zeros",
-    "matmul", "add", "sub", "mul", "scale", "neg",
-    "tanh", "sigmoid", "absval", "log", "exp", "clamp",
-    "dropout", "log_softmax_rows",
-    "concat", "pick_columns", "lookup",
-    "mean_all", "sum_axis", "transpose_last2", "reshape",
-]
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -114,30 +114,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars become untracked constants
+    # the operators model code writes; scalars become untracked constants
     def __add__(self, other):
         return add(self, other)
 
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -273,57 +258,42 @@ def _as_tensor(x) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to the pre-broadcast operand shape."""
-    if g.shape == shape:
-        return g
+    """Sum a gradient over the leading axes a scalar or row operand was
+    broadcast along (``_operands`` admits no other broadcast)."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, (gs, ts) in enumerate(zip(g.shape, shape)):
-        if ts == 1 and gs != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
+    return g
 
 
-def _check_elementwise(sa: tuple, sb: tuple) -> None:
-    # Permitted: equal shapes, scalar, a trailing row vector, or equal-rank
-    # shapes differing only in size-1 axes. Anything wilder is built
-    # explicitly via matmul with a ones column.
-    if sa == sb:
-        return
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise ShapeError(f"elementwise shapes {sa} and {sb} do not broadcast") from None
-    for s, o in ((sa, sb), (sb, sa)):
-        if np.prod(s, dtype=int) == 1:
-            return
-        if len(s) == 1 and len(o) >= 1 and o[-1] == s[0]:
-            return
-    if len(sa) == len(sb):
-        return
-    raise ShapeError(f"elementwise broadcast {sa} vs {sb} is not supported "
-                     "(scalar and row broadcast only)")
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of an elementwise op as tensors, which must have equal
+    shapes, or be a scalar, or a trailing row vector (n,) against a stack
+    whose last axis is n."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.shape, b.shape
+    row = sa[-1:] == sb[-1:] and min(len(sa), len(sb)) == 1
+    if not (sa == sb or () in (sa, sb) or row):
+        raise ShapeError(f"elementwise shapes {sa} and {sb}: only equal shapes, a scalar "
+                         "or a trailing row vector broadcast")
+    return a, b
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
+    a, b = _operands(a, b)
     sa, sb = a.shape, b.shape
     return record(a.data + b.data, (a, b),
                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
+    a, b = _operands(a, b)
     sa, sb = a.shape, b.shape
     return record(a.data - b.data, (a, b),
                   lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
+    a, b = _operands(a, b)
     da, db, sa, sb = a.data, b.data, a.shape, b.shape
     return record(da * db, (a, b),
                   lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
@@ -340,64 +310,17 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with the usual vector and stacked-batch conventions.
-
-    1-D operands are treated as a row (left) or column (right) and the
-    inserted axis is squeezed from the result; leading batch axes
-    broadcast, with gradients summed back over broadcast axes. A stack
-    times a shared 2-D matrix runs as one GEMM over all leading rows.
-    """
+    """Matrix product of 2-D operands, or of stacks whose leading axes are
+    equal: (..., n, p) x (..., p, q)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim > 2 and b.ndim == 2:
-        return _matmul_shared(a, b)
-    da = a.data[None, :] if a.ndim == 1 else a.data
-    db = b.data[:, None] if b.ndim == 1 else b.data
-    if da.shape[-1] != db.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    try:
-        out = np.matmul(da, db)
-    except ValueError:
-        raise ShapeError(f"matmul batch shapes disagree: {a.shape} x {b.shape}") from None
-    a_vec, b_vec = a.ndim == 1, b.ndim == 1
-    if a_vec and b_vec:
-        out = out[..., 0, 0]
-    elif b_vec:
-        out = out[..., 0]
-    elif a_vec:
-        out = out[..., 0, :]
-
-    sa, sb = da.shape, db.shape
-
-    def rule(g):
-        g2 = g
-        if b_vec:
-            g2 = g2[..., None]
-        if a_vec:
-            g2 = g2[..., None, :]
-        ga = _unbroadcast(np.matmul(g2, np.swapaxes(db, -1, -2)), sa)
-        gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g2), sb)
-        if a_vec:
-            ga = ga[0]
-        if b_vec:
-            gb = gb[:, 0]
-        return ga, gb
-
-    return record(out, (a, b), rule)
-
-
-def _matmul_shared(a: Tensor, b: Tensor) -> Tensor:
-    """(..., n) x (n, p): a stack of rows against one shared matrix."""
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    rows = a.data.reshape(-1, a.shape[-1])
-    db = b.data
-    shape = a.shape
-
-    def rule(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return (g2 @ db.T).reshape(shape), rows.T @ g2
-
-    return record((rows @ db).reshape(*shape[:-1], db.shape[1]), (a, b), rule)
+    da, db = a.data, b.data
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul takes 2-D operands or equal stacks with agreeing "
+                         f"inner dimensions, got {a.shape} x {b.shape}")
+    return record(np.matmul(da, db), (a, b),
+                  lambda g: (np.matmul(g, np.swapaxes(db, -1, -2)),
+                             np.matmul(np.swapaxes(da, -1, -2), g)))
 
 
 def tanh(a) -> Tensor:
@@ -496,10 +419,10 @@ def pick_columns(a, cols: np.ndarray) -> Tensor:
     return record(a.data[rows, cols], (a,), rule)
 
 
-def lookup(table, ids: np.ndarray, unique: bool = False) -> Tensor:
-    """Row gather (embedding retrieval); backward scatter-adds into the
-    table gradient. A caller whose ``ids`` hold no id twice passes
-    ``unique``, and the backward assigns instead, with the same bits."""
+def lookup(table, ids: np.ndarray) -> Tensor:
+    """Row gather (embedding retrieval). The backward assigns the rows'
+    gradients when no id repeats, and scatter-adds them otherwise; both
+    give the same bits on unique ids."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -509,11 +432,16 @@ def lookup(table, ids: np.ndarray, unique: bool = False) -> Tensor:
     shape = table.shape
 
     def rule(g):
+        s = np.sort(ids, axis=None)
+        repeats = (s[1:] == s[:-1]).any()
+        # freed before the table-sized gradient is allocated: left live, it
+        # doubled the page faults of an e2e phase at k=300
+        del s
         z = np.zeros(shape, dtype=g.dtype)
-        if unique:
-            z[ids] = g
-        else:
+        if repeats:
             np.add.at(z, ids, g)
+        else:
+            z[ids] = g
         return (z,)
 
     return record(table.data[ids], (table,), rule)

@@ -19,8 +19,10 @@ scan steps each row only up to its own length, on the classifier's
 length are zero in both modes, as the encoders' are. Beam search's
 ``decode_step`` runs the same numpy step once, with no tape.
 
-The generator reads the shared encoder's ``classifier.EncodedBatch``;
-``pair_memory`` alone derives U, its mask and c from it. VED training
+The generator reads the shared encoder's ``classifier.EncodedBatch``
+through one entry, ``decoder_start``: the attention memory U and its
+mask, the latent (z, mu, logvar) and the decoder's initial state h0 all
+come from there, for the VED loss, ``hgen`` and beam search. VED training
 takes each batch's record as an argument: the shared encoder is frozen
 then, so the pipeline encodes each distinct title and matched query
 once per phase and gathers a batch's record from that cache.
@@ -135,39 +137,39 @@ def encode_triples(triples: list[tuple[str, str, str]], vocab_t: Vocabulary,
             for title, q, qm in triples]
 
 
-# --- encoding and the latent ----------------------------------------------
+# --- the decoder's start ----------------------------------------------------
 
 @dataclass
-class _Memory:
+class _DecoderStart:
+    """What the decoder reads of an encoded batch, from ``decoder_start``."""
     u_states: Tensor        # (B, m+n, k) attention memory
     u_logmask: np.ndarray   # (B, m+n), 0 real / -inf-ish padded
-    c: Tensor               # (B, 2k) latent context
+    z: Tensor               # (B, d_z) latent draw
+    mu: Tensor              # (B, d_z)
+    logvar: Tensor          # (B, d_z), clamped
+    h0: Tensor              # (B, k) initial decoder state; its c starts at zero
 
 
-def pair_memory(enc: EncodedBatch) -> _Memory:
-    """The generator's view of an encoded batch: U is the title states
-    followed by the query states, masked past each true length, and c the
-    two final states side by side."""
+def decoder_start(enc: EncodedBatch, ved: VedParams, eps: np.ndarray) -> _DecoderStart:
+    """The generator's one entry: U, its mask, the latent and h0 of ``enc``.
+
+    U is the title states followed by the query states, masked past each
+    true length, and c the two final states side by side. The latent is
+    the reparameterized Gaussian draw z = mu + exp(logvar/2) * eps from c,
+    with ``eps`` (B, d_z) drawn by the caller from its latent stream
+    (zeros give z = mu, the latent that beam search decodes from), and
+    h0 = tanh(z @ W_init + b_init).
+    """
+    lat = ved.latent
     u = T.concat([enc.title_states, enc.query_states], axis=1)
     real = np.concatenate([pad_mask(enc.item_lens, enc.title_states.shape[1]),
                            pad_mask(enc.query_lens, enc.query_states.shape[1])], axis=1)
-    logmask = ((1.0 - real) * _MASK_NEG).astype(u.data.dtype)
-    return _Memory(u, logmask, T.concat([enc.title_final, enc.query_final], axis=1))
-
-
-def sample_latent(c: Tensor, lat: LatentParams,
-                  eps: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    """Reparameterized Gaussian draw for each (B, 2k) row of c:
-    z = mu + exp(logvar/2) * eps.
-
-    The caller draws ``eps`` (B, d_z) from its latent stream; zeros give
-    z = mu, the latent that beam search decodes from.
-    """
+    c = T.concat([enc.title_final, enc.query_final], axis=1)
     mu = T.matmul(c, lat.w_mu) + lat.b_mu
-    logvar = T.clamp(T.matmul(c, lat.w_logvar) + lat.b_logvar,
-                     LOGVAR_MIN, LOGVAR_MAX)
+    logvar = T.clamp(T.matmul(c, lat.w_logvar) + lat.b_logvar, LOGVAR_MIN, LOGVAR_MAX)
     z = mu + T.exp(T.scale(logvar, 0.5)) * T.constant(eps)
-    return z, mu, logvar
+    return _DecoderStart(u, ((1.0 - real) * _MASK_NEG).astype(u.data.dtype), z, mu, logvar,
+                         T.tanh(T.matmul(z, lat.w_init) + lat.b_init))
 
 
 def kl_weight_at(epoch: int, anneal_epochs: int) -> float:
@@ -185,11 +187,6 @@ def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:
 
 
 # --- decoding ---------------------------------------------------------------
-
-def decoder_init(z: Tensor, lat: LatentParams) -> tuple[Tensor, Tensor]:
-    h0 = T.tanh(T.matmul(z, lat.w_init) + lat.b_init)
-    return h0, T.zeros(h0.shape)
-
 
 def _decoder_step(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
                   logmask: np.ndarray, dec: DecoderParams) -> tuple[np.ndarray, ...]:
@@ -211,24 +208,23 @@ def _logits(d_tilde: np.ndarray, dec: DecoderParams) -> np.ndarray:
     return d_tilde @ dec.w_v.data + dec.b_v.data
 
 
-def decode_step(prev_ids: np.ndarray, z: Tensor, h: Tensor, c: Tensor,
-                mem: _Memory, ved: VedParams, emb_q: Tensor,
-                ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """One decoder step over a batch, for inputs chosen as decoding goes
-    (beam search). Nothing is recorded: no gradient flows through it.
+def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
+                start: _DecoderStart, ved: VedParams, emb_q: Tensor,
+                ) -> tuple[np.ndarray, ...]:
+    """One decoder step over a batch of arrays, for inputs chosen as
+    decoding goes (beam search). Nothing is recorded.
 
     Returns (logits over V_q, attentional state d~, new h, new c, weights).
     """
     wx, d = ved.dec.lstm.wx.data, emb_q.shape[1]
-    pre = emb_q.data[prev_ids] @ wx[:d] + (z.data @ wx[d:] + ved.dec.lstm.b.data)
-    d_tilde, h2, c2, alpha = _decoder_step(pre, h.data, c.data, mem.u_states.data,
-                                           mem.u_logmask, ved.dec)[:4]
-    return tuple(map(T.constant, (_logits(d_tilde, ved.dec), d_tilde, h2, c2, alpha)))
+    pre = emb_q.data[prev_ids] @ wx[:d] + (start.z.data @ wx[d:] + ved.dec.lstm.b.data)
+    d_tilde, h2, c2, alpha = _decoder_step(pre, h, c, start.u_states.data,
+                                           start.u_logmask, ved.dec)[:4]
+    return _logits(d_tilde, ved.dec), d_tilde, h2, c2, alpha
 
 
-def _decoder_scan(emb_q: Tensor, ved: VedParams, mem: _Memory, z: Tensor,
-                  h0: Tensor, steps: np.ndarray, prev_ids: np.ndarray | None = None,
-                  ) -> tuple[Tensor, Tensor]:
+def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np.ndarray,
+                  prev_ids: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """The decoder over a batch as one tape record, teacher-forced or free.
 
     Row i decodes its first ``steps[i]`` steps and no more. Given
@@ -246,21 +242,22 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, mem: _Memory, z: Tensor,
     an untracked ``emb_q`` or U.
     """
     lstm, dec = ved.dec.lstm, ved.dec
+    z, h0, u_states = start.z, start.h0, start.u_states
     emb, wh, w_a, w_c = emb_q.data, lstm.wh.data, dec.w_a.data, dec.w_c.data
     wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
     k = h0.shape[1]
     dt = z.data.dtype
     lay = Ragged(steps, None if prev_ids is None else prev_ids.shape[1])
-    u, logmask = mem.u_states.data[lay.order], mem.u_logmask[lay.order]
+    u, logmask = u_states.data[lay.order], start.u_logmask[lay.order]
     zx = z.data[lay.order] @ wx_z + lstm.b.data
     if prev_ids is None:
         ids, prev = [], np.full(len(steps), BOS, dtype=np.int64)
     else:
         ids = prev_ids[lay.rows, lay.steps]
         xe = emb[ids] @ wx_e
-    inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, mem.u_states, dec.w_a, dec.w_c)
+    inputs = (z, h0, emb_q, lstm.wx, lstm.wh, lstm.b, u_states, dec.w_a, dec.w_c)
     grad = T.needs_grad(*inputs)
-    want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(mem.u_states)
+    want_emb, want_u = T.needs_grad(emb_q), T.needs_grad(u_states)
     slots = len(lay.rows)
     packed = np.empty((slots, k), dt)   # d~ of each slot
     if grad:
@@ -293,7 +290,7 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, mem: _Memory, z: Tensor,
         g_pre = g * (1 - packed * packed)   # through d~ = tanh(.)
         g_hc = g_pre @ w_c.T
         # attention over each row's memory, for all its steps at once
-        u_in, a = mem.u_states.data, lay.padded(alphas)
+        u_in, a = u_states.data, lay.padded(alphas)
         g_ctx = lay.padded(g_hc[:, k:])
         g_alpha = np.matmul(g_ctx, u_in.transpose(0, 2, 1))
         g_scores = a * (g_alpha - (g_alpha * a).sum(axis=2, keepdims=True))
@@ -329,22 +326,18 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     target tokens (mismatched query plus the end marker); ``eps`` (B, d_z)
     is the latent noise. Returns (loss, nll value, kl value).
     """
-    mem = pair_memory(enc)
-    z, mu, logvar = sample_latent(mem.c, ved.latent, eps)
-    h0, _ = decoder_init(z, ved.latent)
-    states, _ = _decoder_scan(clf.emb_q, ved, mem, z, h0, batch.target_lens,
-                              batch.prev_ids)
+    start = decoder_start(enc, ved, eps)
+    states, _ = _decoder_scan(clf.emb_q, ved, start, batch.target_lens, batch.prev_ids)
     bsz, width, k = states.shape
     mask = pad_mask(batch.target_lens, width)
     # the output projection runs on real target steps only
-    real = T.lookup(T.reshape(states, (bsz * width, k)), np.flatnonzero(mask),
-                    unique=True)
+    real = T.lookup(T.reshape(states, (bsz * width, k)), np.flatnonzero(mask))
     logp = T.log_softmax_rows(T.matmul(real, ved.dec.w_v) + ved.dec.b_v)
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
     weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
     nll = T.neg(T.sum_axis(picked * T.constant(weight)))
-    kl = kl_divergence(mu, logvar)
+    kl = kl_divergence(start.mu, start.logvar)
     loss = nll + T.scale(kl, kl_weight)
     return loss, float(nll.data), float(kl.data)
 
@@ -361,10 +354,7 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     shaped like the record's query half, ready to replace it. A row stops
     decoding at its length, and its columns past it are zero.
     """
-    mem = pair_memory(enc)
-    z, _, _ = sample_latent(mem.c, ved.latent, eps)
-    h0, _ = decoder_init(z, ved.latent)
-    return _decoder_scan(clf.emb_q, ved, mem, z, h0, steps)
+    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps)
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],
@@ -376,21 +366,21 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
     score = total log-probability / length. beam=1 is exactly greedy
     argmax decoding.
     """
-    mem = pair_memory(encode_pair_batch(
+    start = decoder_start(encode_pair_batch(
         clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])))
-    z, _, _ = sample_latent(mem.c, ved.latent, np.zeros((1, ved.d_z)))
-    h0, c0 = decoder_init(z, ved.latent)
+        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])),
+        ved, np.zeros((1, ved.d_z)))
 
-    # live: (tokens, logp_sum, h, c); finished: (tokens, normalized score)
-    live = [([], 0.0, h0, c0)]
+    # live: (tokens, logp_sum, h, c) with (h, c) arrays; finished: (tokens, score)
+    live = [([], 0.0, start.h0.data, np.zeros_like(start.h0.data))]
     done: list[tuple[list[int], float]] = []
     for _ in range(max_len):
         candidates = []
         for tokens, logp, h, c in live:
             prev = np.array([tokens[-1] if tokens else BOS], dtype=np.int64)
-            logits, _, h2, c2, _ = decode_step(prev, z, h, c, mem, ved, clf.emb_q)
-            logprob = T.log_softmax_rows(logits).data[0]
+            logits, _, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            logprob = (shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))[0]
             top = np.argsort(-logprob, kind="stable")[:beam]
             for tok in top:
                 candidates.append((tokens + [int(tok)], logp + float(logprob[tok]),

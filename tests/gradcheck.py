@@ -13,14 +13,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from quarts import tensor as T
-from quarts.classifier import (AttentionParams, Ragged, batch_probs, dssm_batch_probs,
-                               encode_pair_batch, init_classifier, init_dssm, lstm_scan,
-                               wbw_attention_batch, weighted_ce_loss)
+from quarts.classifier import (AttentionParams, EncodedBatch, Ragged, batch_probs,
+                               dssm_batch_probs, encode_pair_batch, init_classifier,
+                               init_dssm, lstm_scan, wbw_attention_batch, weighted_ce_loss)
 from quarts.data import Batch, TripleExample, make_triple_batch
 from quarts.e2e import e2e_batch_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
-from quarts.ved import hgen_forward_batch, init_ved, sample_latent, ved_loss_batch
+from quarts.ved import decoder_start, hgen_forward_batch, init_ved, ved_loss_batch
 
 
 # Step ladder for deep compositions. No single step serves every
@@ -98,27 +98,9 @@ def op_checks(seed: int = 0) -> list[tuple[str, float]]:
     b = _p(rng, 4, 2)
     run("matmul_2d", [a, b], lambda: T.mean_all(T.matmul(a, b)))
 
-    m = _p(rng, 5, 3)
-    v = _p(rng, 3)
-    run("matmul_matvec", [m, v], lambda: T.mean_all(T.matmul(m, v)))
-
-    v2 = _p(rng, 5)
-    run("matmul_vecmat", [v2, m], lambda: T.mean_all(T.matmul(v2, m)))
-
-    s1 = _p(rng, 4)
-    s2 = _p(rng, 4)
-    run("matmul_dot", [s1, s2], lambda: T.matmul(s1, s2))
-
     ba = _p(rng, 2, 3, 4)
-    bw = _p(rng, 4, 2)
-    run("matmul_batched_shared", [ba, bw], lambda: T.mean_all(T.matmul(ba, bw)))
-
     bb = _p(rng, 2, 4, 3)
     run("matmul_batched_pair", [ba, bb], lambda: T.mean_all(T.matmul(ba, bb)))
-
-    ones = T.constant(np.ones((3, 1)))
-    h = _p(rng, 2, 1, 4)
-    run("matmul_ones_outer", [h], lambda: T.mean_all(T.matmul(ones, h)))
 
     x = _p(rng, 3, 4)
     y = _p(rng, 3, 4)
@@ -260,10 +242,10 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
     results.append(("ved_loss", grad_check(ved_loss, ved_params, eps=MODEL_EPS)))
 
     def latent_reparam():
-        z, _, _ = sample_latent(T.reshape(T.concat(
-            [T.tanh(clf.attn.w), T.tanh(clf.attn.w)], axis=0), (1, 2 * k)),
-            ved.latent, eps_lat[:1])
-        return T.sum_axis(z)
+        row = T.reshape(T.tanh(clf.attn.w), (1, k))
+        enc = EncodedBatch(T.reshape(row, (1, 1, k)), row, T.reshape(row, (1, 1, k)), row,
+                           np.array([1]), np.array([1]))
+        return T.sum_axis(decoder_start(enc, ved, eps_lat[:1]).z)
 
     results.append(("latent_reparameterization",
                     grad_check(latent_reparam,

@@ -339,6 +339,48 @@ class TestPhases:
         assert code == 2
         assert f"{P.CKPT_TRIPLES}:{count + 1}" in capsys.readouterr().err
 
+    def test_other_data_dir_vocabulary_refused(self, workspace, tmp_path, capsys):
+        """A later phase on a data dir whose train split builds another
+        vocabulary exits 2 instead of remapping the checkpoint's token ids."""
+        root, data, run, _ = workspace
+        copy, run_copy = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(data, copy)
+        shutil.copytree(run, run_copy)
+        (run_copy / P.CKPT_VED).unlink()
+        lines = (copy / "train.tsv").read_text().splitlines(keepends=True)
+        word = lines[0].split("\t")[1].split()[0]
+        for i, line in enumerate(lines):   # rename one query word
+            fields = line.split("\t")
+            fields[1] = " ".join("renamedword" if w == word else w
+                                 for w in fields[1].split())
+            lines[i] = "\t".join(fields)
+        (copy / "train.tsv").write_text("".join(lines))
+        base = ["--data-dir", str(copy), "--run-dir", str(run_copy),
+                "--config", str(root / "tiny.cfg")]
+        assert main(["build-triples"] + base) == 0
+        assert main(["pretrain-ved"] + base) == 2
+        assert "vocab_q.txt" in capsys.readouterr().err
+        assert not (run_copy / P.CKPT_VED).exists()
+        # a run dir that holds no vocabulary files is not refused
+        for name in ("vocab_q.txt", "vocab_t.txt"):
+            (run_copy / name).unlink()
+        assert main(["eval", "--data-dir", str(data), "--run-dir", str(run_copy),
+                     "--config", str(root / "tiny.cfg"),
+                     "--checkpoint", P.CKPT_CLASSIFIER]) == 0
+
+    def test_empty_triples_fails_before_writing(self, workspace, tmp_path, capsys):
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / P.CKPT_VED).unlink()
+        (copy / P.CKPT_TRIPLES).write_text("")
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        code = main(["pretrain-ved", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert "build-triples" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
     def test_unknown_config_key_fails_fast(self, workspace, capsys):
         root, data, run, _ = workspace
         bad = root / "bad.cfg"

@@ -163,29 +163,25 @@ def test_ved_nll_matches_unfused(f64):
         return loss
 
     def unfused():
-        mem = V.pair_memory(encode(clf, tb))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, eps=eps)
-        h, c = V.decoder_init(z, ved.latent)
-        return U.ved_nll(clf, ved, mem, z, h, c, tb)
+        return U.ved_nll(clf, ved, V.decoder_start(encode(clf, tb), ved, eps), tb)
 
     assert_same(fused, unfused, list(clf.named().values()) + list(ved.named().values()))
 
 
 def test_decode_step_matches_unfused(f64):
     clf, ved, _ = models(seed=3)
-    mem = V.pair_memory(V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS))
-    z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((3, 3)))
-    h, c = V.decoder_init(z, ved.latent)
+    start = scan_start(clf, ved)
+    h, c = start.h0, T.zeros(start.h0.shape)
     prev = np.array([2, 5, 7])
-    for got, want in zip(V.decode_step(prev, z, h, c, mem, ved, clf.emb_q),
-                         U.decode_step(prev, z, h, c, mem, ved, clf.emb_q)):
-        close(got.data, want.data)
+    for got, want in zip(V.decode_step(prev, h.data, c.data, start, ved, clf.emb_q),
+                         U.decode_step(prev, h, c, start, ved, clf.emb_q)):
+        close(got, want.data)
 
 
 def test_hgen_matches_unfused(f64):
     clf, ved, rng = models(seed=4)
     steps = np.array([2, 3, 1])
-    on = T.constant(pad_mask(steps, 3)[:, :, None])
+    on = T.constant(np.repeat(pad_mask(steps, 3)[:, :, None], 4, axis=2))
     w_states = T.constant(rng.normal(size=(3, 3, 4)))
     w_final = T.constant(rng.normal(size=(3, 4)))
 
@@ -198,10 +194,7 @@ def test_hgen_matches_unfused(f64):
         return loss(states * on, final)   # columns past ``steps`` are unspecified
 
     def unfused():
-        mem = V.pair_memory(V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((3, 3)))
-        h, c = V.decoder_init(z, ved.latent)
-        return loss(*U.hgen_states(clf, ved, mem, z, h, c, steps))
+        return loss(*U.hgen_states(clf, ved, scan_start(clf, ved), steps))
 
     assert_same(fused, unfused, list(clf.named().values()) + list(ved.named().values()))
 
@@ -236,11 +229,10 @@ def test_e2e_loss_matches_two_sub_batches(f64, labels):
                 list(clf.named().values()) + list(ved.named().values()))
 
 
-def scan_inputs(clf, ved):
-    mem = V.pair_memory(V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS))
-    z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((3, 3)))
-    h0, _ = V.decoder_init(z, ved.latent)
-    return mem, z, h0
+def scan_start(clf, ved):
+    """The decoder's start on the mixed-length batch, from the latent mean."""
+    return V.decoder_start(V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS),
+                           ved, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -248,11 +240,11 @@ def test_scan_forced_on_own_choices_equals_free_run(dtype):
     steps = np.array([3, 1, 2])
     with T.using_dtype(dtype):
         clf, ved, _ = models(seed=7)
-        mem, z, h0 = scan_inputs(clf, ved)
-        free, free_final = V._decoder_scan(clf.emb_q, ved, mem, z, h0, steps)
+        start = scan_start(clf, ved)
+        free, free_final = V._decoder_scan(clf.emb_q, ved, start, steps)
         chosen = [np.argmax(V._logits(free.data[:, t], ved.dec), axis=1) for t in range(2)]
         prev = np.stack([np.full(3, BOS)] + chosen, axis=1)
-        forced, forced_final = V._decoder_scan(clf.emb_q, ved, mem, z, h0, steps, prev)
+        forced, forced_final = V._decoder_scan(clf.emb_q, ved, start, steps, prev)
     real = pad_mask(steps, 3)
     np.testing.assert_array_equal(forced.data[real], free.data[real])
     np.testing.assert_array_equal(forced_final.data, free_final.data)
@@ -269,8 +261,8 @@ def test_scan_frozen_inputs_leave_other_gradients(forced):
         for p in {**clf.named(), **ved.named()}.values():
             p.grad = None
         with Tape() as tape:
-            mem, z, h0 = scan_inputs(clf, ved)
-            states, final = V._decoder_scan(clf.emb_q, ved, mem, z, h0, steps, prev)
+            states, final = V._decoder_scan(clf.emb_q, ved, scan_start(clf, ved), steps,
+                                            prev)
             tape.backward(T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final))
         return {name: p.grad for name, p in ved.named().items()}
 
@@ -306,18 +298,14 @@ def test_packed_scan_matches_unfused_on_ragged_steps(f64, forced):
     outputs = []
 
     def loss(scan):
-        mem = V.pair_memory(V.encode_pair_batch(clf, ITEMS5, ITEM_LENS5, QUERIES5,
-                                                QUERY_LENS5))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, eps)
-        h0, c0 = V.decoder_init(z, ved.latent)
-        states, final = scan(mem, z, h0, c0)
+        states, final = scan(V.decoder_start(
+            V.encode_pair_batch(clf, ITEMS5, ITEM_LENS5, QUERIES5, QUERY_LENS5), ved, eps))
         outputs.append((states.data, final.data))
         return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
 
-    assert_same(lambda: loss(lambda mem, z, h0, c0: V._decoder_scan(
-                    clf.emb_q, ved, mem, z, h0, STEPS5, prev)),
-                lambda: loss(lambda mem, z, h0, c0: U.hgen_states(
-                    clf, ved, mem, z, h0, c0, STEPS5, prev)),
+    assert_same(lambda: loss(lambda start: V._decoder_scan(
+                    clf.emb_q, ved, start, STEPS5, prev)),
+                lambda: loss(lambda start: U.hgen_states(clf, ved, start, STEPS5, prev)),
                 list(clf.named().values()) + list(ved.named().values()))
     (got, got_final), (want, want_final) = outputs
     close(got, want)

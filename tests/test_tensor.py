@@ -30,19 +30,26 @@ class TestMatmul:
         err = grad_check(lambda: T.sum_axis(T.matmul(a, b)), [a, b])
         assert err < 1e-4
 
-    def test_matvec_and_dot(self):
-        m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        v = Tensor([1.0, 1.0])
-        np.testing.assert_array_equal(T.matmul(m, v).data, [3.0, 7.0])
-        assert T.matmul(v, v).item() == 2.0
 
-    def test_batched_against_loop(self):
-        rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
-        w = Tensor(rng.normal(size=(4, 5)).astype(np.float32))
-        out = T.matmul(a, w).data
-        for i in range(3):
-            np.testing.assert_allclose(out[i], a.data[i] @ w.data, rtol=1e-6)
+@pytest.mark.parametrize("op, sa, sb", [
+    (T.matmul, (2, 2), (2,)),           # matrix times vector
+    (T.matmul, (2,), (2, 2)),           # vector times matrix
+    (T.matmul, (2,), (2,)),             # dot product
+    (T.matmul, (3, 2, 4), (4, 5)),      # a stack times one shared matrix
+    (T.matmul, (3, 1), (2, 1, 4)),      # broadcast leading axes
+    (T.add, (3, 1), (3, 4)),            # equal rank, size-1 axis
+    (T.mul, (1,), (3, 4)),              # a one-element vector is not a scalar
+], ids=["matvec", "vecmat", "dot", "stack_shared", "leading_broadcast", "size1_axis",
+        "one_element"])
+def test_removed_forms_raise_naming_both_shapes(op, sa, sb):
+    with pytest.raises(T.ShapeError) as err:
+        op(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+    assert str(sa) in str(err.value) and str(sb) in str(err.value)
+
+
+def test_tensor_defines_only_the_operators_the_model_writes():
+    for name in ("__sub__", "__rsub__", "__rmul__", "__matmul__", "__neg__"):
+        assert not hasattr(Tensor, name), name
 
 
 class TestElementwise:
@@ -150,18 +157,23 @@ class TestStructuralOps:
     def test_lookup_unique_backward_equals_scatter_add(self, dtype):
         rng = np.random.default_rng(3)
         ids = rng.permutation(9)[:6]
-        grads = []
         with T.using_dtype(dtype):
-            w = T.constant(rng.normal(size=(6, 5)))
-            data = rng.normal(size=(9, 5))
-            for unique in (False, True):
-                table = Tensor(data, requires_grad=True)
-                with Tape() as tape:
-                    out = T.tanh(T.lookup(table, ids, unique=unique)) * w
-                    tape.backward(T.sum_axis(out))
-                grads.append(table.grad)
-        assert grads[1].dtype == dtype
-        np.testing.assert_array_equal(grads[1], grads[0])
+            w = rng.normal(size=(6, 5)).astype(dtype)
+            table = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+            with Tape() as tape:
+                out = T.tanh(T.lookup(table, ids)) * T.constant(w)
+                tape.backward(T.sum_axis(out))
+            g = w * (1 - np.tanh(table.data[ids]) ** 2)
+            scattered = np.zeros_like(table.data)
+            np.add.at(scattered, ids, g)
+            assert table.grad.dtype == dtype
+            np.testing.assert_array_equal(table.grad, scattered)
+            # repeated ids still accumulate
+            table.grad = None
+            with Tape() as tape:
+                tape.backward(T.sum_axis(T.lookup(table, np.array([[2, 5], [5, 2]]))))
+            np.testing.assert_array_equal(table.grad[[2, 5]], np.full((2, 5), 2.0))
+            assert not table.grad[[0, 1, 3, 4, 6, 7, 8]].any()
 
 
 class TestBackward:

@@ -66,20 +66,37 @@ def enc_one(clf, item_ids, query_ids):
         np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)]))
 
 
+def start_one(clf, ved, item_ids, query_ids):
+    """The decoder's start for one (item, query) pair, from the latent mean."""
+    return V.decoder_start(enc_one(clf, item_ids, query_ids), ved, np.zeros((1, ved.d_z)))
+
+
+def enc_with_context(c):
+    """A one-step record whose final states, side by side, are the rows of c."""
+    k = c.shape[1] // 2
+    step = np.zeros((len(c), 1, k))
+    ones = np.ones(len(c), dtype=np.int64)
+    return C.EncodedBatch(Tensor(step), Tensor(c[:, :k]), Tensor(step), Tensor(c[:, k:]),
+                          ones, ones)
+
+
 class TestEncodePair:
     def test_shapes(self, f64):
-        clf, _ = models(k=2, d=3)
-        mem = V.pair_memory(enc_one(clf, [4, 5, 6, 7], [8, 4, 5]))
-        assert mem.u_states.shape == (1, 7, 2)
-        assert mem.c.shape == (1, 4)
+        clf, ved = models(k=2, d=3)
+        start = start_one(clf, ved, [4, 5, 6, 7], [8, 4, 5])
+        assert start.u_states.shape == (1, 7, 2)
+        assert start.u_logmask.shape == (1, 7)
+        assert start.z.shape == start.mu.shape == start.logvar.shape == (1, 3)
+        assert start.h0.shape == (1, 2)
 
     def test_zero_encoder(self, f64):
-        clf, _ = models(k=2, d=3)
+        clf, ved = models(k=2, d=3)
         for t in clf.named().values():
             t.data[...] = 0.0
-        mem = V.pair_memory(enc_one(clf, [4, 5], [6]))
-        np.testing.assert_array_equal(mem.u_states.data, np.zeros((1, 3, 2)))
-        np.testing.assert_array_equal(mem.c.data, np.zeros((1, 4)))
+        start = start_one(clf, ved, [4, 5], [6])
+        np.testing.assert_array_equal(start.u_states.data, np.zeros((1, 3, 2)))
+        # a zero context c leaves only the latent biases
+        np.testing.assert_array_equal(start.mu.data, ved.latent.b_mu.data[None])
 
 
 class TestLatent:
@@ -87,25 +104,23 @@ class TestLatent:
         _, ved = models()
         for t in ved.named().values():
             t.data[...] = 0.0
-        c = Tensor(np.ones((1, 8)))
         eps = np.array([[0.3, -1.2, 0.7]])
-        z, mu, logvar = V.sample_latent(c, ved.latent, eps=eps)
-        np.testing.assert_array_equal(mu.data, np.zeros((1, 3)))
-        np.testing.assert_array_equal(logvar.data, np.zeros((1, 3)))
-        np.testing.assert_allclose(z.data, eps, atol=1e-12)
+        start = V.decoder_start(enc_with_context(np.ones((1, 8))), ved, eps)
+        np.testing.assert_array_equal(start.mu.data, np.zeros((1, 3)))
+        np.testing.assert_array_equal(start.logvar.data, np.zeros((1, 3)))
+        np.testing.assert_allclose(start.z.data, eps, atol=1e-12)
 
     def test_deterministic_mode_returns_mean(self, f64):
         clf, ved = models()
-        c = Tensor(np.random.default_rng(0).normal(size=(2, 8)))
-        z, mu, _ = V.sample_latent(c, ved.latent, np.zeros((2, 3)))
-        np.testing.assert_array_equal(z.data, mu.data)
+        c = np.random.default_rng(0).normal(size=(2, 8))
+        start = V.decoder_start(enc_with_context(c), ved, np.zeros((2, 3)))
+        np.testing.assert_array_equal(start.z.data, start.mu.data)
 
     def test_logvar_clamped(self, f64):
         _, ved = models()
         ved.latent.b_logvar.data[...] = 50.0
-        c = Tensor(np.zeros((1, 8)))
-        _, _, logvar = V.sample_latent(c, ved.latent, np.zeros((1, 3)))
-        assert logvar.data.max() <= V.LOGVAR_MAX
+        start = V.decoder_start(enc_with_context(np.zeros((1, 8))), ved, np.zeros((1, 3)))
+        assert start.logvar.data.max() <= V.LOGVAR_MAX
 
 
 class TestKl:
@@ -128,26 +143,25 @@ class TestKl:
 class TestDecodeStep:
     def test_attention_weights_sum_to_one(self, f64):
         clf, ved = models()
-        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
-                                                np.array([[6, 7]]), np.array([2])))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
-        h, c = V.decoder_init(z, ved.latent)
-        _, _, _, _, w = V.decode_step(np.array([BOS]), z, h, c, mem, ved, clf.emb_q)
-        assert abs(w.data.sum() - 1.0) < 1e-12
+        start = V.decoder_start(
+            V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
+                                np.array([[6, 7]]), np.array([2])), ved, np.zeros((1, 3)))
+        h = start.h0.data
+        _, _, _, _, w = V.decode_step(np.array([BOS]), h, np.zeros_like(h), start, ved,
+                                      clf.emb_q)
+        assert abs(w.sum() - 1.0) < 1e-12
         # padded memory column receives exactly zero weight
-        assert w.data[0, 2] == 0.0
+        assert w[0, 2] == 0.0
 
     def test_zero_params_uniform_logits(self, f64):
         clf, ved = models()
         for t in {**clf.named(), **ved.named()}.values():
             t.data[...] = 0.0
-        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([[4, 5]]), np.array([2]),
-                                                np.array([[6]]), np.array([1])))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
-        h, c = V.decoder_init(z, ved.latent)
-        logits, _, _, _, _ = V.decode_step(np.array([BOS]), z, h, c, mem, ved,
+        start = start_one(clf, ved, [4, 5], [6])
+        h = start.h0.data
+        logits, _, _, _, _ = V.decode_step(np.array([BOS]), h, np.zeros_like(h), start, ved,
                                            clf.emb_q)
-        np.testing.assert_array_equal(logits.data, np.zeros((1, 9)))
+        np.testing.assert_array_equal(logits, np.zeros((1, 9)))
 
 
 class TestVedLoss:
@@ -230,10 +244,11 @@ class TestEncodingCache:
                     grads = [p.grad for p in ved.named().values()]
                     runs.append((enc, loss.item(), grads))
                 (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
-                cached, fresh = V.pair_memory(cached), V.pair_memory(fresh)
+                cached, fresh = (V.decoder_start(e, ved, eps) for e in (cached, fresh))
                 for a, b in ((cached.u_states.data, fresh.u_states.data),
                              (cached.u_logmask, fresh.u_logmask),
-                             (cached.c.data, fresh.c.data), *zip(grads_c, grads_f)):
+                             (cached.z.data, fresh.z.data), (cached.h0.data, fresh.h0.data),
+                             *zip(grads_c, grads_f)):
                     np.testing.assert_array_equal(a, b)
                 assert loss_c == loss_f
 
@@ -277,15 +292,14 @@ class TestGeneration:
         tokens = out[0][0]
 
         # greedy reference: argmax step by step
-        mem = V.pair_memory(V.encode_pair_batch(clf, np.array([item]), np.array([3]),
-                                                np.array([query]), np.array([2])))
-        z, _, _ = V.sample_latent(mem.c, ved.latent, np.zeros((1, 3)))
-        h, c = V.decoder_init(z, ved.latent)
+        start = start_one(clf, ved, item, query)
+        h = start.h0.data
+        c = np.zeros_like(h)
         prev, greedy = BOS, []
         for _ in range(6):
-            logits, _, h, c, _ = V.decode_step(np.array([prev]), z, h, c,
-                                               mem, ved, clf.emb_q)
-            prev = int(np.argmax(logits.data[0]))
+            logits, _, h, c, _ = V.decode_step(np.array([prev]), h, c, start, ved,
+                                               clf.emb_q)
+            prev = int(np.argmax(logits[0]))
             if prev == EOS:
                 break
             greedy.append(prev)

@@ -78,16 +78,18 @@ def encode_batch(ids, lens, emb, lstm):
 def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     bsz, m, k = k_states.shape
     n = h_states.shape[1]
-    ones_m = T.constant(np.ones((m, 1)))
+    ones_m = T.constant(np.ones((bsz, m, 1)))
     tmask = T.constant(pad_mask(item_lens, m))
+    w = T.reshape(attn.w, (k, 1))
     r = T.zeros((bsz, k))
     alphas = []
     for t in range(n):
         h_t = T.reshape(slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
         r_blk = T.matmul(ones_m, T.reshape(r, (bsz, 1, k)))
         h_blk = T.matmul(ones_m, h_t)
-        m_t = T.tanh(T.matmul(T.concat([k_states, h_blk, r_blk], axis=2), attn.w_h))
-        a_t = T.tanh(T.matmul(m_t, attn.w)) * tmask
+        blend = T.reshape(T.concat([k_states, h_blk, r_blk], axis=2), (bsz * m, 3 * k))
+        m_t = T.tanh(T.matmul(blend, attn.w_h))
+        a_t = T.tanh(T.reshape(T.matmul(m_t, w), (bsz, m))) * tmask
         mix = T.reshape(T.matmul(T.reshape(a_t, (bsz, 1, m)), k_states), (bsz, k))
         r_new = mix + T.tanh(T.matmul(r, T.transpose_last2(attn.w_r)))
         r = _blend(t < query_lens, r_new, r)
@@ -95,27 +97,29 @@ def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     return r, T.concat(alphas, axis=1)
 
 
-def decode_step(prev_ids, z, h, c, mem, ved, emb_q):
-    x = T.concat([T.lookup(emb_q, prev_ids), z], axis=1)
+def decode_step(prev_ids, h, c, start, ved, emb_q):
+    x = T.concat([T.lookup(emb_q, prev_ids), start.z], axis=1)
     h2, c2 = lstm_step(ved.dec.lstm, x, h, c)
     bsz, k = h2.shape
+    u = start.u_states
     scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
-                      T.transpose_last2(mem.u_states))
-    scores = T.reshape(scores, (bsz, mem.u_states.shape[1]))
-    weights = softmax_rows(scores + T.constant(mem.u_logmask))
-    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), mem.u_states), (bsz, k))
+                      T.transpose_last2(u))
+    scores = T.reshape(scores, (bsz, u.shape[1]))
+    weights = softmax_rows(scores + T.constant(start.u_logmask))
+    ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), u), (bsz, k))
     d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
     logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
     return logits, d_tilde, h2, c2, weights
 
 
-def ved_nll(clf, ved, mem, z, h, c, batch):
+def ved_nll(clf, ved, start, batch):
     """Teacher-forced mean NLL of the target queries, one step at a time."""
     bsz, width = batch.target_ids.shape
+    h, c = start.h0, T.zeros(start.h0.shape)
     nlls = []
     for t in range(width):
-        logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], z, h, c,
-                                           mem, ved, clf.emb_q)
+        logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], h, c, start, ved,
+                                           clf.emb_q)
         nll_t = T.neg(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]))
         on = t < batch.target_lens
         nlls.append(T.reshape(nll_t * T.constant(on.astype(np.float64)), (bsz, 1)))
@@ -124,18 +128,18 @@ def ved_nll(clf, ved, mem, z, h, c, batch):
     return T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
 
 
-def hgen_states(clf, ved, mem, z, h, c, steps, prev_ids=None):
+def hgen_states(clf, ved, start, steps, prev_ids=None):
     """Attentional decoder states under argmax feedback, or reading
     ``prev_ids[:, t]`` at step t when given, zero past ``steps``."""
-    bsz = mem.c.shape[0]
-    k = h.shape[1]
+    bsz, k = start.h0.shape
+    h, c = start.h0, T.zeros((bsz, k))
     prev = np.full(bsz, BOS, dtype=np.int64)
     cols = []
     final = T.zeros((bsz, k))
     for t in range(int(steps.max())):
         if prev_ids is not None:
             prev = prev_ids[:, t]
-        logits, d_tilde, h2, c2, _ = decode_step(prev, z, h, c, mem, ved, clf.emb_q)
+        logits, d_tilde, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
         prev = np.argmax(logits.data, axis=1)
         on = t < steps
         cols.append(T.reshape(_blend(on, d_tilde, T.zeros((bsz, k))), (bsz, 1, k)))
@@ -159,10 +163,7 @@ def e2e_batch_loss(clf, ved, batch, s, beta, latent_eps):
     items, item_lens = batch.item_ids[idx1], batch.item_lens[idx1]
     queries, query_lens = batch.query_ids[idx1], batch.query_lens[idx1]
     enc = encode_pair_batch(clf, items, item_lens, queries, query_lens)
-    mem = V.pair_memory(enc)
-    z, _, _ = V.sample_latent(mem.c, ved.latent, eps=latent_eps)
-    h, c = V.decoder_init(z, ved.latent)
-    states, final = hgen_states(clf, ved, mem, z, h, c, query_lens)
+    states, final = hgen_states(clf, ved, V.decoder_start(enc, ved, latent_eps), query_lens)
     p1, _ = batch_probs(clf, dataclasses.replace(enc, query_states=states,
                                                  query_final=final))
     probs.append(p1)

@@ -24,11 +24,15 @@ nor change them. The LSTM cell and its backward through time
 A batch's shared-encoder output is one ``EncodedBatch`` record, built by
 ``encode_pair_batch`` or gathered from an encode-once cache
 (``train.encode_distinct``). ``batch_probs`` scores it, the generator
-reads it (``ved.pair_memory``), and ``e2e`` swaps its query half.
+reads it (``ved.decoder_start``), and ``e2e`` swaps its query half.
+
+Parameter names come from the model's dataclass fields (``Params``): the
+classifier's are ``clf.<field path>``, the pooled baseline's
+``dssm.<field path>``, so adding a field names, trains, saves and loads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,8 +44,31 @@ CE_CLAMP_F64 = 1e-12
 CE_CLAMP_F32 = 1e-7  # 1 - 1e-12 is not representable in float32
 
 
+class Params:
+    """A dataclass of parameters, named by walking its fields.
+
+    A ``Tensor`` field is a parameter and a ``Params`` field a subtree; any
+    other field is a setting (``HeadParams.dropout``). ``named()`` gives
+    each parameter its dotted path under the root's ``PREFIX`` in field
+    order, which is the order and the names checkpoints store.
+    """
+
+    PREFIX = ""
+
+    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
+        prefix = self.PREFIX if prefix is None else prefix
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f"{prefix}.{f.name}"] = value
+            elif isinstance(value, Params):
+                out.update(value.named(f"{prefix}.{f.name}"))
+        return out
+
+
 @dataclass
-class LstmParams:
+class LstmParams(Params):
     """Gate layout along the 4k axis: input, forget, cell, output."""
     wx: Tensor  # (d_in, 4k)
     wh: Tensor  # (k, 4k)
@@ -49,7 +76,7 @@ class LstmParams:
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     w_h: Tensor  # (3k, k)
     w: Tensor    # (k,)
     w_r: Tensor  # (k, k)
@@ -57,7 +84,7 @@ class AttentionParams:
 
 
 @dataclass
-class HeadParams:
+class HeadParams(Params):
     w1: Tensor   # (k, k)
     b1: Tensor   # (k,)
     w2: Tensor   # (k, 1)
@@ -66,26 +93,14 @@ class HeadParams:
 
 
 @dataclass
-class ClassifierParams:
+class ClassifierParams(Params):
+    PREFIX = "clf"
     emb_q: Tensor  # (V_q, d), row 0 (PAD) frozen at zero
     emb_t: Tensor  # (V_t, d)
     lstm_q: LstmParams
     lstm_t: LstmParams
     attn: AttentionParams
     head: HeadParams
-
-    def named(self) -> dict[str, Tensor]:
-        out = {"clf.emb_q": self.emb_q, "clf.emb_t": self.emb_t}
-        for side, p in (("q", self.lstm_q), ("t", self.lstm_t)):
-            out[f"clf.lstm_{side}.wx"] = p.wx
-            out[f"clf.lstm_{side}.wh"] = p.wh
-            out[f"clf.lstm_{side}.b"] = p.b
-        a, h = self.attn, self.head
-        out.update({"clf.attn.w_h": a.w_h, "clf.attn.w": a.w,
-                    "clf.attn.w_r": a.w_r, "clf.attn.w_x": a.w_x,
-                    "clf.head.w1": h.w1, "clf.head.b1": h.b1,
-                    "clf.head.w2": h.w2, "clf.head.b2": h.b2})
-        return out
 
 
 def _uniform(rng: np.random.Generator, *shape) -> Tensor:
@@ -457,18 +472,14 @@ def classifier_batch_loss(params: ClassifierParams, batch: Batch, beta: float,
 # --- pooled-embedding dense baseline --------------------------------------
 
 @dataclass
-class DssmParams:
+class DssmParams(Params):
+    PREFIX = "dssm"
     emb_q: Tensor
     emb_t: Tensor
     w1: Tensor  # (2d, k)
     b1: Tensor
     w2: Tensor  # (k, 1)
     b2: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        return {"dssm.emb_q": self.emb_q, "dssm.emb_t": self.emb_t,
-                "dssm.w1": self.w1, "dssm.b1": self.b1,
-                "dssm.w2": self.w2, "dssm.b2": self.b2}
 
 
 def init_dssm(rng: np.random.Generator, vocab_q: int, vocab_t: int,

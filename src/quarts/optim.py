@@ -1,4 +1,5 @@
-"""Adam optimizer over named parameter maps."""
+"""Adam optimizer over named parameter maps, stepped with the gradient
+map ``Tape.backward`` returns."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,9 +10,11 @@ from .tensor import Tensor
 class Adam:
     """Adam with bias correction over a {name: Tensor} parameter map.
 
-    Parameters without a gradient are skipped entirely (state untouched),
-    so a parameter group that never receives gradients stays bitwise
-    unchanged. The step counter increases by 1 per ``step`` call.
+    ``step(grads)`` reads each parameter's gradient from ``grads``, the map
+    ``Tape.backward`` returns. A parameter absent from it is skipped
+    entirely (state untouched), so a parameter group that never receives
+    gradients stays bitwise unchanged. The step counter increases by 1 per
+    ``step`` call.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -25,13 +28,13 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
+            g = grads.get(p)
             if g is None:
                 continue
             m = self.m[name]
@@ -43,16 +46,6 @@ class Adam:
             update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
             p.data -= update.astype(p.data.dtype, copy=False)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def decay_lr(self, factor: float) -> None:
         self.lr *= factor
 
-
-def assert_grads_clear(params: dict[str, Tensor]) -> None:
-    """Guard against silent gradient accumulation across steps."""
-    for name, p in params.items():
-        if p.grad is not None:
-            raise AssertionError(f"gradient not reset before backward: {name}")

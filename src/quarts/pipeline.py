@@ -172,7 +172,8 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     """Set-up and tear-down shared by every phase.
 
     Creates the run dir and runs the body timed, at the run's precision.
-    After the body, writes ``run.params`` to ``ckpt``, appends
+    After the body, writes ``run.params`` to ``ckpt`` with the vocabularies
+    beside it (which ``load_bundle`` checks against the data dir), appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
     phase, with its config hash and the hashes of the data files it read,
     in ``manifest.json``. A body that raises writes none of these.
@@ -184,6 +185,8 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
         yield run
     if run.params is not None:
         save_params(run.dir / ckpt, run.params)
+        data.vocab_q.save(run.dir / VOCAB_Q)
+        data.vocab_t.save(run.dir / VOCAB_T)
     _append_metrics(run.dir, name, run.records)
     path = run.dir / "manifest.json"
     man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
@@ -299,8 +302,6 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
                           data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
                           "classifier")
         run.params = clf.named()
-        data.vocab_q.save(run.dir / VOCAB_Q)
-        data.vocab_t.save(run.dir / VOCAB_T)
     return clf, run.records
 
 
@@ -325,6 +326,10 @@ def read_triples(run_dir) -> list[tuple[str, str, str]]:
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                for what, text in zip(("title", "matched query", "mismatched query"),
+                                      fields):
+                    if not tokenize(text):
+                        raise DataError(f"{path}:{lineno}: the {what} {text!r} has no tokens")
                 out.append(tuple(fields))
     return out
 
@@ -372,11 +377,11 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
             value, s = e2e_batch_loss(clf, ved, batch, cfg.p, cfg.beta, rng)
             return value, {"switch": s}
 
-        named = {**clf.named(), **({} if freeze_generator else ved.named())}
-        with frozen(ved.named() if freeze_generator else {}):
-            run.records = fit(clf, named, loss, data.merged_ex, data.val_ex, cfg, cfg.lr,
-                              rng, cfg.e2e_epochs, "e2e")
+        # a frozen generator is no tape leaf, so Adam finds no gradient for it
         run.params = {**clf.named(), **ved.named()}
+        with frozen(ved.named() if freeze_generator else {}):
+            run.records = fit(clf, run.params, loss, data.merged_ex, data.val_ex, cfg,
+                              cfg.lr, rng, cfg.e2e_epochs, "e2e")
     return clf, ved, run.records
 
 

@@ -29,9 +29,11 @@ spelled as functions (``sub``, ``scale``, ``neg``). ``lookup``'s backward
 assigns the gathered rows' gradients when no id repeats and scatter-adds
 them otherwise.
 
-Tensors are immutable values once created (the optimizer mutates leaf
-parameter storage between tapes, never inside one). A Tape is single-owner
-and must not be shared across threads.
+``Tape.backward`` returns the gradients as a map from each tracked leaf
+the loss reached to its gradient; no tensor stores one. Tensors are
+immutable values once created (the optimizer mutates leaf parameter
+storage between tapes, never inside one). A Tape is single-owner and must
+not be shared across threads.
 """
 from __future__ import annotations
 
@@ -71,18 +73,15 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """A dense array value, optionally tracked for gradients.
+    """A dense array value; with ``requires_grad`` it is a leaf of every
+    tape that uses it. Hashed by identity, so it keys the gradient map
+    ``Tape.backward`` returns."""
 
-    ``grad`` accumulates across backward calls until the caller resets it
-    to None (``Adam.zero_grad`` does so for its parameters).
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape")
+    __slots__ = ("data", "requires_grad", "node_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.node_id: int | None = None
         self._tape: "Tape | None" = None
 
@@ -91,7 +90,6 @@ class Tensor:
         t = Tensor.__new__(Tensor)
         t.data = arr
         t.requires_grad = False
-        t.grad = None
         t.node_id = None
         t._tape = None
         return t
@@ -175,10 +173,10 @@ class Tape:
             self._leaves[nid] = t
         return nid
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every tracked leaf's ``grad``.
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """d(loss)/d(leaf) for every tracked leaf the loss reached, by leaf.
 
-        Repeated calls without resetting ``grad`` accumulate, by contract.
+        A leaf the loss does not depend on is absent from the map.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -202,11 +200,7 @@ class Tape:
                     continue
                 acc = grads.get(iid)
                 grads[iid] = gin if acc is None else acc + gin
-
-        for nid, leaf in self._leaves.items():
-            g = grads.get(nid)
-            if g is not None:
-                leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        return {leaf: grads[nid] for nid, leaf in self._leaves.items() if nid in grads}
 
 
 def _tracked(t: Tensor | None, tape: Tape) -> bool:

@@ -12,8 +12,9 @@ Evaluation scores a ``classifier.EncodedBatch`` per batch, gathered in
 part from the encode-once cache (``encode_distinct``) that VED
 pretraining gathers its records from too.
 
-All loops are single-threaded and deterministic given a RunRng; gradient
-reset is explicit and asserted before every backward pass.
+All loops are single-threaded and deterministic given a RunRng. A step's
+gradients are the map its tape's backward pass returns; ``fit`` hands it
+to Adam once the tape is closed and drops it with the step.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .classifier import (ClassifierParams, DssmParams, EncodedBatch, LstmParams,
                          batch_probs, dssm_batch_probs, encode_batch)
 from .config import RunConfig
 from .data import Batch, Example, TripleBatch, TripleExample, batches, pad_matrix
-from .optim import Adam, assert_grads_clear
+from .optim import Adam
 from .rng import RunRng
 from .tensor import Tape, Tensor
 
@@ -159,12 +160,13 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
             opt.decay_lr(cfg.decay_factor)
         losses, stats = [], {}
         for batch in batches(train_ex, cfg.batch_size, rng.shuffle):
-            assert_grads_clear(named)
             with Tape() as tape:
                 loss, batch_stats = loss_fn(batch, epoch)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
+                grads = tape.backward(loss)
+            opt.step(grads)
+            # dropped here, not when the next step rebinds it: kept alive, the
+            # map overlaps the next forward and backward pass (peak RSS)
+            del grads
             losses.append(loss.item())
             for key, value in batch_stats.items():
                 stats.setdefault(key, []).append(value)

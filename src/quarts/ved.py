@@ -26,6 +26,10 @@ come from there, for the VED loss, ``hgen`` and beam search. VED training
 takes each batch's record as an argument: the shared encoder is frozen
 then, so the pipeline encodes each distinct title and matched query
 once per phase and gathers a batch's record from that cache.
+
+The generator's parameters are named ``ved.<field path>`` by walking
+``VedParams``' fields (``classifier.Params``): ``ved.lat.*`` for the
+latent, ``ved.dec.*`` for the decoder.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Ragged,
+from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Params, Ragged,
                          encode_pair_batch, init_lstm, lstm_bptt, lstm_cell, _gate_affine,
                          _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
@@ -50,7 +54,7 @@ _MASK_NEG = -1e30
 
 
 @dataclass
-class LatentParams:
+class LatentParams(Params):
     w_mu: Tensor      # (2k, d_z)
     b_mu: Tensor
     w_logvar: Tensor  # (2k, d_z)
@@ -60,7 +64,7 @@ class LatentParams:
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(Params):
     lstm: LstmParams    # input (embed + d_z), hidden k
     w_a: Tensor         # (k, k) bilinear attention
     w_c: Tensor         # (2k, k) output combiner
@@ -69,25 +73,14 @@ class DecoderParams:
 
 
 @dataclass
-class VedParams:
-    latent: LatentParams
+class VedParams(Params):
+    PREFIX = "ved"
+    lat: LatentParams
     dec: DecoderParams
 
     @property
     def d_z(self) -> int:
-        return self.latent.w_mu.shape[1]
-
-    def named(self) -> dict[str, Tensor]:
-        l, d = self.latent, self.dec
-        return {
-            "ved.lat.w_mu": l.w_mu, "ved.lat.b_mu": l.b_mu,
-            "ved.lat.w_logvar": l.w_logvar, "ved.lat.b_logvar": l.b_logvar,
-            "ved.lat.w_init": l.w_init, "ved.lat.b_init": l.b_init,
-            "ved.dec.lstm.wx": d.lstm.wx, "ved.dec.lstm.wh": d.lstm.wh,
-            "ved.dec.lstm.b": d.lstm.b,
-            "ved.dec.w_a": d.w_a, "ved.dec.w_c": d.w_c,
-            "ved.dec.w_v": d.w_v, "ved.dec.b_v": d.b_v,
-        }
+        return self.lat.w_mu.shape[1]
 
 
 def init_ved(rng: np.random.Generator, k: int, embed_dim: int, d_z: int,
@@ -160,7 +153,7 @@ def decoder_start(enc: EncodedBatch, ved: VedParams, eps: np.ndarray) -> _Decode
     (zeros give z = mu, the latent that beam search decodes from), and
     h0 = tanh(z @ W_init + b_init).
     """
-    lat = ved.latent
+    lat = ved.lat
     u = T.concat([enc.title_states, enc.query_states], axis=1)
     real = np.concatenate([pad_mask(enc.item_lens, enc.title_states.shape[1]),
                            pad_mask(enc.query_lens, enc.query_states.shape[1])], axis=1)

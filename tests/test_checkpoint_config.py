@@ -7,10 +7,11 @@ import pytest
 
 from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_arrays,
                                save_arrays, save_params)
-from quarts.classifier import init_classifier
+from quarts.classifier import init_classifier, init_dssm
 from quarts.config import (ConfigError, RunConfig, RunManifest, desk_profile,
                            load_config, paper_profile, parse_config)
 from quarts.tensor import Tensor
+from quarts.ved import init_ved
 
 
 class TestCheckpoint:
@@ -62,6 +63,23 @@ class TestCheckpoint:
         assign_params(clf2.named(), load_arrays(path))
         for k in clf.named():
             np.testing.assert_array_equal(clf.named()[k].data, clf2.named()[k].data)
+
+    def test_parameter_names_and_order(self):
+        """The names and the order every checkpoint stores; ``HeadParams``'
+        dropout setting is not a parameter."""
+        rng = np.random.default_rng(0)
+        lstm = ["wx", "wh", "b"]
+        assert list(init_classifier(rng, 9, 9, 4, 4).named()) == [
+            "clf.emb_q", "clf.emb_t", *(f"clf.lstm_q.{n}" for n in lstm),
+            *(f"clf.lstm_t.{n}" for n in lstm), "clf.attn.w_h", "clf.attn.w",
+            "clf.attn.w_r", "clf.attn.w_x", "clf.head.w1", "clf.head.b1",
+            "clf.head.w2", "clf.head.b2"]
+        assert list(init_ved(rng, 4, 4, 3, 9).named()) == [
+            "ved.lat.w_mu", "ved.lat.b_mu", "ved.lat.w_logvar", "ved.lat.b_logvar",
+            "ved.lat.w_init", "ved.lat.b_init", *(f"ved.dec.lstm.{n}" for n in lstm),
+            "ved.dec.w_a", "ved.dec.w_c", "ved.dec.w_v", "ved.dec.b_v"]
+        assert list(init_dssm(rng, 9, 9, 4, 4).named()) == [
+            "dssm.emb_q", "dssm.emb_t", "dssm.w1", "dssm.b1", "dssm.w2", "dssm.b2"]
 
     def test_name_mismatch_fails_fast(self, tmp_path):
         path = tmp_path / "x.qrts"

@@ -13,6 +13,8 @@ from quarts import train as TR
 from quarts.checkpoint import load_arrays
 from quarts.cli import main
 from quarts.config import desk_profile, file_sha256, load_config
+from quarts.data import read_pairs
+from quarts.ved import build_triples
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,21 @@ class TestCatalogFile:
         code, path = self._run(workspace, tmp_path, text)
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+
+def renamed_query_word(data: Path, tmp_path: Path) -> Path:
+    """A copy of ``data`` whose train split renames one query word, so it
+    builds another query vocabulary."""
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    lines = (copy / "train.tsv").read_text().splitlines(keepends=True)
+    word = lines[0].split("\t")[1].split()[0]
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        fields[1] = " ".join("renamedword" if w == word else w for w in fields[1].split())
+        lines[i] = "\t".join(fields)
+    (copy / "train.tsv").write_text("".join(lines))
+    return copy
 
 
 class TestPhases:
@@ -339,22 +356,49 @@ class TestPhases:
         assert code == 2
         assert f"{P.CKPT_TRIPLES}:{count + 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["title", "matched", "mismatched"])
+    def test_tokenless_triple_field_names_file_and_line(self, workspace, tmp_path, capsys,
+                                                        field):
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / P.CKPT_VED).unlink()
+        triples = copy / P.CKPT_TRIPLES
+        lines = triples.read_text().splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split("\t")
+        fields[field] = "!!!"
+        lines[1] = "\t".join(fields) + "\n"
+        triples.write_text("".join(lines))
+        code = main(["pretrain-ved", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{P.CKPT_TRIPLES}:2" in err and "'!!!' has no tokens" in err
+        assert not (copy / P.CKPT_VED).exists()
+
+    def test_other_architecture_checkpoint_refused(self, workspace, tmp_path, capsys):
+        """A classifier checkpoint trained at another hidden size exits 2
+        naming the first parameter whose shape differs."""
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / P.CKPT_VED).unlink()
+        other = tmp_path / "other.cfg"
+        other.write_text((root / "tiny.cfg").read_text().replace("hidden_size = 24",
+                                                                "hidden_size = 16"))
+        code = main(["pretrain-ved", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(other)])
+        assert code == 2
+        assert "shape mismatch for 'clf.lstm_q.wx'" in capsys.readouterr().err
+        assert not (copy / P.CKPT_VED).exists()
+
     def test_other_data_dir_vocabulary_refused(self, workspace, tmp_path, capsys):
         """A later phase on a data dir whose train split builds another
         vocabulary exits 2 instead of remapping the checkpoint's token ids."""
         root, data, run, _ = workspace
-        copy, run_copy = tmp_path / "data", tmp_path / "run"
-        shutil.copytree(data, copy)
+        copy, run_copy = renamed_query_word(data, tmp_path), tmp_path / "run"
         shutil.copytree(run, run_copy)
         (run_copy / P.CKPT_VED).unlink()
-        lines = (copy / "train.tsv").read_text().splitlines(keepends=True)
-        word = lines[0].split("\t")[1].split()[0]
-        for i, line in enumerate(lines):   # rename one query word
-            fields = line.split("\t")
-            fields[1] = " ".join("renamedword" if w == word else w
-                                 for w in fields[1].split())
-            lines[i] = "\t".join(fields)
-        (copy / "train.tsv").write_text("".join(lines))
         base = ["--data-dir", str(copy), "--run-dir", str(run_copy),
                 "--config", str(root / "tiny.cfg")]
         assert main(["build-triples"] + base) == 0
@@ -428,6 +472,49 @@ class TestTools:
         _, _, run, base = workspace
         assert main(["train-baseline", "--kind", "dssm"] + base) == 0
         assert (run / P.CKPT_DSSM).exists()
+
+    def test_dssm_run_dir_guards_its_vocabulary(self, workspace, tmp_path, capsys):
+        """A run dir holding only the pooled baseline carries the vocabularies,
+        so evaluating it on a data dir that builds others exits 2."""
+        root, data, _, _ = workspace
+        run = tmp_path / "dssm_run"
+        cfg = ["--run-dir", str(run), "--config", str(root / "tiny.cfg")]
+        assert main(["train-baseline", "--kind", "dssm", "--data-dir", str(data)] + cfg) == 0
+        assert (run / P.VOCAB_Q).exists() and (run / P.VOCAB_T).exists()
+        copy = renamed_query_word(data, tmp_path)
+        capsys.readouterr()
+        code = main(["eval", "--data-dir", str(copy), "--checkpoint", P.CKPT_DSSM] + cfg)
+        assert code == 2
+        assert P.VOCAB_Q in capsys.readouterr().err
+
+    def test_freeze_generator_leaves_generator_arrays(self, workspace, tmp_path):
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        assert main(["train-e2e", "--freeze-generator", "--data-dir", str(data),
+                     "--run-dir", str(copy), "--config", str(root / "tiny.cfg")]) == 0
+        before, after = load_arrays(copy / P.CKPT_VED), load_arrays(copy / P.CKPT_E2E)
+        assert before.keys() == after.keys()
+        ved = [k for k in before if k.startswith("ved.")]
+        assert len(ved) == 13
+        for k in ved:
+            np.testing.assert_array_equal(after[k], before[k], err_msg=k)
+        assert any(not np.array_equal(after[k], before[k])
+                   for k in before if k.startswith("clf."))
+
+    def test_eval_generation_report(self, workspace, capsys):
+        _, data, run, base = workspace
+        assert main(["eval"] + base + ["--checkpoint", P.CKPT_VED, "--generation"]) == 0
+        report = json.loads((run / "report_phase3_ved_test.json").read_text())
+        assert len(report["bleu"]) == 4 and all(0.0 <= b <= 1.0 for b in report["bleu"])
+        assert 0.0 <= report["generation_accuracy"] <= 1.0
+        assert 0.0 <= report["unresolvable_rate"] <= 1.0
+        test = read_pairs(data / "test.tsv")
+        assert report["counts"]["generation_pairs"] == len(build_triples(test, cap=1)) > 0
+        capsys.readouterr()
+        code = main(["eval"] + base + ["--checkpoint", P.CKPT_CLASSIFIER, "--generation"])
+        assert code == 2
+        assert "generator" in capsys.readouterr().err
 
     def test_baseline_dssm_refuses_resume(self, workspace, tmp_path, capsys):
         # the pooled baseline has no checkpoint to continue from

@@ -57,9 +57,9 @@ class TestElementwise:
         x = Tensor([0.0], requires_grad=True)
         with Tape() as tape:
             y = T.tanh(x)
-            tape.backward(T.sum_axis(y))
+            grads = tape.backward(T.sum_axis(y))
         assert y.item() == 0.0
-        np.testing.assert_array_equal(x.grad, [1.0])
+        np.testing.assert_array_equal(grads[x], [1.0])
 
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
@@ -83,15 +83,15 @@ class TestElementwise:
     def test_abs_backward_sign_zero(self, f64):
         x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.sum_axis(T.absval(x)))
-        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
+            grads = tape.backward(T.sum_axis(T.absval(x)))
+        np.testing.assert_array_equal(grads[x], [-1.0, 0.0, 1.0])
 
     def test_row_broadcast_backward_sums(self, f64):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         b = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.sum_axis(T.add(x, b)))
-        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+            grads = tape.backward(T.sum_axis(T.add(x, b)))
+        np.testing.assert_array_equal(grads[b], [3.0, 3.0])
 
     def test_unsupported_broadcast_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -150,8 +150,8 @@ class TestStructuralOps:
     def test_lookup_backward_scatter_adds(self, f64):
         table = Tensor(np.zeros((4, 2)), requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.sum_axis(T.lookup(table, np.array([1, 1, 3]))))
-        np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+            grads = tape.backward(T.sum_axis(T.lookup(table, np.array([1, 1, 3]))))
+        np.testing.assert_array_equal(grads[table], [[0, 0], [2, 2], [0, 0], [1, 1]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     def test_lookup_unique_backward_equals_scatter_add(self, dtype):
@@ -162,32 +162,32 @@ class TestStructuralOps:
             table = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
             with Tape() as tape:
                 out = T.tanh(T.lookup(table, ids)) * T.constant(w)
-                tape.backward(T.sum_axis(out))
+                g_table = tape.backward(T.sum_axis(out))[table]
             g = w * (1 - np.tanh(table.data[ids]) ** 2)
             scattered = np.zeros_like(table.data)
             np.add.at(scattered, ids, g)
-            assert table.grad.dtype == dtype
-            np.testing.assert_array_equal(table.grad, scattered)
+            assert g_table.dtype == dtype
+            np.testing.assert_array_equal(g_table, scattered)
             # repeated ids still accumulate
-            table.grad = None
             with Tape() as tape:
-                tape.backward(T.sum_axis(T.lookup(table, np.array([[2, 5], [5, 2]]))))
-            np.testing.assert_array_equal(table.grad[[2, 5]], np.full((2, 5), 2.0))
-            assert not table.grad[[0, 1, 3, 4, 6, 7, 8]].any()
+                g_table = tape.backward(
+                    T.sum_axis(T.lookup(table, np.array([[2, 5], [5, 2]]))))[table]
+            np.testing.assert_array_equal(g_table[[2, 5]], np.full((2, 5), 2.0))
+            assert not g_table[[0, 1, 3, 4, 6, 7, 8]].any()
 
 
 class TestBackward:
     def test_sum_gives_ones(self, f64):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.sum_axis(x))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+            grads = tape.backward(T.sum_axis(x))
+        np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
     def test_mean_of_square(self, f64):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.mean_all(T.mul(x, x)))
-        np.testing.assert_array_equal(x.grad, [6.0])
+            grads = tape.backward(T.mean_all(T.mul(x, x)))
+        np.testing.assert_array_equal(grads[x], [6.0])
 
     def test_chain_tanh_matmul_finite_differences(self, f64):
         rng = np.random.default_rng(11)
@@ -203,14 +203,6 @@ class TestBackward:
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(y)
 
-    def test_accumulation_without_reset(self, f64):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
-            loss = T.sum_axis(x)
-            tape.backward(loss)
-            tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
-
     def test_forward_independent_of_tape_state(self):
         x = Tensor([[0.3, -0.2]], requires_grad=True)
         bare = T.tanh(x).data
@@ -222,8 +214,8 @@ class TestBackward:
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
             y = T.mul(x, x)
-            tape.backward(T.sum_axis(T.add(y, y)))
-        np.testing.assert_array_equal(x.grad, [8.0])
+            grads = tape.backward(T.sum_axis(T.add(y, y)))
+        np.testing.assert_array_equal(grads[x], [8.0])
 
 
 class TestDtypeMode:

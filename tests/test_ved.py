@@ -96,7 +96,7 @@ class TestEncodePair:
         start = start_one(clf, ved, [4, 5], [6])
         np.testing.assert_array_equal(start.u_states.data, np.zeros((1, 3, 2)))
         # a zero context c leaves only the latent biases
-        np.testing.assert_array_equal(start.mu.data, ved.latent.b_mu.data[None])
+        np.testing.assert_array_equal(start.mu.data, ved.lat.b_mu.data[None])
 
 
 class TestLatent:
@@ -118,7 +118,7 @@ class TestLatent:
 
     def test_logvar_clamped(self, f64):
         _, ved = models()
-        ved.latent.b_logvar.data[...] = 50.0
+        ved.lat.b_logvar.data[...] = 50.0
         start = V.decoder_start(enc_with_context(np.zeros((1, 8))), ved, np.zeros((1, 3)))
         assert start.logvar.data.max() <= V.LOGVAR_MAX
 
@@ -236,13 +236,10 @@ class TestEncodingCache:
                 eps = np.random.default_rng(1).standard_normal((len(batch.index), 3))
                 runs = []
                 for enc in (memory(batch), enc_of(clf, batch)):
-                    for p in ved.named().values():
-                        p.grad = None
                     with Tape() as tape:
                         loss, _, _ = V.ved_loss_batch(clf, ved, enc, batch, 0.5, eps)
-                        tape.backward(loss)
-                    grads = [p.grad for p in ved.named().values()]
-                    runs.append((enc, loss.item(), grads))
+                        grads = tape.backward(loss)
+                    runs.append((enc, loss.item(), [grads[p] for p in ved.named().values()]))
                 (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
                 cached, fresh = (V.decoder_start(e, ved, eps) for e in (cached, fresh))
                 for a, b in ((cached.u_states.data, fresh.u_states.data),

@@ -3,7 +3,8 @@
 Layout (little-endian throughout): magic ``QRTS``, format version u32,
 entry count u64, then per entry a length-prefixed UTF-8 name (u32), a
 dtype tag (u8: 0=float32, 1=float64), rank u64, dims as u64, and the raw
-row-major values. Readers reject unknown magic or versions.
+row-major values. A save replaces the file atomically; readers reject
+unknown magic or versions.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .config import atomic_write
 from .tensor import Tensor, get_default_dtype
 
 MAGIC = b"QRTS"
@@ -25,7 +27,7 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(arrays)))

@@ -307,7 +307,7 @@ def attention_step(proj_k: np.ndarray, proj_q: np.ndarray, r: np.ndarray,
     ts = np.tanh((blend * w).sum(axis=-1))
     a_t = ts * tmf
     carry = np.tanh(r @ attn.w_r.data.T)
-    return blend, ts, a_t, carry, (a_t[:, :, None] * ks).sum(axis=1) + carry
+    return blend, ts, a_t, carry, np.einsum("nm,nmk->nk", a_t, ks) + carry
 
 
 def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,

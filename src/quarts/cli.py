@@ -19,7 +19,8 @@ from .catalog import CatalogSpec
 from .checkpoint import CheckpointError
 from .classifier import ClassifierParams, attention_heatmap, normalize_heatmap, \
     heatmap_text, encode_batch
-from .config import ConfigError, RunConfig, desk_profile, load_config, paper_profile
+from .config import (ConfigError, RunConfig, atomic_write, desk_profile, load_config,
+                     paper_profile)
 from .data import DataError, encode_pairs, pad_matrix, read_pairs, tokenize
 from .metrics import MetricError, knn as knn_search
 from .ved import beam_generate
@@ -153,7 +154,7 @@ def cmd_eval(args) -> int:
                                    scores_out=args.scores_out)
     sys.stdout.write(report.to_text())
     out = _run_dir(args) / f"report_{Path(args.checkpoint).stem}_{args.split}.json"
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         json.dump(report.to_json(), fh, indent=2)
     return EXIT_OK
 

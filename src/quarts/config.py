@@ -10,8 +10,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -76,7 +79,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_text())
 
     def hash(self) -> str:
@@ -137,6 +140,25 @@ def paper_profile(**overrides) -> RunConfig:
     return RunConfig(**overrides)
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write ``path`` all at once: the block writes a temporary file in the
+    same directory, which is flushed to disk and then replaces ``path`` when
+    the block ends. A block that raises removes it and leaves ``path`` as it
+    was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -151,17 +173,19 @@ class RunManifest:
     config_hash: str = ""                             # the config the run dir began with
     seed: int = 0
     phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds,
-                                                      #   config_hash, data}
+                                                      #   config_hash, data, max_lens}
     created: str = ""
 
     def record_phase(self, name: str, checkpoint: str, seconds: float,
-                     config_hash: str, data: dict[str, str]) -> None:
-        """``data``: the content hash of each data file the phase read."""
+                     config_hash: str, data: dict[str, str],
+                     max_lens: dict[str, int] | None = None) -> None:
+        """``data``: the content hash of each data file the phase read;
+        ``max_lens``: the truncation lengths its ids were cut at."""
         self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6),
-                             "config_hash": config_hash, "data": data}
+                             "config_hash": config_hash, "data": data, "max_lens": max_lens}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
 
     @classmethod

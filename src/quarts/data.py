@@ -4,6 +4,12 @@ Dataset files are one example per line, tab-separated UTF-8:
 ``title<TAB>query<TAB>label<TAB>source``. Query-side and title-side
 vocabularies are built independently, so the same surface word can carry
 different ids on the two sides.
+
+The records are slotted dataclasses, and the data path handles each
+distinct string once: ``read_pairs`` shares one string object per
+distinct title, query and source, and ``encode_pairs`` tokenizes and
+encodes each distinct title and query once, so every ``Example`` of that
+text holds the same immutable tuple of ids.
 """
 from __future__ import annotations
 
@@ -14,6 +20,8 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .config import atomic_write
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -50,7 +58,7 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for t in self.id_to_token[len(SPECIALS):]:
                 fh.write(t + "\n")
 
@@ -62,19 +70,16 @@ class Vocabulary:
 
 def build_vocab(corpus: Iterable[list[str]], min_count: int = 1) -> Vocabulary:
     """Deterministic vocabulary: frequency desc, then lexicographic."""
-    counts = Counter()
-    n = 0
-    for tokens in corpus:
-        n += 1
-        counts.update(tokens)
-    if n == 0:
+    corpus = list(corpus)
+    if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
+    counts = Counter(chain.from_iterable(corpus))
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 
 
-@dataclass
+@dataclass(slots=True)
 class RawPair:
     """One dataset line before encoding."""
     title: str
@@ -91,11 +96,12 @@ class RawPair:
             raise DataError("logs pairs are matched by construction (label 0)")
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
-    """Encoded (item title, query, label) pair."""
-    item_ids: list[int]
-    query_ids: list[int]
+    """Encoded (item title, query, label) pair; the id tuples may be shared
+    with every other example of the same title or query."""
+    item_ids: tuple[int, ...]
+    query_ids: tuple[int, ...]
     label: int
 
 
@@ -114,11 +120,13 @@ def write_pairs(path, pairs: Iterable[RawPair]) -> None:
 
 
 def read_pairs(path) -> list[RawPair]:
+    """The pairs of a dataset file; equal strings are one shared object."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read pairs {path}: {exc.strerror}") from None
     out = []
+    share = {}
     with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -130,16 +138,24 @@ def read_pairs(path) -> list[RawPair]:
             title, query, label, source = fields
             if label not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            out.append(RawPair(title, query, int(label), source))
+            out.append(RawPair(share.setdefault(title, title),
+                               share.setdefault(query, query), int(label),
+                               share.setdefault(source, source)))
     return out
 
 
-def encode_pairs(pairs: Iterable[RawPair], vocab_t: Vocabulary, vocab_q: Vocabulary,
+def encode_pairs(pairs: Sequence[RawPair], vocab_t: Vocabulary, vocab_q: Vocabulary,
                  max_title_len: int, max_query_len: int) -> list[Example]:
+    """Encode pairs, truncated to the max lengths, each distinct title and
+    query once: every ``Example`` of a text holds the same tuple of ids."""
+    def encode(texts, vocab, max_len):
+        return {s: tuple(vocab.encode(tokenize(s)[:max_len])) for s in dict.fromkeys(texts)}
+
+    titles = encode((p.title for p in pairs), vocab_t, max_title_len)
+    queries = encode((p.query for p in pairs), vocab_q, max_query_len)
     out = []
     for p in pairs:
-        t = vocab_t.encode(tokenize(p.title)[:max_title_len])
-        q = vocab_q.encode(tokenize(p.query)[:max_query_len])
+        t, q = titles[p.title], queries[p.query]
         if not t or not q:
             raise DataError(f"empty sequence after tokenization: {p.title!r} / {p.query!r}")
         out.append(Example(t, q, p.label))

@@ -26,6 +26,7 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -37,7 +38,7 @@ from .catalog import CatalogSpec, MatchOracle, generate_corpus
 from .checkpoint import load_arrays, assign_params, save_params
 from .classifier import (ClassifierParams, DssmParams, EncodedBatch, classifier_batch_loss,
                          dssm_batch_loss, init_classifier, init_dssm)
-from .config import RunConfig, RunManifest, file_sha256
+from .config import RunConfig, RunManifest, atomic_write, file_sha256
 from .data import (DataError, Example, RawPair, TripleBatch, TripleExample, Vocabulary,
                    build_vocab, encode_pairs, read_pairs, split_pairs, tokenize,
                    write_pairs)
@@ -62,6 +63,8 @@ CKPT_E2E = "phase5_e2e.qrts"
 CKPT_DSSM = "baseline_dssm.qrts"
 CKPT_AUGMENT = "baseline_augment.qrts"
 VOCAB_Q, VOCAB_T = "vocab_q.txt", "vocab_t.txt"
+# The truncation lengths, which decide the encoded ids as the vocabularies do.
+MAX_LEN_KEYS = ("max_title_len", "max_query_len")
 
 # The command that writes each checkpoint, named when one is missing.
 WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
@@ -107,6 +110,11 @@ def generate_data(spec: CatalogSpec, out_dir, ratios=(0.7, 0.15, 0.15)) -> dict:
 
 @dataclass
 class DataBundle:
+    """A data dir read for one run config: the raw pairs of each split and of
+    the logs, the vocabularies built on the train split, and the encoded
+    examples. Records are slotted; each distinct title and query is
+    tokenized and encoded once, so its examples share one immutable tuple
+    of ids."""
     train: list[RawPair]
     val: list[RawPair]
     test: list[RawPair]
@@ -130,21 +138,15 @@ def load_data(data_dir, cfg: RunConfig) -> DataBundle:
                 f"missing {required} under {d}; run `quarts gen-data` first")
     spec = CatalogSpec.load(d / CATALOG_JSON)
     oracle = MatchOracle(spec)
-    train = read_pairs(d / "train.tsv")
-    val = read_pairs(d / "val.tsv")
-    test = read_pairs(d / "test.tsv")
-    logs = read_pairs(d / LOGS_TSV)
+    parts = [read_pairs(d / f"{s}.tsv") for s in SPLITS] + [read_pairs(d / LOGS_TSV)]
+    train, val, test, logs = parts
     vocab_q = build_vocab((tokenize(p.query) for p in train), cfg.min_count)
     vocab_t = build_vocab((tokenize(p.title) for p in train), cfg.min_count)
-
-    def enc(pairs):
-        return encode_pairs(pairs, vocab_t, vocab_q,
-                            cfg.max_title_len, cfg.max_query_len)
-
-    train_ex, val_ex, test_ex = enc(train), enc(val), enc(test)
-    merged_ex = train_ex + enc(logs)
+    examples = iter(encode_pairs(list(chain.from_iterable(parts)), vocab_t, vocab_q,
+                                 cfg.max_title_len, cfg.max_query_len))
+    train_ex, val_ex, test_ex, logs_ex = (list(islice(examples, len(p))) for p in parts)
     return DataBundle(train, val, test, logs, oracle, vocab_q, vocab_t, train_ex, val_ex,
-                      test_ex, merged_ex, {n: file_sha256(d / n) for n in names})
+                      test_ex, train_ex + logs_ex, {n: file_sha256(d / n) for n in names})
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -175,8 +177,9 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     After the body, writes ``run.params`` to ``ckpt`` with the vocabularies
     beside it (which ``load_bundle`` checks against the data dir), appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
-    phase, with its config hash and the hashes of the data files it read,
-    in ``manifest.json``. A body that raises writes none of these.
+    phase, with its config hash, the hashes of the data files it read and
+    the max lengths (which ``load_bundle`` checks against the config), in
+    ``manifest.json``. A body that raises writes none of these.
     """
     run = PhaseRun(Path(run_dir))
     run.dir.mkdir(parents=True, exist_ok=True)
@@ -190,7 +193,8 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     _append_metrics(run.dir, name, run.records)
     path = run.dir / "manifest.json"
     man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
-    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files)
+    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files,
+                     {key: getattr(cfg, key) for key in MAX_LEN_KEYS})
     man.save(path)
 
 
@@ -216,8 +220,10 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
     Returns the pooled baseline for ``dssm.`` arrays and the classifier
     otherwise, plus the generator when ``ved.`` arrays are present.
     ``need`` is the command that writes the checkpoint. A vocabulary the
-    run dir holds must equal the one rebuilt from the data dir, or the
-    checkpoint's token ids would silently mean other tokens.
+    run dir holds must equal the one rebuilt from the data dir, and the max
+    lengths the manifest records for the checkpoint must equal the config's,
+    or the checkpoint's token ids would silently mean other tokens or be cut
+    at other lengths.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
@@ -227,6 +233,13 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
         if saved.exists() and Vocabulary.load(saved).id_to_token != vocab.id_to_token:
             raise PipelineError(f"{saved} differs from the vocabulary built from the data "
                                 "dir; use the --data-dir the run was trained on")
+    man = path.parent / "manifest.json"
+    for entry in RunManifest.load(man).phases.values() if man.exists() else ():
+        for key, value in (entry.get("max_lens") or {}).items():
+            if entry["checkpoint"] == path.name and value != getattr(cfg, key):
+                raise PipelineError(f"{man}: {path.name} was trained on ids cut at {key} = "
+                                    f"{value}, the config sets {getattr(cfg, key)}; "
+                                    "use the config the run was trained with")
     arrays = load_arrays(path)
     with run_dtype(cfg):
         if any(k.startswith("dssm.") for k in arrays):
@@ -308,7 +321,7 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
 def phase_build_triples(cfg: RunConfig, data: DataBundle, run_dir) -> list:
     with _phase(cfg, data, run_dir, "triples", CKPT_TRIPLES) as run:
         text_triples = build_triples(data.train, cap=cfg.triple_cap)
-        with open(run.dir / CKPT_TRIPLES, "w", encoding="utf-8") as fh:
+        with atomic_write(run.dir / CKPT_TRIPLES) as fh:
             for title, q, qm in text_triples:
                 fh.write(f"{title}\t{q}\t{qm}\n")
     return text_triples

@@ -10,6 +10,9 @@ from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_array
 from quarts.classifier import init_classifier, init_dssm
 from quarts.config import (ConfigError, RunConfig, RunManifest, desk_profile,
                            load_config, paper_profile, parse_config)
+from quarts.data import Vocabulary
+from quarts import tensor as T
+from quarts.optim import Adam
 from quarts.tensor import Tensor
 from quarts.ved import init_ved
 
@@ -185,3 +188,62 @@ class TestConfig:
         assert back.seed == 3 and back.phases["classifier"]["checkpoint"] == "phase1.qrts"
         back.save(path)
         assert "datasets" not in json.loads(path.read_text())
+
+
+def _manifest(data: dict) -> RunManifest:
+    m = RunManifest(config_hash="c0ffee", seed=1)
+    m.record_phase("classifier", "phase1.qrts", 1.0, "c0ffee", data)
+    return m
+
+
+# (write a good file, write one that raises after some bytes are out)
+SAVERS = {
+    "checkpoint": (lambda path: save_arrays(path, {"a": np.arange(3.0)}),
+                   lambda path: save_arrays(path, {"a": np.ones(4), "b": np.ones(2, np.int32)})),
+    "manifest": (lambda path: _manifest({"train.tsv": "abc"}).save(path),
+                 lambda path: _manifest({"train.tsv": object()}).save(path)),
+    "vocabulary": (lambda path: Vocabulary(["alpha", "beta"]).save(path),
+                   lambda path: Vocabulary(["gamma", 7]).save(path)),
+}
+
+
+@pytest.mark.parametrize("kind", SAVERS)
+def test_failed_save_keeps_previous_file(tmp_path, kind):
+    """A save that raises mid-write leaves the file it would replace bitwise
+    intact and no temporary file behind."""
+    good, bad = SAVERS[kind]
+    path = tmp_path / "out"
+    good(path)
+    before = path.read_bytes()
+    with pytest.raises((CheckpointError, TypeError)):
+        bad(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_textbook_bitwise(dtype):
+    """Three steps give the bits of the textbook update; a parameter absent
+    from the gradient map keeps its values and moments."""
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 3), "b": (3,), "skip": (2, 2)}
+    with T.using_dtype(dtype):
+        params = {k: Tensor(rng.standard_normal(s)) for k, s in shapes.items()}
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in want.items()}
+    v = {k: np.zeros_like(a) for k, a in want.items()}
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr, b1, b2, eps)
+    for t in range(1, 4):
+        grads = {params[k]: rng.standard_normal(shapes[k]).astype(dtype) for k in ("w", "b")}
+        opt.step(grads)
+        for k in ("w", "b"):
+            g = grads[params[k]]
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            want[k] = want[k] - (lr / (1.0 - b1 ** t)) * m[k] / (
+                np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+        for k, p in params.items():
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == want[k].tobytes(), (k, t)
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()

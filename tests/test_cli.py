@@ -412,6 +412,37 @@ class TestPhases:
                      "--config", str(root / "tiny.cfg"),
                      "--checkpoint", P.CKPT_CLASSIFIER]) == 0
 
+    @pytest.mark.parametrize("key", P.MAX_LEN_KEYS)
+    def test_other_max_length_refused(self, workspace, tmp_path, capsys, key):
+        """An eval at another truncation length exits 2 naming the key, since
+        the checkpoint was trained on ids cut at its own lengths."""
+        root, data, run, _ = workspace
+        phases = json.loads((run / "manifest.json").read_text())["phases"]
+        assert phases["classifier"]["max_lens"] == {"max_title_len": 16, "max_query_len": 8}
+        other = tmp_path / "other.cfg"
+        other.write_text((root / "tiny.cfg").read_text() + f"{key} = 3\n")
+        code = main(["eval", "--data-dir", str(data), "--run-dir", str(run),
+                     "--config", str(other), "--checkpoint", P.CKPT_CLASSIFIER,
+                     "--split", "val"])
+        assert code == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (run / "report_phase1_classifier_val.json").exists()
+
+    def test_max_lengths_belong_to_their_checkpoint(self, workspace, tmp_path, capsys):
+        """A later phase run at other max lengths does not vouch for an
+        earlier checkpoint: the classifier still refuses an eval at them."""
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        other = tmp_path / "other.cfg"
+        other.write_text((root / "tiny.cfg").read_text() + "max_query_len = 3\n")
+        cfg = ["--data-dir", str(data), "--run-dir", str(copy), "--config", str(other)]
+        assert main(["train-baseline", "--kind", "dssm"] + cfg) == 0
+        assert main(["eval", "--checkpoint", P.CKPT_DSSM] + cfg) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", P.CKPT_CLASSIFIER] + cfg) == 2
+        assert "max_query_len = 8" in capsys.readouterr().err
+
     def test_empty_triples_fails_before_writing(self, workspace, tmp_path, capsys):
         root, data, run, _ = workspace
         copy = tmp_path / "run"

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from quarts import data as D
+from quarts import pipeline as P
 from quarts.catalog import CatalogSpec, MatchOracle, generate_corpus
+from quarts.config import desk_profile
 
 
 def small_spec(**kw):
@@ -256,7 +258,7 @@ class TestBatching:
         vt = D.build_vocab([["title"]])
         exs = D.encode_pairs([D.RawPair("title", "mystery known", 0, "annotated")],
                              vt, vq, 16, 8)
-        assert exs[0].query_ids == [D.UNK, vq.token_to_id["known"]]
+        assert exs[0].query_ids == (D.UNK, vq.token_to_id["known"])
 
     def test_truncation_from_the_right(self):
         vq = D.build_vocab([[str(i) for i in range(20)]])
@@ -267,3 +269,53 @@ class TestBatching:
         assert len(ex.item_ids) == 16
         assert len(ex.query_ids) == 8
         assert vt.decode(ex.item_ids)[0] == "0"
+
+
+class TestSharedDataPath:
+    """``load_data`` handles each distinct string once, with the results of
+    handling every pair on its own."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shared")
+        P.generate_data(small_spec(), root)
+        # short max lengths, so truncation decides some ids
+        cfg = desk_profile(max_title_len=3, max_query_len=2)
+        return P.load_data(root, cfg), cfg
+
+    def test_examples_equal_per_pair_encoding(self, loaded):
+        data, cfg = loaded
+        assert data.vocab_q.id_to_token == D.build_vocab(
+            D.tokenize(p.query) for p in data.train).id_to_token
+        assert data.vocab_t.id_to_token == D.build_vocab(
+            D.tokenize(p.title) for p in data.train).id_to_token
+        for pairs, examples in ((data.train, data.train_ex), (data.val, data.val_ex),
+                                (data.test, data.test_ex),
+                                (data.train + data.logs, data.merged_ex)):
+            want = [(data.vocab_t.encode(D.tokenize(p.title)[:cfg.max_title_len]),
+                     data.vocab_q.encode(D.tokenize(p.query)[:cfg.max_query_len]), p.label)
+                    for p in pairs]
+            assert [(list(e.item_ids), list(e.query_ids), e.label) for e in examples] == want
+
+    def test_one_ids_tuple_per_distinct_text(self, loaded):
+        data, _ = loaded
+        first_title, first_query = {}, {}
+        for p, e in zip(data.train + data.logs, data.merged_ex):
+            assert type(e.item_ids) is tuple and type(e.query_ids) is tuple
+            assert first_title.setdefault(p.title, e.item_ids) is e.item_ids
+            assert first_query.setdefault(p.query, e.query_ids) is e.query_ids
+        assert len(first_title) < len(data.merged_ex)
+
+    def test_records_are_slotted(self, loaded):
+        data, _ = loaded
+        for record in (data.train[0], data.logs[0], data.train_ex[0], data.merged_ex[-1]):
+            assert not hasattr(record, "__dict__")
+
+    def test_read_pairs_shares_equal_strings(self, loaded, tmp_path):
+        data, _ = loaded
+        D.write_pairs(tmp_path / "x.tsv", data.train)
+        pairs = D.read_pairs(tmp_path / "x.tsv")
+        by_text = {}
+        for p in pairs:
+            for text in (p.title, p.query, p.source):
+                assert by_text.setdefault(text, text) is text

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import atomic_write
 from .data import DataError, RawPair, tokenize
 from .rng import data_rng
 
@@ -126,7 +127,7 @@ class CatalogSpec:
             raise DataError("logs_noise must be in [0, 1)")
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2)
 
     @classmethod

@@ -90,13 +90,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(name: str, raw: str):
-    kind = _FIELDS[name].type
-    raw = raw.strip()
-    if kind in (int, "int"):
-        return int(raw)
-    if kind in (float, "float"):
-        return float(raw)
-    return raw
+    # the annotations are strings ("int", "float", "str"): see the __future__ import
+    return {"int": int, "float": float}.get(_FIELDS[name].type, str)(raw.strip())
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -173,16 +168,16 @@ class RunManifest:
     config_hash: str = ""                             # the config the run dir began with
     seed: int = 0
     phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds,
-                                                      #   config_hash, data, max_lens}
+                                                      #   config_hash, data, ids}
     created: str = ""
 
     def record_phase(self, name: str, checkpoint: str, seconds: float,
-                     config_hash: str, data: dict[str, str],
-                     max_lens: dict[str, int] | None = None) -> None:
+                     config_hash: str, data: dict[str, str], ids: dict) -> None:
         """``data``: the content hash of each data file the phase read;
-        ``max_lens``: the truncation lengths its ids were cut at."""
+        ``ids``: what its token ids mean, a digest of each vocabulary and
+        the truncation lengths (``pipeline.DataBundle.ids``)."""
         self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6),
-                             "config_hash": config_hash, "data": data, "max_lens": max_lens}
+                             "config_hash": config_hash, "data": data, "ids": ids}
 
     def save(self, path) -> None:
         with atomic_write(path) as fh:

@@ -3,7 +3,9 @@
 Dataset files are one example per line, tab-separated UTF-8:
 ``title<TAB>query<TAB>label<TAB>source``. Query-side and title-side
 vocabularies are built independently, so the same surface word can carry
-different ids on the two sides.
+different ids on the two sides. A vocabulary is rebuilt from the train
+split on each load and never saved; a run dir keeps only its digest
+(``pipeline.DataBundle.ids``). ``write_pairs`` writes a file atomically.
 
 The records are slotted dataclasses, and the data path handles each
 distinct string once: ``read_pairs`` shares one string object per
@@ -57,16 +59,6 @@ class Vocabulary:
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
-    def save(self, path) -> None:
-        with atomic_write(path) as fh:
-            for t in self.id_to_token[len(SPECIALS):]:
-                fh.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
-
 
 def build_vocab(corpus: Iterable[list[str]], min_count: int = 1) -> Vocabulary:
     """Deterministic vocabulary: frequency desc, then lexicographic."""
@@ -114,7 +106,7 @@ class TripleExample:
 
 
 def write_pairs(path, pairs: Iterable[RawPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in pairs:
             fh.write(f"{p.title}\t{p.query}\t{p.label}\t{p.source}\n")
 

@@ -9,8 +9,10 @@ Each ``phase_*`` holds only its model, its data and the batch loss it
 hands to ``train.fit``; ``_phase`` does the rest for all of them, from
 the run dir to the checkpoint, the epoch records in ``metrics.jsonl``
 (one JSON line each, one schema for every phase) and the manifest entry.
-``load_bundle`` reads every checkpoint back. Phases, evaluation and the
-CLI tools run inside ``run_dtype``, so none leaves the engine dtype set.
+``load_bundle`` reads every checkpoint back, and refuses one whose
+manifest entry records other token ids than the data dir and config
+give (``DataBundle.ids``). Phases, evaluation and the CLI tools run
+inside ``run_dtype``, so none leaves the engine dtype set.
 
 Each phase derives fresh random substreams from (seed, phase), so a
 later phase's draws never depend on how much randomness an earlier phase
@@ -21,6 +23,7 @@ bitwise comparable.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import time
@@ -62,9 +65,6 @@ CKPT_VED = "phase3_ved.qrts"
 CKPT_E2E = "phase5_e2e.qrts"
 CKPT_DSSM = "baseline_dssm.qrts"
 CKPT_AUGMENT = "baseline_augment.qrts"
-VOCAB_Q, VOCAB_T = "vocab_q.txt", "vocab_t.txt"
-# The truncation lengths, which decide the encoded ids as the vocabularies do.
-MAX_LEN_KEYS = ("max_title_len", "max_query_len")
 
 # The command that writes each checkpoint, named when one is missing.
 WRITTEN_BY = {CKPT_CLASSIFIER: "pretrain-classifier", CKPT_VED: "pretrain-ved",
@@ -103,7 +103,7 @@ def generate_data(spec: CatalogSpec, out_dir, ratios=(0.7, 0.15, 0.15)) -> dict:
                   for name in [LABELED_TSV, LOGS_TSV, CATALOG_JSON]
                   + [f"{s}.tsv" for s in SPLITS]},
     }
-    with open(out / "data_manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "data_manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
 
@@ -114,7 +114,12 @@ class DataBundle:
     the logs, the vocabularies built on the train split, and the encoded
     examples. Records are slotted; each distinct title and query is
     tokenized and encoded once, so its examples share one immutable tuple
-    of ids."""
+    of ids.
+
+    ``ids`` records what those ids mean: a digest of each vocabulary's
+    token list (``vocab_q``, ``vocab_t``) and the truncation lengths
+    (``max_title_len``, ``max_query_len``). Each phase writes it into its
+    manifest entry, and ``load_bundle`` compares the entry with it."""
     train: list[RawPair]
     val: list[RawPair]
     test: list[RawPair]
@@ -127,6 +132,7 @@ class DataBundle:
     test_ex: list[Example]
     merged_ex: list[Example]  # annotated train + logs, phase-4 data
     files: dict[str, str]     # content hash of each file read, by name
+    ids: dict                 # what the token ids mean, as above
 
 
 def load_data(data_dir, cfg: RunConfig) -> DataBundle:
@@ -145,8 +151,16 @@ def load_data(data_dir, cfg: RunConfig) -> DataBundle:
     examples = iter(encode_pairs(list(chain.from_iterable(parts)), vocab_t, vocab_q,
                                  cfg.max_title_len, cfg.max_query_len))
     train_ex, val_ex, test_ex, logs_ex = (list(islice(examples, len(p))) for p in parts)
+    ids = {"vocab_q": _digest(vocab_q), "vocab_t": _digest(vocab_t),
+           "max_title_len": cfg.max_title_len, "max_query_len": cfg.max_query_len}
     return DataBundle(train, val, test, logs, oracle, vocab_q, vocab_t, train_ex, val_ex,
-                      test_ex, train_ex + logs_ex, {n: file_sha256(d / n) for n in names})
+                      test_ex, train_ex + logs_ex, {n: file_sha256(d / n) for n in names},
+                      ids)
+
+
+def _digest(vocab: Vocabulary) -> str:
+    """The sha256 of the token list in id order (no token holds a newline)."""
+    return hashlib.sha256("\n".join(vocab.id_to_token).encode()).hexdigest()[:16]
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -174,12 +188,11 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     """Set-up and tear-down shared by every phase.
 
     Creates the run dir and runs the body timed, at the run's precision.
-    After the body, writes ``run.params`` to ``ckpt`` with the vocabularies
-    beside it (which ``load_bundle`` checks against the data dir), appends
+    After the body, writes ``run.params`` to ``ckpt``, appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
-    phase, with its config hash, the hashes of the data files it read and
-    the max lengths (which ``load_bundle`` checks against the config), in
-    ``manifest.json``. A body that raises writes none of these.
+    phase in ``manifest.json``: its config hash, the hashes of the data
+    files it read and its ``data.ids``, which ``load_bundle`` checks
+    before it reads ``ckpt`` back. A body that raises writes none of these.
     """
     run = PhaseRun(Path(run_dir))
     run.dir.mkdir(parents=True, exist_ok=True)
@@ -188,13 +201,10 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
         yield run
     if run.params is not None:
         save_params(run.dir / ckpt, run.params)
-        data.vocab_q.save(run.dir / VOCAB_Q)
-        data.vocab_t.save(run.dir / VOCAB_T)
     _append_metrics(run.dir, name, run.records)
     path = run.dir / "manifest.json"
     man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
-    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files,
-                     {key: getattr(cfg, key) for key in MAX_LEN_KEYS})
+    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files, data.ids)
     man.save(path)
 
 
@@ -219,27 +229,23 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
 
     Returns the pooled baseline for ``dssm.`` arrays and the classifier
     otherwise, plus the generator when ``ved.`` arrays are present.
-    ``need`` is the command that writes the checkpoint. A vocabulary the
-    run dir holds must equal the one rebuilt from the data dir, and the max
-    lengths the manifest records for the checkpoint must equal the config's,
-    or the checkpoint's token ids would silently mean other tokens or be cut
-    at other lengths.
+    ``need`` is the command that writes the checkpoint. The ``ids`` that
+    the manifest entry of the checkpoint's own phase records must equal
+    ``data.ids``, or its token ids would silently mean other tokens or be
+    cut at other lengths; an entry without ``ids`` (older run dirs) and a
+    checkpoint no entry names are read unchecked.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
         raise PipelineError(f"missing checkpoint {path}; run `quarts {need}` first")
-    for saved, vocab in ((path.parent / VOCAB_Q, data.vocab_q),
-                         (path.parent / VOCAB_T, data.vocab_t)):
-        if saved.exists() and Vocabulary.load(saved).id_to_token != vocab.id_to_token:
-            raise PipelineError(f"{saved} differs from the vocabulary built from the data "
-                                "dir; use the --data-dir the run was trained on")
     man = path.parent / "manifest.json"
     for entry in RunManifest.load(man).phases.values() if man.exists() else ():
-        for key, value in (entry.get("max_lens") or {}).items():
-            if entry["checkpoint"] == path.name and value != getattr(cfg, key):
-                raise PipelineError(f"{man}: {path.name} was trained on ids cut at {key} = "
-                                    f"{value}, the config sets {getattr(cfg, key)}; "
-                                    "use the config the run was trained with")
+        for key, value in (entry.get("ids") or {}).items():
+            if entry["checkpoint"] == path.name and value != data.ids.get(key):
+                raise PipelineError(f"{man}: {path.name} was trained on ids with {key} = "
+                                    f"{value}, the data dir and config give {key} = "
+                                    f"{data.ids.get(key)}; use the --data-dir and config "
+                                    "the run was trained with")
     arrays = load_arrays(path)
     with run_dtype(cfg):
         if any(k.startswith("dssm.") for k in arrays):
@@ -482,12 +488,12 @@ def evaluate_generation(cfg: RunConfig, data: DataBundle,
     """Beam-1 generations from held-out matched pairs, scored by BLEU
     against the held-out mismatched reference and by the oracle."""
     triples = build_triples(pairs, cap=1)
+    encoded = encode_triples(triples, data.vocab_t, data.vocab_q, cfg.max_title_len,
+                             cfg.max_query_len)
     bleu_pairs = []
     acc_pairs = []
-    for title, q, qm in triples:
-        item_ids = data.vocab_t.encode(tokenize(title)[:cfg.max_title_len])
-        query_ids = data.vocab_q.encode(tokenize(q)[:cfg.max_query_len])
-        out = beam_generate(item_ids, query_ids, clf, ved, beam=1,
+    for (title, _, qm), t in zip(triples, encoded):
+        out = beam_generate(t.item_ids, t.matched_query_ids, clf, ved, beam=1,
                             max_len=cfg.gen_max_len)
         gen_tokens = data.vocab_q.decode(out[0][0])
         bleu_pairs.append((gen_tokens, tokenize(qm)))

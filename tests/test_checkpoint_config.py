@@ -10,7 +10,7 @@ from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_array
 from quarts.classifier import init_classifier, init_dssm
 from quarts.config import (ConfigError, RunConfig, RunManifest, desk_profile,
                            load_config, paper_profile, parse_config)
-from quarts.data import Vocabulary
+from quarts.data import RawPair, write_pairs
 from quarts import tensor as T
 from quarts.optim import Adam
 from quarts.tensor import Tensor
@@ -168,13 +168,14 @@ class TestConfig:
     def test_manifest_roundtrip(self, tmp_path):
         m = RunManifest.start(desk_profile())
         m.record_phase("classifier", "phase1.qrts", 1.25, m.config_hash,
-                       {"train.tsv": "abc123"})
+                       {"train.tsv": "abc123"}, IDS)
         m.save(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
         assert back.config_hash == m.config_hash
         assert back.phases["classifier"]["config_hash"] == m.config_hash
         assert back.phases["classifier"]["checkpoint"] == "phase1.qrts"
         assert back.phases["classifier"]["data"] == {"train.tsv": "abc123"}
+        assert back.phases["classifier"]["ids"] == IDS
 
     def test_manifest_written_with_datasets_still_loads(self, tmp_path):
         """Manifests written before phases carried their data hashes have a
@@ -192,18 +193,23 @@ class TestConfig:
 
 def _manifest(data: dict) -> RunManifest:
     m = RunManifest(config_hash="c0ffee", seed=1)
-    m.record_phase("classifier", "phase1.qrts", 1.0, "c0ffee", data)
+    m.record_phase("classifier", "phase1.qrts", 1.0, "c0ffee", data, IDS)
     return m
 
 
-# (write a good file, write one that raises after some bytes are out)
+IDS = {"vocab_q": "0a1b", "vocab_t": "2c3d", "max_title_len": 16, "max_query_len": 8}
+PAIR = RawPair("red shoe", "shoe", 0, "annotated")
+
+# (write a good file, write one that raises after some bytes are out, what it raises)
 SAVERS = {
     "checkpoint": (lambda path: save_arrays(path, {"a": np.arange(3.0)}),
-                   lambda path: save_arrays(path, {"a": np.ones(4), "b": np.ones(2, np.int32)})),
+                   lambda path: save_arrays(path, {"a": np.ones(4), "b": np.ones(2, np.int32)}),
+                   CheckpointError),
     "manifest": (lambda path: _manifest({"train.tsv": "abc"}).save(path),
-                 lambda path: _manifest({"train.tsv": object()}).save(path)),
-    "vocabulary": (lambda path: Vocabulary(["alpha", "beta"]).save(path),
-                   lambda path: Vocabulary(["gamma", 7]).save(path)),
+                 lambda path: _manifest({"train.tsv": object()}).save(path), TypeError),
+    "pairs": (lambda path: write_pairs(path, [PAIR]),
+              lambda path: write_pairs(path, [PAIR, PAIR, ("red shoe", "box", 1)]),
+              AttributeError),
 }
 
 
@@ -211,11 +217,11 @@ SAVERS = {
 def test_failed_save_keeps_previous_file(tmp_path, kind):
     """A save that raises mid-write leaves the file it would replace bitwise
     intact and no temporary file behind."""
-    good, bad = SAVERS[kind]
+    good, bad, error = SAVERS[kind]
     path = tmp_path / "out"
     good(path)
     before = path.read_bytes()
-    with pytest.raises((CheckpointError, TypeError)):
+    with pytest.raises(error):
         bad(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out"]

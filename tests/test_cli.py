@@ -100,6 +100,10 @@ class TestCatalogFile:
         assert str(path) in capsys.readouterr().err
 
 
+# what a phase's manifest entry records about its token ids
+IDS_KEYS = ["max_query_len", "max_title_len", "vocab_q", "vocab_t"]
+
+
 def renamed_query_word(data: Path, tmp_path: Path) -> Path:
     """A copy of ``data`` whose train split renames one query word, so it
     builds another query vocabulary."""
@@ -121,7 +125,11 @@ class TestPhases:
         assert (run / P.CKPT_CLASSIFIER).exists()
         assert (run / P.CKPT_TRIPLES).exists()
         assert (run / P.CKPT_VED).exists()
-        assert (run / "vocab_q.txt").exists()
+        # what the token ids mean lives in each phase's manifest entry, not in files
+        assert not list(run.glob("vocab_*.txt"))
+        phases = json.loads((run / "manifest.json").read_text())["phases"]
+        for name in ("classifier", "triples", "ved"):
+            assert sorted(phases[name]["ids"]) == IDS_KEYS, name
 
     def test_manifest_times_every_phase(self, workspace):
         _, _, run, _ = workspace
@@ -403,22 +411,21 @@ class TestPhases:
                 "--config", str(root / "tiny.cfg")]
         assert main(["build-triples"] + base) == 0
         assert main(["pretrain-ved"] + base) == 2
-        assert "vocab_q.txt" in capsys.readouterr().err
+        assert "vocab_q = " in capsys.readouterr().err
         assert not (run_copy / P.CKPT_VED).exists()
-        # a run dir that holds no vocabulary files is not refused
-        for name in ("vocab_q.txt", "vocab_t.txt"):
-            (run_copy / name).unlink()
-        assert main(["eval", "--data-dir", str(data), "--run-dir", str(run_copy),
-                     "--config", str(root / "tiny.cfg"),
-                     "--checkpoint", P.CKPT_CLASSIFIER]) == 0
+        # a manifest entry that records no ids (an older run dir) is not refused
+        man = json.loads((run_copy / "manifest.json").read_text())
+        del man["phases"]["classifier"]["ids"]
+        (run_copy / "manifest.json").write_text(json.dumps(man))
+        assert main(["eval", "--checkpoint", P.CKPT_CLASSIFIER] + base) == 0
 
-    @pytest.mark.parametrize("key", P.MAX_LEN_KEYS)
+    @pytest.mark.parametrize("key", ["max_title_len", "max_query_len"])
     def test_other_max_length_refused(self, workspace, tmp_path, capsys, key):
         """An eval at another truncation length exits 2 naming the key, since
         the checkpoint was trained on ids cut at its own lengths."""
         root, data, run, _ = workspace
-        phases = json.loads((run / "manifest.json").read_text())["phases"]
-        assert phases["classifier"]["max_lens"] == {"max_title_len": 16, "max_query_len": 8}
+        ids = json.loads((run / "manifest.json").read_text())["phases"]["classifier"]["ids"]
+        assert (ids["max_title_len"], ids["max_query_len"]) == (16, 8)
         other = tmp_path / "other.cfg"
         other.write_text((root / "tiny.cfg").read_text() + f"{key} = 3\n")
         code = main(["eval", "--data-dir", str(data), "--run-dir", str(run),
@@ -442,6 +449,21 @@ class TestPhases:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", P.CKPT_CLASSIFIER] + cfg) == 2
         assert "max_query_len = 8" in capsys.readouterr().err
+
+    def test_vocabulary_belongs_to_its_checkpoint(self, workspace, tmp_path, capsys):
+        """A later phase on a data dir that builds another vocabulary does not
+        vouch for an earlier checkpoint: the classifier still refuses that
+        data dir and still accepts its own."""
+        root, data, run, _ = workspace
+        copy, run_copy = renamed_query_word(data, tmp_path), tmp_path / "run"
+        shutil.copytree(run, run_copy)
+        cfg = ["--run-dir", str(run_copy), "--config", str(root / "tiny.cfg")]
+        assert main(["train-baseline", "--kind", "dssm", "--data-dir", str(copy)] + cfg) == 0
+        capsys.readouterr()
+        evaluate = ["eval", "--checkpoint", P.CKPT_CLASSIFIER] + cfg
+        assert main(evaluate + ["--data-dir", str(copy)]) == 2
+        assert "vocab_q = " in capsys.readouterr().err
+        assert main(evaluate + ["--data-dir", str(data)]) == 0
 
     def test_empty_triples_fails_before_writing(self, workspace, tmp_path, capsys):
         root, data, run, _ = workspace
@@ -505,18 +527,19 @@ class TestTools:
         assert (run / P.CKPT_DSSM).exists()
 
     def test_dssm_run_dir_guards_its_vocabulary(self, workspace, tmp_path, capsys):
-        """A run dir holding only the pooled baseline carries the vocabularies,
-        so evaluating it on a data dir that builds others exits 2."""
+        """A run dir holding only the pooled baseline records its vocabularies'
+        digests, so evaluating it on a data dir that builds others exits 2."""
         root, data, _, _ = workspace
         run = tmp_path / "dssm_run"
         cfg = ["--run-dir", str(run), "--config", str(root / "tiny.cfg")]
         assert main(["train-baseline", "--kind", "dssm", "--data-dir", str(data)] + cfg) == 0
-        assert (run / P.VOCAB_Q).exists() and (run / P.VOCAB_T).exists()
+        ids = json.loads((run / "manifest.json").read_text())["phases"]["dssm"]["ids"]
+        assert sorted(ids) == IDS_KEYS
         copy = renamed_query_word(data, tmp_path)
         capsys.readouterr()
         code = main(["eval", "--data-dir", str(copy), "--checkpoint", P.CKPT_DSSM] + cfg)
         assert code == 2
-        assert P.VOCAB_Q in capsys.readouterr().err
+        assert "vocab_q = " in capsys.readouterr().err
 
     def test_freeze_generator_leaves_generator_arrays(self, workspace, tmp_path):
         root, data, run, _ = workspace

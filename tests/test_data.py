@@ -73,12 +73,6 @@ class TestVocabulary:
         toks = ["beta", "alpha"]
         assert v.decode(v.encode(toks)) == toks
 
-    def test_save_load(self, tmp_path):
-        v = D.build_vocab([["alpha", "beta", "beta"]])
-        v.save(tmp_path / "v.txt")
-        v2 = D.Vocabulary.load(tmp_path / "v.txt")
-        assert v2.id_to_token == v.id_to_token
-
 
 class TestCorpus:
     def test_reproducible(self):

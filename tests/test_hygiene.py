@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-and every public top-level function and class of the package is read
-somewhere outside the tests."""
+every public top-level function and class of the package is read
+somewhere outside the tests, and the package writes files in place only
+where it must."""
 import ast
 from pathlib import Path
 
@@ -73,3 +74,59 @@ def test_scanner_flags_an_unread_definition():
     assert public_definitions(source) == ["used", "unused"]
     read = names_read(source)
     assert {"used", "knn", "attr_read"} <= read and "unused" not in read
+
+
+def plain_writers(source: str) -> list[str]:
+    """Each call that writes a file in place, as ``function:call``: ``open``
+    (or ``path.open``) with a writing mode or a mode that is not a literal,
+    and ``write_text``/``write_bytes``. ``open`` without a mode reads."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            bare = isinstance(node.func, ast.Name)
+            name = node.func.id if bare else node.func.attr
+            pos = 1 if bare else 0      # open(path, mode) or path.open(mode)
+            modes = node.args[pos:pos + 1] + [k.value for k in node.keywords
+                                               if k.arg == "mode"]
+            reads = not modes or (isinstance(modes[0], ast.Constant)
+                                  and isinstance(modes[0].value, str)
+                                  and not set(modes[0].value) & set("wax+"))
+            if name in ("write_text", "write_bytes") or (name == "open" and not reads):
+                found.append(f"{where}:{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# Every other file the package writes goes through ``config.atomic_write``.
+PLAIN_WRITERS = sorted([
+    "config.py:atomic_write:open",         # the temporary file it renames
+    "pipeline.py:_append_metrics:open",    # metrics.jsonl is appended to
+    # outputs the user names, which may be a pipe or a device
+    "pipeline.py:evaluate_checkpoint:open",                  # eval --scores-out
+    "cli.py:cmd_generate:open",                              # generate --out
+    "cli.py:cmd_heatmap:write_text", "cli.py:cmd_heatmap:open",  # heatmap --out
+])
+
+
+def test_every_other_writer_is_atomic():
+    found = sorted(f"{p.name}:{w}" for p in SRC
+                   for w in plain_writers(p.read_text(encoding="utf-8")))
+    assert found == PLAIN_WRITERS
+
+
+def test_scanner_finds_plain_writers():
+    source = ("def f(p, m):\n"
+              "    open(p)\n    open(p, 'rb')\n    open(p, encoding='utf-8')\n"
+              "    p.open()\n    p.open('r')\n"
+              "    open(p, 'a')\n    open(p, mode=m)\n    p.open('wb')\n"
+              "    p.write_text('x')\n"
+              "    def g():\n        p.write_bytes(b'')\n"
+              "open('q', 'r+')\n")
+    assert plain_writers(source) == ["f:open", "f:open", "f:open", "f:write_text",
+                                     "g:write_bytes", "<module>:open"]

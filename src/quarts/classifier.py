@@ -95,7 +95,7 @@ class HeadParams(Params):
 @dataclass
 class ClassifierParams(Params):
     PREFIX = "clf"
-    emb_q: Tensor  # (V_q, d), row 0 (PAD) frozen at zero
+    emb_q: Tensor  # (V_q, d), row 0 (PAD) initialized to zero
     emb_t: Tensor  # (V_t, d)
     lstm_q: LstmParams
     lstm_t: LstmParams
@@ -104,20 +104,19 @@ class ClassifierParams(Params):
 
 
 def _uniform(rng: np.random.Generator, *shape) -> Tensor:
-    return Tensor(rng.uniform(-0.08, 0.08, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-0.08, 0.08, size=shape))
 
 
 def init_lstm(rng: np.random.Generator, d_in: int, k: int) -> LstmParams:
     b = np.zeros(4 * k)
     b[k:2 * k] = 1.0  # forget gate opens by default
-    return LstmParams(_uniform(rng, d_in, 4 * k), _uniform(rng, k, 4 * k),
-                      Tensor(b, requires_grad=True))
+    return LstmParams(_uniform(rng, d_in, 4 * k), _uniform(rng, k, 4 * k), Tensor(b))
 
 
 def init_embedding(rng: np.random.Generator, vocab_size: int, dim: int) -> Tensor:
     w = rng.uniform(-0.08, 0.08, size=(vocab_size, dim))
     w[PAD] = 0.0
-    return Tensor(w, requires_grad=True)
+    return Tensor(w)
 
 
 def init_classifier(rng: np.random.Generator, vocab_q: int, vocab_t: int,
@@ -129,9 +128,8 @@ def init_classifier(rng: np.random.Generator, vocab_q: int, vocab_t: int,
         lstm_t=init_lstm(rng, embed_dim, k),
         attn=AttentionParams(_uniform(rng, 3 * k, k), _uniform(rng, k),
                              _uniform(rng, k, k), _uniform(rng, k, 3 * k)),
-        head=HeadParams(_uniform(rng, k, k), Tensor(np.zeros(k), requires_grad=True),
-                        _uniform(rng, k, 1), Tensor(np.zeros(1), requires_grad=True),
-                        dropout=dropout),
+        head=HeadParams(_uniform(rng, k, k), Tensor(np.zeros(k)), _uniform(rng, k, 1),
+                        Tensor(np.zeros(1)), dropout=dropout),
     )
 
 
@@ -384,7 +382,7 @@ def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
         return g_ks, lay.padded(g_proj_q @ w_q.T), g_w_h, g_w, g_carry.T @ r_prev
 
     inputs = (k_states, h_states, attn.w_h, attn.w, attn.w_r)
-    return T.record(rs[lay.last], inputs, rule if grad else None), T.constant(alpha)
+    return T.record(rs[lay.last], inputs, rule if grad else None), Tensor(alpha)
 
 
 def combine(r_n: Tensor, q_n: Tensor, w_x: Tensor) -> Tensor:
@@ -455,8 +453,8 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
     eps = CE_CLAMP_F64 if T.get_default_dtype() is np.float64 else CE_CLAMP_F32
     f = T.clamp(probs, eps, 1.0 - eps)
     y = np.asarray(labels, dtype=np.float64)
-    pos = T.constant(beta * y) * T.log(f)
-    negt = T.constant(1.0 - y) * T.log(T.sub(1.0, f))
+    pos = Tensor(beta * y) * T.log(f)
+    negt = Tensor(1.0 - y) * T.log(T.sub(1.0, f))
     return T.neg(T.mean_all(pos + negt))
 
 
@@ -488,9 +486,9 @@ def init_dssm(rng: np.random.Generator, vocab_q: int, vocab_t: int,
         emb_q=init_embedding(rng, vocab_q, embed_dim),
         emb_t=init_embedding(rng, vocab_t, embed_dim),
         w1=_uniform(rng, 2 * embed_dim, k),
-        b1=Tensor(np.zeros(k), requires_grad=True),
+        b1=Tensor(np.zeros(k)),
         w2=_uniform(rng, k, 1),
-        b2=Tensor(np.zeros(1), requires_grad=True),
+        b2=Tensor(np.zeros(1)),
     )
 
 
@@ -499,7 +497,7 @@ def _mean_pool(emb: Tensor, ids: np.ndarray, lens: np.ndarray) -> Tensor:
     flat = T.lookup(emb, ids.reshape(-1))
     stack = T.reshape(flat, (bsz, width, emb.shape[1]))
     w = pad_mask(lens, width) / lens[:, None]
-    pooled = T.matmul(T.reshape(T.constant(w), (bsz, 1, width)), stack)
+    pooled = T.matmul(T.reshape(Tensor(w), (bsz, 1, width)), stack)
     return T.reshape(pooled, (bsz, emb.shape[1]))
 
 
@@ -532,7 +530,7 @@ def attention_heatmap(item_ids: list[int], query_ids: list[int],
 
 
 def normalize_heatmap(alpha: np.ndarray) -> np.ndarray:
-    """Min-max normalize each row to [0, 1]; constant rows become 1.0."""
+    """Min-max normalize each row to [0, 1]; a row of equal entries becomes 1.0."""
     out = np.empty_like(alpha, dtype=np.float64)
     for i, row in enumerate(alpha):
         lo, hi = row.min(), row.max()

@@ -170,8 +170,7 @@ def _tokens(text: str, flag: str, max_len: int) -> list[str]:
 def _load_tool_model(args, cfg, data, with_generator: bool):
     """The classifier, and the generator when asked, that a tool reads."""
     ckpt = args.checkpoint or P.CKPT_E2E
-    clf, ved = P.load_bundle(cfg, data, _run_dir(args), ckpt,
-                             need=P.WRITTEN_BY.get(ckpt, "train-e2e"))
+    clf, ved = P.load_bundle(cfg, data, _run_dir(args), ckpt, need="train-e2e")
     P.require(isinstance(clf, ClassifierParams), ckpt, "classifier")
     if with_generator:
         P.require(ved is not None, ckpt, "generator")

@@ -2,13 +2,14 @@
 
 The training schedule is: (1) pretrain the classifier on annotated data,
 (2) build (item, matched, mismatched) triples, (3) pretrain the generator
-decoder with the shared encoder frozen, (4) concatenate annotated and
+decoder with the shared encoder held fixed, (4) concatenate annotated and
 logs data, (5) switched end-to-end training.
 
-Each ``phase_*`` holds only its model, its data and the batch loss it
-hands to ``train.fit``; ``_phase`` does the rest for all of them, from
-the run dir to the checkpoint, the epoch records in ``metrics.jsonl``
-(one JSON line each, one schema for every phase) and the manifest entry.
+Each ``phase_*`` holds only its model, its data, the batch loss and the
+parameter map it hands to ``train.fit``, which is what the phase trains;
+``_phase`` does the rest for all of them, from the run dir to the
+checkpoint, the epoch records in ``metrics.jsonl`` (one JSON line each,
+one schema for every phase) and the manifest entry.
 ``load_bundle`` reads every checkpoint back, and refuses one whose
 manifest entry records other token ids than the data dir and config
 give (``DataBundle.ids``). Phases, evaluation and the CLI tools run
@@ -48,7 +49,7 @@ from .data import (DataError, Example, RawPair, TripleBatch, TripleExample, Voca
 from .e2e import e2e_batch_loss
 from .rng import RunRng
 from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, encode_distinct,
-                    evaluate_probs, fit, frozen)
+                    evaluate_probs, fit)
 from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
                   kl_weight_at, ved_loss_batch)
 
@@ -229,15 +230,17 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
 
     Returns the pooled baseline for ``dssm.`` arrays and the classifier
     otherwise, plus the generator when ``ved.`` arrays are present.
-    ``need`` is the command that writes the checkpoint. The ``ids`` that
-    the manifest entry of the checkpoint's own phase records must equal
-    ``data.ids``, or its token ids would silently mean other tokens or be
-    cut at other lengths; an entry without ``ids`` (older run dirs) and a
-    checkpoint no entry names are read unchecked.
+    A missing checkpoint names the command that writes it, ``need`` for a
+    name ``WRITTEN_BY`` lacks. The ``ids`` that the manifest entry of the
+    checkpoint's own phase records must equal ``data.ids``, or its token
+    ids would silently mean other tokens or be cut at other lengths; an
+    entry without ``ids`` (older run dirs) and a checkpoint no entry
+    names are read unchecked.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
-        raise PipelineError(f"missing checkpoint {path}; run `quarts {need}` first")
+        raise PipelineError(f"missing checkpoint {path}; run "
+                            f"`quarts {WRITTEN_BY.get(path.name, need)}` first")
     man = path.parent / "manifest.json"
     for entry in RunManifest.load(man).phases.values() if man.exists() else ():
         for key, value in (entry.get("ids") or {}).items():
@@ -283,25 +286,29 @@ def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
     """Encode each distinct title and matched query of ``triples`` once;
     returns the gather of a batch's ``EncodedBatch`` from that cache.
 
-    The shared encoder must be frozen: cached rows carry no gradient to it.
+    Cached rows carry no gradient to the shared encoder, so the gather
+    raises on a step that would train any encoder tensor.
     """
-    if any(t.requires_grad for name, t in clf.named().items()
-           if name.startswith(("clf.emb_", "clf.lstm_"))):
-        raise AssertionError("the VED cache needs a frozen shared encoder")
+    encoder = [t for name, t in clf.named().items()
+               if name.startswith(("clf.emb_", "clf.lstm_"))]
     titles = encode_distinct([t.item_ids for t in triples], clf.emb_t, clf.lstm_t,
                              EVAL_BATCH_SIZE)
     queries = encode_distinct([t.matched_query_ids for t in triples], clf.emb_q,
                               clf.lstm_q, EVAL_BATCH_SIZE)
-    return lambda batch: EncodedBatch(
-        *titles(batch.index, batch.item_ids.shape[1]),
-        *queries(batch.index, batch.query_ids.shape[1]),
-        batch.item_lens, batch.query_lens)
+
+    def gather(batch: TripleBatch) -> EncodedBatch:
+        if T.needs_grad(*encoder):
+            raise AssertionError("the VED cache cannot train the shared encoder")
+        return EncodedBatch(*titles(batch.index, batch.item_ids.shape[1]),
+                            *queries(batch.index, batch.query_ids.shape[1]),
+                            batch.item_lens, batch.query_lens)
+    return gather
 
 
 def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample],
              anneal_epochs: int, rng: RunRng):
-    """The VED loss on batches of ``triples`` at the epoch's KL weight, with
-    the shared encoder frozen (``triple_memory``); latent noise from ``rng``."""
+    """The VED loss on batches of ``triples`` at the epoch's KL weight, from
+    the encode-once cache (``triple_memory``); latent noise from ``rng``."""
     memory = triple_memory(clf, triples)
 
     def loss(batch, epoch):
@@ -355,10 +362,19 @@ def read_triples(run_dir) -> list[tuple[str, str, str]]:
 
 def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                        clf: ClassifierParams | None = None):
-    """Generator pretraining on the triples, with the shared encoder frozen:
-    the classifier arrays leave this phase bitwise unchanged, and each
-    distinct title and matched query is encoded once for the phase."""
+    """Generator pretraining on the triples: ``fit`` trains the generator
+    only, so the classifier arrays leave the phase bitwise unchanged, and
+    each distinct title and matched query is encoded once for the phase.
+    Triples whose manifest entry records another ``train.tsv`` hash than
+    the data dir's exit 2 (a run dir without that entry is not checked)."""
     with _phase(cfg, data, run_dir, "ved", CKPT_VED) as run:
+        man = run.dir / "manifest.json"
+        entry = RunManifest.load(man).phases.get("triples", {}) if man.exists() else {}
+        built_on = entry.get("data", {}).get("train.tsv", data.files["train.tsv"])
+        if built_on != data.files["train.tsv"]:
+            raise PipelineError(f"{run.dir / CKPT_TRIPLES} was built from a train.tsv hashed "
+                                f"{built_on}, this data dir's is hashed "
+                                f"{data.files['train.tsv']}; rerun `quarts build-triples`")
         if clf is None:
             clf, _ = load_bundle(cfg, data, run.dir, CKPT_CLASSIFIER,
                                  need="pretrain-classifier")
@@ -370,10 +386,9 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                                 "`quarts build-triples` on data that has some")
         rng = RunRng(cfg.seed, "ved")
         ved = new_ved(cfg, data, rng)
-        with frozen(clf.named()):
-            run.records = fit(clf, ved.named(),
-                              ved_loss(clf, ved, triples, cfg.kl_anneal_epochs, rng),
-                              triples, [], cfg, cfg.ved_lr, rng, cfg.ved_epochs, "ved")
+        run.records = fit(clf, ved.named(),
+                          ved_loss(clf, ved, triples, cfg.kl_anneal_epochs, rng),
+                          triples, [], cfg, cfg.ved_lr, rng, cfg.ved_epochs, "ved")
         run.params = {**clf.named(), **ved.named()}
     return ved, run.records
 
@@ -383,8 +398,9 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
                     ) -> tuple[ClassifierParams, VedParams, list[EpochRecord]]:
     """Switched training over the concatenated annotated + logs data.
 
-    Updates classifier and generator parameters together unless the
-    generator is frozen for ablation.
+    Updates classifier and generator parameters together; with
+    ``freeze_generator`` (an ablation) ``fit`` trains the classifier's
+    only, and the checkpoint holds the generator as loaded.
     """
     with _phase(cfg, data, run_dir, "e2e", CKPT_E2E) as run:
         ckpt = resume or CKPT_VED
@@ -396,11 +412,10 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
             value, s = e2e_batch_loss(clf, ved, batch, cfg.p, cfg.beta, rng)
             return value, {"switch": s}
 
-        # a frozen generator is no tape leaf, so Adam finds no gradient for it
         run.params = {**clf.named(), **ved.named()}
-        with frozen(ved.named() if freeze_generator else {}):
-            run.records = fit(clf, run.params, loss, data.merged_ex, data.val_ex, cfg,
-                              cfg.lr, rng, cfg.e2e_epochs, "e2e")
+        run.records = fit(clf, clf.named() if freeze_generator else run.params, loss,
+                          data.merged_ex, data.val_ex, cfg, cfg.lr, rng, cfg.e2e_epochs,
+                          "e2e")
     return clf, ved, run.records
 
 
@@ -510,8 +525,7 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
         examples = getattr(data, f"{split}_ex")
         if not examples:
             raise DataError(f"the {split} split is empty: nothing to evaluate")
-        model, ved = load_bundle(cfg, data, run_dir, ckpt,
-                                 need=WRITTEN_BY.get(ckpt, "train-e2e"))
+        model, ved = load_bundle(cfg, data, run_dir, ckpt, need="train-e2e")
         scores, labels = evaluate_probs(model, examples, EVAL_BATCH_SIZE)
 
         aupr = M.average_precision(scores, labels)

@@ -2,19 +2,22 @@
 
 Values are numpy arrays, float32 by default for training speed. Gradient
 checking runs the engine in float64 (``with using_dtype(np.float64)``).
-Operations record backward rules onto the active ``Tape``; with no tape
-active they are plain forward computations, which is how evaluation runs.
+A ``Tape`` is opened on the parameters a step differentiates, its
+leaves. A tensor is tracked while it is registered on the current tape,
+as a leaf or as an output of a recorded op; an op with a tracked input
+records its backward rule there, and any other op is a plain forward
+computation, which is how evaluation runs.
 
-Every op goes through ``record``: it wraps the forward result and, when a
-tape is active and an input is tracked on it, appends one record holding
-the backward rule. A rule computes what only the backward pass needs,
-such as a local derivative, when it runs, so an op that is not recorded
-does no backward work. Fused ops (the LSTM scan, word-by-word attention)
-run a whole recurrence in plain numpy and record it once; a record may
-have several outputs, whose rule then receives one gradient per output
-(None for an output nothing differentiated). Fused ops ask ``needs_grad``
-first and keep no backward cache when nothing will be recorded, which is
-the no-grad path of evaluation and beam search.
+Every op goes through ``record``: it wraps the forward result and, when
+an input is tracked, appends one record holding the backward rule. A
+rule computes what only the backward pass needs, such as a local
+derivative, when it runs, so an op that is not recorded does no backward
+work. Fused ops (the LSTM scan, word-by-word attention) run a whole
+recurrence in plain numpy and record it once; a record may have several
+outputs, whose rule then receives one gradient per output (None for an
+output nothing differentiated). Fused ops ask ``needs_grad`` first and
+keep no backward cache when nothing will be recorded, which is the
+no-grad path of evaluation and beam search.
 
 The engine keeps only the forms the model runs:
 
@@ -29,16 +32,16 @@ spelled as functions (``sub``, ``scale``, ``neg``). ``lookup``'s backward
 assigns the gathered rows' gradients when no id repeats and scatter-adds
 them otherwise.
 
-``Tape.backward`` returns the gradients as a map from each tracked leaf
-the loss reached to its gradient; no tensor stores one. Tensors are
-immutable values once created (the optimizer mutates leaf parameter
-storage between tapes, never inside one). A Tape is single-owner and must
-not be shared across threads.
+``Tape.backward`` returns the gradients as a map from each leaf the loss
+reached to its gradient; no tensor stores one. Tensors are immutable
+values once created (the optimizer mutates leaf parameter storage
+between tapes, never inside one). A Tape is single-owner and must not be
+shared across threads.
 """
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,15 +76,14 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """A dense array value; with ``requires_grad`` it is a leaf of every
-    tape that uses it. Hashed by identity, so it keys the gradient map
-    ``Tape.backward`` returns."""
+    """A dense array value in the engine dtype, tracked while it is
+    registered on the current tape. Hashed by identity, so it keys the
+    gradient map ``Tape.backward`` returns."""
 
-    __slots__ = ("data", "requires_grad", "node_id", "_tape")
+    __slots__ = ("data", "node_id", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        self.requires_grad = requires_grad
         self.node_id: int | None = None
         self._tape: "Tape | None" = None
 
@@ -89,7 +91,6 @@ class Tensor:
     def _wrap(arr: np.ndarray) -> "Tensor":
         t = Tensor.__new__(Tensor)
         t.data = arr
-        t.requires_grad = False
         t.node_id = None
         t._tape = None
         return t
@@ -110,9 +111,9 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
-    # the operators model code writes; scalars become untracked constants
+    # the operators model code writes; scalars become untracked tensors
     def __add__(self, other):
         return add(self, other)
 
@@ -126,20 +127,21 @@ class Tensor:
 class Tape:
     """Ordered record of operations supporting one reverse sweep.
 
-    Records are appended in creation order, which is a topological order
-    by construction. ``backward`` walks them once in reverse. Leaving the
-    ``with`` block drops the records and detaches the parameters, so the
-    step's cached activations are freed there, even while its loss lives
-    on. A record's output is one node id, or a tuple of ids for a
-    multi-output op.
+    ``Tape(params)`` registers ``params``, the tensors a step
+    differentiates, as its only leaves. Records are appended in creation
+    order, which is a topological order by construction. ``backward``
+    walks them once in reverse. Leaving the ``with`` block drops the
+    records and detaches the leaves, so the step's cached activations are
+    freed there, even while its loss lives on. A record's output is one
+    node id, or a tuple of ids for a multi-output op.
     """
 
     _stack: list["Tape"] = []
 
-    def __init__(self):
+    def __init__(self, params: Iterable[Tensor]):
         self._records: list[tuple[int | tuple, tuple, Callable]] = []
-        self._leaves: dict[int, Tensor] = {}
         self._next_id = 0
+        self._leaves: dict[int, Tensor] = {self._register(p): p for p in params}
 
     @staticmethod
     def current() -> "Tape | None":
@@ -163,18 +165,12 @@ class Tape:
         return len(self._records)
 
     def _register(self, t: Tensor) -> int:
-        if t._tape is self and t.node_id is not None:
-            return t.node_id
-        nid = self._next_id
+        t.node_id, t._tape = self._next_id, self
         self._next_id += 1
-        t.node_id = nid
-        t._tape = self
-        if t.requires_grad:
-            self._leaves[nid] = t
-        return nid
+        return t.node_id
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """d(loss)/d(leaf) for every tracked leaf the loss reached, by leaf.
+        """d(loss)/d(leaf) for every leaf the loss reached, by leaf.
 
         A leaf the loss does not depend on is absent from the map.
         """
@@ -204,11 +200,12 @@ class Tape:
 
 
 def _tracked(t: Tensor | None, tape: Tape) -> bool:
-    return t is not None and (t.requires_grad or t._tape is tape)
+    return t is not None and t._tape is tape
 
 
 def needs_grad(*inputs: Tensor | None) -> bool:
-    """Whether an op on ``inputs`` would be recorded (None inputs ignored).
+    """Whether an op on ``inputs`` would be recorded: whether one of them
+    is registered on the current tape (None inputs ignored).
 
     Fused ops check this before their forward pass, so that without a
     tape they keep nothing for a backward pass that will not run.
@@ -221,7 +218,7 @@ def record(out_data, inputs: Sequence[Tensor | None], rule: Callable):
     """Wrap a forward result, recording the backward rule if needed.
 
     ``rule(g)`` returns one gradient (or None) per entry of ``inputs``;
-    None inputs are untracked constants, and ``rule`` may be None when
+    None inputs are untracked, and ``rule`` may be None when
     ``needs_grad(*inputs)`` is false. ``out_data`` may be a tuple of
     arrays: the op then returns a tuple of tensors and ``rule`` receives a
     tuple of gradients, None where an output received none.
@@ -230,15 +227,10 @@ def record(out_data, inputs: Sequence[Tensor | None], rule: Callable):
     out = tuple(map(Tensor._wrap, out_data)) if multi else Tensor._wrap(out_data)
     tape = Tape.current()
     if tape is not None and any(_tracked(t, tape) for t in inputs):
-        in_ids = tuple(tape._register(t) if _tracked(t, tape) else None for t in inputs)
+        in_ids = tuple(t.node_id if _tracked(t, tape) else None for t in inputs)
         out_id = tuple(map(tape._register, out)) if multi else tape._register(out)
         tape._records.append((out_id, in_ids, rule))
     return out
-
-
-def constant(data) -> Tensor:
-    """An untracked tensor in the engine dtype."""
-    return Tensor(data, requires_grad=False)
 
 
 def zeros(shape) -> Tensor:
@@ -246,9 +238,7 @@ def zeros(shape) -> Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return constant(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -12,16 +12,19 @@ Evaluation scores a ``classifier.EncodedBatch`` per batch, gathered in
 part from the encode-once cache (``encode_distinct``) that VED
 pretraining gathers its records from too.
 
-All loops are single-threaded and deterministic given a RunRng. A step's
+All loops are single-threaded and deterministic given a RunRng. The
+parameter map a phase hands ``fit`` is the one statement of what it
+trains: each step opens its tape on exactly those tensors, so any other
+tensor (a classifier held fixed while the generator pretrains, a
+generator held fixed for ablation) is untracked by the step. A step's
 gradients are the map its tape's backward pass returns; ``fit`` hands it
 to Adam once the tape is closed and drops it with the step.
 """
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -147,7 +150,8 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
         cfg: RunConfig, lr: float, rng: RunRng, epochs: int, phase: str,
         ) -> list[EpochRecord]:
     """Adam on ``named`` at rate ``lr`` over shuffled batches, one record
-    per epoch; ``cfg`` gives the batch size and the rate's decay.
+    per epoch; ``cfg`` gives the batch size and the rate's decay. Each
+    step differentiates ``named`` and nothing else.
 
     ``loss_fn(batch, epoch)`` returns (loss, stats), the batch's stats by
     name (see ``_epoch_stats``). When there are val examples, each epoch
@@ -160,7 +164,7 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
             opt.decay_lr(cfg.decay_factor)
         losses, stats = [], {}
         for batch in batches(train_ex, cfg.batch_size, rng.shuffle):
-            with Tape() as tape:
+            with Tape(named.values()) as tape:
                 loss, batch_stats = loss_fn(batch, epoch)
                 grads = tape.backward(loss)
             opt.step(grads)
@@ -181,14 +185,3 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
             f"{k}={v:.4f}" for k, v in rec.to_json().items() if k not in ("epoch", "split")))
     return records
 
-
-@contextmanager
-def frozen(params: dict[str, Tensor]) -> Iterator[None]:
-    """Mark ``params`` untracked for the block, so no step can change them."""
-    for p in params.values():
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p in params.values():
-            p.requires_grad = True

@@ -23,9 +23,10 @@ The generator reads the shared encoder's ``classifier.EncodedBatch``
 through one entry, ``decoder_start``: the attention memory U and its
 mask, the latent (z, mu, logvar) and the decoder's initial state h0 all
 come from there, for the VED loss, ``hgen`` and beam search. VED training
-takes each batch's record as an argument: the shared encoder is frozen
-then, so the pipeline encodes each distinct title and matched query
-once per phase and gathers a batch's record from that cache.
+takes each batch's record as an argument: the phase trains only the
+generator's parameters, so the shared encoder holds still, and the
+pipeline encodes each distinct title and matched query once per phase
+and gathers a batch's record from that cache.
 
 The generator's parameters are named ``ved.<field path>`` by walking
 ``VedParams``' fields (``classifier.Params``): ``ved.lat.*`` for the
@@ -86,15 +87,15 @@ class VedParams(Params):
 def init_ved(rng: np.random.Generator, k: int, embed_dim: int, d_z: int,
              vocab_q: int) -> VedParams:
     latent = LatentParams(
-        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z), requires_grad=True),
-        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z), requires_grad=True),
-        _uniform(rng, d_z, k), Tensor(np.zeros(k), requires_grad=True))
+        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
+        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
+        _uniform(rng, d_z, k), Tensor(np.zeros(k)))
     dec = DecoderParams(
         lstm=init_lstm(rng, embed_dim + d_z, k),
         w_a=_uniform(rng, k, k),
         w_c=_uniform(rng, 2 * k, k),
         w_v=_uniform(rng, k, vocab_q),
-        b_v=Tensor(np.zeros(vocab_q), requires_grad=True))
+        b_v=Tensor(np.zeros(vocab_q)))
     return VedParams(latent, dec)
 
 
@@ -160,7 +161,7 @@ def decoder_start(enc: EncodedBatch, ved: VedParams, eps: np.ndarray) -> _Decode
     c = T.concat([enc.title_final, enc.query_final], axis=1)
     mu = T.matmul(c, lat.w_mu) + lat.b_mu
     logvar = T.clamp(T.matmul(c, lat.w_logvar) + lat.b_logvar, LOGVAR_MIN, LOGVAR_MAX)
-    z = mu + T.exp(T.scale(logvar, 0.5)) * T.constant(eps)
+    z = mu + T.exp(T.scale(logvar, 0.5)) * Tensor(eps)
     return _DecoderStart(u, ((1.0 - real) * _MASK_NEG).astype(u.data.dtype), z, mu, logvar,
                          T.tanh(T.matmul(z, lat.w_init) + lat.b_init))
 
@@ -329,7 +330,7 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
     weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
-    nll = T.neg(T.sum_axis(picked * T.constant(weight)))
+    nll = T.neg(T.sum_axis(picked * Tensor(weight)))
     kl = kl_divergence(start.mu, start.logvar)
     loss = nll + T.scale(kl, kl_weight)
     return loss, float(nll.data), float(kl.data)

@@ -4,7 +4,7 @@ gradcheck suite that ``test_tensor.py`` runs over every op and model loss.
 The whole suite runs in float64; checking in float32 is meaningless at
 eps=1e-5 and is rejected. Functions under check must be pure and
 deterministic: anything stochastic (dropout masks, latent noise) has to
-be frozen by the caller before checking.
+be pinned by the caller before checking.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     if T.get_default_dtype() is not np.float64:
         raise RuntimeError("grad_check requires the engine in float64 mode")
     steps = (eps,) if isinstance(eps, float) else tuple(eps)
-    with Tape() as tape:
+    with Tape(params) as tape:
         grads = tape.backward(f())
 
     worst = 0.0
@@ -79,8 +79,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
 
 
 def _p(rng, *shape) -> Tensor:
-    t = Tensor(rng.uniform(-0.9, 0.9, size=shape), requires_grad=True)
-    return t
+    return Tensor(rng.uniform(-0.9, 0.9, size=shape))
 
 
 def op_checks(seed: int = 0) -> list[tuple[str, float]]:
@@ -114,8 +113,7 @@ def op_checks(seed: int = 0) -> list[tuple[str, float]]:
     run("exp", [x], lambda: T.mean_all(T.exp(x)))
 
     # keep abs and clamp away from their kinks
-    xa = Tensor(rng.uniform(0.2, 0.9, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4)),
-                requires_grad=True)
+    xa = Tensor(rng.uniform(0.2, 0.9, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4)))
     run("abs", [xa], lambda: T.mean_all(T.absval(xa)))
     run("clamp_interior", [x], lambda: T.mean_all(T.clamp(x, -5.0, 5.0)))
 
@@ -173,11 +171,11 @@ def op_checks(seed: int = 0) -> list[tuple[str, float]]:
 
 
 def _const(rng, *shape):
-    return T.constant(rng.uniform(-1, 1, size=shape))
+    return Tensor(rng.uniform(-1, 1, size=shape))
 
 
 def _const_row(rng, n):
-    return T.constant(rng.uniform(-1, 1, size=(n,)))
+    return Tensor(rng.uniform(-1, 1, size=(n,)))
 
 
 def model_checks(seed: int = 0) -> list[tuple[str, float]]:

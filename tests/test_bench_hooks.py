@@ -56,7 +56,7 @@ def test_hooks_count_and_check_a_traced_round(monkeypatch):
     inst = spans.Instrumentation(checks, rec)
     try:
         assert inst.absent == []
-        with Tape() as tape:
+        with Tape([*clf.named().values(), *ved.named().values()]) as tape:
             loss, _ = E.e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(0, "finetune"))
             tape.backward(loss)
         V.beam_generate([4, 5, 6], [7, 8], clf, ved, beam=2, max_len=4)

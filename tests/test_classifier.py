@@ -6,7 +6,9 @@ from gradcheck import MODEL_EPS, grad_check
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import train as TR
+from quarts.config import desk_profile
 from quarts.data import PAD, Batch, Example, batches, make_batch, pad_matrix
+from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
 from quarts.train import evaluate_probs
 
@@ -107,10 +109,10 @@ class TestAttention:
         rng = np.random.default_rng(7)
         k = 3
         attn = C.AttentionParams(
-            Tensor(rng.normal(scale=0.3, size=(3 * k, k)), requires_grad=True),
-            Tensor(rng.normal(scale=0.3, size=(k,)), requires_grad=True),
-            Tensor(rng.normal(scale=0.3, size=(k, k)), requires_grad=True),
-            Tensor(rng.normal(scale=0.3, size=(k, 3 * k)), requires_grad=True))
+            Tensor(rng.normal(scale=0.3, size=(3 * k, k))),
+            Tensor(rng.normal(scale=0.3, size=(k,))),
+            Tensor(rng.normal(scale=0.3, size=(k, k))),
+            Tensor(rng.normal(scale=0.3, size=(k, 3 * k))))
         K = Tensor(rng.normal(size=(k, 4)))
         H = Tensor(rng.normal(size=(k, 2)))
 
@@ -135,7 +137,7 @@ class TestAttention:
 class TestCombine:
     def test_equal_inputs_zero_third_block(self, f64):
         k = 3
-        w_x = Tensor(np.eye(k, 3 * k), requires_grad=False)
+        w_x = Tensor(np.eye(k, 3 * k))
         r = Tensor(np.array([[0.3, -0.2, 0.5]]))
         h = C.combine(r, r, w_x)
         np.testing.assert_allclose(h.data, np.tanh(r.data), atol=1e-12)
@@ -148,9 +150,9 @@ class TestCombine:
 
     def test_gradient_through_absolute_difference(self, f64):
         rng = np.random.default_rng(5)
-        w_x = Tensor(rng.normal(scale=0.3, size=(3, 9)), requires_grad=True)
-        r = Tensor(rng.normal(size=(1, 3)) + 2.0, requires_grad=True)  # away from ties
-        q = Tensor(rng.normal(size=(1, 3)) - 2.0, requires_grad=True)
+        w_x = Tensor(rng.normal(scale=0.3, size=(3, 9)))
+        r = Tensor(rng.normal(size=(1, 3)) + 2.0)  # away from ties
+        q = Tensor(rng.normal(size=(1, 3)) - 2.0)
         err = grad_check(lambda: T.sum_axis(C.combine(r, q, w_x)), [w_x, r, q])
         assert err < 1e-4
 
@@ -223,11 +225,29 @@ class TestTape:
             queries[:, :2] = [[5, 6], [7, PAD]]
             batch = Batch(items, np.array([3, 2]), queries, np.array([2, 1]),
                           np.array([0.0, 1.0]))
-            with Tape() as tape:
+            with Tape(p.named().values()) as tape:
                 C.classifier_batch_loss(p, batch, 5.0, np.random.default_rng(0))
                 return len(tape)
 
         assert records(3) == records(12)
+
+    def test_every_parameter_in_the_map_trains(self):
+        """A step trains the map ``fit`` is given: a parameter built as a
+        plain tensor, with no mark of its own, trains like every other."""
+        p = tiny_classifier(seed=13, dropout=0.1)
+        p.head.b1 = Tensor(np.zeros(4))
+        rng = np.random.default_rng(13)
+        examples = [Example([int(t) for t in rng.integers(4, 9, size=3)],
+                            [int(t) for t in rng.integers(4, 9, size=2)], i % 2)
+                    for i in range(16)]
+        before = {name: t.data.copy() for name, t in p.named().items()}
+        run_rng = RunRng(0, "classifier")
+        TR.fit(p, p.named(),
+               lambda b, epoch: (C.classifier_batch_loss(p, b, 5.0, run_rng.dropout), {}),
+               examples, [], desk_profile(batch_size=8), 1e-2, run_rng, 2, "classifier")
+        assert len(before) == 16
+        assert [name for name, t in p.named().items()
+                if np.array_equal(t.data, before[name])] == []
 
 
 class TestWeightedCE:
@@ -281,7 +301,7 @@ class TestDssm:
         batch = Batch(np.array([[4, 5], [6, PAD]]), np.array([2, 1]),
                       np.array([[7], [8]]), np.array([1, 1]),
                       np.array([0.0, 1.0]))
-        with Tape() as tape:
+        with Tape(p.named().values()) as tape:
             loss = C.dssm_batch_loss(p, batch, beta=5.0)
             tape.backward(loss)
         assert np.isfinite(loss.item())

@@ -201,6 +201,18 @@ class TestPhases:
         assert code == 2
         assert "pretrain-ved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, command", [
+        (["train-baseline", "--kind", "augment", "--resume", P.CKPT_VED], "pretrain-ved"),
+        (["train-e2e", "--resume", P.CKPT_CLASSIFIER], "pretrain-classifier"),
+    ], ids=["augment", "e2e"])
+    def test_missing_resume_checkpoint_names_its_writer(self, workspace, tmp_path, capsys,
+                                                        argv, command):
+        root, data, _, _ = workspace
+        code = main(argv + ["--data-dir", str(data), "--run-dir", str(tmp_path / "run"),
+                            "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert f"run `quarts {command}` first" in capsys.readouterr().err
+
     def test_p_zero_equals_resumed_augment(self, workspace):
         # at p=0 the switch never fires, so switched training is the
         # classifier loss on the same streams and leaves the generator as is
@@ -262,7 +274,7 @@ class TestPhases:
 
     def test_ved_phase_writes_epochs_to_metrics(self, workspace, monkeypatch):
         # the VED epochs go to metrics.jsonl like every other phase's, with
-        # no val pass, and the frozen encoder leaves the classifier as is
+        # no val pass, and the classifier, which the phase does not train, stays as is
         root, data_dir, _, _ = workspace
         cfg = load_config(root / "tiny.cfg", base=desk_profile()).replace(
             ved_epochs=3, kl_anneal_epochs=4)
@@ -464,6 +476,30 @@ class TestPhases:
         assert main(evaluate + ["--data-dir", str(copy)]) == 2
         assert "vocab_q = " in capsys.readouterr().err
         assert main(evaluate + ["--data-dir", str(data)]) == 0
+
+    def test_triples_from_another_train_split_refused(self, workspace, tmp_path, capsys):
+        """pretrain-ved refuses triples that build-triples made from another
+        train split, naming both train.tsv hashes; a run dir whose manifest
+        has no triples entry is read unchecked."""
+        root, data, run, _ = workspace
+        half, run_copy = tmp_path / "half", tmp_path / "run"
+        shutil.copytree(data, half)
+        lines = (half / "train.tsv").read_text().splitlines(keepends=True)
+        (half / "train.tsv").write_text("".join(lines[:len(lines) // 2]))
+        shutil.copytree(run, run_copy)
+        (run_copy / P.CKPT_VED).unlink()
+        cfg = ["--run-dir", str(run_copy), "--config", str(root / "tiny.cfg")]
+        assert main(["build-triples", "--data-dir", str(half)] + cfg) == 0
+        capsys.readouterr()
+        assert main(["pretrain-ved", "--data-dir", str(data)] + cfg) == 2
+        err = capsys.readouterr().err
+        assert "build-triples" in err
+        assert file_sha256(half / "train.tsv") in err and file_sha256(data / "train.tsv") in err
+        assert not (run_copy / P.CKPT_VED).exists()
+        man = json.loads((run_copy / "manifest.json").read_text())
+        del man["phases"]["triples"]
+        (run_copy / "manifest.json").write_text(json.dumps(man))
+        assert main(["pretrain-ved", "--data-dir", str(data)] + cfg) == 0
 
     def test_empty_triples_fails_before_writing(self, workspace, tmp_path, capsys):
         root, data, run, _ = workspace

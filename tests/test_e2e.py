@@ -11,7 +11,6 @@ from quarts.e2e import e2e_batch_loss, sample_switches
 from quarts.pipeline import ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape
-from quarts.train import frozen
 from quarts.ved import encode_pair_batch, init_ved, ved_loss_batch
 
 
@@ -93,7 +92,7 @@ class TestE2ELoss:
             clf, ved = models(dropout=0.0)
             batch = toy_batch([0, 0])
             rng = RunRng(9, "finetune")
-            with Tape() as tape:
+            with Tape([*clf.named().values(), *ved.named().values()]) as tape:
                 loss, s = e2e_batch_loss(clf, ved, batch, p=1.0, beta=5.0, rng=rng)
                 grads = tape.backward(loss)
             assert s.sum() == 2
@@ -132,8 +131,7 @@ def test_latent_draws_match_a_plain_generator():
     rng = RunRng(5, "finetune")
     triples = [TripleExample([4, 5], [6], [7, 8]), TripleExample([5, 6, 7], [8], [4]),
                TripleExample([6], [7, 8], [5])]
-    with frozen(clf.named()):
-        ved_loss(clf, ved, triples, 5, rng)(make_triple_batch(triples), 0)
+    ved_loss(clf, ved, triples, 5, rng)(make_triple_batch(triples), 0)
     _, s = e2e_batch_loss(clf, ved, toy_batch([0, 1, 0, 0, 1]), 1.0, 5.0, rng)
     assert s.sum() == 3
     plain = RunRng(5, "finetune").latent
@@ -164,7 +162,7 @@ def test_tape_freed_when_block_ends():
     gc.disable()
     try:
         for step in steps:
-            with Tape() as tape:
+            with Tape([*clf.named().values(), *ved.named().values()]) as tape:
                 loss = step(RunRng(0, "finetune"))
                 tape.backward(loss)
             ref = weakref.ref(tape)

@@ -5,8 +5,8 @@ the one-pass switched loss, must give the forward values and the
 gradients of ``tests/unfused.py`` within a relative 1e-10 (of each
 array's largest magnitude); only the order of floating-point operations
 differs between the two. The decoder scan's two modes are also held to
-each other bit for bit, and freezing its embedding and memory inputs must
-leave every other gradient bit for bit unchanged.
+each other bit for bit, and leaving its embedding and memory inputs off
+the tape must leave every other gradient bit for bit unchanged.
 """
 import pytest
 
@@ -19,8 +19,7 @@ from quarts import ved as V
 from quarts.data import BOS, PAD, Batch, TripleExample, make_triple_batch, pad_mask
 from quarts.e2e import e2e_batch_loss
 from quarts.rng import RunRng
-from quarts.tensor import Tape
-from quarts.train import frozen
+from quarts.tensor import Tape, Tensor
 
 RTOL = 1e-10
 
@@ -32,7 +31,7 @@ def close(got, want):
 
 
 def value_and_grads(f, params):
-    with Tape() as tape:
+    with Tape(params) as tape:
         out = f()
         grads = tape.backward(out)
     return out.item(), [grads.get(p) for p in params]
@@ -78,8 +77,8 @@ def test_encoder_matches_unfused(f64):
         clf, _, rng = models()
         real = pad_mask(lens, ids.shape[1])
         # only real columns are weighted: past each length the two differ by design
-        w_states = T.constant(rng.normal(size=ids.shape + (4,)) * real[:, :, None])
-        w_final = T.constant(rng.normal(size=(len(ids), 4)))
+        w_states = Tensor(rng.normal(size=ids.shape + (4,)) * real[:, :, None])
+        w_final = Tensor(rng.normal(size=(len(ids), 4)))
         outputs = []
 
         def loss(encode):
@@ -97,7 +96,7 @@ def test_encoder_matches_unfused(f64):
 def test_attention_matches_unfused(f64):
     for (items, item_lens), (queries, query_lens) in zip(RAGGED_TITLES, RAGGED_QUERIES):
         clf, _, rng = models(seed=1)
-        w_r = T.constant(rng.normal(size=(len(items), 4)))
+        w_r = Tensor(rng.normal(size=(len(items), 4)))
 
         def run(attend):
             ks, _ = C.encode_batch(items, item_lens, clf.emb_t, clf.lstm_t)
@@ -130,7 +129,7 @@ def test_no_padded_step_runs(monkeypatch):
 
     monkeypatch.setattr(C, "lstm_cell", counted(C.lstm_cell))
     monkeypatch.setattr(C, "attention_step", counted(C.attention_step))
-    with Tape():
+    with Tape(clf.named().values()):
         ks, _ = C.encode_batch(items, item_lens, clf.emb_t, clf.lstm_t)
         assert sum(stepped) == item_lens.sum()
         hs, _ = C.encode_batch(queries, query_lens, clf.emb_q, clf.lstm_q)
@@ -179,9 +178,9 @@ def test_decode_step_matches_unfused(f64):
 def test_hgen_matches_unfused(f64):
     clf, ved, rng = models(seed=4)
     steps = np.array([2, 3, 1])
-    on = T.constant(np.repeat(pad_mask(steps, 3)[:, :, None], 4, axis=2))
-    w_states = T.constant(rng.normal(size=(3, 3, 4)))
-    w_final = T.constant(rng.normal(size=(3, 4)))
+    on = Tensor(np.repeat(pad_mask(steps, 3)[:, :, None], 4, axis=2))
+    w_states = Tensor(rng.normal(size=(3, 3, 4)))
+    w_final = Tensor(rng.normal(size=(3, 4)))
 
     def loss(states, final):
         return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
@@ -202,7 +201,7 @@ def test_hgen_records_independent_of_length():
     enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
     added = []
     for steps in (np.array([2, 1, 2]), np.array([7, 3, 5])):
-        with Tape() as tape:
+        with Tape([*clf.named().values(), *ved.named().values()]) as tape:
             before = len(tape)
             V.hgen_forward_batch(clf, ved, enc, steps, np.zeros((3, 3)))
             added.append(len(tape) - before)
@@ -253,19 +252,18 @@ def test_scan_frozen_inputs_leave_other_gradients(forced):
     clf, ved, rng = models(seed=8)
     steps = np.array([3, 1, 2])
     prev = np.array([[BOS, 5, 6], [BOS, PAD, PAD], [BOS, 7, PAD]]) if forced else None
-    w_states = T.constant(rng.normal(size=(3, 3, 4)))
+    w_states = Tensor(rng.normal(size=(3, 3, 4)))
 
-    def grads():
-        with Tape() as tape:
+    def grads(params):
+        with Tape(params) as tape:
             states, final = V._decoder_scan(clf.emb_q, ved, scan_start(clf, ved), steps,
                                             prev)
             return tape.backward(T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final))
 
-    tracked = grads()
+    tracked = grads([*clf.named().values(), *ved.named().values()])
     # the tracked run reaches the embedding, and the title encoder through U
     assert clf.emb_q in tracked and clf.lstm_t.wx in tracked
-    with frozen(clf.named()):
-        untracked = grads()
+    untracked = grads(ved.named().values())
     assert clf.emb_q not in untracked and clf.lstm_t.wx not in untracked
     for name, p in ved.named().items():
         assert (p in tracked) == (p in untracked), name
@@ -288,8 +286,8 @@ def test_packed_scan_matches_unfused_on_ragged_steps(f64, forced):
     clf, ved, rng = models(seed=9)
     prev = PREV5 if forced else None
     eps = rng.standard_normal((5, 3))
-    w_states = T.constant(rng.normal(size=(5, 4, 4)))
-    w_final = T.constant(rng.normal(size=(5, 4)))
+    w_states = Tensor(rng.normal(size=(5, 4, 4)))
+    w_final = Tensor(rng.normal(size=(5, 4)))
     outputs = []
 
     def loss(scan):

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every public top-level function and class of the package is read
-somewhere outside the tests, and the package writes files in place only
-where it must."""
+somewhere outside the tests, the package writes files in place only
+where it must, and one function decides what a training step trains."""
 import ast
 from pathlib import Path
 
@@ -76,30 +76,32 @@ def test_scanner_flags_an_unread_definition():
     assert {"used", "knn", "attr_read"} <= read and "unused" not in read
 
 
+def calls(source: str):
+    """Each call by a bare or attribute name, as (call node, the name it
+    calls, the function it is in or ``<module>``), in source order."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            yield node, getattr(node.func, "id", None) or node.func.attr, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    return visit(ast.parse(source), "<module>")
+
+
 def plain_writers(source: str) -> list[str]:
     """Each call that writes a file in place, as ``function:call``: ``open``
     (or ``path.open``) with a writing mode or a mode that is not a literal,
     and ``write_text``/``write_bytes``. ``open`` without a mode reads."""
     found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-            bare = isinstance(node.func, ast.Name)
-            name = node.func.id if bare else node.func.attr
-            pos = 1 if bare else 0      # open(path, mode) or path.open(mode)
-            modes = node.args[pos:pos + 1] + [k.value for k in node.keywords
-                                               if k.arg == "mode"]
-            reads = not modes or (isinstance(modes[0], ast.Constant)
-                                  and isinstance(modes[0].value, str)
-                                  and not set(modes[0].value) & set("wax+"))
-            if name in ("write_text", "write_bytes") or (name == "open" and not reads):
-                found.append(f"{where}:{name}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
+    for node, name, where in calls(source):
+        pos = 1 if isinstance(node.func, ast.Name) else 0   # open(path, mode), p.open(mode)
+        modes = node.args[pos:pos + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        reads = not modes or (isinstance(modes[0], ast.Constant)
+                              and isinstance(modes[0].value, str)
+                              and not set(modes[0].value) & set("wax+"))
+        if name in ("write_text", "write_bytes") or (name == "open" and not reads):
+            found.append(f"{where}:{name}")
     return found
 
 
@@ -130,3 +132,36 @@ def test_scanner_finds_plain_writers():
               "open('q', 'r+')\n")
     assert plain_writers(source) == ["f:open", "f:open", "f:open", "f:write_text",
                                      "g:write_bytes", "<module>:open"]
+
+
+def tape_builders(source: str) -> list[str]:
+    """The functions that construct a ``Tape`` (``Tape(...)``, ``T.Tape(...)``)."""
+    return [where for _, name, where in calls(source) if name == "Tape"]
+
+
+def requires_grad_lines(source: str) -> list[int]:
+    """Lines that read or write a ``requires_grad`` attribute, or pass one
+    as a keyword."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Attribute) and n.attr == "requires_grad"
+                   or isinstance(n, ast.keyword) and n.arg == "requires_grad"})
+
+
+def test_fit_alone_decides_what_trains():
+    """A step's tape is opened on the parameter map ``fit`` is given, and
+    nowhere else; no tensor carries a mark of its own that says it trains."""
+    builders = sorted(f"{p.name}:{w}" for p in SRC
+                      for w in tape_builders(p.read_text(encoding="utf-8")))
+    assert builders == ["train.py:fit"]
+    flags = {p.name: lines for p in SRC
+             if (lines := requires_grad_lines(p.read_text(encoding="utf-8")))}
+    assert flags == {}
+
+
+def test_scanner_finds_tapes_and_trainability_flags():
+    source = ("def fit(ps):\n    with Tape(ps) as tape:\n        pass\n"
+              "def other():\n    T.Tape([])\n    Taped()\n    tape = T.Tape\n"
+              "x.requires_grad = True\nif y.requires_grad:\n    pass\n"
+              "Tensor(0, requires_grad=False)\nrequires_grad = 1\n")
+    assert tape_builders(source) == ["fit", "other"]
+    assert requires_grad_lines(source) == [8, 9, 11]

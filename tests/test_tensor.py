@@ -25,8 +25,8 @@ class TestMatmul:
 
     def test_gradient_matches_finite_differences(self, f64):
         rng = np.random.default_rng(3)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
         err = grad_check(lambda: T.sum_axis(T.matmul(a, b)), [a, b])
         assert err < 1e-4
 
@@ -54,8 +54,8 @@ def test_tensor_defines_only_the_operators_the_model_writes():
 
 class TestElementwise:
     def test_tanh_zero(self, f64):
-        x = Tensor([0.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([0.0])
+        with Tape([x]) as tape:
             y = T.tanh(x)
             grads = tape.backward(T.sum_axis(y))
         assert y.item() == 0.0
@@ -81,15 +81,15 @@ class TestElementwise:
         assert 0.70 < kept.mean() < 0.80
 
     def test_abs_backward_sign_zero(self, f64):
-        x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([-2.0, 0.0, 3.0])
+        with Tape([x]) as tape:
             grads = tape.backward(T.sum_axis(T.absval(x)))
         np.testing.assert_array_equal(grads[x], [-1.0, 0.0, 1.0])
 
     def test_row_broadcast_backward_sums(self, f64):
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        b = Tensor([1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(np.ones((3, 2)))
+        b = Tensor([1.0, 2.0])
+        with Tape([x, b]) as tape:
             grads = tape.backward(T.sum_axis(T.add(x, b)))
         np.testing.assert_array_equal(grads[b], [3.0, 3.0])
 
@@ -116,8 +116,8 @@ class TestSoftmax:
 
     def test_gradient(self, f64):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.uniform(-0.9, 0.9, size=(3, 4)), requires_grad=True)
-        row = T.constant(rng.uniform(-0.9, 0.9, size=4))
+        x = Tensor(rng.uniform(-0.9, 0.9, size=(3, 4)))
+        row = Tensor(rng.uniform(-0.9, 0.9, size=4))
         assert grad_check(lambda: T.mean_all(T.mul(U.softmax_rows(x), row)), [x]) < 1e-4
 
 
@@ -135,8 +135,7 @@ class TestStructuralOps:
         np.testing.assert_array_equal(back.data, a.data)
 
     def test_slice_axis_gradient(self, f64):
-        x = Tensor(np.random.default_rng(0).uniform(-0.9, 0.9, size=(3, 4)),
-                   requires_grad=True)
+        x = Tensor(np.random.default_rng(0).uniform(-0.9, 0.9, size=(3, 4)))
         assert grad_check(lambda: T.mean_all(U.slice_axis(x, 1, 1, 3)), [x]) < 1e-4
 
     def test_lookup_zero_row(self):
@@ -148,8 +147,8 @@ class TestStructuralOps:
             T.lookup(Tensor(np.zeros((4, 3))), np.array([4]))
 
     def test_lookup_backward_scatter_adds(self, f64):
-        table = Tensor(np.zeros((4, 2)), requires_grad=True)
-        with Tape() as tape:
+        table = Tensor(np.zeros((4, 2)))
+        with Tape([table]) as tape:
             grads = tape.backward(T.sum_axis(T.lookup(table, np.array([1, 1, 3]))))
         np.testing.assert_array_equal(grads[table], [[0, 0], [2, 2], [0, 0], [1, 1]])
 
@@ -159,9 +158,9 @@ class TestStructuralOps:
         ids = rng.permutation(9)[:6]
         with T.using_dtype(dtype):
             w = rng.normal(size=(6, 5)).astype(dtype)
-            table = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
-            with Tape() as tape:
-                out = T.tanh(T.lookup(table, ids)) * T.constant(w)
+            table = Tensor(rng.normal(size=(9, 5)))
+            with Tape([table]) as tape:
+                out = T.tanh(T.lookup(table, ids)) * Tensor(w)
                 g_table = tape.backward(T.sum_axis(out))[table]
             g = w * (1 - np.tanh(table.data[ids]) ** 2)
             scattered = np.zeros_like(table.data)
@@ -169,7 +168,7 @@ class TestStructuralOps:
             assert g_table.dtype == dtype
             np.testing.assert_array_equal(g_table, scattered)
             # repeated ids still accumulate
-            with Tape() as tape:
+            with Tape([table]) as tape:
                 g_table = tape.backward(
                     T.sum_axis(T.lookup(table, np.array([[2, 5], [5, 2]]))))[table]
             np.testing.assert_array_equal(g_table[[2, 5]], np.full((2, 5), 2.0))
@@ -178,41 +177,50 @@ class TestStructuralOps:
 
 class TestBackward:
     def test_sum_gives_ones(self, f64):
-        x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(np.zeros((2, 3)))
+        with Tape([x]) as tape:
             grads = tape.backward(T.sum_axis(x))
         np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
     def test_mean_of_square(self, f64):
-        x = Tensor([3.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([3.0])
+        with Tape([x]) as tape:
             grads = tape.backward(T.mean_all(T.mul(x, x)))
         np.testing.assert_array_equal(grads[x], [6.0])
 
     def test_chain_tanh_matmul_finite_differences(self, f64):
         rng = np.random.default_rng(11)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(2, 3)))
+        b = Tensor(rng.normal(size=(3, 2)))
         err = grad_check(lambda: T.mean_all(T.tanh(T.matmul(a, b))), [a, b])
         assert err < 1e-4
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(np.ones((2, 2)))
+        with Tape([x]) as tape:
             y = T.tanh(x)
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(y)
 
     def test_forward_independent_of_tape_state(self):
-        x = Tensor([[0.3, -0.2]], requires_grad=True)
+        x = Tensor([[0.3, -0.2]])
         bare = T.tanh(x).data
-        with Tape():
+        with Tape([x]):
             taped = T.tanh(x).data
         np.testing.assert_array_equal(bare, taped)
 
+    def test_only_the_tapes_parameters_are_leaves(self, f64):
+        x, y = Tensor([2.0]), Tensor([3.0])
+        with Tape([x]) as tape:
+            T.tanh(y)   # no input on the tape: nothing is recorded
+            assert len(tape) == 0
+            grads = tape.backward(T.sum_axis(T.mul(x, y)))
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], [3.0])
+
     def test_shared_node_accumulates_fanout(self, f64):
-        x = Tensor([2.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([2.0])
+        with Tape([x]) as tape:
             y = T.mul(x, x)
             grads = tape.backward(T.sum_axis(T.add(y, y)))
         np.testing.assert_array_equal(grads[x], [8.0])
@@ -226,7 +234,7 @@ class TestDtypeMode:
         assert Tensor([1.0]).data.dtype == np.float32
 
     def test_gradcheck_rejects_float32(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([1.0])
         with pytest.raises(RuntimeError, match="float64"):
             grad_check(lambda: T.sum_axis(x), [x])
 

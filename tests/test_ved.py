@@ -10,7 +10,7 @@ from quarts.pipeline import triple_memory, ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
 from quarts.config import desk_profile
-from quarts.train import fit, frozen
+from quarts.train import fit
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3):
@@ -199,10 +199,9 @@ class TestVedLoss:
         clf = init_classifier(rng, len(vq), len(vt), 16, 16, dropout=0.0)
         ved = V.init_ved(rng, 16, 16, 8, len(vq))
         run_rng = RunRng(0, "ved")
-        with frozen(clf.named()):
-            records = fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng),
-                          triples, [], desk_profile(batch_size=16), 3e-3, run_rng,
-                          epochs=5, phase="ved")
+        records = fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng),
+                      triples, [], desk_profile(batch_size=16), 3e-3, run_rng,
+                      epochs=5, phase="ved")
         losses = [r.loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -212,9 +211,8 @@ class TestVedLoss:
         triples = [TripleExample([4, 5], [6], [7, 8]),
                    TripleExample([5, 6], [8, 9], [10])]
         run_rng = RunRng(1, "ved")
-        with frozen(clf.named()):
-            fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng), triples, [],
-                desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved")
+        fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng), triples, [],
+            desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved")
         for k_, t in clf.named().items():
             np.testing.assert_array_equal(t.data, before[k_], err_msg=k_)
 
@@ -230,32 +228,34 @@ class TestEncodingCache:
 
     def test_cached_rows_match_encoded_batch(self, f64):
         clf, ved = models(seed=10)
-        with frozen(clf.named()):
-            memory = triple_memory(clf, TRIPLES)
-            for batch in batches(TRIPLES, 4, np.random.default_rng(0)):
-                eps = np.random.default_rng(1).standard_normal((len(batch.index), 3))
-                runs = []
-                for enc in (memory(batch), enc_of(clf, batch)):
-                    with Tape() as tape:
-                        loss, _, _ = V.ved_loss_batch(clf, ved, enc, batch, 0.5, eps)
-                        grads = tape.backward(loss)
-                    runs.append((enc, loss.item(), [grads[p] for p in ved.named().values()]))
-                (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
-                cached, fresh = (V.decoder_start(e, ved, eps) for e in (cached, fresh))
-                for a, b in ((cached.u_states.data, fresh.u_states.data),
-                             (cached.u_logmask, fresh.u_logmask),
-                             (cached.z.data, fresh.z.data), (cached.h0.data, fresh.h0.data),
-                             *zip(grads_c, grads_f)):
-                    np.testing.assert_array_equal(a, b)
-                assert loss_c == loss_f
+        memory = triple_memory(clf, TRIPLES)
+        for batch in batches(TRIPLES, 4, np.random.default_rng(0)):
+            eps = np.random.default_rng(1).standard_normal((len(batch.index), 3))
+            runs = []
+            for enc in (memory(batch), enc_of(clf, batch)):
+                with Tape(ved.named().values()) as tape:
+                    loss, _, _ = V.ved_loss_batch(clf, ved, enc, batch, 0.5, eps)
+                    grads = tape.backward(loss)
+                runs.append((enc, loss.item(), [grads[p] for p in ved.named().values()]))
+            (cached, loss_c, grads_c), (fresh, loss_f, grads_f) = runs
+            cached, fresh = (V.decoder_start(e, ved, eps) for e in (cached, fresh))
+            for a, b in ((cached.u_states.data, fresh.u_states.data),
+                         (cached.u_logmask, fresh.u_logmask),
+                         (cached.z.data, fresh.z.data), (cached.h0.data, fresh.h0.data),
+                         *zip(grads_c, grads_f)):
+                np.testing.assert_array_equal(a, b)
+            assert loss_c == loss_f
 
     def test_cache_refuses_a_tracked_encoder(self):
-        clf, _ = models()
-        with pytest.raises(AssertionError, match="frozen"):
-            triple_memory(clf, TRIPLES)
-        with frozen({"emb_t": clf.emb_t}):   # the query encoder is still tracked
-            with pytest.raises(AssertionError, match="frozen"):
-                triple_memory(clf, TRIPLES)
+        clf, ved = models()
+        memory = triple_memory(clf, TRIPLES)
+        batch = make_triple_batch(TRIPLES)
+        with Tape([*ved.named().values(), clf.head.b1]):   # no encoder tensor
+            memory(batch)
+        # the whole classifier, or one tensor of the query encoder
+        for tracked in (clf.named().values(), [clf.lstm_q.wh]):
+            with Tape(tracked), pytest.raises(AssertionError, match="shared encoder"):
+                memory(batch)
 
     def test_ved_step_runs_no_encoder(self, monkeypatch):
         clf, ved = models(seed=11)
@@ -267,16 +267,15 @@ class TestEncodingCache:
 
         scan = C.lstm_scan
         monkeypatch.setattr(C, "lstm_scan", counted)
-        with frozen(clf.named()):
-            loss_fn = ved_loss(clf, ved, TRIPLES, 5, RunRng(0, "ved"))
-            assert len(calls) == 2   # one batch of titles, one of matched queries
-            calls.clear()
-            for batch in batches(TRIPLES, 4):
-                with Tape() as tape:
-                    loss, _ = loss_fn(batch, 0)
-                    names = [rule.__qualname__ for _, _, rule in tape._records]
-                    tape.backward(loss)
-                assert not any("lstm_scan" in n for n in names), names
+        loss_fn = ved_loss(clf, ved, TRIPLES, 5, RunRng(0, "ved"))
+        assert len(calls) == 2   # one batch of titles, one of matched queries
+        calls.clear()
+        for batch in batches(TRIPLES, 4):
+            with Tape(ved.named().values()) as tape:
+                loss, _ = loss_fn(batch, 0)
+                names = [rule.__qualname__ for _, _, rule in tape._records]
+                tape.backward(loss)
+            assert not any("lstm_scan" in n for n in names), names
         assert calls == []
 
 

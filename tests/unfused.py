@@ -19,6 +19,7 @@ from quarts import tensor as T
 from quarts import ved as V
 from quarts.classifier import batch_probs, encode_pair_batch, weighted_ce_loss
 from quarts.data import BOS, pad_mask
+from quarts.tensor import Tensor
 
 
 def slice_axis(a, axis, start, stop):
@@ -58,7 +59,7 @@ def lstm_step(p, x, h, c):
 def _blend(on, new, old):
     k = new.shape[1]
     m = np.repeat(on.astype(np.float64)[:, None], k, axis=1)
-    return T.constant(m) * new + T.constant(1.0 - m) * old
+    return Tensor(m) * new + Tensor(1.0 - m) * old
 
 
 def encode_batch(ids, lens, emb, lstm):
@@ -78,8 +79,8 @@ def encode_batch(ids, lens, emb, lstm):
 def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     bsz, m, k = k_states.shape
     n = h_states.shape[1]
-    ones_m = T.constant(np.ones((bsz, m, 1)))
-    tmask = T.constant(pad_mask(item_lens, m))
+    ones_m = Tensor(np.ones((bsz, m, 1)))
+    tmask = Tensor(pad_mask(item_lens, m))
     w = T.reshape(attn.w, (k, 1))
     r = T.zeros((bsz, k))
     alphas = []
@@ -105,7 +106,7 @@ def decode_step(prev_ids, h, c, start, ved, emb_q):
     scores = T.matmul(T.reshape(T.matmul(h2, ved.dec.w_a), (bsz, 1, k)),
                       T.transpose_last2(u))
     scores = T.reshape(scores, (bsz, u.shape[1]))
-    weights = softmax_rows(scores + T.constant(start.u_logmask))
+    weights = softmax_rows(scores + Tensor(start.u_logmask))
     ctx = T.reshape(T.matmul(T.reshape(weights, (bsz, 1, -1)), u), (bsz, k))
     d_tilde = T.tanh(T.matmul(T.concat([h2, ctx], axis=1), ved.dec.w_c))
     logits = T.matmul(d_tilde, ved.dec.w_v) + ved.dec.b_v
@@ -122,10 +123,10 @@ def ved_nll(clf, ved, start, batch):
                                            clf.emb_q)
         nll_t = T.neg(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]))
         on = t < batch.target_lens
-        nlls.append(T.reshape(nll_t * T.constant(on.astype(np.float64)), (bsz, 1)))
+        nlls.append(T.reshape(nll_t * Tensor(on.astype(np.float64)), (bsz, 1)))
         h, c = _blend(on, h2, h), _blend(on, c2, c)
     per_example = T.sum_axis(T.concat(nlls, axis=1), axis=1)
-    return T.mean_all(per_example * T.constant(1.0 / batch.target_lens))
+    return T.mean_all(per_example * Tensor(1.0 / batch.target_lens))
 
 
 def hgen_states(clf, ved, start, steps, prev_ids=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import atomic_write
+from .config import atomic_write, load_json_fields
 from .data import DataError, RawPair, tokenize
 from .rng import data_rng
 
@@ -133,18 +133,7 @@ class CatalogSpec:
     @classmethod
     def load(cls, path) -> "CatalogSpec":
         """Read a saved spec; malformed JSON or an unknown key is a DataError."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: expected a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in obj:
-            if key not in known:
-                raise DataError(f"{path}: unknown catalog key {key!r}")
-        return cls(**obj)
+        return load_json_fields(cls, path, DataError, "catalog")
 
 
 class MatchOracle:

@@ -81,7 +81,7 @@ def cmd_gen_data(args) -> int:
 
 def _final_val(records) -> str:
     """The done message's val AUPR, or nothing when no val pass ran."""
-    aupr = records[-1].aupr
+    aupr = getattr(records[-1], "aupr", None)
     return "" if aupr is None else f": final val aupr={aupr:.4f}"
 
 

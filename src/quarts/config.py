@@ -154,6 +154,24 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+def load_json_fields(cls, path, error: type[Exception], what: str):
+    """The dataclass ``cls`` built from the JSON object in ``path``. Malformed
+    UTF-8 JSON, another JSON value or a key ``cls`` lacks raises ``error``
+    naming the file, and the key."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise error(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in obj:
+        if key not in known:
+            raise error(f"{path}: unknown {what} key {key!r}")
+    return cls(**obj)
+
+
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -185,10 +203,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            fields = json.load(fh)
-        fields.pop("datasets", None)   # an unused field of older manifests
-        return cls(**fields)
+        """Read a saved manifest; malformed JSON or an unknown key is a ConfigError."""
+        return load_json_fields(cls, path, ConfigError, "manifest")
 
     @classmethod
     def start(cls, cfg: RunConfig) -> "RunManifest":

@@ -7,7 +7,8 @@ query representation replaces the encoded query, so the switch selects
 one of the two rather than mixing them, and the example contributes the
 same loss with proxy label 1. A batch whose draws are all zero reduces
 to the plain classifier batch loss, bitwise; ``train.fit`` runs this
-loss like any other batch loss.
+loss like any other, and the s vector it returns is the phase's
+``s1_fraction`` stat, averaged over all of an epoch's draws.
 
 Every batch is encoded once into a ``classifier.EncodedBatch``. When
 some rows switch, the generator reads their rows of that record and its

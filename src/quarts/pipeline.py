@@ -5,11 +5,12 @@ The training schedule is: (1) pretrain the classifier on annotated data,
 decoder with the shared encoder held fixed, (4) concatenate annotated and
 logs data, (5) switched end-to-end training.
 
-Each ``phase_*`` holds only its model, its data, the batch loss and the
-parameter map it hands to ``train.fit``, which is what the phase trains;
-``_phase`` does the rest for all of them, from the run dir to the
-checkpoint, the epoch records in ``metrics.jsonl`` (one JSON line each,
-one schema for every phase) and the manifest entry.
+Each ``phase_*`` holds only its model, its data, the batch loss, the
+parameter map it hands to ``train.fit`` (what the phase trains) and its
+``epoch_fields`` (``train.val_pass``, or the KL weight for generator
+pretraining): its loss's stats and those fields are what its epoch
+records hold. ``_phase`` does the rest for all of them, from the run dir
+to the checkpoint, the records in ``metrics.jsonl`` and the manifest entry.
 ``load_bundle`` reads every checkpoint back, and refuses one whose
 manifest entry records other token ids than the data dir and config
 give (``DataBundle.ids``). Phases, evaluation and the CLI tools run
@@ -49,7 +50,7 @@ from .data import (DataError, Example, RawPair, TripleBatch, TripleExample, Voca
 from .e2e import e2e_batch_loss
 from .rng import RunRng
 from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, encode_distinct,
-                    evaluate_probs, fit)
+                    evaluate_probs, fit, val_pass)
 from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
                   kl_weight_at, ved_loss_batch)
 
@@ -179,6 +180,7 @@ def _append_metrics(run_dir: Path, phase: str, records: list[EpochRecord]) -> No
 class PhaseRun:
     """What a phase body hands ``_phase`` (``params`` None: no arrays to save)."""
     dir: Path
+    manifest: RunManifest     # as the phase began; ``_phase`` adds the phase's entry
     params: dict[str, T.Tensor] | None = None
     records: list[EpochRecord] = field(default_factory=list)
 
@@ -188,6 +190,7 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
            ckpt: str) -> Iterator[PhaseRun]:
     """Set-up and tear-down shared by every phase.
 
+    Reads the manifest first, so a bad one stops the phase before it trains.
     Creates the run dir and runs the body timed, at the run's precision.
     After the body, writes ``run.params`` to ``ckpt``, appends
     ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
@@ -195,7 +198,9 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     files it read and its ``data.ids``, which ``load_bundle`` checks
     before it reads ``ckpt`` back. A body that raises writes none of these.
     """
-    run = PhaseRun(Path(run_dir))
+    path = Path(run_dir) / "manifest.json"
+    run = PhaseRun(path.parent, RunManifest.load(path) if path.exists()
+                   else RunManifest.start(cfg))
     run.dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     with run_dtype(cfg):
@@ -203,10 +208,9 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     if run.params is not None:
         save_params(run.dir / ckpt, run.params)
     _append_metrics(run.dir, name, run.records)
-    path = run.dir / "manifest.json"
-    man = RunManifest.load(path) if path.exists() else RunManifest.start(cfg)
-    man.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files, data.ids)
-    man.save(path)
+    run.manifest.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files,
+                              data.ids)
+    run.manifest.save(path)
 
 
 def new_classifier(cfg: RunConfig, data: DataBundle, rng: RunRng) -> ClassifierParams:
@@ -308,14 +312,16 @@ def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
 def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample],
              anneal_epochs: int, rng: RunRng):
     """The VED loss on batches of ``triples`` at the epoch's KL weight, from
-    the encode-once cache (``triple_memory``); latent noise from ``rng``."""
+    the encode-once cache (``triple_memory``); latent noise from ``rng``.
+    It reports the batch's ``nll`` and ``kl``; the weight is the phase's
+    epoch field."""
     memory = triple_memory(clf, triples)
 
     def loss(batch, epoch):
         w = kl_weight_at(epoch, anneal_epochs)
         eps = rng.latent.standard_normal((len(batch.target_lens), ved.d_z))
         value, nll, kl = ved_loss_batch(clf, ved, memory(batch), batch, w, eps)
-        return value, {"nll": nll, "kl": kl, "kl_weight": w}
+        return value, {"nll": nll, "kl": kl}
     return loss
 
 
@@ -324,9 +330,9 @@ def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
     with _phase(cfg, data, run_dir, "classifier", CKPT_CLASSIFIER) as run:
         rng = RunRng(cfg.seed, "classifier")
         clf = new_classifier(cfg, data, rng)
-        run.records = fit(clf, clf.named(), classifier_loss(clf, cfg.beta, rng),
-                          data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
-                          "classifier")
+        run.records = fit(clf.named(), classifier_loss(clf, cfg.beta, rng), data.train_ex,
+                          cfg, cfg.lr, rng, cfg.clf_epochs, "classifier",
+                          val_pass(clf, data.val_ex))
         run.params = clf.named()
     return clf, run.records
 
@@ -368,8 +374,7 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
     Triples whose manifest entry records another ``train.tsv`` hash than
     the data dir's exit 2 (a run dir without that entry is not checked)."""
     with _phase(cfg, data, run_dir, "ved", CKPT_VED) as run:
-        man = run.dir / "manifest.json"
-        entry = RunManifest.load(man).phases.get("triples", {}) if man.exists() else {}
+        entry = run.manifest.phases.get("triples", {})
         built_on = entry.get("data", {}).get("train.tsv", data.files["train.tsv"])
         if built_on != data.files["train.tsv"]:
             raise PipelineError(f"{run.dir / CKPT_TRIPLES} was built from a train.tsv hashed "
@@ -386,9 +391,10 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                                 "`quarts build-triples` on data that has some")
         rng = RunRng(cfg.seed, "ved")
         ved = new_ved(cfg, data, rng)
-        run.records = fit(clf, ved.named(),
-                          ved_loss(clf, ved, triples, cfg.kl_anneal_epochs, rng),
-                          triples, [], cfg, cfg.ved_lr, rng, cfg.ved_epochs, "ved")
+        anneal = cfg.kl_anneal_epochs
+        run.records = fit(ved.named(), ved_loss(clf, ved, triples, anneal, rng), triples, cfg,
+                          cfg.ved_lr, rng, cfg.ved_epochs, "ved",
+                          lambda epoch: {"kl_weight": kl_weight_at(epoch, anneal)})
         run.params = {**clf.named(), **ved.named()}
     return ved, run.records
 
@@ -410,12 +416,12 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
 
         def loss(batch, epoch):
             value, s = e2e_batch_loss(clf, ved, batch, cfg.p, cfg.beta, rng)
-            return value, {"switch": s}
+            return value, {"s1_fraction": s}
 
         run.params = {**clf.named(), **ved.named()}
-        run.records = fit(clf, clf.named() if freeze_generator else run.params, loss,
-                          data.merged_ex, data.val_ex, cfg, cfg.lr, rng, cfg.e2e_epochs,
-                          "e2e")
+        run.records = fit(clf.named() if freeze_generator else run.params, loss,
+                          data.merged_ex, cfg, cfg.lr, rng, cfg.e2e_epochs, "e2e",
+                          val_pass(clf, data.val_ex))
     return clf, ved, run.records
 
 
@@ -424,10 +430,10 @@ def phase_train_dssm(cfg: RunConfig, data: DataBundle, run_dir,
     with _phase(cfg, data, run_dir, "dssm", CKPT_DSSM) as run:
         rng = RunRng(cfg.seed, "dssm")
         params = new_dssm(cfg, data, rng)
-        run.records = fit(params, params.named(),
+        run.records = fit(params.named(),
                           lambda batch, epoch: (dssm_batch_loss(params, batch, cfg.beta), {}),
-                          data.train_ex, data.val_ex, cfg, cfg.lr, rng, cfg.clf_epochs,
-                          "dssm")
+                          data.train_ex, cfg, cfg.lr, rng, cfg.clf_epochs, "dssm",
+                          val_pass(params, data.val_ex))
         run.params = params.named()
     return params, run.records
 
@@ -452,9 +458,8 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
             rng = RunRng(cfg.seed, "classifier")
             clf = new_classifier(cfg, data, rng)
             epochs = cfg.clf_epochs
-        run.records = fit(clf, clf.named(), classifier_loss(clf, cfg.beta, rng),
-                          data.merged_ex, data.val_ex, cfg, cfg.lr, rng, epochs,
-                          "augment")
+        run.records = fit(clf.named(), classifier_loss(clf, cfg.beta, rng), data.merged_ex,
+                          cfg, cfg.lr, rng, epochs, "augment", val_pass(clf, data.val_ex))
         run.params = clf.named()
     return clf, run.records
 

@@ -8,6 +8,11 @@ mismatched) triples go through the same shuffled batching. The loss
 receives the epoch, so a schedule such as the KL annealing lives in it.
 The batch size and the rate decay come from the run's ``RunConfig``.
 
+``fit`` only trains; each phase states what its epoch records hold: the
+stats its loss reports, each averaged over all the epoch's values, and
+the fields its ``epoch_fields`` returns, such as ``val_pass``'s val AUPR
+and F1. A new per-epoch measure is one entry in either.
+
 Evaluation scores a ``classifier.EncodedBatch`` per batch, gathered in
 part from the encode-once cache (``encode_distinct``) that VED
 pretraining gathers its records from too.
@@ -23,7 +28,7 @@ to Adam once the tape is closed and drops it with the step.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -40,21 +45,12 @@ from .tensor import Tape, Tensor
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class EpochRecord:
-    """One epoch of any phase; what the phase does not measure stays None."""
-    epoch: int
-    split: str | None = None
-    aupr: float | None = None
-    f1: float | None = None
-    loss: float | None = None
-    s1_fraction: float | None = None
-    nll: float | None = None
-    kl: float | None = None
-    kl_weight: float | None = None
+class EpochRecord(SimpleNamespace):
+    """One epoch of a phase: ``epoch``, the phase's ``epoch_fields``, the
+    mean loss and each stat's mean, in that order (see ``fit``)."""
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return dict(vars(self))
 
 
 EVAL_BATCH_SIZE = 256
@@ -125,37 +121,33 @@ def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example]
     return np.concatenate(scores)[back], np.concatenate(labels)[back]
 
 
-def _epoch_stats(stats: dict[str, list]) -> dict[str, float]:
-    """Fold the batch stats a loss reports into record fields.
-
-    ``switch`` (an e2e batch's switch draws) becomes the share of ones
-    among all the epoch's draws, and ``kl_weight`` (the same for every
-    batch) is kept as is; any other stat becomes its mean over the
-    batches. A loss reports only what its phase measures.
-    """
-    out = {}
-    for key, values in stats.items():
-        if key == "switch":
-            out["s1_fraction"] = float(np.mean(np.concatenate(values)))
-        elif key == "kl_weight":
-            out[key] = values[-1]
-        else:
-            out[key] = float(np.mean(values))
-    return out
+def val_pass(model: ClassifierParams | DssmParams, examples: list[Example],
+             ) -> Callable[[int], dict]:
+    """The ``epoch_fields`` of a phase that scores ``model`` on ``examples``
+    after each epoch: ``split``, ``aupr`` and ``f1``, or nothing when there
+    are no examples."""
+    def fields(epoch: int) -> dict:
+        if not examples:
+            return {}
+        scores, labels = evaluate_probs(model, examples)
+        return {"split": "val", "aupr": M.average_precision(scores, labels),
+                "f1": M.f1_best(scores, labels)[0]}
+    return fields
 
 
-def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
+def fit(named: dict[str, Tensor],
         loss_fn: Callable[[Batch | TripleBatch, int], tuple[Tensor, dict]],
-        train_ex: list[Example] | list[TripleExample], val_ex: list[Example],
-        cfg: RunConfig, lr: float, rng: RunRng, epochs: int, phase: str,
+        train_ex: list[Example] | list[TripleExample], cfg: RunConfig, lr: float,
+        rng: RunRng, epochs: int, phase: str, epoch_fields: Callable[[int], dict],
         ) -> list[EpochRecord]:
     """Adam on ``named`` at rate ``lr`` over shuffled batches, one record
     per epoch; ``cfg`` gives the batch size and the rate's decay. Each
     step differentiates ``named`` and nothing else.
 
-    ``loss_fn(batch, epoch)`` returns (loss, stats), the batch's stats by
-    name (see ``_epoch_stats``). When there are val examples, each epoch
-    ends with a val pass that scores ``model``.
+    ``loss_fn(batch, epoch)`` returns (loss, stats), a stat being a number
+    or per-row values; the record holds each stat's mean over all the
+    epoch's values, after ``epoch_fields(epoch)`` of the trained epoch. A
+    name given twice, ``epoch`` and ``loss`` included, raises ``TypeError``.
     """
     opt = Adam(named, lr)
     records = []
@@ -174,14 +166,9 @@ def fit(model: ClassifierParams | DssmParams, named: dict[str, Tensor],
             losses.append(loss.item())
             for key, value in batch_stats.items():
                 stats.setdefault(key, []).append(value)
-        rec = EpochRecord(epoch, loss=float(np.mean(losses)), **_epoch_stats(stats))
-        if val_ex:
-            scores, labels = evaluate_probs(model, val_ex)
-            rec.split = "val"
-            rec.aupr = M.average_precision(scores, labels)
-            rec.f1 = M.f1_best(scores, labels)[0]
+        rec = EpochRecord(epoch=epoch, **epoch_fields(epoch), loss=float(np.mean(losses)),
+                          **{k: float(np.mean(np.hstack(v))) for k, v in stats.items()})
         records.append(rec)
         log.info("%s epoch %d: %s", phase, epoch, " ".join(
-            f"{k}={v:.4f}" for k, v in rec.to_json().items() if k not in ("epoch", "split")))
+            f"{k}={v:.4f}" for k, v in rec.to_json().items() if isinstance(v, float)))
     return records
-

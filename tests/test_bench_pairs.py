@@ -1,0 +1,83 @@
+"""The pair-run tool's summary, on synthetic numbers (no benchmark run)."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+SPEC = {"end_to_end": [{"name": "ex_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "rss_mb", "better": "lower", "bound": 0.1}],
+        "per_layer": [{"name": "step_ms", "better": "lower"}]}
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(metric: str, parent: list[float], change: list[float]) -> list:
+    """Pairs in the tool's order: the parent first in even pairs."""
+    return [({metric: p}, {metric: c}, i % 2 == 0)
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_quartiles_ratio_wins_and_order_split(tool):
+    # ten pairs; the change wins nine, loses the last, and ties none
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    change = [110, 112, 108, 111, 109, 110, 113, 107, 111, 90]
+    (row,) = tool.summarize(runs("ex_per_s", parent, change), SPEC)
+    assert row["pairs"] == 10
+    assert row["parent"] == (99.25, 100.0, 100.75)
+    assert row["change"] == (108.25, 110.0, 111.0)
+    assert row["ratio"] == 1.1
+    assert (row["wins"], row["losses"]) == (9, 1)
+    assert row["beyond_parent_iqr"] and row["verdict"] == "gain"
+    assert row["by_order"] == {"parent_first": (100.0, 110.0),
+                               "change_first": (100.0, 110.0)}
+
+
+def test_a_tie_counts_for_neither_side(tool):
+    (row,) = tool.summarize(runs("ex_per_s", [100, 100, 100], [100, 101, 99]), SPEC)
+    assert (row["wins"], row["losses"]) == (1, 1)
+    assert row["verdict"] == "within bound"
+
+
+def test_nine_tenths_of_the_pairs_are_needed_for_a_gain(tool):
+    # eight wins of ten, by far more than the parent's spread: not a gain
+    parent = [100] * 10
+    change = [120] * 8 + [90, 90]
+    (row,) = tool.summarize(runs("ex_per_s", parent, change), SPEC)
+    assert (row["wins"], row["losses"], row["verdict"]) == (8, 2, "within bound")
+
+
+def test_lower_is_better_and_the_bound_marks_a_regression(tool):
+    (row,) = tool.summarize(runs("rss_mb", [100, 100, 100, 100], [112, 111, 113, 112]),
+                            SPEC)
+    assert (row["wins"], row["losses"]) == (0, 4)
+    assert row["verdict"] == "regression"
+    (row,) = tool.summarize(runs("rss_mb", [100, 100, 100, 100], [105, 104, 106, 105]),
+                            SPEC)
+    assert row["verdict"] == "within bound"
+
+
+def test_spread_wider_than_the_bound_is_unresolved(tool):
+    parent = [100, 60, 140, 100, 70, 130]
+    (row,) = tool.summarize(runs("ex_per_s", parent, [95, 65, 135, 95, 75, 125]), SPEC)
+    assert row["verdict"] == "unresolved"
+    (row,) = tool.summarize(runs("ex_per_s", parent, [150, 141, 160, 145, 142, 30]), SPEC)
+    assert (row["wins"], row["verdict"]) == (5, "unresolved")
+    # unless every change run reads better than every parent run
+    parent = [60, 90, 100, 60, 90, 100]
+    (row,) = tool.summarize(runs("ex_per_s", parent, [101] * 6), SPEC)
+    assert not row["beyond_parent_iqr"] and row["verdict"] == "within bound"
+
+
+def test_per_layer_and_undeclared_metrics(tool):
+    (row,) = tool.summarize(runs("step_ms", [10, 10, 10], [11, 11, 11]), SPEC)
+    assert (row["wins"], row["losses"], row["verdict"]) == (0, 3, "no gain")
+    (row,) = tool.summarize(runs("val_aupr", [0.5, 0.5], [0.6, 0.6]), SPEC)
+    assert (row["wins"], row["verdict"]) == (None, "-")
+    assert "val_aupr" in tool.format_rows([row])

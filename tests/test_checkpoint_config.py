@@ -177,18 +177,17 @@ class TestConfig:
         assert back.phases["classifier"]["data"] == {"train.tsv": "abc123"}
         assert back.phases["classifier"]["ids"] == IDS
 
-    def test_manifest_written_with_datasets_still_loads(self, tmp_path):
+    def test_manifest_written_with_datasets_is_refused(self, tmp_path):
         """Manifests written before phases carried their data hashes have a
-        top-level ``datasets`` field that nothing ever filled."""
+        top-level ``datasets`` field that nothing ever filled; it is an
+        unknown key like any other."""
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({
             "config_hash": "c0ffee", "seed": 3, "datasets": {}, "created": "then",
             "phases": {"classifier": {"checkpoint": "phase1.qrts", "seconds": 1.0,
                                       "config_hash": "c0ffee"}}}))
-        back = RunManifest.load(path)
-        assert back.seed == 3 and back.phases["classifier"]["checkpoint"] == "phase1.qrts"
-        back.save(path)
-        assert "datasets" not in json.loads(path.read_text())
+        with pytest.raises(ConfigError, match=f"{path}: unknown manifest key 'datasets'"):
+            RunManifest.load(path)
 
 
 def _manifest(data: dict) -> RunManifest:

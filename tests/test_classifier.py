@@ -242,9 +242,10 @@ class TestTape:
                     for i in range(16)]
         before = {name: t.data.copy() for name, t in p.named().items()}
         run_rng = RunRng(0, "classifier")
-        TR.fit(p, p.named(),
+        TR.fit(p.named(),
                lambda b, epoch: (C.classifier_batch_loss(p, b, 5.0, run_rng.dropout), {}),
-               examples, [], desk_profile(batch_size=8), 1e-2, run_rng, 2, "classifier")
+               examples, desk_profile(batch_size=8), 1e-2, run_rng, 2, "classifier",
+               lambda epoch: {})
         assert len(before) == 16
         assert [name for name, t in p.named().items()
                 if np.array_equal(t.data, before[name])] == []

@@ -103,6 +103,21 @@ class TestCatalogFile:
 # what a phase's manifest entry records about its token ids
 IDS_KEYS = ["max_query_len", "max_title_len", "vocab_q", "vocab_t"]
 
+# each phase's epoch records in metrics.jsonl, key for key and in order
+VAL_KEYS = ["phase", "epoch", "split", "aupr", "f1", "loss"]
+RECORD_KEYS = {"classifier": VAL_KEYS, "dssm": VAL_KEYS, "augment": VAL_KEYS,
+               "e2e": VAL_KEYS + ["s1_fraction"],
+               "ved": ["phase", "epoch", "kl_weight", "loss", "nll", "kl"]}
+
+
+def phase_records(run: Path, phase: str) -> list[dict]:
+    """The ``metrics.jsonl`` lines of ``phase``, after checking each holds
+    exactly that phase's keys."""
+    lines = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
+    recs = [r for r in lines if r["phase"] == phase]
+    assert recs and [list(r) for r in recs] == [RECORD_KEYS[phase]] * len(recs), phase
+    return recs
+
 
 def renamed_query_word(data: Path, tmp_path: Path) -> Path:
     """A copy of ``data`` whose train split renames one query word, so it
@@ -117,6 +132,31 @@ def renamed_query_word(data: Path, tmp_path: Path) -> Path:
         lines[i] = "\t".join(fields)
     (copy / "train.tsv").write_text("".join(lines))
     return copy
+
+
+class TestManifestFile:
+    """A manifest.json that does not describe a manifest fails with exit 2,
+    naming the file, before a phase trains or writes anything."""
+
+    @pytest.mark.parametrize("text, named", [
+        (b'{"seed": 3,', "malformed JSON"),
+        (b'\xff{"seed": 3}', "malformed JSON"),
+        (b"[]", "expected a JSON object"),
+        (json.dumps({"seed": 3, "datasets": {}}).encode(), "unknown manifest key 'datasets'"),
+    ], ids=["truncated", "not_utf8", "list", "unknown_key"])
+    @pytest.mark.parametrize("argv", [["eval", "--checkpoint", P.CKPT_CLASSIFIER],
+                                      ["pretrain-classifier"]], ids=["eval", "pretrain"])
+    def test_bad_manifest_exits_2(self, workspace, tmp_path, capsys, argv, text, named):
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        (copy / "manifest.json").write_bytes(text)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        code = main(argv + ["--data-dir", str(data), "--run-dir", str(copy),
+                            "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert f"{copy / 'manifest.json'}: {named}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
 
 class TestPhases:
@@ -142,13 +182,7 @@ class TestPhases:
         assert main(["train-e2e"] + base + ["--p", "0.3"]) == 0
         assert (run / P.CKPT_E2E).exists()
         assert main(["eval"] + base + ["--checkpoint", P.CKPT_E2E]) == 0
-        lines = (run / "metrics.jsonl").read_text().strip().splitlines()
-        recs = [json.loads(l) for l in lines]
-        e2e = [r for r in recs if r["phase"] == "e2e"]
-        assert e2e
-        for r in e2e:
-            for key in ("epoch", "split", "aupr", "f1", "loss", "s1_fraction"):
-                assert key in r
+        phase_records(run, "e2e")
 
     def test_manifest_records_each_phase_data(self, workspace, tmp_path):
         """A phase's manifest entry holds the hash of each data file it read,
@@ -176,9 +210,8 @@ class TestPhases:
     def test_classifier_records_carry_no_switch_share(self, workspace):
         # the switch share is e2e's measure; a phase without a switch leaves it out
         _, _, run, _ = workspace
-        recs = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
-        clf = [r for r in recs if r["phase"] == "classifier"]
-        assert clf and not any("s1_fraction" in r for r in clf)
+        clf = phase_records(run, "classifier")
+        assert not any("s1_fraction" in r for r in clf)
 
     def test_manifest_records_each_phase_config(self, workspace, tmp_path):
         _, _, run, base = workspace
@@ -223,6 +256,7 @@ class TestPhases:
         e2e = load_arrays(run / P.CKPT_E2E)
         augment = load_arrays(run / P.CKPT_AUGMENT)
         ved = load_arrays(run / P.CKPT_VED)
+        phase_records(run, "augment")
         clf_names = sorted(k for k in e2e if k.startswith("clf."))
         assert len(clf_names) == 16 and sorted(augment) == clf_names
         for k in clf_names:
@@ -288,10 +322,7 @@ class TestPhases:
 
         monkeypatch.setattr(TR, "evaluate_probs", no_val_pass)
         _, records = P.phase_pretrain_ved(cfg, data, run)
-        lines = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
-        ved = [r for r in lines if r["phase"] == "ved"]
-        assert [list(r) for r in ved] == [
-            ["phase", "epoch", "loss", "nll", "kl", "kl_weight"]] * 3
+        ved = phase_records(run, "ved")
         assert [r["kl_weight"] for r in ved] == [0.0, 1 / 3, 2 / 3]
         assert ved == [{"phase": "ved", **r.to_json()} for r in records]
         assert not (run / "ved_history.json").exists()
@@ -561,6 +592,7 @@ class TestTools:
         _, _, run, base = workspace
         assert main(["train-baseline", "--kind", "dssm"] + base) == 0
         assert (run / P.CKPT_DSSM).exists()
+        phase_records(run, "dssm")
 
     def test_dssm_run_dir_guards_its_vocabulary(self, workspace, tmp_path, capsys):
         """A run dir holding only the pooled baseline records its vocabularies'

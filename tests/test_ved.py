@@ -199,9 +199,9 @@ class TestVedLoss:
         clf = init_classifier(rng, len(vq), len(vt), 16, 16, dropout=0.0)
         ved = V.init_ved(rng, 16, 16, 8, len(vq))
         run_rng = RunRng(0, "ved")
-        records = fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng),
-                      triples, [], desk_profile(batch_size=16), 3e-3, run_rng,
-                      epochs=5, phase="ved")
+        records = fit(ved.named(), ved_loss(clf, ved, triples, 5, run_rng),
+                      triples, desk_profile(batch_size=16), 3e-3, run_rng,
+                      epochs=5, phase="ved", epoch_fields=lambda epoch: {})
         losses = [r.loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -211,8 +211,9 @@ class TestVedLoss:
         triples = [TripleExample([4, 5], [6], [7, 8]),
                    TripleExample([5, 6], [8, 9], [10])]
         run_rng = RunRng(1, "ved")
-        fit(clf, ved.named(), ved_loss(clf, ved, triples, 5, run_rng), triples, [],
-            desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved")
+        fit(ved.named(), ved_loss(clf, ved, triples, 5, run_rng), triples,
+            desk_profile(batch_size=2), 1e-3, run_rng, epochs=2, phase="ved",
+            epoch_fields=lambda epoch: {})
         for k_, t in clf.named().items():
             np.testing.assert_array_equal(t.data, before[k_], err_msg=k_)
 

@@ -1,0 +1,186 @@
+"""Parent/change pairs of benchmark runs, alternating which tree runs first.
+
+Run from anywhere:
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seed S
+
+Each tree is a checkout holding ``perfbench/`` and ``BENCHMARK.json``; the
+two must hold identical copies of both, so the runs differ only in the
+program. Pair i runs ``perfbench/run.py --workload W --seed S --trace 0``
+for the run length ``BENCHMARK.json`` fixes, in the parent first when i is
+even and in the change first when it is odd, so a first-runner advantage
+cancels out over the pairs. A run that exits non-zero or is not
+``correct`` stops the tool.
+
+For each metric the summary gives both sides' median and quartiles, the
+change/parent ratio of the medians, the pairs the change won and lost
+(by the metric's direction in ``BENCHMARK.json``; ties count for
+neither), whether the medians differ by more than the parent's
+interquartile range, a verdict, and each side's median split by which
+tree ran first. The verdicts:
+
+- ``gain``: the change won at least nine tenths of the pairs and its
+  median is better by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's bound;
+- ``unresolved``: either side's interquartile range is wider than the
+  bound, and not every change run reads better than every parent run;
+- ``within bound``: none of these, for a metric with a bound;
+- ``no gain``: none of these, for a per-layer metric (no bound).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GAIN_SHARE = 0.9   # share of pairs the change must win to claim a gain
+
+
+class RunRefused(RuntimeError):
+    """A run failed its output checks or exited non-zero."""
+
+
+def bench_files(tree: Path) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every file under ``perfbench/``, by path."""
+    files = {"BENCHMARK.json": (tree / "BENCHMARK.json").read_bytes()}
+    for path in sorted((tree / "perfbench").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            files[str(path.relative_to(tree))] = path.read_bytes()
+    return files
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced run in ``tree``: (metric values by name, its ``info`` record)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    if proc.returncode != 0 or not result.get("correct"):
+        raise RunRefused(f"{tree}: exit {proc.returncode}, correct="
+                         f"{result.get('correct')}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    info = next((json.loads(l[5:]) for l in lines if l.startswith("info ")), {})
+    return {k: m["value"] for k, m in result["metrics"].items()}, info
+
+
+def _directions(spec: dict) -> dict[str, tuple[str, float | None]]:
+    """Each declared metric's (better, bound); per-layer metrics have no bound."""
+    out = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    for m in spec["per_layer"]:
+        out.setdefault(m["name"], (m["better"], None))
+    return out
+
+
+def summarize(runs: list[tuple[dict, dict, bool]], spec: dict) -> list[dict]:
+    """One row per metric from ``runs``, each (parent metrics, change
+    metrics, whether the parent ran first); see the module docstring."""
+    directions = _directions(spec)
+    rows = []
+    for name in runs[0][0]:
+        parent = np.array([p[name] for p, _, _ in runs], dtype=float)
+        change = np.array([c[name] for _, c, _ in runs], dtype=float)
+        first = np.array([f for _, _, f in runs])
+        p_q1, p_med, p_q3 = np.percentile(parent, [25, 50, 75])
+        c_q1, c_med, c_q3 = np.percentile(change, [25, 50, 75])
+        row = {"metric": name, "pairs": len(runs),
+               "parent": (p_q1, p_med, p_q3), "change": (c_q1, c_med, c_q3),
+               "ratio": c_med / p_med if p_med else float("nan"),
+               "beyond_parent_iqr": abs(c_med - p_med) > p_q3 - p_q1,
+               "by_order": {order: (float(np.median(parent[mask])),
+                                    float(np.median(change[mask])))
+                            for order, mask in (("parent_first", first),
+                                                ("change_first", ~first)) if mask.any()}}
+        better, bound = directions.get(name, (None, None))
+        sign = {"higher": 1.0, "lower": -1.0}.get(better)
+        if sign is None:
+            row.update(wins=None, losses=None, verdict="-")
+            rows.append(row)
+            continue
+        gain = sign * (change - parent)
+        row["wins"], row["losses"] = int((gain > 0).sum()), int((gain < 0).sum())
+        improved = sign * (c_med - p_med) > 0
+        if row["wins"] >= GAIN_SHARE * len(runs) and improved and row["beyond_parent_iqr"]:
+            row["verdict"] = "gain"
+        elif bound is None:
+            row["verdict"] = "no gain"
+        elif sign * (c_med - p_med) < -bound * p_med:
+            row["verdict"] = "regression"
+        elif (max(p_q3 - p_q1, c_q3 - c_q1) > bound * p_med
+              and not (sign * change).min() > (sign * parent).max()):
+            row["verdict"] = "unresolved"
+        else:
+            row["verdict"] = "within bound"
+        row["bound"] = bound
+        rows.append(row)
+    return rows
+
+
+def _trio(q: tuple) -> str:
+    return "/".join(f"{v:.4g}" for v in q)
+
+
+def format_rows(rows: list[dict]) -> str:
+    head = (f"{'metric':28s} {'parent q1/med/q3':>30s} {'change q1/med/q3':>30s} "
+            f"{'ratio':>7s} {'won':>4s} {'lost':>4s} {'>iqr':>5s}  verdict")
+    out = [head]
+    for r in rows:
+        won = "-" if r["wins"] is None else str(r["wins"])
+        lost = "-" if r["losses"] is None else str(r["losses"])
+        out.append(f"{r['metric']:28s} {_trio(r['parent']):>30s} {_trio(r['change']):>30s} "
+                   f"{r['ratio']:7.4f} {won:>4s} {lost:>4s} "
+                   f"{'yes' if r['beyond_parent_iqr'] else 'no':>5s}  {r['verdict']}")
+        for order, (p, c) in r["by_order"].items():
+            out.append(f"    {order:24s} parent median {p:.4g}, change median {c:.4g}")
+    return "\n".join(out)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    if bench_files(args.parent) != bench_files(args.change):
+        sys.stderr.write("the trees hold different perfbench/ or BENCHMARK.json; "
+                         "both sides must run the same benchmark\n")
+        return 2
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        sys.stderr.write(f"unknown workload {args.workload!r}\n")
+        return 2
+    if args.pairs < 1:
+        sys.stderr.write("--pairs must be >= 1\n")
+        return 2
+    runs, same_digests = [], True
+    for i in range(args.pairs):
+        parent_first = i % 2 == 0
+        trees = [args.parent, args.change] if parent_first else [args.change, args.parent]
+        try:
+            results = [run_once(tree, args.workload, args.seed, spec["run_seconds"])
+                       for tree in trees]
+        except RunRefused as exc:
+            sys.stderr.write(f"refused run in pair {i}: {exc}\n")
+            return 1
+        (p, p_info), (c, c_info) = results if parent_first else results[::-1]
+        same_digests &= p_info.get("ckpt_sha") == c_info.get("ckpt_sha")
+        runs.append((p, c, parent_first))
+        sys.stderr.write(f"pair {i} ({'parent' if parent_first else 'change'} first) done\n")
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
+          f"{spec['run_seconds']} s per run; ratio = change median / parent median")
+    print(format_rows(summarize(runs, spec)))
+    print(f"ckpt_sha equal in every pair: {'yes' if same_digests else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

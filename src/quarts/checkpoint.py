@@ -79,15 +79,13 @@ def save_params(path, named: dict[str, Tensor]) -> None:
     save_arrays(path, {k: t.data for k, t in named.items()})
 
 
-def assign_params(named: dict[str, Tensor], arrays: dict[str, np.ndarray],
-                  prefix: str | None = None) -> None:
+def assign_params(named: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
     """Load stored arrays into live parameters, casting to the engine dtype.
 
-    Name sets and shapes must match exactly (after optional prefix
-    filtering), so a checkpoint from a different architecture fails fast.
+    Name sets and shapes must match exactly, so a checkpoint from a
+    different architecture, or one holding an array no model names, fails
+    fast.
     """
-    if prefix is not None:
-        arrays = {k: v for k, v in arrays.items() if k.startswith(prefix)}
     missing = sorted(set(named) - set(arrays))
     extra = sorted(set(arrays) - set(named))
     if missing or extra:

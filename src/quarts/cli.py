@@ -47,6 +47,15 @@ def _config(args) -> RunConfig:
     return cfg
 
 
+def _writable(flag: str, *paths: str | None) -> None:
+    """Fail before any work when an output file the user names (None: not
+    given) is a directory or read-only, or its directory is missing or
+    read-only. Its writer stays a plain ``open`` call: it may be a pipe."""
+    for p in map(Path, filter(None, paths)):
+        if p.is_dir() or not os.access(p if p.exists() else p.parent, os.W_OK):
+            raise DataError(f"{flag} {p}: cannot open the file for writing")
+
+
 def _count(value: int | None, flag: str) -> int | None:
     """A count flag's value, None when not given; below 1 is an error."""
     if value is not None and value < 1:
@@ -90,9 +99,7 @@ def cmd_pretrain_classifier(args) -> int:
     if args.epochs is not None:
         cfg = cfg.replace(clf_epochs=args.epochs)
     data = P.load_data(args.data_dir, cfg)
-    run_dir = _run_dir(args)
-    _, records = P.phase_pretrain_classifier(cfg, data, run_dir)
-    cfg.save(run_dir / "config.cfg")
+    _, records = P.phase_pretrain_classifier(cfg, data, _run_dir(args))
     log.info("classifier pretraining done%s", _final_val(records))
     return EXIT_OK
 
@@ -147,6 +154,7 @@ def cmd_train_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args)
+    _writable("--scores-out", args.scores_out)
     data = P.load_data(args.data_dir, cfg)
     report = P.evaluate_checkpoint(cfg, data, _run_dir(args), args.checkpoint,
                                    split=args.split,
@@ -179,6 +187,7 @@ def _load_tool_model(args, cfg, data, with_generator: bool):
 
 def cmd_generate(args) -> int:
     cfg = _config(args)
+    _writable("--out", args.out)
     data = P.load_data(args.data_dir, cfg)
     split = {"train": data.train, "val": data.val, "test": data.test}[args.split]
     pairs = [p for p in (read_pairs(args.pairs) if args.pairs else split) if p.label == 0]
@@ -202,6 +211,7 @@ def cmd_generate(args) -> int:
 
 def cmd_heatmap(args) -> int:
     cfg = _config(args)
+    _writable("--out", *[args.out + ext for ext in (".txt", ".json") if args.out])
     data = P.load_data(args.data_dir, cfg)
     title_tokens = _tokens(args.title, "--title", cfg.max_title_len)
     query_tokens = _tokens(args.query, "--query", cfg.max_query_len)

@@ -78,10 +78,6 @@ class RunConfig:
             lines.append(f"{f.name} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(self.to_text())
-
     def hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
@@ -180,33 +176,40 @@ def file_sha256(path) -> str:
     return h.hexdigest()[:16]
 
 
+# The keys of a phase's manifest entry, each with the JSON type of its value.
+ENTRY_TYPES = {"checkpoint": str, "seconds": (int, float), "config": dict, "data": dict,
+               "ids": dict, "records": list}
+
+
 @dataclass
 class RunManifest:
-    """Reproducibility record: same inputs regenerate the same metrics."""
-    config_hash: str = ""                             # the config the run dir began with
-    seed: int = 0
-    phases: dict = field(default_factory=dict)        # name -> {checkpoint, seconds,
-                                                      #   config_hash, data, ids}
-    created: str = ""
+    """The run dir's one record: each phase's entry, which a rerun of the phase
+    replaces whole. An entry's config hash is ``RunConfig(**entry["config"]).hash()``."""
+    created: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
+    phases: dict = field(default_factory=dict)        # name -> entry, keys as ENTRY_TYPES
 
-    def record_phase(self, name: str, checkpoint: str, seconds: float,
-                     config_hash: str, data: dict[str, str], ids: dict) -> None:
-        """``data``: the content hash of each data file the phase read;
-        ``ids``: what its token ids mean, a digest of each vocabulary and
-        the truncation lengths (``pipeline.DataBundle.ids``)."""
+    def record_phase(self, name: str, checkpoint: str, seconds: float, cfg: RunConfig,
+                     data: dict[str, str], ids: dict, records: list[dict]) -> None:
+        """``data``: the hash of each file the phase read; ``ids``: what its token
+        ids mean (``pipeline.DataBundle.ids``); ``records``: its epoch records."""
         self.phases[name] = {"checkpoint": checkpoint, "seconds": round(seconds, 6),
-                             "config_hash": config_hash, "data": data, "ids": ids}
+                             "config": dataclasses.asdict(cfg), "data": data, "ids": ids,
+                             "records": records}
 
     def save(self, path) -> None:
         with atomic_write(path) as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        """Read a saved manifest; malformed JSON or an unknown key is a ConfigError."""
-        return load_json_fields(cls, path, ConfigError, "manifest")
-
-    @classmethod
-    def start(cls, cfg: RunConfig) -> "RunManifest":
-        return cls(config_hash=cfg.hash(), seed=cfg.seed,
-                   created=time.strftime("%Y-%m-%dT%H:%M:%S"))
+        """Read a saved manifest. Malformed JSON, an unknown key or a phase entry
+        unlike ``ENTRY_TYPES`` is a ConfigError naming the file (and the phase)."""
+        man = load_json_fields(cls, path, ConfigError, "manifest")
+        if not isinstance(man.phases, dict):
+            raise ConfigError(f"{path}: 'phases' must be a JSON object")
+        for name, entry in man.phases.items():
+            if not (isinstance(entry, dict) and entry.keys() == ENTRY_TYPES.keys()
+                    and all(isinstance(entry[k], t) for k, t in ENTRY_TYPES.items())):
+                raise ConfigError(f"{path}: phase {name!r} must be an object of "
+                                  f"{', '.join(ENTRY_TYPES)}, as a phase writes it")
+        return man

@@ -10,7 +10,8 @@ parameter map it hands to ``train.fit`` (what the phase trains) and its
 ``epoch_fields`` (``train.val_pass``, or the KL weight for generator
 pretraining): its loss's stats and those fields are what its epoch
 records hold. ``_phase`` does the rest for all of them, from the run dir
-to the checkpoint, the records in ``metrics.jsonl`` and the manifest entry.
+to the checkpoint and the phase's entry in ``manifest.json``, the run
+dir's one record, which holds the phase's config and epoch records too.
 ``load_bundle`` reads every checkpoint back, and refuses one whose
 manifest entry records other token ids than the data dir and config
 give (``DataBundle.ids``). Phases, evaluation and the CLI tools run
@@ -167,15 +168,6 @@ def _digest(vocab: Vocabulary) -> str:
 
 # --- shared helpers ----------------------------------------------------------
 
-def _append_metrics(run_dir: Path, phase: str, records: list[EpochRecord]) -> None:
-    """The one writer of epoch records: a JSON line each in ``metrics.jsonl``."""
-    if not records:
-        return
-    with open(run_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({"phase": phase, **r.to_json()}) + "\n")
-
-
 @dataclass
 class PhaseRun:
     """What a phase body hands ``_phase`` (``params`` None: no arrays to save)."""
@@ -192,24 +184,22 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
 
     Reads the manifest first, so a bad one stops the phase before it trains.
     Creates the run dir and runs the body timed, at the run's precision.
-    After the body, writes ``run.params`` to ``ckpt``, appends
-    ``run.records`` to ``metrics.jsonl`` under ``name`` and records the
-    phase in ``manifest.json``: its config hash, the hashes of the data
-    files it read and its ``data.ids``, which ``load_bundle`` checks
-    before it reads ``ckpt`` back. A body that raises writes none of these.
+    After the body, writes ``run.params`` to ``ckpt`` and replaces the
+    phase's entry ``name`` in ``manifest.json``, in one atomic save: its
+    config, the hashes of the data files it read, its ``data.ids``, which
+    ``load_bundle`` checks before it reads ``ckpt`` back, and
+    ``run.records``. A body that raises writes none of these.
     """
     path = Path(run_dir) / "manifest.json"
-    run = PhaseRun(path.parent, RunManifest.load(path) if path.exists()
-                   else RunManifest.start(cfg))
+    run = PhaseRun(path.parent, RunManifest.load(path) if path.exists() else RunManifest())
     run.dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     with run_dtype(cfg):
         yield run
     if run.params is not None:
         save_params(run.dir / ckpt, run.params)
-    _append_metrics(run.dir, name, run.records)
-    run.manifest.record_phase(name, ckpt, time.perf_counter() - t0, cfg.hash(), data.files,
-                              data.ids)
+    run.manifest.record_phase(name, ckpt, time.perf_counter() - t0, cfg, data.files, data.ids,
+                              [r.to_json() for r in run.records])
     run.manifest.save(path)
 
 
@@ -237,9 +227,9 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
     A missing checkpoint names the command that writes it, ``need`` for a
     name ``WRITTEN_BY`` lacks. The ``ids`` that the manifest entry of the
     checkpoint's own phase records must equal ``data.ids``, or its token
-    ids would silently mean other tokens or be cut at other lengths; an
-    entry without ``ids`` (older run dirs) and a checkpoint no entry
-    names are read unchecked.
+    ids would silently mean other tokens or be cut at other lengths; a
+    checkpoint no entry names is read unchecked. The models' parameter
+    names must match the checkpoint's array names exactly.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
@@ -247,25 +237,22 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
                             f"`quarts {WRITTEN_BY.get(path.name, need)}` first")
     man = path.parent / "manifest.json"
     for entry in RunManifest.load(man).phases.values() if man.exists() else ():
-        for key, value in (entry.get("ids") or {}).items():
-            if entry["checkpoint"] == path.name and value != data.ids.get(key):
+        for key, value in data.ids.items():
+            if entry["checkpoint"] == path.name and entry["ids"].get(key) != value:
                 raise PipelineError(f"{man}: {path.name} was trained on ids with {key} = "
-                                    f"{value}, the data dir and config give {key} = "
-                                    f"{data.ids.get(key)}; use the --data-dir and config "
-                                    "the run was trained with")
+                                    f"{entry['ids'].get(key)}, the data dir and config give "
+                                    f"{key} = {value}; use the --data-dir and config the run "
+                                    "was trained with")
     arrays = load_arrays(path)
     with run_dtype(cfg):
         if any(k.startswith("dssm.") for k in arrays):
-            dssm = new_dssm(cfg, data, RunRng(cfg.seed, "dssm"))
-            assign_params(dssm.named(), arrays)
-            return dssm, None
-        clf = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
-        assign_params(clf.named(), arrays, prefix="clf.")
-        ved = None
-        if any(k.startswith("ved.") for k in arrays):
-            ved = new_ved(cfg, data, RunRng(cfg.seed, "ved"))
-            assign_params(ved.named(), arrays, prefix="ved.")
-    return clf, ved
+            model, ved = new_dssm(cfg, data, RunRng(cfg.seed, "dssm")), None
+        else:
+            model = new_classifier(cfg, data, RunRng(cfg.seed, "classifier"))
+            ved = (new_ved(cfg, data, RunRng(cfg.seed, "ved"))
+                   if any(k.startswith("ved.") for k in arrays) else None)
+        assign_params({**model.named(), **(ved.named() if ved else {})}, arrays)
+    return model, ved
 
 
 _HOLDERS = {"generator": "a pretrain-ved or train-e2e checkpoint",
@@ -371,11 +358,11 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
     """Generator pretraining on the triples: ``fit`` trains the generator
     only, so the classifier arrays leave the phase bitwise unchanged, and
     each distinct title and matched query is encoded once for the phase.
-    Triples whose manifest entry records another ``train.tsv`` hash than
-    the data dir's exit 2 (a run dir without that entry is not checked)."""
+    Triples whose manifest entry records no ``train.tsv`` hash, or another
+    than the data dir's, exit 2 (a run dir without that entry is unchecked)."""
     with _phase(cfg, data, run_dir, "ved", CKPT_VED) as run:
-        entry = run.manifest.phases.get("triples", {})
-        built_on = entry.get("data", {}).get("train.tsv", data.files["train.tsv"])
+        entry = run.manifest.phases.get("triples")
+        built_on = entry["data"].get("train.tsv") if entry else data.files["train.tsv"]
         if built_on != data.files["train.tsv"]:
             raise PipelineError(f"{run.dir / CKPT_TRIPLES} was built from a train.tsv hashed "
                                 f"{built_on}, this data dir's is hashed "

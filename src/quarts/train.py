@@ -11,7 +11,8 @@ The batch size and the rate decay come from the run's ``RunConfig``.
 ``fit`` only trains; each phase states what its epoch records hold: the
 stats its loss reports, each averaged over all the epoch's values, and
 the fields its ``epoch_fields`` returns, such as ``val_pass``'s val AUPR
-and F1. A new per-epoch measure is one entry in either.
+and F1. A new per-epoch measure is one entry in either. The records, in
+``fit``'s key order, go into the phase's entry in ``manifest.json``.
 
 Evaluation scores a ``classifier.EncodedBatch`` per batch, gathered in
 part from the encode-once cache (``encode_distinct``) that VED

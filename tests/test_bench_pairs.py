@@ -1,5 +1,6 @@
 """The pair-run tool's summary, on synthetic numbers (no benchmark run)."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,16 @@ def test_per_layer_and_undeclared_metrics(tool):
     (row,) = tool.summarize(runs("val_aupr", [0.5, 0.5], [0.6, 0.6]), SPEC)
     assert (row["wins"], row["verdict"]) == (None, "-")
     assert "val_aupr" in tool.format_rows([row])
+
+
+def test_env_line_gives_each_trees_src_lines(tool):
+    lines = ["env " + json.dumps({"workload": "infer", "seed": 0, "src_lines": 3761}),
+             "  eval_pairs_per_s  5000 pairs/s",
+             "info " + json.dumps({"ckpt_sha": {"e2e": "ab12"}}),
+             json.dumps({"correct": True, "metrics": {}})]
+    env = tool.tagged(lines, "env")
+    assert env == {"workload": "infer", "seed": 0, "src_lines": 3761}
+    assert tool.tagged(lines, "info") == {"ckpt_sha": {"e2e": "ab12"}}
+    assert tool.tagged(lines, "trace") == {}
+    assert tool.src_lines([env, env]) == "3761"
+    assert tool.src_lines([env, {**env, "src_lines": 3765}]) == "3761/3765"

@@ -128,7 +128,7 @@ class TestConfig:
 
     def test_roundtrip(self, tmp_path):
         cfg = desk_profile(seed=5, p=0.4)
-        cfg.save(tmp_path / "run.cfg")
+        (tmp_path / "run.cfg").write_text(cfg.to_text())
         again = load_config(tmp_path / "run.cfg")
         assert again == cfg
         assert again.hash() == cfg.hash()
@@ -166,16 +166,21 @@ class TestConfig:
         assert RunConfig(decay_factor=1.0, decay_every=1).decay_factor == 1.0
 
     def test_manifest_roundtrip(self, tmp_path):
-        m = RunManifest.start(desk_profile())
-        m.record_phase("classifier", "phase1.qrts", 1.25, m.config_hash,
-                       {"train.tsv": "abc123"}, IDS)
+        cfg = desk_profile(seed=5, p=0.4)
+        m = RunManifest()
+        m.record_phase("classifier", "phase1.qrts", 1.25, cfg, {"train.tsv": "abc123"}, IDS,
+                       [{"epoch": 0, "loss": 0.5}])
         m.save(tmp_path / "manifest.json")
         back = RunManifest.load(tmp_path / "manifest.json")
-        assert back.config_hash == m.config_hash
-        assert back.phases["classifier"]["config_hash"] == m.config_hash
-        assert back.phases["classifier"]["checkpoint"] == "phase1.qrts"
-        assert back.phases["classifier"]["data"] == {"train.tsv": "abc123"}
-        assert back.phases["classifier"]["ids"] == IDS
+        assert back == m
+        entry = back.phases["classifier"]
+        assert list(entry) == ["checkpoint", "seconds", "config", "data", "ids", "records"]
+        assert RunConfig(**entry["config"]) == cfg
+        assert RunConfig(**entry["config"]).hash() == cfg.hash()
+        assert entry["checkpoint"] == "phase1.qrts"
+        assert entry["data"] == {"train.tsv": "abc123"}
+        assert entry["ids"] == IDS
+        assert entry["records"] == [{"epoch": 0, "loss": 0.5}]
 
     def test_manifest_written_with_datasets_is_refused(self, tmp_path):
         """Manifests written before phases carried their data hashes have a
@@ -183,16 +188,16 @@ class TestConfig:
         unknown key like any other."""
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({
-            "config_hash": "c0ffee", "seed": 3, "datasets": {}, "created": "then",
+            "datasets": {}, "created": "then",
             "phases": {"classifier": {"checkpoint": "phase1.qrts", "seconds": 1.0,
-                                      "config_hash": "c0ffee"}}}))
+                                      "config": {}, "data": {}, "ids": {}, "records": []}}}))
         with pytest.raises(ConfigError, match=f"{path}: unknown manifest key 'datasets'"):
             RunManifest.load(path)
 
 
 def _manifest(data: dict) -> RunManifest:
-    m = RunManifest(config_hash="c0ffee", seed=1)
-    m.record_phase("classifier", "phase1.qrts", 1.0, "c0ffee", data, IDS)
+    m = RunManifest()
+    m.record_phase("classifier", "phase1.qrts", 1.0, desk_profile(), data, IDS, [])
     return m
 
 

@@ -10,9 +10,9 @@ import pytest
 from quarts import pipeline as P
 from quarts import tensor as T
 from quarts import train as TR
-from quarts.checkpoint import load_arrays
+from quarts.checkpoint import load_arrays, save_arrays
 from quarts.cli import main
-from quarts.config import desk_profile, file_sha256, load_config
+from quarts.config import RunConfig, desk_profile, file_sha256, load_config
 from quarts.data import read_pairs
 from quarts.ved import build_triples
 
@@ -103,18 +103,21 @@ class TestCatalogFile:
 # what a phase's manifest entry records about its token ids
 IDS_KEYS = ["max_query_len", "max_title_len", "vocab_q", "vocab_t"]
 
-# each phase's epoch records in metrics.jsonl, key for key and in order
-VAL_KEYS = ["phase", "epoch", "split", "aupr", "f1", "loss"]
+# each phase's epoch records in its manifest entry, key for key and in order
+VAL_KEYS = ["epoch", "split", "aupr", "f1", "loss"]
 RECORD_KEYS = {"classifier": VAL_KEYS, "dssm": VAL_KEYS, "augment": VAL_KEYS,
                "e2e": VAL_KEYS + ["s1_fraction"],
-               "ved": ["phase", "epoch", "kl_weight", "loss", "nll", "kl"]}
+               "ved": ["epoch", "kl_weight", "loss", "nll", "kl"]}
+
+
+def manifest_phases(run: Path) -> dict:
+    return json.loads((run / "manifest.json").read_text())["phases"]
 
 
 def phase_records(run: Path, phase: str) -> list[dict]:
-    """The ``metrics.jsonl`` lines of ``phase``, after checking each holds
-    exactly that phase's keys."""
-    lines = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
-    recs = [r for r in lines if r["phase"] == phase]
+    """The epoch records in the manifest entry of ``phase``, after checking
+    each holds exactly that phase's keys."""
+    recs = manifest_phases(run)[phase]["records"]
     assert recs and [list(r) for r in recs] == [RECORD_KEYS[phase]] * len(recs), phase
     return recs
 
@@ -142,8 +145,12 @@ class TestManifestFile:
         (b'{"seed": 3,', "malformed JSON"),
         (b'\xff{"seed": 3}', "malformed JSON"),
         (b"[]", "expected a JSON object"),
-        (json.dumps({"seed": 3, "datasets": {}}).encode(), "unknown manifest key 'datasets'"),
-    ], ids=["truncated", "not_utf8", "list", "unknown_key"])
+        (json.dumps({"datasets": {}}).encode(), "unknown manifest key 'datasets'"),
+        (b'{"phases": []}', "'phases' must be a JSON object"),
+        (json.dumps({"phases": {"classifier": {"checkpoint": P.CKPT_CLASSIFIER}}}).encode(),
+         "phase 'classifier' must be an object of checkpoint, seconds, config, data, ids, "
+         "records"),
+    ], ids=["truncated", "not_utf8", "list", "unknown_key", "phases_list", "missing_key"])
     @pytest.mark.parametrize("argv", [["eval", "--checkpoint", P.CKPT_CLASSIFIER],
                                       ["pretrain-classifier"]], ids=["eval", "pretrain"])
     def test_bad_manifest_exits_2(self, workspace, tmp_path, capsys, argv, text, named):
@@ -214,17 +221,25 @@ class TestPhases:
         assert not any("s1_fraction" in r for r in clf)
 
     def test_manifest_records_each_phase_config(self, workspace, tmp_path):
-        _, _, run, base = workspace
+        """A rerun replaces its phase's entry whole, config and records: a
+        shorter rerun leaves none of the longer run's records behind."""
+        _, data_dir, run, base = workspace
         copy = tmp_path / "run"
         shutil.copytree(run, copy)
         argv = [str(copy) if a == str(run) else a for a in base]
+        cfg = load_config(base[-1], base=desk_profile())
         hashes = []
         for p in ("0", "0.3"):
             assert main(["train-e2e"] + argv + ["--p", p]) == 0
-            phases = json.loads((copy / "manifest.json").read_text())["phases"]
-            hashes.append(phases["e2e"]["config_hash"])
+            hashes.append(RunConfig(**manifest_phases(copy)["e2e"]["config"]).hash())
         assert hashes[0] != hashes[1]
-        assert hashes[1] == load_config(base[-1], base=desk_profile()).replace(p=0.3).hash()
+        assert hashes[1] == cfg.replace(p=0.3).hash()
+        assert main(["pretrain-classifier", "--epochs", "2"] + argv) == 0
+        assert len(phase_records(copy, "classifier")) == 2
+        cfg = cfg.replace(clf_epochs=1)
+        _, records = P.phase_pretrain_classifier(cfg, P.load_data(data_dir, cfg), copy)
+        assert phase_records(copy, "classifier") == [r.to_json() for r in records]
+        assert RunConfig(**manifest_phases(copy)["classifier"]["config"]).hash() == cfg.hash()
 
     def test_missing_prerequisite_names_prior_command(self, workspace, capsys):
         root, data, _, _ = workspace
@@ -257,6 +272,8 @@ class TestPhases:
         augment = load_arrays(run / P.CKPT_AUGMENT)
         ved = load_arrays(run / P.CKPT_VED)
         phase_records(run, "augment")
+        # the manifest is the run dir's one record of configs and epochs
+        assert not (run / "metrics.jsonl").exists() and not (run / "config.cfg").exists()
         clf_names = sorted(k for k in e2e if k.startswith("clf."))
         assert len(clf_names) == 16 and sorted(augment) == clf_names
         for k in clf_names:
@@ -307,8 +324,8 @@ class TestPhases:
         assert T.get_default_dtype() is np.float32
 
     def test_ved_phase_writes_epochs_to_metrics(self, workspace, monkeypatch):
-        # the VED epochs go to metrics.jsonl like every other phase's, with
-        # no val pass, and the classifier, which the phase does not train, stays as is
+        # the VED epochs go to its manifest entry like every other phase's,
+        # with no val pass, and the classifier, which the phase does not train, stays as is
         root, data_dir, _, _ = workspace
         cfg = load_config(root / "tiny.cfg", base=desk_profile()).replace(
             ved_epochs=3, kl_anneal_epochs=4)
@@ -324,7 +341,7 @@ class TestPhases:
         _, records = P.phase_pretrain_ved(cfg, data, run)
         ved = phase_records(run, "ved")
         assert [r["kl_weight"] for r in ved] == [0.0, 1 / 3, 2 / 3]
-        assert ved == [{"phase": "ved", **r.to_json()} for r in records]
+        assert ved == [r.to_json() for r in records]
         assert not (run / "ved_history.json").exists()
         before = load_arrays(run / P.CKPT_CLASSIFIER)
         after = load_arrays(run / P.CKPT_VED)
@@ -443,6 +460,19 @@ class TestPhases:
         assert "shape mismatch for 'clf.lstm_q.wx'" in capsys.readouterr().err
         assert not (copy / P.CKPT_VED).exists()
 
+    def test_checkpoint_array_no_model_names_refused(self, workspace, tmp_path, capsys):
+        """Every array a checkpoint holds must be a parameter of the models it
+        loads into; a stray one exits 2 naming it."""
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        arrays = load_arrays(copy / P.CKPT_CLASSIFIER)
+        save_arrays(copy / P.CKPT_CLASSIFIER, {**arrays, "stray.w": np.ones(2, np.float32)})
+        code = main(["eval", "--checkpoint", P.CKPT_CLASSIFIER, "--data-dir", str(data),
+                     "--run-dir", str(copy), "--config", str(root / "tiny.cfg")])
+        assert code == 2
+        assert "extra=['stray.w']" in capsys.readouterr().err
+
     def test_other_data_dir_vocabulary_refused(self, workspace, tmp_path, capsys):
         """A later phase on a data dir whose train split builds another
         vocabulary exits 2 instead of remapping the checkpoint's token ids."""
@@ -456,11 +486,12 @@ class TestPhases:
         assert main(["pretrain-ved"] + base) == 2
         assert "vocab_q = " in capsys.readouterr().err
         assert not (run_copy / P.CKPT_VED).exists()
-        # a manifest entry that records no ids (an older run dir) is not refused
+        # a manifest entry that records no ids is malformed, not read unchecked
         man = json.loads((run_copy / "manifest.json").read_text())
         del man["phases"]["classifier"]["ids"]
         (run_copy / "manifest.json").write_text(json.dumps(man))
-        assert main(["eval", "--checkpoint", P.CKPT_CLASSIFIER] + base) == 0
+        assert main(["eval", "--checkpoint", P.CKPT_CLASSIFIER] + base) == 2
+        assert "phase 'classifier' must be an object of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["max_title_len", "max_query_len"])
     def test_other_max_length_refused(self, workspace, tmp_path, capsys, key):
@@ -527,7 +558,11 @@ class TestPhases:
         assert "build-triples" in err
         assert file_sha256(half / "train.tsv") in err and file_sha256(data / "train.tsv") in err
         assert not (run_copy / P.CKPT_VED).exists()
+        # an entry that records no train.tsv hash is refused too
         man = json.loads((run_copy / "manifest.json").read_text())
+        del man["phases"]["triples"]["data"]["train.tsv"]
+        (run_copy / "manifest.json").write_text(json.dumps(man))
+        assert main(["pretrain-ved", "--data-dir", str(data)] + cfg) == 2
         del man["phases"]["triples"]
         (run_copy / "manifest.json").write_text(json.dumps(man))
         assert main(["pretrain-ved", "--data-dir", str(data)] + cfg) == 0
@@ -736,6 +771,33 @@ class TestTools:
                                       "--limit", "30"]) == 0
         out = capsys.readouterr().out
         assert "source: running shoes" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--checkpoint", P.CKPT_VED, "--scores-out"], "--scores-out"),
+        (["generate", "--checkpoint", P.CKPT_VED, "--out"], "--out"),
+        (["heatmap", "--checkpoint", P.CKPT_VED, "--title", "alvora running shoes",
+          "--query", "insoles", "--out"], "--out"),
+    ], ids=["eval", "generate", "heatmap"])
+    def test_output_path_that_cannot_be_opened_fails_first(self, workspace, tmp_path,
+                                                           capsys, monkeypatch, argv, flag):
+        """An output file in a missing directory exits 2 naming the flag and the
+        path before any data is read, and the run dir gains no report."""
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        out = tmp_path / "nodir" / "out"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command read its data before checking its output")
+
+        monkeypatch.setattr(P, "load_data", no_work)
+        code = main(argv[:1] + ["--data-dir", str(data), "--run-dir", str(copy), "--config",
+                                str(root / "tiny.cfg")] + argv[1:] + [str(out)])
+        assert code == 2
+        assert f"{flag} {out}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+        assert not (tmp_path / "nodir").exists()
 
     def test_scores_dump(self, workspace):
         root, _, _, base = workspace

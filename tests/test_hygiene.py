@@ -108,7 +108,6 @@ def plain_writers(source: str) -> list[str]:
 # Every other file the package writes goes through ``config.atomic_write``.
 PLAIN_WRITERS = sorted([
     "config.py:atomic_write:open",         # the temporary file it renames
-    "pipeline.py:_append_metrics:open",    # metrics.jsonl is appended to
     # outputs the user names, which may be a pipe or a device
     "pipeline.py:evaluate_checkpoint:open",                  # eval --scores-out
     "cli.py:cmd_generate:open",                              # generate --out

@@ -17,7 +17,8 @@ change/parent ratio of the medians, the pairs the change won and lost
 (by the metric's direction in ``BENCHMARK.json``; ties count for
 neither), whether the medians differ by more than the parent's
 interquartile range, a verdict, and each side's median split by which
-tree ran first. The verdicts:
+tree ran first, and the ``src_lines`` that each tree's runs report. The
+verdicts:
 
 - ``gain``: the change won at least nine tenths of the pairs and its
   median is better by more than the parent's interquartile range;
@@ -54,8 +55,22 @@ def bench_files(tree: Path) -> dict[str, bytes]:
     return files
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced run in ``tree``: (metric values by name, its ``info`` record)."""
+def tagged(lines: list[str], tag: str) -> dict:
+    """The JSON record of the first line that starts with ``tag``, such as
+    perfbench's ``env`` and ``info`` lines; {} when there is none."""
+    return next((json.loads(l[len(tag) + 1:]) for l in lines if l.startswith(tag + " ")), {})
+
+
+def src_lines(envs: list[dict]) -> str:
+    """The ``src_lines`` that a tree's runs report in their ``env`` records:
+    one value, or each value seen when the tree changed between runs."""
+    return "/".join(str(v) for v in sorted({e.get("src_lines") for e in envs}, key=str))
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             ) -> tuple[dict, dict, dict]:
+    """One untraced run in ``tree``: (metric values by name, its ``info``
+    record, its ``env`` record)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
@@ -67,8 +82,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     if proc.returncode != 0 or not result.get("correct"):
         raise RunRefused(f"{tree}: exit {proc.returncode}, correct="
                          f"{result.get('correct')}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    info = next((json.loads(l[5:]) for l in lines if l.startswith("info ")), {})
-    return {k: m["value"] for k, m in result["metrics"].items()}, info
+    return ({k: m["value"] for k, m in result["metrics"].items()}, tagged(lines, "info"),
+            tagged(lines, "env"))
 
 
 def _directions(spec: dict) -> dict[str, tuple[str, float | None]]:
@@ -161,7 +176,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         sys.stderr.write("--pairs must be >= 1\n")
         return 2
-    runs, same_digests = [], True
+    runs, envs, same_digests = [], ([], []), True
     for i in range(args.pairs):
         parent_first = i % 2 == 0
         trees = [args.parent, args.change] if parent_first else [args.change, args.parent]
@@ -171,13 +186,16 @@ def main(argv=None) -> int:
         except RunRefused as exc:
             sys.stderr.write(f"refused run in pair {i}: {exc}\n")
             return 1
-        (p, p_info), (c, c_info) = results if parent_first else results[::-1]
+        (p, p_info, p_env), (c, c_info, c_env) = results if parent_first else results[::-1]
         same_digests &= p_info.get("ckpt_sha") == c_info.get("ckpt_sha")
+        envs[0].append(p_env)
+        envs[1].append(c_env)
         runs.append((p, c, parent_first))
         sys.stderr.write(f"pair {i} ({'parent' if parent_first else 'change'} first) done\n")
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{spec['run_seconds']} s per run; ratio = change median / parent median")
     print(format_rows(summarize(runs, spec)))
+    print(f"src_lines: parent {src_lines(envs[0])}, change {src_lines(envs[1])}")
     print(f"ckpt_sha equal in every pair: {'yes' if same_digests else 'no'}")
     return 0
 

@@ -190,7 +190,8 @@ def _sample_item(spec: CatalogSpec, rng: np.random.Generator) -> tuple[str, str,
     return title, ptype, {"brand": brand, **attrs}
 
 
-def _matched_query(ptype: str, parts: dict, rng: np.random.Generator) -> str:
+def _matched_query(spec: CatalogSpec, ptype: str, parts: dict,
+                   rng: np.random.Generator) -> str:
     units = [ptype]
     if rng.random() < 0.35:
         units.append(parts["brand"])
@@ -218,7 +219,7 @@ def _hard_mismatch_query(spec: CatalogSpec, ptype: str, parts: dict,
     return t2
 
 
-def _easy_mismatch_query(spec: CatalogSpec, ptype: str,
+def _easy_mismatch_query(spec: CatalogSpec, ptype: str, parts: dict,
                          rng: np.random.Generator) -> str:
     forbidden = set(spec.accessory_map[ptype]) | {ptype}
     choices = [t for t in spec.product_types if t not in forbidden]
@@ -267,7 +268,7 @@ def generate_corpus(spec: CatalogSpec) -> tuple[list[RawPair], list[RawPair], Ma
                     f"cannot synthesize {count} distinct pairs (label={label}); "
                     "requested counts exceed combinatorial capacity")
             title, ptype, parts = items[rng.integers(len(items))]
-            query = make_query(title, ptype, parts)
+            query = make_query(spec, ptype, parts, rng)
             key = (title, query)
             if key in taken:
                 continue
@@ -279,18 +280,9 @@ def generate_corpus(spec: CatalogSpec) -> tuple[list[RawPair], list[RawPair], Ma
     n_pos = int(round(spec.labeled_pairs * spec.positive_rate))
     n_hard = int(round(n_pos * spec.hard_fraction))
 
-    def matched(title, ptype, parts):
-        return _matched_query(ptype, parts, rng)
-
-    def hard(title, ptype, parts):
-        return _hard_mismatch_query(spec, ptype, parts, rng)
-
-    def easy(title, ptype, parts):
-        return _easy_mismatch_query(spec, ptype, rng)
-
-    labeled = fill(spec.labeled_pairs - n_pos, matched, 0, "annotated", taken)
-    labeled += fill(n_hard, hard, 1, "annotated", taken)
-    labeled += fill(n_pos - n_hard, easy, 1, "annotated", taken)
+    labeled = fill(spec.labeled_pairs - n_pos, _matched_query, 0, "annotated", taken)
+    labeled += fill(n_hard, _hard_mismatch_query, 1, "annotated", taken)
+    labeled += fill(n_pos - n_hard, _easy_mismatch_query, 1, "annotated", taken)
     perm = rng.permutation(len(labeled))
     labeled = [labeled[i] for i in perm]
 
@@ -298,8 +290,8 @@ def generate_corpus(spec: CatalogSpec) -> tuple[list[RawPair], list[RawPair], Ma
     # query), not human-verified: a noise fraction are accessory purchases
     # that still carry y=0. The oracle knows their true label.
     n_noisy = int(round(spec.logs_pairs * spec.logs_noise))
-    logs = fill(spec.logs_pairs - n_noisy, matched, 0, "logs", taken)
-    logs += fill(n_noisy, hard, 0, "logs", taken)
+    logs = fill(spec.logs_pairs - n_noisy, _matched_query, 0, "logs", taken)
+    logs += fill(n_noisy, _hard_mismatch_query, 0, "logs", taken)
     logs_perm = rng.permutation(len(logs))
     logs = [logs[i] for i in logs_perm]
 

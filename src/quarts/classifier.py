@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, PAD, pad_mask
+from .data import Batch, PAD, pad_mask, pad_matrix
 from .tensor import Tensor
 
 CE_CLAMP_F64 = 1e-12
@@ -455,7 +455,7 @@ def weighted_ce_loss(probs: Tensor, labels: np.ndarray, beta: float = 5.0) -> Te
     y = np.asarray(labels, dtype=np.float64)
     pos = Tensor(beta * y) * T.log(f)
     negt = Tensor(1.0 - y) * T.log(T.sub(1.0, f))
-    return T.neg(T.mean_all(pos + negt))
+    return T.scale(T.mean_all(pos + negt), -1.0)
 
 
 def classifier_batch_loss(params: ClassifierParams, batch: Batch, beta: float,
@@ -524,8 +524,7 @@ def attention_heatmap(item_ids: list[int], query_ids: list[int],
                       params: ClassifierParams) -> np.ndarray:
     """Raw (n, m) attention scores for one pair, rows = query words."""
     _, alpha = batch_probs(params, encode_pair_batch(
-        params, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])))
+        params, *pad_matrix([item_ids]), *pad_matrix([query_ids])))
     return np.array(alpha.data[0], dtype=np.float64)
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from . import pipeline as P
 from .catalog import CatalogSpec
 from .checkpoint import CheckpointError
-from .classifier import ClassifierParams, attention_heatmap, normalize_heatmap, \
-    heatmap_text, encode_batch
+from .classifier import attention_heatmap, normalize_heatmap, heatmap_text, encode_batch
 from .config import (ConfigError, RunConfig, atomic_write, desk_profile, load_config,
                      paper_profile)
 from .data import DataError, encode_pairs, pad_matrix, read_pairs, tokenize
@@ -175,14 +174,11 @@ def _tokens(text: str, flag: str, max_len: int) -> list[str]:
     return tokens
 
 
-def _load_tool_model(args, cfg, data, with_generator: bool):
-    """The classifier, and the generator when asked, that a tool reads."""
-    ckpt = args.checkpoint or P.CKPT_E2E
-    clf, ved = P.load_bundle(cfg, data, _run_dir(args), ckpt, need="train-e2e")
-    P.require(isinstance(clf, ClassifierParams), ckpt, "classifier")
-    if with_generator:
-        P.require(ved is not None, ckpt, "generator")
-    return clf, ved
+def _load_tool_model(args, cfg, data, *parts: str):
+    """The classifier, and the other ``parts``, that a tool reads from its
+    ``--checkpoint``, by default the end-to-end one."""
+    return P.load_bundle(cfg, data, _run_dir(args), args.checkpoint or P.CKPT_E2E,
+                         need="train-e2e", parts=("classifier", *parts))
 
 
 def cmd_generate(args) -> int:
@@ -195,7 +191,7 @@ def cmd_generate(args) -> int:
     examples = encode_pairs(pairs, data.vocab_t, data.vocab_q,
                             cfg.max_title_len, cfg.max_query_len)
     with P.run_dtype(cfg):
-        clf, ved = _load_tool_model(args, cfg, data, with_generator=True)
+        clf, ved = _load_tool_model(args, cfg, data, "generator")
         with open(args.out, "w", encoding="utf-8") as fh:
             for pair, ex in zip(pairs, examples):
                 tokens, score = beam_generate(ex.item_ids, ex.query_ids, clf, ved,
@@ -216,7 +212,7 @@ def cmd_heatmap(args) -> int:
     title_tokens = _tokens(args.title, "--title", cfg.max_title_len)
     query_tokens = _tokens(args.query, "--query", cfg.max_query_len)
     with P.run_dtype(cfg):
-        clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
+        clf, _ = _load_tool_model(args, cfg, data)
         alpha = attention_heatmap(data.vocab_t.encode(title_tokens),
                                   data.vocab_q.encode(query_tokens), clf)
     norm = normalize_heatmap(alpha)
@@ -245,7 +241,7 @@ def cmd_knn(args) -> int:
     mat, lens = pad_matrix([vocab.encode(tokenize(t)[:max_len]) for t in texts]
                            + [vocab.encode(source)])
     with P.run_dtype(cfg):
-        clf, _ = _load_tool_model(args, cfg, data, with_generator=False)
+        clf, _ = _load_tool_model(args, cfg, data)
         emb = clf.emb_q if side == "query" else clf.emb_t
         lstm = clf.lstm_q if side == "query" else clf.lstm_t
         states, _ = encode_batch(mat, lens, emb, lstm)

@@ -13,7 +13,8 @@ loss like any other, and the s vector it returns is the phase's
 Every batch is encoded once into a ``classifier.EncodedBatch``. When
 some rows switch, the generator reads their rows of that record and its
 states replace them in the record's query half; one classifier pass
-scores the whole record.
+scores the whole record. ``ved.hgen_forward_batch`` returns its states at
+the record's query width, so they need no padding here.
 """
 from __future__ import annotations
 
@@ -54,12 +55,8 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
             clf, ved, enc.rows(idx1), batch.query_lens[idx1],
             rng.latent.standard_normal((idx1.size, ved.d_z)))
         # the generated rows take the place of their rows' query encodings
-        bsz, width, k = enc.query_states.shape
-        short = width - h_gen.shape[1]
-        if short:
-            h_gen = T.concat([h_gen, T.zeros((idx1.size, short, k))], axis=1)
-        order = np.arange(bsz)
-        order[idx1] = bsz + np.arange(idx1.size)
+        order = np.arange(len(s))
+        order[idx1] = len(s) + np.arange(idx1.size)
         enc = dataclasses.replace(
             enc, query_states=T.lookup(T.concat([enc.query_states, h_gen], axis=0), order),
             query_final=T.lookup(T.concat([enc.query_final, gen_final], axis=0), order))

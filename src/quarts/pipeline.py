@@ -12,10 +12,13 @@ pretraining): its loss's stats and those fields are what its epoch
 records hold. ``_phase`` does the rest for all of them, from the run dir
 to the checkpoint and the phase's entry in ``manifest.json``, the run
 dir's one record, which holds the phase's config and epoch records too.
-``load_bundle`` reads every checkpoint back, and refuses one whose
-manifest entry records other token ids than the data dir and config
-give (``DataBundle.ids``). Phases, evaluation and the CLI tools run
-inside ``run_dtype``, so none leaves the engine dtype set.
+Classifier pretraining and the augment baseline run one body,
+``_classifier_phase``, on different data. ``load_bundle`` reads every
+checkpoint back. It refuses one whose manifest entry records other token
+ids than the data dir and config give (``DataBundle.ids``), and one that
+lacks a part its caller names (classifier or generator). Phases,
+evaluation and the CLI tools run inside ``run_dtype``, so none leaves the
+engine dtype set.
 
 Each phase derives fresh random substreams from (seed, phase), so a
 later phase's draws never depend on how much randomness an earlier phase
@@ -218,7 +221,12 @@ def new_dssm(cfg: RunConfig, data: DataBundle, rng: RunRng) -> DssmParams:
                      cfg.embed_dim, cfg.hidden_size)
 
 
+_HOLDERS = {"classifier": "any checkpoint but the pooled baseline's",
+            "generator": "a pretrain-ved or train-e2e checkpoint"}
+
+
 def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
+                parts: tuple[str, ...] = (),
                 ) -> tuple[ClassifierParams | DssmParams, VedParams | None]:
     """Rebuild the models a checkpoint holds, at the run's precision.
 
@@ -229,7 +237,9 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
     checkpoint's own phase records must equal ``data.ids``, or its token
     ids would silently mean other tokens or be cut at other lengths; a
     checkpoint no entry names is read unchecked. The models' parameter
-    names must match the checkpoint's array names exactly.
+    names must match the checkpoint's array names exactly. ``parts``
+    names what the caller reads, ``"classifier"`` and/or ``"generator"``:
+    a checkpoint without one exits 2 before the caller does any work.
     """
     path = Path(run_dir) / ckpt
     if not path.exists():
@@ -252,25 +262,14 @@ def load_bundle(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str, need: str,
             ved = (new_ved(cfg, data, RunRng(cfg.seed, "ved"))
                    if any(k.startswith("ved.") for k in arrays) else None)
         assign_params({**model.named(), **(ved.named() if ved else {})}, arrays)
+    held = {"classifier": isinstance(model, ClassifierParams), "generator": ved is not None}
+    for part in parts:
+        if not held[part]:
+            raise PipelineError(f"{ckpt} holds no {part} parameters; use {_HOLDERS[part]}")
     return model, ved
 
 
-_HOLDERS = {"generator": "a pretrain-ved or train-e2e checkpoint",
-            "classifier": "any checkpoint but the pooled baseline's"}
-
-
-def require(ok: bool, ckpt: str, part: str) -> None:
-    """Fail with exit 2 when a loaded checkpoint lacks the ``part`` needed."""
-    if not ok:
-        raise PipelineError(f"{ckpt} holds no {part} parameters; use {_HOLDERS[part]}")
-
-
 # --- phases ------------------------------------------------------------------
-
-def classifier_loss(clf: ClassifierParams, beta: float, rng: RunRng):
-    """Weighted cross-entropy on the real pairs; dropout from ``rng``."""
-    return lambda batch, epoch: (classifier_batch_loss(clf, batch, beta, rng.dropout), {})
-
 
 def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
                   ) -> Callable[[TripleBatch], EncodedBatch]:
@@ -312,16 +311,32 @@ def ved_loss(clf: ClassifierParams, ved: VedParams, triples: list[TripleExample]
     return loss
 
 
-def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
-                              ) -> tuple[ClassifierParams, list[EpochRecord]]:
-    with _phase(cfg, data, run_dir, "classifier", CKPT_CLASSIFIER) as run:
-        rng = RunRng(cfg.seed, "classifier")
-        clf = new_classifier(cfg, data, rng)
-        run.records = fit(clf.named(), classifier_loss(clf, cfg.beta, rng), data.train_ex,
-                          cfg, cfg.lr, rng, cfg.clf_epochs, "classifier",
-                          val_pass(clf, data.val_ex))
+def _classifier_phase(cfg: RunConfig, data: DataBundle, run_dir, name: str, ckpt: str,
+                      examples: list[Example], resume: str | None = None,
+                      ) -> tuple[ClassifierParams, list[EpochRecord]]:
+    """Weighted cross-entropy on ``examples``, the body of every classifier
+    phase: a new classifier on the classifier streams for ``clf_epochs``,
+    or ``resume`` on the end-to-end streams for ``e2e_epochs``."""
+    with _phase(cfg, data, run_dir, name, ckpt) as run:
+        if resume is None:
+            rng = RunRng(cfg.seed, "classifier")
+            clf, epochs = new_classifier(cfg, data, rng), cfg.clf_epochs
+        else:
+            clf, _ = load_bundle(cfg, data, run.dir, resume, need="pretrain-classifier",
+                                 parts=("classifier",))
+            rng, epochs = RunRng(cfg.seed, "finetune"), cfg.e2e_epochs
+        run.records = fit(clf.named(),
+                          lambda batch, epoch: (classifier_batch_loss(clf, batch, cfg.beta,
+                                                                      rng.dropout), {}),
+                          examples, cfg, cfg.lr, rng, epochs, name, val_pass(clf, data.val_ex))
         run.params = clf.named()
     return clf, run.records
+
+
+def phase_pretrain_classifier(cfg: RunConfig, data: DataBundle, run_dir,
+                              ) -> tuple[ClassifierParams, list[EpochRecord]]:
+    return _classifier_phase(cfg, data, run_dir, "classifier", CKPT_CLASSIFIER,
+                             data.train_ex)
 
 
 def phase_build_triples(cfg: RunConfig, data: DataBundle, run_dir) -> list:
@@ -369,7 +384,7 @@ def phase_pretrain_ved(cfg: RunConfig, data: DataBundle, run_dir,
                                 f"{data.files['train.tsv']}; rerun `quarts build-triples`")
         if clf is None:
             clf, _ = load_bundle(cfg, data, run.dir, CKPT_CLASSIFIER,
-                                 need="pretrain-classifier")
+                                 need="pretrain-classifier", parts=("classifier",))
         triples = encode_triples(read_triples(run.dir), data.vocab_t, data.vocab_q,
                                  cfg.max_title_len, cfg.max_query_len)
         if not triples:
@@ -396,9 +411,8 @@ def phase_train_e2e(cfg: RunConfig, data: DataBundle, run_dir,
     only, and the checkpoint holds the generator as loaded.
     """
     with _phase(cfg, data, run_dir, "e2e", CKPT_E2E) as run:
-        ckpt = resume or CKPT_VED
-        clf, ved = load_bundle(cfg, data, run.dir, ckpt, need="pretrain-ved")
-        require(ved is not None, ckpt, "generator")
+        clf, ved = load_bundle(cfg, data, run.dir, resume or CKPT_VED, need="pretrain-ved",
+                               parts=("generator",))
         rng = RunRng(cfg.seed, "finetune")
 
         def loss(batch, epoch):
@@ -430,25 +444,13 @@ def phase_naive_augment(cfg: RunConfig, data: DataBundle, run_dir,
                         ) -> tuple[ClassifierParams, list[EpochRecord]]:
     """Classifier on annotated + logs data; no generator, no switch.
 
-    From scratch it mirrors classifier pretraining (same streams), so with
-    an empty logs set it reproduces it exactly. With ``resume`` it
-    continues from a checkpoint using the end-to-end phase streams, making
-    it the exact reference for switched training at p=0.
+    It runs classifier pretraining's body on the merged data, so from
+    scratch with an empty logs set it reproduces that phase exactly. With
+    ``resume`` it continues from a checkpoint using the end-to-end phase
+    streams, making it the exact reference for switched training at p=0.
     """
-    with _phase(cfg, data, run_dir, "augment", CKPT_AUGMENT) as run:
-        if resume is not None:
-            clf, _ = load_bundle(cfg, data, run.dir, resume, need="pretrain-classifier")
-            require(isinstance(clf, ClassifierParams), resume, "classifier")
-            rng = RunRng(cfg.seed, "finetune")
-            epochs = cfg.e2e_epochs
-        else:
-            rng = RunRng(cfg.seed, "classifier")
-            clf = new_classifier(cfg, data, rng)
-            epochs = cfg.clf_epochs
-        run.records = fit(clf.named(), classifier_loss(clf, cfg.beta, rng), data.merged_ex,
-                          cfg, cfg.lr, rng, epochs, "augment", val_pass(clf, data.val_ex))
-        run.params = clf.named()
-    return clf, run.records
+    return _classifier_phase(cfg, data, run_dir, "augment", CKPT_AUGMENT, data.merged_ex,
+                             resume)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -517,7 +519,8 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
         examples = getattr(data, f"{split}_ex")
         if not examples:
             raise DataError(f"the {split} split is empty: nothing to evaluate")
-        model, ved = load_bundle(cfg, data, run_dir, ckpt, need="train-e2e")
+        model, ved = load_bundle(cfg, data, run_dir, ckpt, need="train-e2e",
+                                 parts=("generator",) if with_generation else ())
         scores, labels = evaluate_probs(model, examples, EVAL_BATCH_SIZE)
 
         aupr = M.average_precision(scores, labels)
@@ -532,7 +535,6 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
             eval_batch_size=EVAL_BATCH_SIZE, grouping=EVAL_GROUPING)
 
         if with_generation:
-            require(ved is not None, ckpt, "generator")
             bleu, acc, n = evaluate_generation(cfg, data, model, ved, getattr(data, split))
             report.bleu = bleu.bleu
             report.generation_accuracy = acc.accuracy

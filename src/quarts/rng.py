@@ -13,13 +13,13 @@ import numpy as np
 
 STREAMS = ("init", "shuffle", "dropout", "switch", "latent")
 
-PHASES = ("classifier", "dssm", "ved", "finetune", "misc")
+PHASES = ("classifier", "dssm", "ved", "finetune")
 
 
 class RunRng:
     """One generator per named substream, all derived from (seed, phase)."""
 
-    def __init__(self, seed: int, phase: str = "misc"):
+    def __init__(self, seed: int, phase: str):
         if phase not in PHASES:
             raise ValueError(f"unknown rng phase {phase!r}; expected one of {PHASES}")
         self.seed = int(seed)

@@ -28,9 +28,9 @@ The engine keeps only the forms the model runs:
 
 Any other pair of operands raises ``ShapeError`` naming both shapes.
 ``Tensor`` defines only ``+`` and ``*``; the rest of the arithmetic is
-spelled as functions (``sub``, ``scale``, ``neg``). ``lookup``'s backward
-assigns the gathered rows' gradients when no id repeats and scatter-adds
-them otherwise.
+spelled as functions (``sub``, ``scale``; negation is ``scale(x, -1.0)``).
+``lookup``'s backward assigns the gathered rows' gradients when no id
+repeats and scatter-adds them otherwise.
 
 ``Tape.backward`` returns the gradients as a map from each leaf the loss
 reached to its gradient; no tensor stores one. Tensors are immutable
@@ -233,10 +233,6 @@ def record(out_data, inputs: Sequence[Tensor | None], rule: Callable):
     return out
 
 
-def zeros(shape) -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=_DEFAULT_DTYPE))
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -287,10 +283,6 @@ def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
     return record(a.data * np.asarray(c, dtype=a.data.dtype), (a,), lambda g: (g * c,))
-
-
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
 
 
 def matmul(a, b) -> Tensor:

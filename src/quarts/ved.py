@@ -45,7 +45,7 @@ from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Params, Rag
                          encode_pair_batch, init_lstm, lstm_bptt, lstm_cell, _gate_affine,
                          _uniform)
 from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
-                   pad_mask, tokenize)
+                   pad_mask, pad_matrix, tokenize)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -218,14 +218,14 @@ def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
 
 
 def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np.ndarray,
-                  prev_ids: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                  width: int, prev_ids: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """The decoder over a batch as one tape record, teacher-forced or free.
 
-    Row i decodes its first ``steps[i]`` steps and no more. Given
-    ``prev_ids`` (B, W), step t reads prev_ids[:, t] (one embedding GEMM
-    before the loop); without, W is ``steps.max()`` and each row reads
-    BOS, then its own argmax. Returns (d~ states (B, W, k), zero past each
-    row's steps; each row's state at step ``steps - 1``), in input order.
+    Row i decodes its first ``steps[i]`` steps and no more, none past
+    ``width``. Given ``prev_ids`` (B, width), step t reads prev_ids[:, t]
+    (one embedding GEMM before the loop); without, each row reads BOS, then
+    its own argmax. Returns (d~ states (B, width, k), zero past each row's
+    steps; each row's state at step ``steps - 1``), in input order.
 
     The rows run on the ``Ragged`` layout of ``steps``, as the encoders'
     do: step t runs on the rows still live, and activations stay packed.
@@ -241,7 +241,7 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
     wx_e, wx_z = lstm.wx.data[:emb.shape[1]], lstm.wx.data[emb.shape[1]:]
     k = h0.shape[1]
     dt = z.data.dtype
-    lay = Ragged(steps, None if prev_ids is None else prev_ids.shape[1])
+    lay = Ragged(steps, width)
     u, logmask = u_states.data[lay.order], start.u_logmask[lay.order]
     zx = z.data[lay.order] @ wx_z + lstm.b.data
     if prev_ids is None:
@@ -321,7 +321,8 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     is the latent noise. Returns (loss, nll value, kl value).
     """
     start = decoder_start(enc, ved, eps)
-    states, _ = _decoder_scan(clf.emb_q, ved, start, batch.target_lens, batch.prev_ids)
+    states, _ = _decoder_scan(clf.emb_q, ved, start, batch.target_lens,
+                              batch.prev_ids.shape[1], batch.prev_ids)
     bsz, width, k = states.shape
     mask = pad_mask(batch.target_lens, width)
     # the output projection runs on real target steps only
@@ -330,7 +331,7 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     picked = T.pick_columns(logp, batch.target_ids[mask])
     # per-triple mean over its target tokens, then the batch mean
     weight = 1.0 / (np.repeat(batch.target_lens, batch.target_lens) * bsz)
-    nll = T.neg(T.sum_axis(picked * Tensor(weight)))
+    nll = T.scale(T.sum_axis(picked * Tensor(weight)), -1.0)
     kl = kl_divergence(start.mu, start.logvar)
     loss = nll + T.scale(kl, kl_weight)
     return loss, float(nll.data), float(kl.data)
@@ -344,11 +345,13 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     the latent with noise ``eps`` (B, d_z), conditioned on ``enc``.
 
     ``steps[i]`` is the number of columns generated for example i (the
-    source query's true length). Returns (states (B, n, k), final (B, k))
-    shaped like the record's query half, ready to replace it. A row stops
-    decoding at its length, and its columns past it are zero.
+    source query's true length), at most the width n of the record's query
+    half. Returns (states (B, n, k), final (B, k)) at that width, so they
+    replace the query half as they are. A row stops decoding at its length,
+    and its columns past it are zero.
     """
-    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps)
+    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps,
+                         enc.query_states.shape[1])
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],
@@ -360,10 +363,9 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
     score = total log-probability / length. beam=1 is exactly greedy
     argmax decoding.
     """
-    start = decoder_start(encode_pair_batch(
-        clf, np.asarray([item_ids], dtype=np.int64), np.array([len(item_ids)]),
-        np.asarray([query_ids], dtype=np.int64), np.array([len(query_ids)])),
-        ved, np.zeros((1, ved.d_z)))
+    start = decoder_start(encode_pair_batch(clf, *pad_matrix([item_ids]),
+                                            *pad_matrix([query_ids])),
+                          ved, np.zeros((1, ved.d_z)))
 
     # live: (tokens, logp_sum, h, c) with (h, c) arrays; finished: (tokens, score)
     live = [([], 0.0, start.h0.data, np.zeros_like(start.h0.data))]
@@ -373,8 +375,7 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
         for tokens, logp, h, c in live:
             prev = np.array([tokens[-1] if tokens else BOS], dtype=np.int64)
             logits, _, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            logprob = (shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))[0]
+            logprob = T.log_softmax_rows(logits).data[0]
             top = np.argsort(-logprob, kind="stable")[:beam]
             for tok in top:
                 candidates.append((tokens + [int(tok)], logp + float(logprob[tok]),

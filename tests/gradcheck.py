@@ -259,7 +259,7 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
     batch = Batch(items, item_lens, queries, query_lens, ones_labels)
 
     def e2e_forced():
-        loss, s = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(seed, "misc"))
+        loss, s = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(seed, "finetune"))
         assert s.sum() == 2
         return loss
 

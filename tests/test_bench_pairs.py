@@ -95,3 +95,16 @@ def test_env_line_gives_each_trees_src_lines(tool):
     assert tool.tagged(lines, "trace") == {}
     assert tool.src_lines([env, env]) == "3761"
     assert tool.src_lines([env, {**env, "src_lines": 3765}]) == "3761/3765"
+
+
+def test_digests_are_compared_key_by_key(tool):
+    parent = {"ckpt_sha": {"clf": "c1", "ved": "v1", "e2e": "e1", "scores": "s1"}}
+    infos = [(parent, {"ckpt_sha": {"clf": "c1", "ved": "v1", "e2e": "e2", "scores": "s2"}}),
+             (parent, {"ckpt_sha": {"clf": "c1", "ved": "v1", "e2e": "e1", "scores": "s3"}}),
+             # a key one side lacks, or a record without digests, is not equal
+             (parent, {"ckpt_sha": {"clf": "c1", "e2e": "e2", "scores": "s1"}}),
+             ({}, {"ckpt_sha": {"clf": "c1"}})]
+    agree = tool.digest_agreement(infos)
+    assert agree == {"clf": 3, "ved": 2, "e2e": 1, "scores": 1}
+    assert list(agree) == ["clf", "ved", "e2e", "scores"]   # in the order first seen
+    assert tool.digest_agreement([]) == {}

@@ -622,6 +622,27 @@ class TestEmptyValSplit:
         assert "val split is empty" in capsys.readouterr().err
 
 
+class TestAugmentFromScratch:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_empty_logs_gives_the_classifier_checkpoint(self, tmp_path, precision):
+        # augment from scratch runs classifier pretraining's body on the
+        # merged data, which is the train split when the logs are empty
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--items", "60",
+                     "--labeled-pairs", "300", "--logs-pairs", "100"]) == 0
+        (data / "logs.tsv").write_text("")
+        (tmp_path / "tiny.cfg").write_text("hidden_size = 8\nembed_dim = 8\nclf_epochs = 2\n"
+                                           f"precision = {precision}\n")
+        base = ["--data-dir", str(data), "--run-dir", str(tmp_path / "run"),
+                "--config", str(tmp_path / "tiny.cfg")]
+        assert main(["pretrain-classifier"] + base) == 0
+        assert main(["train-baseline", "--kind", "augment"] + base) == 0
+        clf = (tmp_path / "run" / P.CKPT_CLASSIFIER).read_bytes()
+        assert (tmp_path / "run" / P.CKPT_AUGMENT).read_bytes() == clf
+        records = manifest_phases(tmp_path / "run")
+        assert records["augment"]["records"] == records["classifier"]["records"]
+
+
 class TestTools:
     def test_baseline_dssm(self, workspace):
         _, _, run, base = workspace
@@ -672,6 +693,30 @@ class TestTools:
         code = main(["eval"] + base + ["--checkpoint", P.CKPT_CLASSIFIER, "--generation"])
         assert code == 2
         assert "generator" in capsys.readouterr().err
+
+    def test_eval_generation_without_generator_fails_before_scoring(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # the loader checks the parts its caller needs, so no pair is scored first
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        before = sorted(p.name for p in copy.iterdir())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return TR.evaluate_probs(*args, **kwargs)
+
+        monkeypatch.setattr(P, "evaluate_probs", counted)
+        code = main(["eval", "--data-dir", str(data), "--run-dir", str(copy),
+                     "--config", str(root / "tiny.cfg"), "--checkpoint", P.CKPT_CLASSIFIER,
+                     "--generation"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: phase1_classifier.qrts holds no generator parameters; "
+            "use a pretrain-ved or train-e2e checkpoint\n")
+        assert calls == []
+        assert sorted(p.name for p in copy.iterdir()) == before
 
     def test_baseline_dssm_refuses_resume(self, workspace, tmp_path, capsys):
         # the pooled baseline has no checkpoint to continue from

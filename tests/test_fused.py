@@ -168,7 +168,7 @@ def test_ved_nll_matches_unfused(f64):
 def test_decode_step_matches_unfused(f64):
     clf, ved, _ = models(seed=3)
     start = scan_start(clf, ved)
-    h, c = start.h0, T.zeros(start.h0.shape)
+    h, c = start.h0, Tensor(np.zeros(start.h0.shape))
     prev = np.array([2, 5, 7])
     for got, want in zip(V.decode_step(prev, h.data, c.data, start, ved, clf.emb_q),
                          U.decode_step(prev, h, c, start, ved, clf.emb_q)):
@@ -198,7 +198,9 @@ def test_hgen_matches_unfused(f64):
 
 def test_hgen_records_independent_of_length():
     clf, ved, _ = models(seed=5)
-    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
+    # padded to a query width of 7, so every row may decode up to 7 steps
+    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, np.pad(QUERIES, ((0, 0), (0, 4))),
+                              QUERY_LENS)
     added = []
     for steps in (np.array([2, 1, 2]), np.array([7, 3, 5])):
         with Tape([*clf.named().values(), *ved.named().values()]) as tape:
@@ -215,10 +217,10 @@ def test_e2e_loss_matches_two_sub_batches(f64, labels):
     clf, ved, _ = models(seed=6)
     batch = Batch(ITEMS, ITEM_LENS, QUERIES, QUERY_LENS, np.array(labels, float))
     s = 1 - batch.labels.astype(np.int64)   # p=1: every matched pair switched
-    eps = RunRng(0, "misc").latent.standard_normal((int(s.sum()), 3))
+    eps = RunRng(0, "finetune").latent.standard_normal((int(s.sum()), 3))
 
     def one_pass():   # a fresh stream per call draws the same noise
-        loss, got = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(0, "misc"))
+        loss, got = e2e_batch_loss(clf, ved, batch, 1.0, 5.0, RunRng(0, "finetune"))
         np.testing.assert_array_equal(got, s)
         return loss
 
@@ -238,10 +240,10 @@ def test_scan_forced_on_own_choices_equals_free_run(dtype):
     with T.using_dtype(dtype):
         clf, ved, _ = models(seed=7)
         start = scan_start(clf, ved)
-        free, free_final = V._decoder_scan(clf.emb_q, ved, start, steps)
+        free, free_final = V._decoder_scan(clf.emb_q, ved, start, steps, 3)
         chosen = [np.argmax(V._logits(free.data[:, t], ved.dec), axis=1) for t in range(2)]
         prev = np.stack([np.full(3, BOS)] + chosen, axis=1)
-        forced, forced_final = V._decoder_scan(clf.emb_q, ved, start, steps, prev)
+        forced, forced_final = V._decoder_scan(clf.emb_q, ved, start, steps, 3, prev)
     real = pad_mask(steps, 3)
     np.testing.assert_array_equal(forced.data[real], free.data[real])
     np.testing.assert_array_equal(forced_final.data, free_final.data)
@@ -257,7 +259,7 @@ def test_scan_frozen_inputs_leave_other_gradients(forced):
     def grads(params):
         with Tape(params) as tape:
             states, final = V._decoder_scan(clf.emb_q, ved, scan_start(clf, ved), steps,
-                                            prev)
+                                            3, prev)
             return tape.backward(T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final))
 
     tracked = grads([*clf.named().values(), *ved.named().values()])
@@ -297,7 +299,7 @@ def test_packed_scan_matches_unfused_on_ragged_steps(f64, forced):
         return T.sum_axis(T.tanh(states) * w_states) + T.sum_axis(final * w_final)
 
     assert_same(lambda: loss(lambda start: V._decoder_scan(
-                    clf.emb_q, ved, start, STEPS5, prev)),
+                    clf.emb_q, ved, start, STEPS5, 4, prev)),
                 lambda: loss(lambda start: U.hgen_states(clf, ved, start, STEPS5, prev)),
                 list(clf.named().values()) + list(ved.named().values()))
     (got, got_final), (want, want_final) = outputs

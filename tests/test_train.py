@@ -27,7 +27,7 @@ def stub_fit(epochs: int, epoch_fields):
         reported.append(i)
         return T.scale(T.mean_all(w), 0.0), {"s1_fraction": np.array(DRAWS[i]), "scalar": SCALARS[i]}
     return fit({"w": w}, loss, EXAMPLES, desk_profile(batch_size=2), 1e-3,
-               RunRng(0), epochs, "stub", epoch_fields)
+               RunRng(0, "classifier"), epochs, "stub", epoch_fields)
 
 
 def test_stats_average_over_every_reported_value():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from quarts import classifier as C
+from quarts import tensor as T
 from quarts import ved as V
 from quarts.classifier import init_classifier
 from quarts.data import BOS, EOS, RawPair, TripleExample, batches, make_triple_batch
@@ -312,6 +313,83 @@ class TestGeneration:
         out = V.beam_generate([4, 5, 6], [7], clf, ved, beam=4, max_len=6)
         scores = [s for _, s in out]
         assert scores == sorted(scores, reverse=True)
+
+
+# word ids above the four specials, for scripted decoder steps
+A, B, X, Y, Z = 4, 5, 6, 7, 8
+
+
+class TestBeamRules:
+    """Beam search's selection rules, on a scripted decoder step whose
+    logits depend only on the previous token (every other logit -30)."""
+
+    @staticmethod
+    def search(monkeypatch, table, beam, max_len):
+        """(beam output, the token prefix each decoder call extends, the
+        log-probability rows): ``table`` maps a previous token to its logits."""
+        rows = {}
+        for prev, logits in table.items():
+            rows[prev] = np.full(9, -30.0, dtype=T.get_default_dtype())
+            for tok, value in logits.items():
+                rows[prev][tok] = value
+        calls = []
+
+        def step(prev_ids, h, c, start, ved, emb_q):
+            # h carries the hypothesis' prefix in place of a decoder state
+            prefix = (h if isinstance(h, tuple) else ()) + (int(prev_ids[0]),)
+            calls.append(prefix)
+            return rows[int(prev_ids[0])][None, :], None, prefix, c, None
+
+        monkeypatch.setattr(V, "decode_step", step)
+        clf, ved = models()
+        out = V.beam_generate([4, 5], [6], clf, ved, beam=beam, max_len=max_len)
+        logp = {prev: T.log_softmax_rows(Tensor(row[None])).data[0]
+                for prev, row in rows.items()}
+        return out, calls, logp
+
+    @staticmethod
+    def score(logp, *path):
+        """A path's summed log-probability, added as beam search adds it."""
+        total = 0.0
+        for prev, tok in zip(path, path[1:]):
+            total += float(logp[prev][tok])
+        return total
+
+    def test_ties_keep_hypothesis_then_rank_order(self, monkeypatch):
+        # A, B and X tie after BOS: a hypothesis keeps its best ``beam``
+        # tokens, ties in id order, so X goes. A and B then continue
+        # alike, and AX and BX tie: the earlier hypothesis ranks first,
+        # and AY and BY are cut, since at most ``beam`` hypotheses live.
+        out, calls, logp = self.search(
+            monkeypatch, {BOS: {A: 0, B: 0, X: 0}, A: {X: 0, Y: -1}, B: {X: 0, Y: -1}},
+            beam=2, max_len=2)
+        assert calls == [(BOS,), (BOS, A), (BOS, B)]
+        # the search stops at max_len, and the live hypotheses are scored logp / len
+        s = self.score(logp, BOS, A, X) / 2
+        assert out == [([A, X], s), ([B, X], s)]
+
+    def test_finishing_stopping_and_final_sort(self, monkeypatch):
+        table = {BOS: {A: 0, B: -0.2}, A: {X: 0, EOS: -2}, B: {X: 0, EOS: -2},
+                 X: {Y: 0, EOS: -0.5}, Y: {EOS: 0, A: 0, B: 0, X: 0, Z: 0}}
+        out, calls, logp = self.search(monkeypatch, table, beam=2, max_len=4)
+        # step 2 finishes A and B and keeps AX and BX. At step 3, AXY and
+        # BXY fill the live list while the finished list holds two, so the
+        # search stops there: the AX + EOS candidate is never finished.
+        assert calls == [(BOS,), (BOS, A), (BOS, B), (BOS, A, X), (BOS, B, X),
+                         (BOS, A, X, Y), (BOS, B, X, Y)]
+        skipped = self.score(logp, BOS, A, X, EOS) / 3
+        # an EOS candidate is scored over its length with the EOS and
+        # returned without it; AXYA, live at max_len, is scored logp / 4
+        finished = self.score(logp, BOS, A, X, Y, EOS) / 4
+        flushed = self.score(logp, BOS, A, X, Y, A) / 4
+        assert finished == flushed > self.score(logp, BOS, A, EOS) / 2
+        # the final sort is stable: AXY finished before AXYA was flushed
+        assert out == [([A, X, Y], finished), ([A, X, Y, A], flushed)]
+        # scored over lengths, A + EOS ranks last; by summed log-probability
+        # it would beat AXY + EOS
+        assert self.score(logp, BOS, A, EOS) > self.score(logp, BOS, A, X, Y, EOS)
+        # without the stop, the skipped candidate would rank first
+        assert skipped > finished
 
 
 def hgen_one(clf, ved, item_ids, query_ids, rng=None):

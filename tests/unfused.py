@@ -65,8 +65,8 @@ def _blend(on, new, old):
 def encode_batch(ids, lens, emb, lstm):
     bsz, width = ids.shape
     k = lstm.wh.shape[0]
-    h = T.zeros((bsz, k))
-    c = T.zeros((bsz, k))
+    h = Tensor(np.zeros((bsz, k)))
+    c = Tensor(np.zeros((bsz, k)))
     cols = []
     for t in range(width):
         h2, c2 = lstm_step(lstm, T.lookup(emb, ids[:, t]), h, c)
@@ -82,7 +82,7 @@ def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     ones_m = Tensor(np.ones((bsz, m, 1)))
     tmask = Tensor(pad_mask(item_lens, m))
     w = T.reshape(attn.w, (k, 1))
-    r = T.zeros((bsz, k))
+    r = Tensor(np.zeros((bsz, k)))
     alphas = []
     for t in range(n):
         h_t = T.reshape(slice_axis(h_states, 1, t, t + 1), (bsz, 1, k))
@@ -116,12 +116,13 @@ def decode_step(prev_ids, h, c, start, ved, emb_q):
 def ved_nll(clf, ved, start, batch):
     """Teacher-forced mean NLL of the target queries, one step at a time."""
     bsz, width = batch.target_ids.shape
-    h, c = start.h0, T.zeros(start.h0.shape)
+    h, c = start.h0, Tensor(np.zeros(start.h0.shape))
     nlls = []
     for t in range(width):
         logits, _, h2, c2, _ = decode_step(batch.prev_ids[:, t], h, c, start, ved,
                                            clf.emb_q)
-        nll_t = T.neg(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]))
+        nll_t = T.scale(T.pick_columns(T.log_softmax_rows(logits), batch.target_ids[:, t]),
+                        -1.0)
         on = t < batch.target_lens
         nlls.append(T.reshape(nll_t * Tensor(on.astype(np.float64)), (bsz, 1)))
         h, c = _blend(on, h2, h), _blend(on, c2, c)
@@ -133,17 +134,17 @@ def hgen_states(clf, ved, start, steps, prev_ids=None):
     """Attentional decoder states under argmax feedback, or reading
     ``prev_ids[:, t]`` at step t when given, zero past ``steps``."""
     bsz, k = start.h0.shape
-    h, c = start.h0, T.zeros((bsz, k))
+    h, c = start.h0, Tensor(np.zeros((bsz, k)))
     prev = np.full(bsz, BOS, dtype=np.int64)
     cols = []
-    final = T.zeros((bsz, k))
+    final = Tensor(np.zeros((bsz, k)))
     for t in range(int(steps.max())):
         if prev_ids is not None:
             prev = prev_ids[:, t]
         logits, d_tilde, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
         prev = np.argmax(logits.data, axis=1)
         on = t < steps
-        cols.append(T.reshape(_blend(on, d_tilde, T.zeros((bsz, k))), (bsz, 1, k)))
+        cols.append(T.reshape(_blend(on, d_tilde, Tensor(np.zeros((bsz, k)))), (bsz, 1, k)))
         final = _blend(on, d_tilde, final)
         h, c = _blend(on, h2, h), _blend(on, c2, c)
     return T.concat(cols, axis=1), final

@@ -17,7 +17,10 @@ change/parent ratio of the medians, the pairs the change won and lost
 (by the metric's direction in ``BENCHMARK.json``; ties count for
 neither), whether the medians differ by more than the parent's
 interquartile range, a verdict, and each side's median split by which
-tree ran first, and the ``src_lines`` that each tree's runs report. The
+tree ran first, and the ``src_lines`` that each tree's runs report. For
+each output digest the runs report (``info.ckpt_sha``: checkpoints,
+scores, generations) it counts the pairs whose two runs agree, so a change
+meant to move some outputs shows which moved and which held. The
 verdicts:
 
 - ``gain``: the change won at least nine tenths of the pairs and its
@@ -65,6 +68,16 @@ def src_lines(envs: list[dict]) -> str:
     """The ``src_lines`` that a tree's runs report in their ``env`` records:
     one value, or each value seen when the tree changed between runs."""
     return "/".join(str(v) for v in sorted({e.get("src_lines") for e in envs}, key=str))
+
+
+def digest_agreement(infos: list[tuple[dict, dict]]) -> dict[str, int]:
+    """For each ``ckpt_sha`` key in the (parent, change) ``info`` records of
+    the pairs, the number of pairs whose two digests are equal; a digest
+    that one side lacks is not equal."""
+    shas = [(p.get("ckpt_sha", {}), c.get("ckpt_sha", {})) for p, c in infos]
+    keys = dict.fromkeys(k for pair in shas for side in pair for k in side)
+    return {k: sum(p.get(k) is not None and p.get(k) == c.get(k) for p, c in shas)
+            for k in keys}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -176,7 +189,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         sys.stderr.write("--pairs must be >= 1\n")
         return 2
-    runs, envs, same_digests = [], ([], []), True
+    runs, envs, infos = [], ([], []), []
     for i in range(args.pairs):
         parent_first = i % 2 == 0
         trees = [args.parent, args.change] if parent_first else [args.change, args.parent]
@@ -187,7 +200,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"refused run in pair {i}: {exc}\n")
             return 1
         (p, p_info, p_env), (c, c_info, c_env) = results if parent_first else results[::-1]
-        same_digests &= p_info.get("ckpt_sha") == c_info.get("ckpt_sha")
+        infos.append((p_info, c_info))
         envs[0].append(p_env)
         envs[1].append(c_env)
         runs.append((p, c, parent_first))
@@ -196,7 +209,9 @@ def main(argv=None) -> int:
           f"{spec['run_seconds']} s per run; ratio = change median / parent median")
     print(format_rows(summarize(runs, spec)))
     print(f"src_lines: parent {src_lines(envs[0])}, change {src_lines(envs[1])}")
-    print(f"ckpt_sha equal in every pair: {'yes' if same_digests else 'no'}")
+    agree = digest_agreement(infos)
+    print(f"ckpt_sha equal (pairs of {args.pairs}): "
+          + ", ".join(f"{k} {n}" for k, n in agree.items()))
     return 0
 
 

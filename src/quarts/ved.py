@@ -17,7 +17,9 @@ The two differ only in where each step's input token comes from. The
 scan steps each row only up to its own length, on the classifier's
 ``Ragged`` layout and through its ``lstm_bptt``, so its columns past that
 length are zero in both modes, as the encoders' are. Beam search's
-``decode_step`` runs the same numpy step once, with no tape.
+``decode_step`` runs the same numpy step once, with no tape. Whatever
+chooses tokens (``hgen``'s argmax, beam search) reads the logits through
+``_logits``, under the decode-time masks; the training loss does not.
 
 The generator reads the shared encoder's ``classifier.EncodedBatch``
 through one entry, ``decoder_start``: the attention memory U and its
@@ -44,7 +46,7 @@ from . import tensor as T
 from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Params, Ragged,
                          encode_pair_batch, init_lstm, lstm_bptt, lstm_cell, _gate_affine,
                          _uniform)
-from .data import (BOS, EOS, RawPair, TripleBatch, TripleExample, Vocabulary,
+from .data import (BOS, EOS, PAD, UNK, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, pad_matrix, tokenize)
 from .tensor import Tensor
 
@@ -197,9 +199,18 @@ def _decoder_step(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
     return np.tanh(hc @ dec.w_c.data), h2, c2, alpha, act, tc, hc
 
 
-def _logits(d_tilde: np.ndarray, dec: DecoderParams) -> np.ndarray:
-    """d~ @ W_v + b_v: the one place decoding reads the vocabulary logits."""
-    return d_tilde @ dec.w_v.data + dec.b_v.data
+def _logits(d_tilde: np.ndarray, dec: DecoderParams, prev_ids: np.ndarray) -> np.ndarray:
+    """d~ @ W_v + b_v under the decode-time masks: the one place decoding
+    (beam search, greedy decoding and ``hgen``) reads the vocabulary logits.
+
+    PAD, BOS and UNK are never emitted, and EOS is not emitted at a step
+    whose input ``prev_ids`` is BOS, so no decoded query is empty.
+    Teacher-forced training scores its targets without the masks.
+    """
+    logits = d_tilde @ dec.w_v.data + dec.b_v.data
+    logits[:, [PAD, BOS, UNK]] = _MASK_NEG
+    logits[prev_ids == BOS, EOS] = _MASK_NEG
+    return logits
 
 
 def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -214,7 +225,7 @@ def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
     pre = emb_q.data[prev_ids] @ wx[:d] + (start.z.data @ wx[d:] + ved.dec.lstm.b.data)
     d_tilde, h2, c2, alpha = _decoder_step(pre, h, c, start.u_states.data,
                                            start.u_logmask, ved.dec)[:4]
-    return _logits(d_tilde, ved.dec), d_tilde, h2, c2, alpha
+    return _logits(d_tilde, ved.dec, prev_ids), d_tilde, h2, c2, alpha
 
 
 def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np.ndarray,
@@ -269,7 +280,7 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
         packed[s], h, c, alpha, act, tc, hc = _decoder_step(
             pre, h[:n], c[:n], u[:n], logmask[:n], dec)
         if prev_ids is None:
-            prev = np.argmax(_logits(packed[s], dec), axis=1)
+            prev = np.argmax(_logits(packed[s], dec, prev[:n]), axis=1)
         if grad:
             acts[s], cells[s], tanh_c[s], hcs[s], alphas[s] = act, c, tc, hc, alpha
     if prev_ids is None:

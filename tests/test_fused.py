@@ -169,10 +169,15 @@ def test_decode_step_matches_unfused(f64):
     clf, ved, _ = models(seed=3)
     start = scan_start(clf, ved)
     h, c = start.h0, Tensor(np.zeros(start.h0.shape))
-    prev = np.array([2, 5, 7])
-    for got, want in zip(V.decode_step(prev, h.data, c.data, start, ved, clf.emb_q),
-                         U.decode_step(prev, h, c, start, ved, clf.emb_q)):
-        close(got, want.data)
+    prev = np.array([BOS, 5, 7])
+    (got, *got_rest) = V.decode_step(prev, h.data, c.data, start, ved, clf.emb_q)
+    (want, *want_rest) = U.decode_step(prev, h, c, start, ved, clf.emb_q)
+    # the logits agree where the decode-time masks leave them
+    masked = U.decode_mask(prev, got.shape[1])
+    assert masked.sum() == 3 * 3 + 1 and (got[masked] == V._MASK_NEG).all()
+    close(got[~masked], want.data[~masked])
+    for a, b in zip(got_rest, want_rest):
+        close(a, b.data)
 
 
 def test_hgen_matches_unfused(f64):
@@ -241,8 +246,10 @@ def test_scan_forced_on_own_choices_equals_free_run(dtype):
         clf, ved, _ = models(seed=7)
         start = scan_start(clf, ved)
         free, free_final = V._decoder_scan(clf.emb_q, ved, start, steps, 3)
-        chosen = [np.argmax(V._logits(free.data[:, t], ved.dec), axis=1) for t in range(2)]
-        prev = np.stack([np.full(3, BOS)] + chosen, axis=1)
+        prev = [np.full(3, BOS)]
+        for t in range(2):
+            prev.append(np.argmax(V._logits(free.data[:, t], ved.dec, prev[-1]), axis=1))
+        prev = np.stack(prev, axis=1)
         forced, forced_final = V._decoder_scan(clf.emb_q, ved, start, steps, 3, prev)
     real = pad_mask(steps, 3)
     np.testing.assert_array_equal(forced.data[real], free.data[real])

@@ -6,7 +6,7 @@ from quarts import classifier as C
 from quarts import tensor as T
 from quarts import ved as V
 from quarts.classifier import init_classifier
-from quarts.data import BOS, EOS, RawPair, TripleExample, batches, make_triple_batch
+from quarts.data import BOS, EOS, PAD, UNK, RawPair, TripleExample, batches, make_triple_batch
 from quarts.pipeline import triple_memory, ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
@@ -162,7 +162,25 @@ class TestDecodeStep:
         h = start.h0.data
         logits, _, _, _, _ = V.decode_step(np.array([BOS]), h, np.zeros_like(h), start, ved,
                                            clf.emb_q)
-        np.testing.assert_array_equal(logits, np.zeros((1, 9)))
+        want = np.zeros((1, 9))
+        want[0, [PAD, UNK, BOS, EOS]] = V._MASK_NEG   # EOS too, after BOS
+        np.testing.assert_array_equal(logits, want)
+
+
+class TestDecodeMasks:
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_decoding_never_emits_specials_or_nothing(self, f64, beam):
+        # the output layer favours every special token by far, EOS most
+        clf, ved = models(seed=9)
+        ved.dec.b_v.data[[PAD, UNK, BOS]] = 40.0
+        ved.dec.b_v.data[EOS] = 50.0
+        out = V.beam_generate([4, 5, 6], [7, 8], clf, ved, beam=beam, max_len=5)
+        assert len(out) == beam
+        for tokens, score in out:
+            assert tokens and not {PAD, UNK, BOS} & set(tokens)
+            assert np.isfinite(score)
+        # EOS ends every hypothesis as soon as it may: after one token
+        assert all(len(tokens) == 1 for tokens, _ in out)
 
 
 class TestVedLoss:
@@ -170,9 +188,12 @@ class TestVedLoss:
         clf, ved = models(vocab=9)
         for t in {**clf.named(), **ved.named()}.values():
             t.data[...] = 0.0
-        tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8])])
+        # the second target reads UNK after BOS, then EOS: teacher forcing
+        # scores every id, without the decode-time masks
+        tb = make_triple_batch([TripleExample([4, 5], [6], [7, 8]),
+                                TripleExample([4, 5], [6], [UNK])])
         loss, nll, kl = V.ved_loss_batch(clf, ved, enc_of(clf, tb), tb, kl_weight=0.0,
-                                         eps=np.zeros((1, 3)))   # z = mu
+                                         eps=np.zeros((2, 3)))   # z = mu
         assert abs(nll - np.log(9)) < 1e-12
         assert kl == 0.0
 

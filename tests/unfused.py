@@ -8,7 +8,8 @@ forward values and gradients must agree at float64 within a relative
 1e-10. The fused ops step only live rows and leave their outputs zero
 past each row's length, where these references repeat the frozen state
 (the decoder reference zeroes its columns too); tests compare real
-columns and final states. ``slice_axis`` and ``softmax_rows``,
+columns and final states. The free-running decoder feeds back its argmax
+under the decode-time masks (``decode_mask``). ``slice_axis`` and ``softmax_rows``,
 which only these references use, live here with them.
 """
 import dataclasses
@@ -18,7 +19,7 @@ import numpy as np
 from quarts import tensor as T
 from quarts import ved as V
 from quarts.classifier import batch_probs, encode_pair_batch, weighted_ce_loss
-from quarts.data import BOS, pad_mask
+from quarts.data import BOS, EOS, PAD, UNK, pad_mask
 from quarts.tensor import Tensor
 
 
@@ -98,6 +99,16 @@ def wbw_attention_batch(k_states, item_lens, h_states, query_lens, attn):
     return r, T.concat(alphas, axis=1)
 
 
+def decode_mask(prev_ids, vocab):
+    """Where ``ved._logits`` masks a step's logits: PAD, BOS and UNK, and
+    EOS in rows whose input is BOS. ``decode_step`` leaves them unmasked,
+    as teacher-forced training reads them."""
+    mask = np.zeros((len(prev_ids), vocab), dtype=bool)
+    mask[:, [PAD, BOS, UNK]] = True
+    mask[prev_ids == BOS, EOS] = True
+    return mask
+
+
 def decode_step(prev_ids, h, c, start, ved, emb_q):
     x = T.concat([T.lookup(emb_q, prev_ids), start.z], axis=1)
     h2, c2 = lstm_step(ved.dec.lstm, x, h, c)
@@ -142,7 +153,8 @@ def hgen_states(clf, ved, start, steps, prev_ids=None):
         if prev_ids is not None:
             prev = prev_ids[:, t]
         logits, d_tilde, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
-        prev = np.argmax(logits.data, axis=1)
+        prev = np.argmax(np.where(decode_mask(prev, logits.shape[1]), -np.inf, logits.data),
+                         axis=1)
         on = t < steps
         cols.append(T.reshape(_blend(on, d_tilde, Tensor(np.zeros((bsz, k)))), (bsz, 1, k)))
         final = _blend(on, d_tilde, final)

@@ -9,8 +9,8 @@ forward values and gradients must agree at float64 within a relative
 past each row's length, where these references repeat the frozen state
 (the decoder reference zeroes its columns too); tests compare real
 columns and final states. The free-running decoder feeds back its argmax
-under the decode-time masks (``decode_mask``). ``slice_axis`` and ``softmax_rows``,
-which only these references use, live here with them.
+under the decode-time masks (``decode_mask``). ``slice_axis`` and
+``softmax_rows``, which only these references use, live here with them.
 """
 import dataclasses
 

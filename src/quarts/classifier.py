@@ -153,15 +153,14 @@ def lstm_cell(pre: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray,
     """One LSTM step in plain numpy, shared by every fused recurrence.
 
     ``pre`` (B, 4k) is the step's input projection with the bias added.
-    Returns (gate activations, new c, tanh(new c), new h).
+    Returns (gate activations, new c, new h).
     """
     k = h.shape[1]
     act = np.tanh((pre + h @ wh) * scale)
     act *= scale
     act += shift
     c_new = act[:, k:2 * k] * c + act[:, :k] * act[:, 2 * k:3 * k]
-    tc = np.tanh(c_new)
-    return act, c_new, tc, act[:, 3 * k:] * tc
+    return act, c_new, act[:, 3 * k:] * np.tanh(c_new)
 
 
 class Ragged:
@@ -199,44 +198,50 @@ class Ragged:
 
 
 def lstm_bptt(lay: Ragged, g_h: np.ndarray, acts: np.ndarray, cells: np.ndarray,
-              tanh_c: np.ndarray, hs: np.ndarray, h0: np.ndarray, wh: np.ndarray,
+              hs: np.ndarray, h0: np.ndarray, wh: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through time of an LSTM run on ``lay`` from (h0, zero c);
     the one LSTM BPTT, shared by the encoders and the decoder.
 
-    ``acts`` (N, 4k), ``cells``, ``tanh_c`` and ``hs`` (N, k) are each
-    packed slot's gate activations, c, tanh(c) and h, and ``g_h`` the
-    gradient reaching each slot's h from outside the recurrence. Step t
-    runs on its live prefix, so a row's dh and dc wait untouched until its
-    last step. Returns (gate pre-activation gradients (N, 4k), packed; the
-    gradient of h0 (B, k); the gradient of W_h).
+    ``acts`` (N, 4k), ``cells`` and ``hs`` (N, k) are each packed slot's
+    gate activations, c and h, and ``g_h`` the gradient reaching each
+    slot's h from outside the recurrence. Step t runs on its live prefix,
+    so a row's dh and dc wait untouched until its last step. Step t
+    computes its gate derivatives and tanh(c) from its own slots, with the
+    forward's ufuncs and bits, and then overwrites its slots of ``acts``
+    with their gate gradients, so no other (N, 4k) array is allocated.
+    Returns (gate pre-activation gradients (N, 4k), packed, which is
+    ``acts``; the gradient of h0 (B, k); the gradient of W_h).
     """
     bsz, k = h0.shape
     dt, start = acts.dtype, lay.start
     is_sig = _gate_affine(k, dt)[1] * 2   # 1 on the sigmoid blocks, 0 on the cell block
-    dact = is_sig - acts   # then in place: d act / d pre, y(1 - y) or 1 - y^2
-    np.add(np.multiply(dact, acts, out=dact), 1 - is_sig, out=dact)
-    gates = np.empty_like(acts)
+    is_tanh = 1 - is_sig
+    dact_buf = np.empty((bsz, 4 * k), dt)
     dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
     for t in reversed(range(len(lay.n_live))):
         n, s = lay.n_live[t], lay.span(t)
-        act, tc, g = acts[s], tanh_c[s], gates[s]
+        g, tc = acts[s], np.tanh(cells[s])   # g holds the activations until overwritten
+        # d act / d pre: y(1 - y) on the sigmoid blocks, 1 - y^2 on the cell block
+        dact = np.subtract(is_sig, g, out=dact_buf[:n])
+        np.add(np.multiply(dact, g, out=dact), is_tanh, out=dact)
         c_prev = cells[start[t - 1]:start[t - 1] + n] if t else np.zeros((n, k), dt)
         dh_t = dh[:n] + g_h[s]
-        dc_t = dc[:n] + dh_t * act[:, 3 * k:] * (1 - tc * tc)
-        np.multiply(dc_t, act[:, 2 * k:3 * k], out=g[:, :k])
+        dc_t = dc[:n] + dh_t * g[:, 3 * k:] * (1 - tc * tc)
+        dc[:n] = dc_t * g[:, k:2 * k]
+        g_cell = dc_t * g[:, :k]   # each of the input and cell blocks reads the other
+        np.multiply(dc_t, g[:, 2 * k:3 * k], out=g[:, :k])
         np.multiply(dc_t, c_prev, out=g[:, k:2 * k])
-        np.multiply(dc_t, act[:, :k], out=g[:, 2 * k:3 * k])
+        g[:, 2 * k:3 * k] = g_cell
         np.multiply(dh_t, tc, out=g[:, 3 * k:])
-        g *= dact[s]
-        dc[:n] = dc_t * act[:, k:2 * k]
+        g *= dact
         dh[:n] = g @ wh.T
     # each slot's previous h: h0 at step 0, then the prefix of the step before
     h_prev = np.concatenate([h0[lay.order]] + [
         hs[start[t - 1]:start[t - 1] + n] for t, n in enumerate(lay.n_live) if t])
     g_h0 = np.empty_like(dh)
     g_h0[lay.order] = dh
-    return gates, g_h0, h_prev.T @ gates
+    return acts, g_h0, h_prev.T @ acts
 
 
 def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, lay: Ragged) -> tuple[Tensor, Tensor]:
@@ -247,7 +252,8 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, lay: Ragged) -> tuple[Tensor, T
     steps in ``lay``'s packed order, so the hoisted GEMM never runs on
     padding. Step t runs only on the rows still live. Returns (states
     (B, width, k), zero past each row's length; final h (B, k), the state
-    at each row's last real step).
+    at each row's last real step). The record keeps each slot's gate
+    activations, c and h for ``lstm_bptt``, which recomputes tanh(c).
     """
     k = wh.shape[0]
     dt = xw.data.dtype
@@ -257,21 +263,21 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, lay: Ragged) -> tuple[Tensor, T
     grad = T.needs_grad(xw, wh, b)
     hs = np.empty((len(pre), k), dt)
     if grad:
-        acts, cells, tanh_c = np.empty_like(pre), np.empty_like(hs), np.empty_like(hs)
+        acts, cells = np.empty_like(pre), np.empty_like(hs)
     h = c = np.zeros((len(lay.order), k), dt)
     for t, n in enumerate(lay.n_live):
         s = lay.span(t)
-        act, c, tc, h = lstm_cell(pre[s], h[:n], c[:n], w, scale, shift)
+        act, c, h = lstm_cell(pre[s], h[:n], c[:n], w, scale, shift)
         hs[s] = h
         if grad:
-            acts[s], cells[s], tanh_c[s] = act, c, tc
+            acts[s], cells[s] = act, c
 
     def rule(grads):
         g_states, g_final = grads
         g_h = np.zeros_like(hs) if g_states is None else g_states[lay.rows, lay.steps]
         if g_final is not None:
             g_h[lay.last] += g_final
-        gates, _, g_wh = lstm_bptt(lay, g_h, acts, cells, tanh_c, hs,
+        gates, _, g_wh = lstm_bptt(lay, g_h, acts, cells, hs,
                                    np.zeros((len(lay.order), k), dt), w)
         return gates, g_wh, gates.sum(axis=0)
 
@@ -374,9 +380,10 @@ def wbw_attention_batch(k_states: Tensor, item_lens: np.ndarray,
             g_r[:n] = gc @ w_r + g_row @ w_s.T
         # the title mix over all steps: d/dK of sum_t a_t K = sum_t a_t^T g_t
         g_ks = np.matmul(alpha.transpose(0, 2, 1), lay.padded(g_on))
-        g_proj_k[lay.order] = g_proj_k.copy()   # back to input order
-        g_ks[tmask] += g_proj_k[tmask] @ w_k.T
-        g_w_h = np.concatenate([ks[tmask].T @ g_proj_k[tmask], hq.T @ g_proj_q,
+        # back to input order, then the real positions only
+        g_proj_k = g_proj_k[np.argsort(lay.order)][tmask]
+        g_ks[tmask] += g_proj_k @ w_k.T
+        g_w_h = np.concatenate([ks[tmask].T @ g_proj_k, hq.T @ g_proj_q,
                                 r_prev.T @ g_proj_q])
         g_w = g_score.reshape(-1) @ blends.reshape(-1, k)
         return g_ks, lay.padded(g_proj_q @ w_q.T), g_w_h, g_w, g_carry.T @ r_prev
@@ -411,11 +418,13 @@ class EncodedBatch:
     query_lens: np.ndarray
 
     def rows(self, index: np.ndarray) -> "EncodedBatch":
-        """Rows ``index``, none twice, gathered as one tape record."""
+        """Rows ``index``, none twice, gathered as one tape record. The
+        record keeps the parts' shapes and dtypes, not the parts."""
         parts = (self.title_states, self.title_final, self.query_states, self.query_final)
+        layouts = [(p.shape, p.data.dtype) for p in parts]
 
         def rule(grads):
-            out = [np.zeros_like(p.data) for p in parts]
+            out = [np.zeros(shape, dt) for shape, dt in layouts]
             for z, g in zip(out, grads):
                 z[index] = 0.0 if g is None else g
             return out

@@ -15,6 +15,11 @@ class Adam:
     entirely (state untouched), so a parameter group that never receives
     gradients stays bitwise unchanged. The step counter increases by 1 per
     ``step`` call.
+
+    The update runs in place through one scratch buffer, sized to the
+    largest parameter and viewed as each in turn, so a step allocates one
+    parameter-sized temporary, ``(lr / bc1) * m``, at a time. Every value
+    keeps the textbook expression's bits.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -27,6 +32,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._scratch = np.empty(max((p.data.nbytes for p in params.values()), default=0),
+                                 np.uint8)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
@@ -39,12 +46,14 @@ class Adam:
                 continue
             m = self.m[name]
             v = self.v[name]
+            s = self._scratch[:m.nbytes].view(m.dtype).reshape(m.shape)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=s)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
-            p.data -= update.astype(p.data.dtype, copy=False)
+            v += np.multiply(1.0 - b2, np.multiply(g, g, out=s), out=s)
+            # (lr / bc1) * m / (sqrt(v / bc2) + eps), the divisor in the scratch
+            np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), self.eps, out=s)
+            p.data -= np.divide((self.lr / bc1) * m, s, out=s)
 
     def decay_lr(self, factor: float) -> None:
         self.lr *= factor

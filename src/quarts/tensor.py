@@ -33,10 +33,12 @@ spelled as functions (``sub``, ``scale``; negation is ``scale(x, -1.0)``).
 repeats and scatter-adds them otherwise.
 
 ``Tape.backward`` returns the gradients as a map from each leaf the loss
-reached to its gradient; no tensor stores one. Tensors are immutable
-values once created (the optimizer mutates leaf parameter storage
-between tapes, never inside one). A Tape is single-owner and must not be
-shared across threads.
+reached to its gradient; no tensor stores one. The sweep pops each record
+before running its rule, so the arrays an op saved for its backward pass
+are freed as soon as that rule has returned, not when the tape closes.
+Tensors are immutable values once created (the optimizer mutates leaf
+parameter storage between tapes, never inside one). A Tape is
+single-owner and must not be shared across threads.
 """
 from __future__ import annotations
 
@@ -130,10 +132,12 @@ class Tape:
     ``Tape(params)`` registers ``params``, the tensors a step
     differentiates, as its only leaves. Records are appended in creation
     order, which is a topological order by construction. ``backward``
-    walks them once in reverse. Leaving the ``with`` block drops the
-    records and detaches the leaves, so the step's cached activations are
-    freed there, even while its loss lives on. A record's output is one
-    node id, or a tuple of ids for a multi-output op.
+    pops them once in reverse, so each record, with the activations its
+    rule holds, dies as soon as that rule has run; a swept tape is empty.
+    Leaving the ``with`` block drops any records left (a tape never swept)
+    and detaches the leaves, so the step's cached activations are freed
+    there at the latest, even while its loss lives on. A record's output
+    is one node id, or a tuple of ids for a multi-output op.
     """
 
     _stack: list["Tape"] = []
@@ -182,7 +186,8 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
 
         grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-        for out_id, in_ids, rule in reversed(self._records):
+        while self._records:
+            out_id, in_ids, rule = self._records.pop()
             if type(out_id) is tuple:
                 g = tuple(grads.pop(o, None) for o in out_id)
                 if all(x is None for x in g):
@@ -191,7 +196,9 @@ class Tape:
                 g = grads.pop(out_id, None)
                 if g is None:
                     continue
-            for iid, gin in zip(in_ids, rule(g)):
+            g_in = rule(g)
+            del rule, g   # the op's saved arrays go before the gradients are summed
+            for iid, gin in zip(in_ids, g_in):
                 if iid is None or gin is None:
                     continue
                 acc = grads.get(iid)
@@ -355,11 +362,17 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     return record(a.data * m, (a,), lambda g: (g * m,))
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of a plain array, in its own dtype;
+    the forward of ``log_softmax_rows``."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - lse
+
+
 def log_softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    out = log_softmax(a.data)
     return record(out, (a,),
                   lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
 

@@ -189,14 +189,14 @@ def _decoder_step(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
     """One decoder step in plain numpy, shared by ``decode_step`` and
     ``_decoder_scan``: the LSTM cell on ``pre`` = [embedding(prev) ++ z] @ W_x
     + b, attention over U (B, L, k) and d~ = tanh([h ++ ctx] @ W_c). Returns
-    (d~, h, c, weights, gate activations, tanh(c), [h ++ ctx])."""
+    (d~, h, c, weights, gate activations, [h ++ ctx])."""
     scale, shift = _gate_affine(h.shape[1], h.dtype)
-    act, c2, tc, h2 = lstm_cell(pre, h, c, dec.lstm.wh.data, scale, shift)
+    act, c2, h2 = lstm_cell(pre, h, c, dec.lstm.wh.data, scale, shift)
     scores = np.matmul(u, (h2 @ dec.w_a.data)[:, :, None])[:, :, 0] + logmask
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
     hc = np.concatenate([h2, np.matmul(alpha[:, None, :], u)[:, 0]], axis=1)
-    return np.tanh(hc @ dec.w_c.data), h2, c2, alpha, act, tc, hc
+    return np.tanh(hc @ dec.w_c.data), h2, c2, alpha, act, hc
 
 
 def _logits(d_tilde: np.ndarray, dec: DecoderParams, prev_ids: np.ndarray) -> np.ndarray:
@@ -244,7 +244,10 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
     recurrence through ``lstm_bptt``, and each weight and embedding
     gradient as one GEMM or scatter over the real steps. No gradient flows
     through token choices (W_v and b_v get none), and none is computed for
-    an untracked ``emb_q`` or U.
+    an untracked ``emb_q`` or U. The record keeps each slot's gate
+    activations, c, [h ++ ctx] and weights, not tanh(c), which
+    ``lstm_bptt`` recomputes; the rule frees its attention temporaries
+    before it runs the recurrence's backward pass.
     """
     lstm, dec = ved.dec.lstm, ved.dec
     z, h0, u_states = start.z, start.h0, start.u_states
@@ -266,8 +269,7 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
     slots = len(lay.rows)
     packed = np.empty((slots, k), dt)   # d~ of each slot
     if grad:
-        acts, cells, tanh_c = (np.empty((slots, 4 * k), dt), np.empty((slots, k), dt),
-                               np.empty((slots, k), dt))
+        acts, cells = np.empty((slots, 4 * k), dt), np.empty((slots, k), dt)
         hcs, alphas = np.empty((slots, 2 * k), dt), np.empty((slots, u.shape[1]), dt)
     h, c = h0.data[lay.order], np.zeros((len(steps), k), dt)
     for t, n in enumerate(lay.n_live):
@@ -277,12 +279,12 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
             pre = emb[prev[:n]] @ wx_e + zx[:n]
         else:
             pre = xe[s] + zx[:n]
-        packed[s], h, c, alpha, act, tc, hc = _decoder_step(
+        packed[s], h, c, alpha, act, hc = _decoder_step(
             pre, h[:n], c[:n], u[:n], logmask[:n], dec)
         if prev_ids is None:
             prev = np.argmax(_logits(packed[s], dec, prev[:n]), axis=1)
         if grad:
-            acts[s], cells[s], tanh_c[s], hcs[s], alphas[s] = act, c, tc, hc, alpha
+            acts[s], cells[s], hcs[s], alphas[s] = act, c, hc, alpha
     if prev_ids is None:
         ids = np.concatenate(ids)
 
@@ -304,8 +306,9 @@ def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np
         if want_u:
             g_u = (np.matmul(a.transpose(0, 2, 1), g_ctx)
                    + np.matmul(g_scores.transpose(0, 2, 1), lay.padded(h2s @ w_a)))
+        del a, g_ctx, g_alpha, g_scores
         gates, g_h0, g_wh = lstm_bptt(lay, g_hc[:, :k] + g_hw @ w_a.T, acts, cells,
-                                      tanh_c, h2s, h0.data, wh)
+                                      h2s, h0.data, wh)
         g_zx = lay.padded(gates).sum(axis=1)
         g_emb = None
         if want_emb:
@@ -359,10 +362,13 @@ def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
     source query's true length), at most the width n of the record's query
     half. Returns (states (B, n, k), final (B, k)) at that width, so they
     replace the query half as they are. A row stops decoding at its length,
-    and its columns past it are zero.
+    and its columns past it are zero. More steps than n raise ``ValueError``.
     """
-    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps,
-                         enc.query_states.shape[1])
+    width = enc.query_states.shape[1]
+    if steps.max(initial=0) > width:
+        raise ValueError(f"hgen_forward_batch asked for {steps.max()} steps, past the "
+                         f"width {width} of the record's query half")
+    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps, width)
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],
@@ -371,8 +377,8 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
     """Length-normalized beam search from the latent mean z = mu.
 
     Returns up to ``beam`` token sequences (end marker stripped) sorted by
-    score = total log-probability / length. beam=1 is exactly greedy
-    argmax decoding.
+    score = total log-probability / length, ranked in the logits' dtype.
+    beam=1 is exactly greedy argmax decoding.
     """
     start = decoder_start(encode_pair_batch(clf, *pad_matrix([item_ids]),
                                             *pad_matrix([query_ids])),
@@ -386,7 +392,7 @@ def beam_generate(item_ids: list[int], query_ids: list[int],
         for tokens, logp, h, c in live:
             prev = np.array([tokens[-1] if tokens else BOS], dtype=np.int64)
             logits, _, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
-            logprob = T.log_softmax_rows(logits).data[0]
+            logprob = T.log_softmax(logits)[0]
             top = np.argsort(-logprob, kind="stable")[:beam]
             for tok in top:
                 candidates.append((tokens + [int(tok)], logp + float(logprob[tok]),

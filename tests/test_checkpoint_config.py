@@ -1,6 +1,7 @@
 """Checkpoint container format and configuration parsing."""
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,3 +258,20 @@ def test_adam_step_matches_textbook_bitwise(dtype):
             assert p.data.dtype == dtype
             assert p.data.tobytes() == want[k].tobytes(), (k, t)
             assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+
+
+def test_adam_step_allocates_at_most_one_parameter():
+    """The update runs in place: one step on a 4 MB parameter raises the
+    traced heap's peak by at most that parameter's size (numpy reports
+    its buffers to tracemalloc), plus a little for Python objects."""
+    p = Tensor(np.ones((1024, 1024), np.float32))
+    grads = {p: np.full(p.shape, 0.5, np.float32)}
+    opt = Adam({"w": p}, 1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        opt.step(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= p.data.nbytes + 64 * 1024, (peak - base) / p.data.nbytes

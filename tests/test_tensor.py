@@ -1,4 +1,6 @@
 """Core tensor/tape behavior: forward values, backward rules, contracts."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,30 @@ class TestBackward:
             grads = tape.backward(T.sum_axis(T.mul(x, y)))
         assert list(grads) == [x]
         np.testing.assert_array_equal(grads[x], [3.0])
+
+    def test_sweep_frees_each_record_before_the_next_rule(self, f64):
+        """A record dies as soon as its rule has run: the array the later
+        op's rule holds is gone when the earlier op's rule runs."""
+        x = Tensor([1.0, 2.0])
+        dead_when_first_ran = []
+
+        def first(g):
+            dead_when_first_ran.append(held() is None)
+            return (g,)
+
+        def holding(saved):
+            return lambda g: (g * saved,)
+
+        with Tape([x]) as tape:
+            y = T.record(x.data * 1.0, (x,), first)
+            saved = np.array([3.0, 4.0])
+            held = weakref.ref(saved)
+            loss = T.record(np.asarray((y.data * saved).sum()), (y,), holding(saved))
+            del saved
+            grads = tape.backward(loss)
+            assert len(tape) == 0
+        assert dead_when_first_ran == [True]
+        np.testing.assert_array_equal(grads[x], [3.0, 4.0])
 
     def test_shared_node_accumulates_fanout(self, f64):
         x = Tensor([2.0])

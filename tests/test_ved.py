@@ -329,6 +329,15 @@ class TestGeneration:
         for tokens, _ in V.beam_generate([4, 5], [6], clf, ved, beam=3, max_len=5):
             assert len(tokens) <= 5
 
+    def test_ranks_in_the_logits_dtype(self):
+        """A float64 model decoded with the engine left at float32 is ranked
+        on float64 log-probabilities, as it is with the engine at float64."""
+        with T.using_dtype(np.float64):
+            clf, ved = models(seed=8)
+            want = V.beam_generate([4, 5, 6], [7], clf, ved, beam=3, max_len=5)
+        assert T.get_default_dtype() is np.float32
+        assert V.beam_generate([4, 5, 6], [7], clf, ved, beam=3, max_len=5) == want
+
     def test_scores_sorted(self, f64):
         clf, ved = models(seed=8)
         out = V.beam_generate([4, 5, 6], [7], clf, ved, beam=4, max_len=6)
@@ -426,6 +435,12 @@ class TestHgen:
     def test_shape_matches_query_length(self, f64):
         clf, ved = models(k=5, d=4)
         assert hgen_one(clf, ved, [4, 5, 6, 7], [8, 4, 5]).shape == (1, 3, 5)
+
+    def test_steps_past_the_width_raise(self, f64):
+        clf, ved = models(k=5, d=4)
+        with pytest.raises(ValueError, match="4 steps, past the width 3"):
+            V.hgen_forward_batch(clf, ved, enc_one(clf, [4, 5], [6, 7, 8]), np.array([4]),
+                                 np.zeros((1, ved.d_z)))
 
     def test_deterministic_mode_repeatable(self, f64):
         clf, ved = models(seed=9)

@@ -174,11 +174,10 @@ class Ragged:
     at step ``steps[j]``, and ``last[i]`` is row i's slot at its last step.
     """
 
-    def __init__(self, lens: np.ndarray, width: int | None = None):
-        longest = int(lens.max(initial=0))
-        self.width = longest if width is None else width
+    def __init__(self, lens: np.ndarray, width: int):
+        self.width = width
         self.order = np.argsort(-lens, kind="stable")
-        live = pad_mask(lens[self.order], longest).T   # (step, sorted row)
+        live = pad_mask(lens[self.order], int(lens.max(initial=0))).T   # (step, sorted row)
         self.n_live = live.sum(axis=1)
         self.start = np.concatenate([[0], np.cumsum(self.n_live)])
         self.steps, sorted_row = np.nonzero(live)

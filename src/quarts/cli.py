@@ -22,7 +22,7 @@ from .config import (ConfigError, RunConfig, atomic_write, desk_profile, load_co
                      paper_profile)
 from .data import DataError, encode_pairs, pad_matrix, read_pairs, tokenize
 from .metrics import MetricError, knn as knn_search
-from .ved import beam_generate
+from .ved import beam_search
 
 log = logging.getLogger("quarts")
 
@@ -34,12 +34,12 @@ def _run_dir(args) -> Path:
     return Path(args.run_dir or os.environ.get("QUARTS_RUN_DIR") or "runs/default")
 
 
-def _config(args) -> RunConfig:
+def _config(args, epochs: str | None = None) -> RunConfig:
     cfg = paper_profile() if getattr(args, "profile", None) == "paper" else desk_profile()
     if getattr(args, "config", None):
         cfg = load_config(args.config, base=cfg)
     for flag, key in (("seed", "seed"), ("p", "p"), ("beam", "beam_size"),
-                      ("max_len", "gen_max_len")):
+                      ("max_len", "gen_max_len"), ("epochs", epochs)):
         val = getattr(args, flag, None)
         if val is not None:
             cfg = cfg.replace(**{key: val})
@@ -94,9 +94,7 @@ def _final_val(records) -> str:
 
 
 def cmd_pretrain_classifier(args) -> int:
-    cfg = _config(args)
-    if args.epochs is not None:
-        cfg = cfg.replace(clf_epochs=args.epochs)
+    cfg = _config(args, "clf_epochs")
     data = P.load_data(args.data_dir, cfg)
     _, records = P.phase_pretrain_classifier(cfg, data, _run_dir(args))
     log.info("classifier pretraining done%s", _final_val(records))
@@ -112,9 +110,7 @@ def cmd_build_triples(args) -> int:
 
 
 def cmd_pretrain_ved(args) -> int:
-    cfg = _config(args)
-    if args.epochs is not None:
-        cfg = cfg.replace(ved_epochs=args.epochs)
+    cfg = _config(args, "ved_epochs")
     data = P.load_data(args.data_dir, cfg)
     _, records = P.phase_pretrain_ved(cfg, data, _run_dir(args))
     log.info("generator pretraining done: final loss=%.4f", records[-1].loss)
@@ -122,9 +118,7 @@ def cmd_pretrain_ved(args) -> int:
 
 
 def cmd_train_e2e(args) -> int:
-    cfg = _config(args)
-    if args.epochs is not None:
-        cfg = cfg.replace(e2e_epochs=args.epochs)
+    cfg = _config(args, "e2e_epochs")
     data = P.load_data(args.data_dir, cfg)
     _, _, records = P.phase_train_e2e(cfg, data, _run_dir(args),
                                       freeze_generator=args.freeze_generator,
@@ -138,9 +132,7 @@ def cmd_train_baseline(args) -> int:
     if args.kind == "dssm" and args.resume:
         raise ConfigError("--resume applies to --kind augment only; dssm has no checkpoint "
                           "to continue from")
-    cfg = _config(args)
-    if args.epochs is not None:
-        cfg = cfg.replace(**{"e2e_epochs" if args.resume else "clf_epochs": args.epochs})
+    cfg = _config(args, "e2e_epochs" if args.resume else "clf_epochs")
     data = P.load_data(args.data_dir, cfg)
     run_dir = _run_dir(args)
     if args.kind == "dssm":
@@ -190,17 +182,18 @@ def cmd_generate(args) -> int:
     pairs = pairs[:_count(args.limit, "--limit")]
     examples = encode_pairs(pairs, data.vocab_t, data.vocab_q,
                             cfg.max_title_len, cfg.max_query_len)
+    for pair in pairs:   # a title without a product type fails before any decoding
+        data.oracle.label(pair.title, pair.query)
     with P.run_dtype(cfg):
         clf, ved = _load_tool_model(args, cfg, data, "generator")
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for pair, ex in zip(pairs, examples):
-                tokens, score = beam_generate(ex.item_ids, ex.query_ids, clf, ved,
-                                              beam=cfg.beam_size,
-                                              max_len=cfg.gen_max_len)[0]
-                gen = " ".join(data.vocab_q.decode(tokens))
-                label = data.oracle.label(pair.title, gen)
-                fh.write(f"{pair.title}\t{pair.query}\t{gen}\t{score:.4f}\t"
-                         f"{'?' if label is None else label}\n")
+        outs = beam_search([ex.item_ids for ex in examples], [ex.query_ids for ex in examples],
+                           clf, ved, beam=cfg.beam_size, max_len=cfg.gen_max_len)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for pair, ((tokens, score), *_) in zip(pairs, outs):
+            gen = " ".join(data.vocab_q.decode(tokens))
+            label = data.oracle.label(pair.title, gen)
+            fh.write(f"{pair.title}\t{pair.query}\t{gen}\t{score:.4f}\t"
+                     f"{'?' if label is None else label}\n")
     log.info("wrote generations for %d pairs to %s", len(pairs), args.out)
     return EXIT_OK
 

@@ -52,8 +52,7 @@ def e2e_batch_loss(clf: ClassifierParams, ved: VedParams, batch: Batch,
                             batch.query_lens)
     if idx1.size:
         h_gen, gen_final = hgen_forward_batch(
-            clf, ved, enc.rows(idx1), batch.query_lens[idx1],
-            rng.latent.standard_normal((idx1.size, ved.d_z)))
+            clf, ved, enc.rows(idx1), rng.latent.standard_normal((idx1.size, ved.d_z)))
         # the generated rows take the place of their rows' query encodings
         order = np.arange(len(s))
         order[idx1] = len(s) + np.arange(idx1.size)

@@ -55,7 +55,7 @@ from .e2e import e2e_batch_loss
 from .rng import RunRng
 from .train import (EVAL_BATCH_SIZE, EVAL_GROUPING, EpochRecord, encode_distinct,
                     evaluate_probs, fit, val_pass)
-from .ved import (VedParams, beam_generate, build_triples, encode_triples, init_ved,
+from .ved import (VedParams, beam_search, build_triples, encode_triples, init_ved,
                   kl_weight_at, ved_loss_batch)
 
 log = logging.getLogger(__name__)
@@ -495,20 +495,18 @@ def evaluate_generation(cfg: RunConfig, data: DataBundle,
                         pairs: list[RawPair],
                         ) -> tuple[M.BleuReport, M.GenerationAccuracy, int]:
     """Beam-1 generations from held-out matched pairs, scored by BLEU
-    against the held-out mismatched reference and by the oracle."""
+    against the held-out mismatched reference and by the oracle; a float32
+    generation score can move in its last bits with the pairs in its chunk."""
     triples = build_triples(pairs, cap=1)
     encoded = encode_triples(triples, data.vocab_t, data.vocab_q, cfg.max_title_len,
                              cfg.max_query_len)
-    bleu_pairs = []
-    acc_pairs = []
-    for (title, _, qm), t in zip(triples, encoded):
-        out = beam_generate(t.item_ids, t.matched_query_ids, clf, ved, beam=1,
-                            max_len=cfg.gen_max_len)
-        gen_tokens = data.vocab_q.decode(out[0][0])
-        bleu_pairs.append((gen_tokens, tokenize(qm)))
-        acc_pairs.append((title, " ".join(gen_tokens)))
+    gens = [data.vocab_q.decode(out[0][0]) for out in beam_search(
+        [t.item_ids for t in encoded], [t.matched_query_ids for t in encoded], clf, ved,
+        beam=1, max_len=cfg.gen_max_len)]
+    bleu_pairs = [(gen, tokenize(qm)) for gen, (_, _, qm) in zip(gens, triples)]
     bleu = M.corpus_bleu(bleu_pairs) if bleu_pairs else M.BleuReport([0] * 4, [0] * 4, 0)
-    acc = M.generation_accuracy(acc_pairs, data.oracle)
+    acc = M.generation_accuracy([(title, " ".join(gen)) for gen, (title, _, _)
+                                 in zip(gens, triples)], data.oracle)
     return bleu, acc, len(triples)
 
 

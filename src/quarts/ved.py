@@ -13,13 +13,14 @@ flowing through the recurrence but not through token choices.
 Both uses of the decoder run one fused scan, recorded once with a
 hand-written backward pass: teacher-forced VED training reads the given
 previous tokens, and ``hgen_forward_batch`` feeds back its own argmax.
-The two differ only in where each step's input token comes from. The
-scan steps each row only up to its own length, on the classifier's
-``Ragged`` layout and through its ``lstm_bptt``, so its columns past that
-length are zero in both modes, as the encoders' are. Beam search's
-``decode_step`` runs the same numpy step once, with no tape. Whatever
-chooses tokens (``hgen``'s argmax, beam search) reads the logits through
-``_logits``, under the decode-time masks; the training loss does not.
+The two differ only in where each step's input token comes from. The scan
+steps each row only up to its own length, on the classifier's ``Ragged``
+layout and through its ``lstm_bptt``, so its columns past that length are
+zero in both modes, as the encoders' are. Beam search runs that step
+untaped on a chunk's live hypotheses at once (``decode_step``), so a
+float32 generation score can move in its last bits with its chunk's pairs.
+Whatever chooses tokens (``hgen``'s argmax, beam search) reads the logits
+through ``_logits``, under the decode-time masks; training does not.
 
 The generator reads the shared encoder's ``classifier.EncodedBatch``
 through one entry, ``decoder_start``: the attention memory U and its
@@ -49,6 +50,7 @@ from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Params, Rag
 from .data import (BOS, EOS, PAD, UNK, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, pad_matrix, tokenize)
 from .tensor import Tensor
+from .train import EVAL_BATCH_SIZE
 
 log = logging.getLogger(__name__)
 
@@ -213,19 +215,18 @@ def _logits(d_tilde: np.ndarray, dec: DecoderParams, prev_ids: np.ndarray) -> np
     return logits
 
 
-def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
-                start: _DecoderStart, ved: VedParams, emb_q: Tensor,
-                ) -> tuple[np.ndarray, ...]:
-    """One decoder step over a batch of arrays, for inputs chosen as
-    decoding goes (beam search). Nothing is recorded.
-
-    Returns (logits over V_q, attentional state d~, new h, new c, weights).
-    """
-    wx, d = ved.dec.lstm.wx.data, emb_q.shape[1]
-    pre = emb_q.data[prev_ids] @ wx[:d] + (start.z.data @ wx[d:] + ved.dec.lstm.b.data)
-    d_tilde, h2, c2, alpha = _decoder_step(pre, h, c, start.u_states.data,
-                                           start.u_logmask, ved.dec)[:4]
-    return _logits(d_tilde, ved.dec, prev_ids), d_tilde, h2, c2, alpha
+def decode_step(prev_ids: np.ndarray, h: np.ndarray, c: np.ndarray, pair: np.ndarray,
+                start: _DecoderStart, zx: np.ndarray, ved: VedParams, emb_q: Tensor,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One untaped decoder step: row i extends ``prev_ids[i]`` from (h[i],
+    c[i]) with pair ``pair[i]``'s memory and mask in ``start`` and latent
+    projection ``zx[pair[i]]`` (z @ W_x's latent rows + b). Returns (masked
+    logits, new h, new c). As BLAS rounds a GEMM row by the rows beside it,
+    a float32 score can move in its last bits with the pairs in its chunk."""
+    pre = emb_q.data[prev_ids] @ ved.dec.lstm.wx.data[:emb_q.shape[1]] + zx[pair]
+    d_tilde, h2, c2 = _decoder_step(pre, h, c, start.u_states.data[pair],
+                                    start.u_logmask[pair], ved.dec)[:3]
+    return _logits(d_tilde, ved.dec, prev_ids), h2, c2
 
 
 def _decoder_scan(emb_q: Tensor, ved: VedParams, start: _DecoderStart, steps: np.ndarray,
@@ -354,62 +355,72 @@ def ved_loss_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
 # --- generation -------------------------------------------------------------
 
 def hgen_forward_batch(clf: ClassifierParams, ved: VedParams, enc: EncodedBatch,
-                       steps: np.ndarray, eps: np.ndarray) -> tuple[Tensor, Tensor]:
+                       eps: np.ndarray) -> tuple[Tensor, Tensor]:
     """Continuous query stand-in: the free-running decoder's states from
-    the latent with noise ``eps`` (B, d_z), conditioned on ``enc``.
+    the latent with noise ``eps`` (B, d_z), conditioned on ``enc``, each row
+    for its query's length. Returns (states (B, n, k), final (B, k)) at the
+    record's query width n, zero past each row's length, so they replace
+    the query half as they are."""
+    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), enc.query_lens,
+                         enc.query_states.shape[1])
 
-    ``steps[i]`` is the number of columns generated for example i (the
-    source query's true length), at most the width n of the record's query
-    half. Returns (states (B, n, k), final (B, k)) at that width, so they
-    replace the query half as they are. A row stops decoding at its length,
-    and its columns past it are zero. More steps than n raise ``ValueError``.
+
+def beam_search(item_ids: list[list[int]], query_ids: list[list[int]],
+                clf: ClassifierParams, ved: VedParams, beam: int = 4, max_len: int = 12,
+                ) -> list[list[tuple[list[int], float]]]:
+    """Length-normalized beam search from the latent mean z = mu: for each
+    (item, query) pair, in input order, up to ``beam`` token sequences (end
+    marker stripped) sorted by score = log-probability / length; beam=1 is
+    greedy. Each chunk of ``EVAL_BATCH_SIZE`` pairs is one encoded batch,
+    and each step one ``decode_step`` over the chunk's live hypotheses.
+    Every pair keeps GNMT's rules by itself, with ties kept in hypothesis
+    then rank order and ranks in the logits' dtype. A float32 score can move
+    in its last bits with the pairs that share its chunk.
     """
-    width = enc.query_states.shape[1]
-    if steps.max(initial=0) > width:
-        raise ValueError(f"hgen_forward_batch asked for {steps.max()} steps, past the "
-                         f"width {width} of the record's query half")
-    return _decoder_scan(clf.emb_q, ved, decoder_start(enc, ved, eps), steps, width)
+    out = []
+    for lo in range(0, len(item_ids), EVAL_BATCH_SIZE):
+        items, queries = item_ids[lo:lo + EVAL_BATCH_SIZE], query_ids[lo:lo + EVAL_BATCH_SIZE]
+        start = decoder_start(encode_pair_batch(clf, *pad_matrix(items), *pad_matrix(queries)),
+                              ved, np.zeros((len(items), ved.d_z)))
+        zx = start.z.data @ ved.dec.lstm.wx.data[clf.emb_q.shape[1]:] + ved.dec.lstm.b.data
+        h, c = start.h0.data, np.zeros_like(start.h0.data)
+        # per pair: live (tokens, logp_sum, row of h and c) and finished (tokens, score)
+        live, done = [[([], 0.0, i)] for i in range(len(items))], [[] for _ in items]
+        for length in range(1, max_len + 1):
+            hyps = [hyp for pair_live in live for hyp in pair_live]
+            if not hyps:
+                break
+            prev = np.array([tokens[-1] if tokens else BOS for tokens, _, _ in hyps], np.int64)
+            pair = np.repeat(np.arange(len(items)), [len(pair_live) for pair_live in live])
+            rows = [row for _, _, row in hyps]
+            logits, h, c = decode_step(prev, h[rows], c[rows], pair, start, zx, ved, clf.emb_q)
+            logprob = T.log_softmax(logits)
+            top = np.argsort(-logprob, axis=1, kind="stable")[:, :beam]
+            toks, lps = top.tolist(), np.take_along_axis(logprob, top, axis=1).tolist()
+            first = 0   # the pair's first row
+            for pair_live, pair_done in zip(live, done):
+                cands = [(tokens, tok, logp + lp, row)
+                         for row, (tokens, logp, _) in enumerate(pair_live, first)
+                         for tok, lp in zip(toks[row], lps[row])]
+                first += len(pair_live)
+                cands.sort(key=lambda cand: -(cand[2] / length))
+                pair_live.clear()
+                for tokens, tok, logp, row in cands:
+                    if tok == EOS:
+                        pair_done.append((tokens, logp / length))
+                    elif len(pair_live) < beam:
+                        pair_live.append((tokens + [tok], logp, row))
+                    if len(pair_done) >= beam and len(pair_live) >= beam:
+                        break
+        for pair_live, pair_done in zip(live, done):
+            flushed = [(tokens, logp / max(len(tokens), 1)) for tokens, logp, _ in pair_live]
+            out.append(sorted(pair_done + flushed, key=lambda hyp: -hyp[1])[:beam])
+    return out
 
 
 def beam_generate(item_ids: list[int], query_ids: list[int],
                   clf: ClassifierParams, ved: VedParams, beam: int = 4,
                   max_len: int = 12) -> list[tuple[list[int], float]]:
-    """Length-normalized beam search from the latent mean z = mu.
-
-    Returns up to ``beam`` token sequences (end marker stripped) sorted by
-    score = total log-probability / length, ranked in the logits' dtype.
-    beam=1 is exactly greedy argmax decoding.
-    """
-    start = decoder_start(encode_pair_batch(clf, *pad_matrix([item_ids]),
-                                            *pad_matrix([query_ids])),
-                          ved, np.zeros((1, ved.d_z)))
-
-    # live: (tokens, logp_sum, h, c) with (h, c) arrays; finished: (tokens, score)
-    live = [([], 0.0, start.h0.data, np.zeros_like(start.h0.data))]
-    done: list[tuple[list[int], float]] = []
-    for _ in range(max_len):
-        candidates = []
-        for tokens, logp, h, c in live:
-            prev = np.array([tokens[-1] if tokens else BOS], dtype=np.int64)
-            logits, _, h2, c2, _ = decode_step(prev, h, c, start, ved, clf.emb_q)
-            logprob = T.log_softmax(logits)[0]
-            top = np.argsort(-logprob, kind="stable")[:beam]
-            for tok in top:
-                candidates.append((tokens + [int(tok)], logp + float(logprob[tok]),
-                                   h2, c2))
-        candidates.sort(key=lambda cand: -(cand[1] / len(cand[0])))
-        live = []
-        for tokens, logp, h, c in candidates:
-            if tokens[-1] == EOS:
-                done.append((tokens[:-1], logp / len(tokens)))
-            elif len(live) < beam:
-                live.append((tokens, logp, h, c))
-            if len(done) >= beam and len(live) >= beam:
-                break
-        live = live[:beam]
-        if not live:
-            break
-    for tokens, logp, _, _ in live:
-        done.append((tokens, logp / max(len(tokens), 1)))
-    done.sort(key=lambda pair: -pair[1])
-    return done[:beam]
+    """``beam_search`` of one pair, alone in its chunk: its float32 score can
+    differ in its last bits from the same pair's in a larger chunk."""
+    return beam_search([item_ids], [query_ids], clf, ved, beam, max_len)[0]

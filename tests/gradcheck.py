@@ -156,7 +156,7 @@ def op_checks(seed: int = 0) -> list[tuple[str, float]]:
     cs, ch = _const(rng, 3, 3, k), _const(rng, 3, k)
 
     def scan():
-        states, h = lstm_scan(xw, wh, bias, Ragged(lens))
+        states, h = lstm_scan(xw, wh, bias, Ragged(lens, 3))
         return T.sum_axis(states * cs) + T.sum_axis(h * ch)
 
     run("lstm_scan", [xw, wh, bias], scan)
@@ -249,7 +249,7 @@ def model_checks(seed: int = 0) -> list[tuple[str, float]]:
 
     def hgen_scalar():
         enc = encode_pair_batch(clf, items, item_lens, queries, query_lens)
-        states, _ = hgen_forward_batch(clf, ved, enc, query_lens, np.zeros((2, 3)))
+        states, _ = hgen_forward_batch(clf, ved, enc, np.zeros((2, 3)))
         return T.sum_axis(T.tanh(states))
 
     err = grad_check(hgen_scalar, list(ved.named().values()), eps=MODEL_EPS)

@@ -108,3 +108,39 @@ def test_digests_are_compared_key_by_key(tool):
     assert agree == {"clf": 3, "ved": 2, "e2e": 1, "scores": 1}
     assert list(agree) == ["clf", "ved", "e2e", "scores"]   # in the order first seen
     assert tool.digest_agreement([]) == {}
+
+
+INFO = {"per_round": {"eval_pairs_per_s": [5000.0, 5100.0],
+                      "gen_beam4_pairs_per_s": [300.0, 100.0, 200.0],
+                      "gen_beam1_pairs_per_s": [10.0, 40.0, 20.0, 30.0]},
+        "ckpt_sha": {"generations": "g1"}}
+
+
+def test_generation_rates_are_each_runs_median_round(tool):
+    assert tool.round_rates(INFO) == {"gen_beam4_pairs_per_s": 200.0,
+                                      "gen_beam1_pairs_per_s": 25.0}
+    assert tool.round_rates({}) == {} == tool.round_rates({"per_round": {}})
+
+
+def test_run_once_adds_the_generation_rates(tool, tmp_path):
+    # a stand-in perfbench that prints a run's env, info and result lines
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        f"print('env ' + json.dumps({{'src_lines': 3791}}))\n"
+        f"print('info ' + json.dumps({INFO!r}))\n"
+        "print(json.dumps({'correct': True, 'metrics': "
+        "{'eval_pairs_per_s': {'value': 5050.0}}}))\n")
+    metrics, info, env = tool.run_once(tmp_path, "infer", 0, 1.0)
+    assert metrics == {"eval_pairs_per_s": 5050.0, "gen_beam4_pairs_per_s": 200.0,
+                       "gen_beam1_pairs_per_s": 25.0}
+    assert info == INFO and env == {"src_lines": 3791}
+
+
+def test_generation_rates_get_per_layer_verdicts(tool):
+    spec = {**SPEC, "per_layer": [{"name": "gen_beam4_pairs_per_s", "better": "higher"}]}
+    (row,) = tool.summarize(runs("gen_beam4_pairs_per_s", [200] * 10, [400] * 10), spec)
+    assert (row["wins"], row["verdict"], row["bound"]) == (10, "gain", None)
+    # a rate that halves is no regression: it has no bound to cross
+    (row,) = tool.summarize(runs("gen_beam4_pairs_per_s", [200] * 10, [100] * 10), spec)
+    assert (row["losses"], row["verdict"]) == (10, "no gain")

@@ -13,7 +13,8 @@ from quarts import train as TR
 from quarts.checkpoint import load_arrays, save_arrays
 from quarts.cli import main
 from quarts.config import RunConfig, desk_profile, file_sha256, load_config
-from quarts.data import read_pairs
+from quarts import ved as V
+from quarts.data import read_pairs, write_pairs
 from quarts.ved import build_triples
 
 
@@ -694,6 +695,24 @@ class TestTools:
         assert code == 2
         assert "generator" in capsys.readouterr().err
 
+    def test_eval_generation_on_a_split_without_triples(self, workspace, tmp_path):
+        # no test title carries both labels, so there is nothing to decode
+        root, data, run, _ = workspace
+        copy, run_copy = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(data, copy)
+        shutil.copytree(run, run_copy)
+        test = read_pairs(copy / "test.tsv")
+        mismatched = {p.title for p in test if p.label == 1}
+        write_pairs(copy / "test.tsv",
+                    [p for p in test if p.label == 1 or p.title not in mismatched])
+        assert build_triples(read_pairs(copy / "test.tsv"), cap=1) == []
+        assert main(["eval", "--data-dir", str(copy), "--run-dir", str(run_copy), "--config",
+                     str(root / "tiny.cfg"), "--checkpoint", P.CKPT_VED,
+                     "--generation"]) == 0
+        report = json.loads((run_copy / "report_phase3_ved_test.json").read_text())
+        assert report["counts"]["generation_pairs"] == 0
+        assert report["bleu"] == [0, 0, 0, 0]
+
     def test_eval_generation_without_generator_fails_before_scoring(
             self, workspace, tmp_path, capsys, monkeypatch):
         # the loader checks the parts its caller needs, so no pair is scored first
@@ -794,6 +813,28 @@ class TestTools:
         assert code == 2
         assert f"{title!r} / {query!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_generate_untyped_title_fails_before_decoding(self, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        # every kept title must have a product type for the oracle to label
+        # its generation; the check runs before any pair is decoded
+        _, _, _, base = workspace
+        pairs, out = tmp_path / "pairs.tsv", tmp_path / "gen.tsv"
+        pairs.write_text("alvora running shoes black\trunning shoes\t0\tannotated\n"
+                         "alvora wireless gadget\tgadget\t0\tannotated\n")
+        calls, step = [], V.decode_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(V, "decode_step", counted)
+        code = main(["generate"] + base + ["--checkpoint", P.CKPT_VED,
+                                           "--pairs", str(pairs), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: item title has no product type: 'alvora wireless gadget'\n")
+        assert calls == [] and not out.exists()
 
     def test_heatmap_export(self, workspace, capsys):
         root, _, _, base = workspace

@@ -8,10 +8,13 @@ differs between the two. The decoder scan's two modes are also held to
 each other bit for bit, and leaving its embedding and memory inputs off
 the tape must leave every other gradient bit for bit unchanged.
 """
+import dataclasses
+
 import pytest
 
 import numpy as np
 
+import loop_beam as L
 import unfused as U
 from quarts import classifier as C
 from quarts import tensor as T
@@ -168,13 +171,18 @@ def test_ved_nll_matches_unfused(f64):
 def test_decode_step_matches_unfused(f64):
     clf, ved, _ = models(seed=3)
     start = scan_start(clf, ved)
-    h, c = start.h0, Tensor(np.zeros(start.h0.shape))
-    prev = np.array([BOS, 5, 7])
-    (got, *got_rest) = V.decode_step(prev, h.data, c.data, start, ved, clf.emb_q)
-    (want, *want_rest) = U.decode_step(prev, h, c, start, ved, clf.emb_q)
+    # each row reads its own pair's memory, mask and latent projection
+    pair = np.array([2, 0, 0, 1])
+    rows = dataclasses.replace(start, u_states=Tensor(start.u_states.data[pair]),
+                               u_logmask=start.u_logmask[pair], z=Tensor(start.z.data[pair]))
+    h, c = rows.h0.data[pair], np.zeros((4, 4))
+    prev = np.array([BOS, 5, 7, BOS])
+    got, *got_rest = V.decode_step(prev, h, c, pair, start,
+                                   L.latent_projection(start, ved, clf.emb_q), ved, clf.emb_q)
+    want, _, *want_rest, _ = U.decode_step(prev, Tensor(h), Tensor(c), rows, ved, clf.emb_q)
     # the logits agree where the decode-time masks leave them
     masked = U.decode_mask(prev, got.shape[1])
-    assert masked.sum() == 3 * 3 + 1 and (got[masked] == V._MASK_NEG).all()
+    assert masked.sum() == 4 * 3 + 2 and (got[masked] == V._MASK_NEG).all()
     close(got[~masked], want.data[~masked])
     for a, b in zip(got_rest, want_rest):
         close(a, b.data)
@@ -182,7 +190,7 @@ def test_decode_step_matches_unfused(f64):
 
 def test_hgen_matches_unfused(f64):
     clf, ved, rng = models(seed=4)
-    steps = np.array([2, 3, 1])
+    steps = QUERY_LENS   # each row decodes its own query's length
     on = Tensor(np.repeat(pad_mask(steps, 3)[:, :, None], 4, axis=2))
     w_states = Tensor(rng.normal(size=(3, 3, 4)))
     w_final = Tensor(rng.normal(size=(3, 4)))
@@ -192,8 +200,8 @@ def test_hgen_matches_unfused(f64):
 
     def fused():
         enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, QUERIES, QUERY_LENS)
-        states, final = V.hgen_forward_batch(clf, ved, enc, steps, np.zeros((3, 3)))
-        return loss(states * on, final)   # columns past ``steps`` are unspecified
+        states, final = V.hgen_forward_batch(clf, ved, enc, np.zeros((3, 3)))
+        return loss(states * on, final)
 
     def unfused():
         return loss(*U.hgen_states(clf, ved, scan_start(clf, ved), steps))
@@ -203,14 +211,14 @@ def test_hgen_matches_unfused(f64):
 
 def test_hgen_records_independent_of_length():
     clf, ved, _ = models(seed=5)
-    # padded to a query width of 7, so every row may decode up to 7 steps
-    enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, np.pad(QUERIES, ((0, 0), (0, 4))),
-                              QUERY_LENS)
+    # padded to a query width of 7, so every row's query may be up to 7 long
+    queries = np.pad(QUERIES, ((0, 0), (0, 4)))
     added = []
-    for steps in (np.array([2, 1, 2]), np.array([7, 3, 5])):
+    for query_lens in (np.array([2, 1, 2]), np.array([7, 3, 5])):
+        enc = V.encode_pair_batch(clf, ITEMS, ITEM_LENS, queries, query_lens)
         with Tape([*clf.named().values(), *ved.named().values()]) as tape:
             before = len(tape)
-            V.hgen_forward_batch(clf, ved, enc, steps, np.zeros((3, 3)))
+            V.hgen_forward_batch(clf, ved, enc, np.zeros((3, 3)))
             added.append(len(tape) - before)
     assert added[0] == added[1]
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import loop_beam as L
 from quarts import classifier as C
 from quarts import tensor as T
 from quarts import ved as V
@@ -11,7 +12,7 @@ from quarts.pipeline import triple_memory, ved_loss
 from quarts.rng import RunRng
 from quarts.tensor import Tape, Tensor
 from quarts.config import desk_profile
-from quarts.train import fit
+from quarts.train import EVAL_BATCH_SIZE, fit
 
 
 def models(seed=0, k=4, d=4, vocab=9, d_z=3):
@@ -141,6 +142,13 @@ class TestKl:
             assert V.kl_divergence(mu, logvar).item() >= 0.0
 
 
+def decode_rows(prev_ids, h, c, pair, start, ved, clf):
+    """``decode_step`` on rows of the pairs of ``start``, with their latent
+    projection as beam search computes it."""
+    zx = L.latent_projection(start, ved, clf.emb_q)
+    return V.decode_step(prev_ids, h, c, pair, start, zx, ved, clf.emb_q)
+
+
 class TestDecodeStep:
     def test_attention_weights_sum_to_one(self, f64):
         clf, ved = models()
@@ -148,8 +156,9 @@ class TestDecodeStep:
             V.encode_pair_batch(clf, np.array([[4, 5, 0]]), np.array([2]),
                                 np.array([[6, 7]]), np.array([2])), ved, np.zeros((1, 3)))
         h = start.h0.data
-        _, _, _, _, w = V.decode_step(np.array([BOS]), h, np.zeros_like(h), start, ved,
-                                      clf.emb_q)
+        pre = np.random.default_rng(0).normal(size=(1, 4 * h.shape[1]))
+        w = V._decoder_step(pre, h, np.zeros_like(h), start.u_states.data, start.u_logmask,
+                            ved.dec)[3]
         assert abs(w.sum() - 1.0) < 1e-12
         # padded memory column receives exactly zero weight
         assert w[0, 2] == 0.0
@@ -160,8 +169,8 @@ class TestDecodeStep:
             t.data[...] = 0.0
         start = start_one(clf, ved, [4, 5], [6])
         h = start.h0.data
-        logits, _, _, _, _ = V.decode_step(np.array([BOS]), h, np.zeros_like(h), start, ved,
-                                           clf.emb_q)
+        logits, _, _ = decode_rows(np.array([BOS]), h, np.zeros_like(h), np.array([0]), start,
+                                   ved, clf)
         want = np.zeros((1, 9))
         want[0, [PAD, UNK, BOS, EOS]] = V._MASK_NEG   # EOS too, after BOS
         np.testing.assert_array_equal(logits, want)
@@ -316,8 +325,7 @@ class TestGeneration:
         c = np.zeros_like(h)
         prev, greedy = BOS, []
         for _ in range(6):
-            logits, _, h, c, _ = V.decode_step(np.array([prev]), h, c, start, ved,
-                                               clf.emb_q)
+            logits, h, c = decode_rows(np.array([prev]), h, c, np.array([0]), start, ved, clf)
             prev = int(np.argmax(logits[0]))
             if prev == EOS:
                 break
@@ -350,31 +358,38 @@ A, B, X, Y, Z = 4, 5, 6, 7, 8
 
 
 class TestBeamRules:
-    """Beam search's selection rules, on a scripted decoder step whose
-    logits depend only on the previous token (every other logit -30)."""
+    """Beam search's selection rules, on a scripted decoder step that
+    serves the rows of many pairs: a row's logits depend only on its pair
+    and its previous token (every other logit -30)."""
 
     @staticmethod
-    def search(monkeypatch, table, beam, max_len):
-        """(beam output, the token prefix each decoder call extends, the
-        log-probability rows): ``table`` maps a previous token to its logits."""
-        rows = {}
-        for prev, logits in table.items():
-            rows[prev] = np.full(9, -30.0, dtype=T.get_default_dtype())
-            for tok, value in logits.items():
-                rows[prev][tok] = value
+    def search(monkeypatch, tables, beam, max_len):
+        """(beam output per pair; per decoder call, the (pair, token prefix)
+        each row extends; the log-probability rows per pair): ``tables[p]``
+        maps pair p's previous token to its logits."""
+        rows = [{} for _ in tables]
+        for pair_rows, table in zip(rows, tables):
+            for prev, logits in table.items():
+                pair_rows[prev] = np.full(9, -30.0, dtype=T.get_default_dtype())
+                for tok, value in logits.items():
+                    pair_rows[prev][tok] = value
         calls = []
 
-        def step(prev_ids, h, c, start, ved, emb_q):
-            # h carries the hypothesis' prefix in place of a decoder state
-            prefix = (h if isinstance(h, tuple) else ()) + (int(prev_ids[0]),)
-            calls.append(prefix)
-            return rows[int(prev_ids[0])][None, :], None, prefix, c, None
+        def step(prev_ids, h, c, pair, start, zx, ved, emb_q):
+            # h carries each row's prefix in place of a decoder state
+            prefixes = np.empty(len(prev_ids), dtype=object)
+            for i, (state, prev) in enumerate(zip(h, prev_ids)):
+                prefixes[i] = (state if isinstance(state, tuple) else ()) + (int(prev),)
+            calls.append([(int(p), prefix) for p, prefix in zip(pair, prefixes)])
+            logits = np.stack([rows[p][int(prev)] for p, prev in zip(pair, prev_ids)])
+            return logits, prefixes, c
 
         monkeypatch.setattr(V, "decode_step", step)
         clf, ved = models()
-        out = V.beam_generate([4, 5], [6], clf, ved, beam=beam, max_len=max_len)
-        logp = {prev: T.log_softmax_rows(Tensor(row[None])).data[0]
-                for prev, row in rows.items()}
+        out = V.beam_search([[4, 5]] * len(tables), [[6]] * len(tables), clf, ved,
+                            beam=beam, max_len=max_len)
+        logp = [{prev: T.log_softmax_rows(Tensor(row[None])).data[0]
+                 for prev, row in pair_rows.items()} for pair_rows in rows]
         return out, calls, logp
 
     @staticmethod
@@ -385,28 +400,43 @@ class TestBeamRules:
             total += float(logp[prev][tok])
         return total
 
+    # a second pair beside each case, with its own finished count: it
+    # finishes X and Y at step 2, then only extends XZ and YZ with Z
+    ENDS = {BOS: {X: 0, Y: 0}, X: {EOS: 0, Z: -1}, Y: {EOS: 0, Z: -1}, Z: {Z: 0, EOS: -1}}
+
     def test_ties_keep_hypothesis_then_rank_order(self, monkeypatch):
         # A, B and X tie after BOS: a hypothesis keeps its best ``beam``
         # tokens, ties in id order, so X goes. A and B then continue
         # alike, and AX and BX tie: the earlier hypothesis ranks first,
         # and AY and BY are cut, since at most ``beam`` hypotheses live.
-        out, calls, logp = self.search(
-            monkeypatch, {BOS: {A: 0, B: 0, X: 0}, A: {X: 0, Y: -1}, B: {X: 0, Y: -1}},
-            beam=2, max_len=2)
-        assert calls == [(BOS,), (BOS, A), (BOS, B)]
+        table = {BOS: {A: 0, B: 0, X: 0}, A: {X: 0, Y: -1}, B: {X: 0, Y: -1}}
+        out, calls, logp = self.search(monkeypatch, [table, self.ENDS], beam=2, max_len=2)
+        # each call steps every live row, grouped by pair in hypothesis order
+        assert calls == [[(0, (BOS,)), (1, (BOS,))],
+                         [(0, (BOS, A)), (0, (BOS, B)), (1, (BOS, X)), (1, (BOS, Y))]]
         # the search stops at max_len, and the live hypotheses are scored logp / len
-        s = self.score(logp, BOS, A, X) / 2
-        assert out == [([A, X], s), ([B, X], s)]
+        s = self.score(logp[0], BOS, A, X) / 2
+        assert out[0] == [([A, X], s), ([B, X], s)]
+        # the second pair decodes as it does alone
+        ends = self.score(logp[1], BOS, X, EOS) / 2
+        assert out[1] == [([X], ends), ([Y], ends)]
+        assert self.search(monkeypatch, [self.ENDS], beam=2, max_len=2)[0] == [out[1]]
 
     def test_finishing_stopping_and_final_sort(self, monkeypatch):
         table = {BOS: {A: 0, B: -0.2}, A: {X: 0, EOS: -2}, B: {X: 0, EOS: -2},
                  X: {Y: 0, EOS: -0.5}, Y: {EOS: 0, A: 0, B: 0, X: 0, Z: 0}}
-        out, calls, logp = self.search(monkeypatch, table, beam=2, max_len=4)
+        out, calls, logp = self.search(monkeypatch, [table, self.ENDS], beam=2, max_len=4)
         # step 2 finishes A and B and keeps AX and BX. At step 3, AXY and
         # BXY fill the live list while the finished list holds two, so the
         # search stops there: the AX + EOS candidate is never finished.
-        assert calls == [(BOS,), (BOS, A), (BOS, B), (BOS, A, X), (BOS, B, X),
-                         (BOS, A, X, Y), (BOS, B, X, Y)]
+        assert [prefix for call in calls for p, prefix in call if p == 0] == [
+            (BOS,), (BOS, A), (BOS, B), (BOS, A, X), (BOS, B, X),
+            (BOS, A, X, Y), (BOS, B, X, Y)]
+        assert calls[2:] == [[(0, (BOS, A, X)), (0, (BOS, B, X)),
+                              (1, (BOS, X, Z)), (1, (BOS, Y, Z))],
+                             [(0, (BOS, A, X, Y)), (0, (BOS, B, X, Y)),
+                              (1, (BOS, X, Z, Z)), (1, (BOS, Y, Z, Z))]]
+        logp = logp[0]
         skipped = self.score(logp, BOS, A, X, EOS) / 3
         # an EOS candidate is scored over its length with the EOS and
         # returned without it; AXYA, live at max_len, is scored logp / 4
@@ -414,20 +444,84 @@ class TestBeamRules:
         flushed = self.score(logp, BOS, A, X, Y, A) / 4
         assert finished == flushed > self.score(logp, BOS, A, EOS) / 2
         # the final sort is stable: AXY finished before AXYA was flushed
-        assert out == [([A, X, Y], finished), ([A, X, Y, A], flushed)]
+        assert out[0] == [([A, X, Y], finished), ([A, X, Y, A], flushed)]
         # scored over lengths, A + EOS ranks last; by summed log-probability
         # it would beat AXY + EOS
         assert self.score(logp, BOS, A, EOS) > self.score(logp, BOS, A, X, Y, EOS)
         # without the stop, the skipped candidate would rank first
         assert skipped > finished
+        assert self.search(monkeypatch, [self.ENDS], beam=2, max_len=4)[0] == [out[1]]
+
+
+class TestBatchedSearch:
+    """``beam_search`` over many pairs against the per-pair reference
+    (``tests/loop_beam.py``), on a tiny float64 model whose outputs end
+    at every length from 1 to ``max_len``."""
+
+    @staticmethod
+    def model_and_pairs(n=300):
+        clf, ved = models(seed=0, vocab=12)
+        for t in {**clf.named(), **ved.named()}.values():
+            t.data *= 2.0   # leave the near-uniform regime of the toy init
+        rng = np.random.default_rng(0)
+        items = [rng.integers(4, 12, rng.integers(1, 6)).tolist() for _ in range(n)]
+        queries = [rng.integers(4, 12, rng.integers(1, 4)).tolist() for _ in range(n)]
+        return clf, ved, items, queries
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_equals_the_per_pair_loop(self, f64, beam):
+        clf, ved, items, queries = self.model_and_pairs()
+        assert len(items) > EVAL_BATCH_SIZE   # two chunks
+        got = V.beam_search(items, queries, clf, ved, beam=beam, max_len=8)
+        want = [L.beam_generate(i, q, clf, ved, beam=beam, max_len=8)
+                for i, q in zip(items, queries)]
+        assert [[t for t, _ in g] for g in got] == [[t for t, _ in w] for w in want]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose([s for _, s in g], [s for _, s in w], rtol=1e-12)
+        # outputs end at many lengths: greedy ones at each of 1 to max_len
+        lengths = {len(tokens) for g in got for tokens, _ in g}
+        assert lengths == set(range(1, 9)) if beam == 1 else len(lengths) >= 6
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_outputs_are_well_formed(self, f64, beam):
+        clf, ved, items, queries = self.model_and_pairs()
+        out = V.beam_search(items, queries, clf, ved, beam=beam, max_len=8)
+        assert len(out) == len(items)
+        for hyps in out:
+            assert 1 <= len(hyps) <= beam
+            for tokens, score in hyps:
+                assert 1 <= len(tokens) <= 8 and np.isfinite(score)
+                assert all(type(t) is int and 0 <= t < 12 for t in tokens)
+                assert not {PAD, UNK, BOS, EOS} & set(tokens)
+
+    def test_chunks_of_eval_batch_size_in_input_order(self, f64, monkeypatch):
+        clf, ved, items, queries = self.model_and_pairs()
+        calls = []
+
+        def counted(prev_ids, *args):
+            calls.append(len(prev_ids))
+            return step(prev_ids, *args)
+
+        step = V.decode_step
+        monkeypatch.setattr(V, "decode_step", counted)
+        out = V.beam_search(items, queries, clf, ved, beam=1, max_len=8)
+        # greedy: one row per pair still decoding, one call per step of a chunk
+        assert calls[0] == EVAL_BATCH_SIZE and len(items) - EVAL_BATCH_SIZE in calls
+        assert len(calls) <= 2 * 8
+        assert out[EVAL_BATCH_SIZE:] == V.beam_search(items[EVAL_BATCH_SIZE:],
+                                                      queries[EVAL_BATCH_SIZE:], clf, ved,
+                                                      beam=1, max_len=8)
+
+    def test_zero_pairs(self):
+        clf, ved = models()
+        assert V.beam_search([], [], clf, ved) == []
 
 
 def hgen_one(clf, ved, item_ids, query_ids, rng=None):
     """Generated query states (1, n, k) for one pair; the latent noise is
     drawn from ``rng``, or zero without one."""
     eps = np.zeros((1, ved.d_z)) if rng is None else rng.standard_normal((1, ved.d_z))
-    states, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids),
-                                     np.array([len(query_ids)]), eps)
+    states, _ = V.hgen_forward_batch(clf, ved, enc_one(clf, item_ids, query_ids), eps)
     return states
 
 
@@ -435,12 +529,6 @@ class TestHgen:
     def test_shape_matches_query_length(self, f64):
         clf, ved = models(k=5, d=4)
         assert hgen_one(clf, ved, [4, 5, 6, 7], [8, 4, 5]).shape == (1, 3, 5)
-
-    def test_steps_past_the_width_raise(self, f64):
-        clf, ved = models(k=5, d=4)
-        with pytest.raises(ValueError, match="4 steps, past the width 3"):
-            V.hgen_forward_batch(clf, ved, enc_one(clf, [4, 5], [6, 7, 8]), np.array([4]),
-                                 np.zeros((1, ved.d_z)))
 
     def test_deterministic_mode_repeatable(self, f64):
         clf, ved = models(seed=9)

@@ -17,11 +17,14 @@ change/parent ratio of the medians, the pairs the change won and lost
 (by the metric's direction in ``BENCHMARK.json``; ties count for
 neither), whether the medians differ by more than the parent's
 interquartile range, a verdict, and each side's median split by which
-tree ran first, and the ``src_lines`` that each tree's runs report. For
-each output digest the runs report (``info.ckpt_sha``: checkpoints,
-scores, generations) it counts the pairs whose two runs agree, so a change
-meant to move some outputs shows which moved and which held. The
-verdicts:
+tree ran first, and the ``src_lines`` that each tree's runs report. The
+metrics are those of a run's result line plus the generation rates,
+which perfbench gates on no workload and reports per round only
+(``info.per_round``): each run reads its median round, and the rows take
+per-layer verdicts, without a bound. For each output digest the runs
+report (``info.ckpt_sha``: checkpoints, scores, generations) it counts
+the pairs whose two runs agree, so a change meant to move some outputs
+shows which moved and which held. The verdicts:
 
 - ``gain``: the change won at least nine tenths of the pairs and its
   median is better by more than the parent's interquartile range;
@@ -43,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 GAIN_SHARE = 0.9   # share of pairs the change must win to claim a gain
+GEN_RATES = ("gen_beam4_pairs_per_s", "gen_beam1_pairs_per_s")
 
 
 class RunRefused(RuntimeError):
@@ -80,6 +84,13 @@ def digest_agreement(infos: list[tuple[dict, dict]]) -> dict[str, int]:
             for k in keys}
 
 
+def round_rates(info: dict) -> dict[str, float]:
+    """The generation rates of a run's ``info`` record: the median of each
+    per-round list it holds."""
+    per_round = info.get("per_round", {})
+    return {k: float(np.median(per_round[k])) for k in GEN_RATES if per_round.get(k)}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              ) -> tuple[dict, dict, dict]:
     """One untraced run in ``tree``: (metric values by name, its ``info``
@@ -95,8 +106,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or not result.get("correct"):
         raise RunRefused(f"{tree}: exit {proc.returncode}, correct="
                          f"{result.get('correct')}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return ({k: m["value"] for k, m in result["metrics"].items()}, tagged(lines, "info"),
-            tagged(lines, "env"))
+    info = tagged(lines, "info")
+    return ({**{k: m["value"] for k, m in result["metrics"].items()}, **round_rates(info)},
+            info, tagged(lines, "env"))
 
 
 def _directions(spec: dict) -> dict[str, tuple[str, float | None]]:

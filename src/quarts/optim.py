@@ -21,14 +21,11 @@ class Adam:
     parameter-sized temporary, ``(lr / bc1) * m``, at a time. Every value
     keeps the textbook expression's bits.
     """
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -37,7 +34,7 @@ class Adam:
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -52,7 +49,7 @@ class Adam:
             v *= b2
             v += np.multiply(1.0 - b2, np.multiply(g, g, out=s), out=s)
             # (lr / bc1) * m / (sqrt(v / bc2) + eps), the divisor in the scratch
-            np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), self.eps, out=s)
+            np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), self.EPS, out=s)
             p.data -= np.divide((self.lr / bc1) * m, s, out=s)
 
     def decay_lr(self, factor: float) -> None:

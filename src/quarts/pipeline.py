@@ -281,10 +281,8 @@ def triple_memory(clf: ClassifierParams, triples: list[TripleExample],
     """
     encoder = [t for name, t in clf.named().items()
                if name.startswith(("clf.emb_", "clf.lstm_"))]
-    titles = encode_distinct([t.item_ids for t in triples], clf.emb_t, clf.lstm_t,
-                             EVAL_BATCH_SIZE)
-    queries = encode_distinct([t.matched_query_ids for t in triples], clf.emb_q,
-                              clf.lstm_q, EVAL_BATCH_SIZE)
+    titles = encode_distinct([t.item_ids for t in triples], clf.emb_t, clf.lstm_t)
+    queries = encode_distinct([t.matched_query_ids for t in triples], clf.emb_q, clf.lstm_q)
 
     def gather(batch: TripleBatch) -> EncodedBatch:
         if T.needs_grad(*encoder):
@@ -519,7 +517,7 @@ def evaluate_checkpoint(cfg: RunConfig, data: DataBundle, run_dir, ckpt: str,
             raise DataError(f"the {split} split is empty: nothing to evaluate")
         model, ved = load_bundle(cfg, data, run_dir, ckpt, need="train-e2e",
                                  parts=("generator",) if with_generation else ())
-        scores, labels = evaluate_probs(model, examples, EVAL_BATCH_SIZE)
+        scores, labels = evaluate_probs(model, examples)
 
         aupr = M.average_precision(scores, labels)
         f1, thr = M.f1_best(scores, labels)

@@ -59,9 +59,10 @@ EVAL_GROUPING = ("pairs sorted by query length, then title length; classifier "
                  "titles encoded once per distinct title, in length-sorted batches")
 
 
-def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams, batch_size: int,
+def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams,
                     ) -> Callable[[np.ndarray, int], tuple[Tensor, Tensor]]:
-    """Encode each distinct id sequence once, in length-sorted batches.
+    """Encode each distinct id sequence once, in length-sorted batches of
+    ``EVAL_BATCH_SIZE``.
 
     Returns the cache's one gather: ``gather(seq_index, width)`` gives the
     untracked (states, final) of sequences ``seq_index``, states trimmed
@@ -74,7 +75,7 @@ def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams, batch_
     states = np.zeros(ids.shape + (lstm.wh.shape[0],), emb.data.dtype)
     final = np.empty((len(index), lstm.wh.shape[0]), emb.data.dtype)
     by_len = np.argsort(lens, kind="stable")
-    for rows in np.split(by_len, range(batch_size, len(by_len), batch_size)):
+    for rows in np.split(by_len, range(EVAL_BATCH_SIZE, len(by_len), EVAL_BATCH_SIZE)):
         width = int(lens[rows].max())
         k_states, last = encode_batch(ids[rows, :width], lens[rows], emb, lstm)
         final[rows] = last.data
@@ -87,26 +88,25 @@ def encode_distinct(seqs: list[list[int]], emb: Tensor, lstm: LstmParams, batch_
 
 
 def evaluate_probs(model: ClassifierParams | DssmParams, examples: list[Example],
-                   batch_size: int = EVAL_BATCH_SIZE) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode mismatch probabilities over a dataset (no rng consumed).
 
-    Examples are scored in order of query length, then title length, so
-    each batch pads to near its own lengths; scores and labels come back
-    in input order. The classifier encodes each distinct title once per
-    call (``encode_distinct``); a pair batch's ``EncodedBatch`` gathers
-    its titles from that cache and encodes its queries. No score depends
-    on the padded width, but BLAS may round a row differently in a GEMM
-    with another row count, so a float32 score can move in its last bits
-    against input-order batches.
+    Examples are scored in batches of ``EVAL_BATCH_SIZE``, in order of query
+    length, then title length, so each batch pads to near its own lengths;
+    scores and labels come back in input order. The classifier encodes each
+    distinct title once per call (``encode_distinct``); a pair batch's
+    ``EncodedBatch`` gathers its titles from that cache and encodes its
+    queries. No score depends on the padded width, but BLAS may round a row
+    differently in a GEMM with another row count, so a float32 score can
+    move in its last bits against input-order batches.
     """
     order = np.lexsort(([len(e.item_ids) for e in examples],
                         [len(e.query_ids) for e in examples]))
     if isinstance(model, ClassifierParams):
-        titles = encode_distinct([e.item_ids for e in examples], model.emb_t,
-                                 model.lstm_t, batch_size)
+        titles = encode_distinct([e.item_ids for e in examples], model.emb_t, model.lstm_t)
     scores, labels = [], []
-    for start, b in zip(range(0, len(order), batch_size),
-                        batches([examples[i] for i in order], batch_size)):
+    for start, b in zip(range(0, len(order), EVAL_BATCH_SIZE),
+                        batches([examples[i] for i in order], EVAL_BATCH_SIZE)):
         if isinstance(model, ClassifierParams):
             enc = EncodedBatch(
                 *titles(order[start:start + len(b)], b.item_ids.shape[1]),

@@ -376,6 +376,13 @@ def beam_search(item_ids: list[list[int]], query_ids: list[list[int]],
     Every pair keeps GNMT's rules by itself, with ties kept in hypothesis
     then rank order and ranks in the logits' dtype. A float32 score can move
     in its last bits with the pairs that share its chunk.
+
+    A pair stops once it holds ``beam`` finished hypotheses and the
+    ``beam``-th best finished score is >= ``logp / max_len`` of each live
+    one. No output changes: log-probabilities are <= 0, so a live hypothesis
+    ends, finished or flushed at ``max_len``, scoring at most ``logp /
+    max_len`` (in floats too: adding a value <= 0, and dividing one by a
+    larger length, are monotone); an equal score sorts after the kept ones.
     """
     out = []
     for lo in range(0, len(item_ids), EVAL_BATCH_SIZE):
@@ -412,6 +419,10 @@ def beam_search(item_ids: list[list[int]], query_ids: list[list[int]],
                         pair_live.append((tokens + [tok], logp, row))
                     if len(pair_done) >= beam and len(pair_live) >= beam:
                         break
+                if len(pair_done) >= beam:
+                    kept = sorted(score for _, score in pair_done)[-beam]
+                    if all(kept >= logp / max_len for _, logp, _ in pair_live):
+                        pair_live.clear()
         for pair_live, pair_done in zip(live, done):
             flushed = [(tokens, logp / max(len(tokens), 1)) for tokens, logp, _ in pair_live]
             out.append(sorted(pair_done + flushed, key=lambda hyp: -hyp[1])[:beam])

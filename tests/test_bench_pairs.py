@@ -97,6 +97,25 @@ def test_env_line_gives_each_trees_src_lines(tool):
     assert tool.src_lines([env, {**env, "src_lines": 3765}]) == "3761/3765"
 
 
+def test_src_lines_per_file_of_two_trees(tool, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    files = {parent: {"cli.py": "a\nb\nc\n", "ved.py": "x\n", "gone.py": "y\ny\n"},
+             change: {"cli.py": "a\n", "ved.py": "x\n", "new.py": "z\n"}}
+    for tree, texts in files.items():
+        (tree / "src" / "quarts").mkdir(parents=True)
+        for name, text in texts.items():
+            (tree / "src" / "quarts" / name).write_text(text)
+    (parent / "src" / "quarts" / "notes.txt").write_text("not counted\n")
+    counts = [tool.file_lines(tree) for tree in (parent, change)]
+    assert counts == [{"cli.py": 3, "gone.py": 2, "ved.py": 1},
+                      {"cli.py": 1, "new.py": 1, "ved.py": 1}]
+    lines = tool.format_file_lines(*counts).splitlines()
+    # only the files that differ, a missing file as 0, then both totals
+    assert [line.split() for line in lines[1:]] == [
+        ["cli.py", "3", "->", "1"], ["gone.py", "2", "->", "0"], ["new.py", "0", "->", "1"],
+        ["total", "6", "->", "3"]]
+
+
 def test_digests_are_compared_key_by_key(tool):
     parent = {"ckpt_sha": {"clf": "c1", "ved": "v1", "e2e": "e1", "scores": "s1"}}
     infos = [(parent, {"ckpt_sha": {"clf": "c1", "ved": "v1", "e2e": "e2", "scores": "s2"}}),

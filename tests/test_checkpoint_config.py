@@ -244,7 +244,8 @@ def test_adam_step_matches_textbook_bitwise(dtype):
     m = {k: np.zeros_like(a) for k, a in want.items()}
     v = {k: np.zeros_like(a) for k, a in want.items()}
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    opt = Adam(params, lr, b1, b2, eps)
+    opt = Adam(params, lr)
+    assert (opt.BETA1, opt.BETA2, opt.EPS) == (b1, b2, eps)
     for t in range(1, 4):
         grads = {params[k]: rng.standard_normal(shapes[k]).astype(dtype) for k in ("w", "b")}
         opt.step(grads)

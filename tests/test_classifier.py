@@ -355,7 +355,8 @@ def batch_probs_of(p, b):
 
 class TestEvaluateProbs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_length_grouping_keeps_input_order(self, dtype):
+    def test_length_grouping_keeps_input_order(self, dtype, monkeypatch):
+        monkeypatch.setattr(TR, "EVAL_BATCH_SIZE", 4)
         rng = np.random.default_rng(12)
 
         def ids(longest):
@@ -365,7 +366,7 @@ class TestEvaluateProbs:
                     for _ in range(23)]
         with T.using_dtype(dtype):
             p = tiny_classifier(seed=11)
-            scores, labels = evaluate_probs(p, examples, batch_size=4)
+            scores, labels = evaluate_probs(p, examples)
             want = [batch_probs_of(p, b) for b in batches(examples, 4)]
         want = np.concatenate(want)
         assert scores.dtype == want.dtype == dtype
@@ -382,9 +383,10 @@ class TestEvaluateProbs:
                         int(rng.integers(0, 2))) for _ in range(n)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_shared_titles_match_batch_probs(self, dtype):
+    def test_shared_titles_match_batch_probs(self, dtype, monkeypatch):
         examples = self._repeated_titles(np.random.default_rng(4))
         bs = 6
+        monkeypatch.setattr(TR, "EVAL_BATCH_SIZE", bs)
         ranked = sorted(range(len(examples)), key=lambda i: (
             len(examples[i].query_ids), len(examples[i].item_ids)))
         chunks = [[examples[i] for i in ranked[s:s + bs]]
@@ -397,7 +399,7 @@ class TestEvaluateProbs:
         assert any(len(w) > 1 for w in widths.values())
         with T.using_dtype(dtype):
             p = tiny_classifier(seed=5)
-            scores, _ = evaluate_probs(p, examples, batch_size=bs)
+            scores, _ = evaluate_probs(p, examples)
             want = np.empty(len(examples), dtype)
             want[ranked] = np.concatenate([
                 batch_probs_of(p, b) for b in map(make_batch, chunks)])
@@ -414,8 +416,9 @@ class TestEvaluateProbs:
             return C.encode_batch(ids, lens, emb, lstm)
 
         monkeypatch.setattr(TR, "encode_batch", counting)
+        monkeypatch.setattr(TR, "EVAL_BATCH_SIZE", 4)
         p = tiny_classifier(seed=5)
         for _ in range(2):
             seen.clear()
-            evaluate_probs(p, examples, batch_size=4)
+            evaluate_probs(p, examples)
             assert sorted(seen) == sorted({tuple(e.item_ids) for e in examples})

@@ -1,7 +1,12 @@
 """CLI plumbing: subcommand wiring, prerequisites, exit codes, idempotence."""
+import argparse
+import dataclasses
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +16,8 @@ from quarts import pipeline as P
 from quarts import tensor as T
 from quarts import train as TR
 from quarts.checkpoint import load_arrays, save_arrays
-from quarts.cli import main
+from quarts.catalog import CatalogSpec
+from quarts.cli import build_parser, main
 from quarts.config import RunConfig, desk_profile, file_sha256, load_config
 from quarts import ved as V
 from quarts.data import read_pairs, write_pairs
@@ -917,3 +923,60 @@ class TestIdempotence:
         first = (run2 / P.CKPT_CLASSIFIER).read_bytes()
         assert main(argv) == 0
         assert (run2 / P.CKPT_CLASSIFIER).read_bytes() == first
+
+
+class TestFlags:
+    """A flag sets the setting its dest names; the map is pinned here, so a
+    new flag cannot override a config or catalog field without a word."""
+
+    def test_dests_that_name_a_setting(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        fields = {f.name for cls in (RunConfig, CatalogSpec) for f in dataclasses.fields(cls)}
+        named = {cmd: {a.dest for a in p._actions} & fields for cmd, p in sub.choices.items()}
+        assert named == {
+            "gen-data": {"items", "labeled_pairs", "logs_pairs", "positive_rate",
+                         "hard_fraction", "seed"},
+            "pretrain-classifier": {"seed", "clf_epochs"},
+            "build-triples": {"seed"},
+            "pretrain-ved": {"seed", "ved_epochs"},
+            "train-e2e": {"seed", "p", "e2e_epochs"},
+            # with --resume, main moves the value to e2e_epochs
+            "train-baseline": {"seed", "clf_epochs"},
+            "eval": {"seed"},
+            "generate": {"seed", "beam_size", "gen_max_len"},
+            "heatmap": {"seed"},
+            "knn": {"seed"},
+        }
+
+    @pytest.mark.parametrize("argv, phase, key", [
+        (["pretrain-classifier"], "classifier", "clf_epochs"),
+        (["pretrain-ved"], "ved", "ved_epochs"),
+        (["train-e2e"], "e2e", "e2e_epochs"),
+        (["train-baseline", "--kind", "dssm"], "dssm", "clf_epochs"),
+        (["train-baseline", "--kind", "augment", "--resume", P.CKPT_VED], "augment",
+         "e2e_epochs"),
+    ], ids=["classifier", "ved", "e2e", "dssm", "augment-resumed"])
+    def test_epochs_sets_its_phase_key_alone(self, workspace, tmp_path, argv, phase, key):
+        root, _, run, base = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        assert main(argv + [str(copy) if a == str(run) else a for a in base]
+                    + ["--epochs", "2"]) == 0
+        want = dataclasses.asdict(load_config(root / "tiny.cfg", base=desk_profile()))
+        got = manifest_phases(copy)[phase]["config"]
+        assert {k for k in want if got[k] != want[k]} == {key}
+        assert got[key] == 2
+
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")], ids=["unset", "two"])
+    def test_one_blas_thread_unless_set(self, given, want):
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import os, quarts.cli; "
+                "print(*(os.environ[k] for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == [want, "1"]

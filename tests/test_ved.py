@@ -367,12 +367,7 @@ class TestBeamRules:
         """(beam output per pair; per decoder call, the (pair, token prefix)
         each row extends; the log-probability rows per pair): ``tables[p]``
         maps pair p's previous token to its logits."""
-        rows = [{} for _ in tables]
-        for pair_rows, table in zip(rows, tables):
-            for prev, logits in table.items():
-                pair_rows[prev] = np.full(9, -30.0, dtype=T.get_default_dtype())
-                for tok, value in logits.items():
-                    pair_rows[prev][tok] = value
+        rows = [TestBeamRules.logit_rows(table) for table in tables]
         calls = []
 
         def step(prev_ids, h, c, pair, start, zx, ved, emb_q):
@@ -393,6 +388,31 @@ class TestBeamRules:
         return out, calls, logp
 
     @staticmethod
+    def logit_rows(table):
+        """A pair's logits by previous token, from ``table``: each previous
+        token's logits by token, every other logit -30."""
+        rows = {}
+        for prev, logits in table.items():
+            rows[prev] = np.full(9, -30.0, dtype=T.get_default_dtype())
+            for tok, value in logits.items():
+                rows[prev][tok] = value
+        return rows
+
+    @staticmethod
+    def reference(monkeypatch, table, beam, max_len):
+        """The per-pair loop of ``tests/loop_beam.py``, which has no stop, on
+        the scripted step of one pair: (its output, the rows it decoded)."""
+        rows, decoded = TestBeamRules.logit_rows(table), []
+
+        def one(prev, h, c, start, ved, emb_q):
+            decoded.append(int(prev[0]))
+            return rows[int(prev[0])][None], h, c
+
+        monkeypatch.setattr(L, "decode_one", one)
+        clf, ved = models()
+        return L.beam_generate([4, 5], [6], clf, ved, beam=beam, max_len=max_len), len(decoded)
+
+    @staticmethod
     def score(logp, *path):
         """A path's summed log-probability, added as beam search adds it."""
         total = 0.0
@@ -401,7 +421,8 @@ class TestBeamRules:
         return total
 
     # a second pair beside each case, with its own finished count: it
-    # finishes X and Y at step 2, then only extends XZ and YZ with Z
+    # finishes X and Y at step 2, then only extends XZ and YZ with Z, and
+    # stops after step 3 when max_len is 4
     ENDS = {BOS: {X: 0, Y: 0}, X: {EOS: 0, Z: -1}, Y: {EOS: 0, Z: -1}, Z: {Z: 0, EOS: -1}}
 
     def test_ties_keep_hypothesis_then_rank_order(self, monkeypatch):
@@ -434,8 +455,7 @@ class TestBeamRules:
             (BOS, A, X, Y), (BOS, B, X, Y)]
         assert calls[2:] == [[(0, (BOS, A, X)), (0, (BOS, B, X)),
                               (1, (BOS, X, Z)), (1, (BOS, Y, Z))],
-                             [(0, (BOS, A, X, Y)), (0, (BOS, B, X, Y)),
-                              (1, (BOS, X, Z, Z)), (1, (BOS, Y, Z, Z))]]
+                             [(0, (BOS, A, X, Y)), (0, (BOS, B, X, Y))]]
         logp = logp[0]
         skipped = self.score(logp, BOS, A, X, EOS) / 3
         # an EOS candidate is scored over its length with the EOS and
@@ -451,6 +471,25 @@ class TestBeamRules:
         # without the stop, the skipped candidate would rank first
         assert skipped > finished
         assert self.search(monkeypatch, [self.ENDS], beam=2, max_len=4)[0] == [out[1]]
+
+    def test_a_pair_stops_once_its_kept_hypotheses_are_final(self, monkeypatch):
+        # A and B finish at step 2, and the live AX and BX fell by -3: even
+        # flushed at max_len, neither could reach the finished scores, so the
+        # pair stops there while the second pair decodes on to max_len
+        table = {BOS: {A: 0, B: 0}, A: {EOS: 0, X: -3}, B: {EOS: 0, X: -3},
+                 X: {X: 0, EOS: -1}}
+        out, calls, logp = self.search(monkeypatch, [table, self.ENDS], beam=2, max_len=6)
+        assert [prefix for call in calls for p, prefix in call if p == 0] == [
+            (BOS,), (BOS, A), (BOS, B)]
+        assert [len(call) for call in calls] == [2, 4, 2, 2, 2, 2]
+        s = self.score(logp[0], BOS, A, EOS) / 2
+        assert out[0] == [([A], s), ([B], s)]
+        # the loop without the stop returns the same, from more rows for the
+        # first pair and as many for the second
+        wants = [self.reference(monkeypatch, t, beam=2, max_len=6) for t in (table, self.ENDS)]
+        assert out == [want for want, _ in wants]
+        assert [sum(p == pair for call in calls for p, _ in call) for pair in (0, 1)] == [3, 11]
+        assert [decoded for _, decoded in wants] == [11, 11]
 
 
 class TestBatchedSearch:

@@ -17,8 +17,9 @@ change/parent ratio of the medians, the pairs the change won and lost
 (by the metric's direction in ``BENCHMARK.json``; ties count for
 neither), whether the medians differ by more than the parent's
 interquartile range, a verdict, and each side's median split by which
-tree ran first, and the ``src_lines`` that each tree's runs report. The
-metrics are those of a run's result line plus the generation rates,
+tree ran first, and the ``src_lines`` that each tree's runs report; then
+each ``src/quarts`` file whose line count differs between the trees, and
+both trees' totals. The metrics are those of a run's result line plus the generation rates,
 which perfbench gates on no workload and reports per round only
 (``info.per_round``): each run reads its median round, and the rows take
 per-layer verdicts, without a bound. For each output digest the runs
@@ -72,6 +73,22 @@ def src_lines(envs: list[dict]) -> str:
     """The ``src_lines`` that a tree's runs report in their ``env`` records:
     one value, or each value seen when the tree changed between runs."""
     return "/".join(str(v) for v in sorted({e.get("src_lines") for e in envs}, key=str))
+
+
+def file_lines(tree: Path) -> dict[str, int]:
+    """The line count of each ``src/quarts/*.py`` in ``tree``, by file name."""
+    return {p.name: len(p.read_text(encoding="utf-8").splitlines())
+            for p in sorted((tree / "src" / "quarts").glob("*.py"))}
+
+
+def format_file_lines(parent: dict[str, int], change: dict[str, int]) -> str:
+    """The files whose line counts differ (0 where a tree lacks the file),
+    then both totals."""
+    rows = [f"  {name:16s} {parent.get(name, 0):6d} -> {change.get(name, 0)}"
+            for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)]
+    return "\n".join(["src_lines per file, parent -> change:", *rows,
+                      f"  {'total':16s} {sum(parent.values()):6d} -> {sum(change.values())}"])
 
 
 def digest_agreement(infos: list[tuple[dict, dict]]) -> dict[str, int]:
@@ -221,6 +238,7 @@ def main(argv=None) -> int:
           f"{spec['run_seconds']} s per run; ratio = change median / parent median")
     print(format_rows(summarize(runs, spec)))
     print(f"src_lines: parent {src_lines(envs[0])}, change {src_lines(envs[1])}")
+    print(format_file_lines(file_lines(args.parent), file_lines(args.change)))
     agree = digest_agreement(infos)
     print(f"ckpt_sha equal (pairs of {args.pairs}): "
           + ", ".join(f"{k} {n}" for k, n in agree.items()))

@@ -1,25 +1,22 @@
-"""Versioned binary container for named parameter arrays.
+"""Named parameter arrays as a sequence of numpy ``.npy`` records (NEP 1).
 
-Layout (little-endian throughout): magic ``QRTS``, format version u32,
-entry count u64, then per entry a length-prefixed UTF-8 name (u32), a
-dtype tag (u8: 0=float32, 1=float64), rank u64, dims as u64, and the raw
-row-major values. A save replaces the file atomically; readers reject
-unknown magic or versions.
+First a 1-D string array of the names, then one float32 or float64 array
+per name in that order, each written by ``numpy.lib.format.write_array``.
+A save refuses other dtypes and replaces the file atomically. A load
+reads with ``allow_pickle=False`` and checks each record's magic string,
+version, length and dtype, the names array, and that nothing follows the
+last array. Any other file, the older ``QRTS`` layout included, raises
+``CheckpointError`` naming the file, so every command exits 2.
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
+from numpy.lib import format as npy
 
 from .config import atomic_write
 from .tensor import Tensor, get_default_dtype
 
-MAGIC = b"QRTS"
-VERSION = 1
-
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class CheckpointError(ValueError):
@@ -28,55 +25,29 @@ class CheckpointError(ValueError):
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(arrays)))
+        npy.write_array(fh, np.array(list(arrays), dtype=str), allow_pickle=False)
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _DTYPE_TAGS:
+            if arr.dtype not in _FLOATS:
                 raise CheckpointError(f"unsupported dtype {arr.dtype} for {name!r}")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
-            fh.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            data = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-            fh.write(data.tobytes())
+            npy.write_array(fh, np.ascontiguousarray(arr), allow_pickle=False)
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version} (expected {VERSION})")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (tag,) = struct.unpack("<B", fh.read(1))
-            if tag not in _TAG_DTYPES:
-                raise CheckpointError(f"{path}: unknown dtype tag {tag}")
-            dtype = _TAG_DTYPES[tag]
-            (rank,) = struct.unpack("<Q", fh.read(8))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * dtype.itemsize)
-            if len(raw) != n * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated data for {name!r}")
-            arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
-            out[name] = arr.reshape(shape)
-        return out
-
-
-def save_params(path, named: dict[str, Tensor]) -> None:
-    save_arrays(path, {k: t.data for k, t in named.items()})
+        try:
+            names = npy.read_array(fh, allow_pickle=False)
+            if names.ndim != 1 or names.dtype.kind != "U":
+                raise ValueError(f"the names are a {names.dtype} array of shape {names.shape}")
+            out = {}
+            for name in names.tolist():
+                out[name] = arr = npy.read_array(fh, allow_pickle=False)
+                if arr.dtype not in _FLOATS:
+                    raise ValueError(f"unsupported dtype {arr.dtype} for {name!r}")
+            if fh.read(1):
+                raise ValueError("data after the last array")
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: not a checkpoint: {exc}") from None
+    return out
 
 
 def assign_params(named: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:

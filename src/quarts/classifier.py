@@ -103,14 +103,14 @@ class ClassifierParams(Params):
     head: HeadParams
 
 
-def _uniform(rng: np.random.Generator, *shape) -> Tensor:
+def init_uniform(rng: np.random.Generator, *shape) -> Tensor:
     return Tensor(rng.uniform(-0.08, 0.08, size=shape))
 
 
 def init_lstm(rng: np.random.Generator, d_in: int, k: int) -> LstmParams:
     b = np.zeros(4 * k)
     b[k:2 * k] = 1.0  # forget gate opens by default
-    return LstmParams(_uniform(rng, d_in, 4 * k), _uniform(rng, k, 4 * k), Tensor(b))
+    return LstmParams(init_uniform(rng, d_in, 4 * k), init_uniform(rng, k, 4 * k), Tensor(b))
 
 
 def init_embedding(rng: np.random.Generator, vocab_size: int, dim: int) -> Tensor:
@@ -126,14 +126,14 @@ def init_classifier(rng: np.random.Generator, vocab_q: int, vocab_t: int,
         emb_t=init_embedding(rng, vocab_t, embed_dim),
         lstm_q=init_lstm(rng, embed_dim, k),
         lstm_t=init_lstm(rng, embed_dim, k),
-        attn=AttentionParams(_uniform(rng, 3 * k, k), _uniform(rng, k),
-                             _uniform(rng, k, k), _uniform(rng, k, 3 * k)),
-        head=HeadParams(_uniform(rng, k, k), Tensor(np.zeros(k)), _uniform(rng, k, 1),
+        attn=AttentionParams(init_uniform(rng, 3 * k, k), init_uniform(rng, k),
+                             init_uniform(rng, k, k), init_uniform(rng, k, 3 * k)),
+        head=HeadParams(init_uniform(rng, k, k), Tensor(np.zeros(k)), init_uniform(rng, k, 1),
                         Tensor(np.zeros(1)), dropout=dropout),
     )
 
 
-def _gate_affine(k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def gate_affine(k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) with act = tanh(scale * pre) * scale + shift.
 
     The sigmoid gates (input, forget, output) use sigmoid(x) =
@@ -214,7 +214,7 @@ def lstm_bptt(lay: Ragged, g_h: np.ndarray, acts: np.ndarray, cells: np.ndarray,
     """
     bsz, k = h0.shape
     dt, start = acts.dtype, lay.start
-    is_sig = _gate_affine(k, dt)[1] * 2   # 1 on the sigmoid blocks, 0 on the cell block
+    is_sig = gate_affine(k, dt)[1] * 2   # 1 on the sigmoid blocks, 0 on the cell block
     is_tanh = 1 - is_sig
     dact_buf = np.empty((bsz, 4 * k), dt)
     dh, dc = np.zeros((bsz, k), dt), np.zeros((bsz, k), dt)
@@ -258,7 +258,7 @@ def lstm_scan(xw: Tensor, wh: Tensor, b: Tensor, lay: Ragged) -> tuple[Tensor, T
     dt = xw.data.dtype
     w = wh.data
     pre = xw.data + b.data
-    scale, shift = _gate_affine(k, dt)
+    scale, shift = gate_affine(k, dt)
     grad = T.needs_grad(xw, wh, b)
     hs = np.empty((len(pre), k), dt)
     if grad:
@@ -493,9 +493,9 @@ def init_dssm(rng: np.random.Generator, vocab_q: int, vocab_t: int,
     return DssmParams(
         emb_q=init_embedding(rng, vocab_q, embed_dim),
         emb_t=init_embedding(rng, vocab_t, embed_dim),
-        w1=_uniform(rng, 2 * embed_dim, k),
+        w1=init_uniform(rng, 2 * embed_dim, k),
         b1=Tensor(np.zeros(k)),
-        w2=_uniform(rng, k, 1),
+        w2=init_uniform(rng, k, 1),
         b2=Tensor(np.zeros(1)),
     )
 

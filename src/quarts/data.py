@@ -157,8 +157,9 @@ def encode_pairs(pairs: Sequence[RawPair], vocab_t: Vocabulary, vocab_q: Vocabul
 def split_pairs(pairs: list[RawPair], ratios: tuple[float, float, float],
                 seed: int) -> tuple[list[RawPair], list[RawPair], list[RawPair]]:
     """Item-disjoint split: no item title appears in two splits."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0 or ratios[0] == 0:
+        raise DataError(f"split ratios must be >= 0, with a train ratio > 0, and sum to 1, "
+                        f"got {ratios}")
     by_title: dict[str, list[RawPair]] = {}
     for p in pairs:
         by_title.setdefault(p.title, []).append(p)

@@ -44,7 +44,7 @@ import numpy as np
 from . import metrics as M
 from . import tensor as T
 from .catalog import CatalogSpec, MatchOracle, generate_corpus
-from .checkpoint import load_arrays, assign_params, save_params
+from .checkpoint import load_arrays, assign_params, save_arrays
 from .classifier import (ClassifierParams, DssmParams, EncodedBatch, classifier_batch_loss,
                          dssm_batch_loss, init_classifier, init_dssm)
 from .config import RunConfig, RunManifest, atomic_write, file_sha256
@@ -105,6 +105,7 @@ def generate_data(spec: CatalogSpec, out_dir, ratios=(0.7, 0.15, 0.15)) -> dict:
         "counts": {"labeled": len(labeled), "logs": len(logs),
                    **{name: len(p) for name, p in zip(SPLITS, splits)}},
         "positive_rate": spec.positive_rate,
+        "split": list(ratios),
         "files": {name: file_sha256(out / name)
                   for name in [LABELED_TSV, LOGS_TSV, CATALOG_JSON]
                   + [f"{s}.tsv" for s in SPLITS]},
@@ -200,7 +201,7 @@ def _phase(cfg: RunConfig, data: DataBundle, run_dir, name: str,
     with run_dtype(cfg):
         yield run
     if run.params is not None:
-        save_params(run.dir / ckpt, run.params)
+        save_arrays(run.dir / ckpt, {k: t.data for k, t in run.params.items()})
     run.manifest.record_phase(name, ckpt, time.perf_counter() - t0, cfg, data.files, data.ids,
                               [r.to_json() for r in run.records])
     run.manifest.save(path)

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import tensor as T
 from .classifier import (ClassifierParams, EncodedBatch, LstmParams, Params, Ragged,
-                         encode_pair_batch, init_lstm, lstm_bptt, lstm_cell, _gate_affine,
-                         _uniform)
+                         encode_pair_batch, gate_affine, init_lstm, init_uniform, lstm_bptt,
+                         lstm_cell)
 from .data import (BOS, EOS, PAD, UNK, RawPair, TripleBatch, TripleExample, Vocabulary,
                    pad_mask, pad_matrix, tokenize)
 from .tensor import Tensor
@@ -91,14 +91,14 @@ class VedParams(Params):
 def init_ved(rng: np.random.Generator, k: int, embed_dim: int, d_z: int,
              vocab_q: int) -> VedParams:
     latent = LatentParams(
-        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
-        _uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
-        _uniform(rng, d_z, k), Tensor(np.zeros(k)))
+        init_uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
+        init_uniform(rng, 2 * k, d_z), Tensor(np.zeros(d_z)),
+        init_uniform(rng, d_z, k), Tensor(np.zeros(k)))
     dec = DecoderParams(
         lstm=init_lstm(rng, embed_dim + d_z, k),
-        w_a=_uniform(rng, k, k),
-        w_c=_uniform(rng, 2 * k, k),
-        w_v=_uniform(rng, k, vocab_q),
+        w_a=init_uniform(rng, k, k),
+        w_c=init_uniform(rng, 2 * k, k),
+        w_v=init_uniform(rng, k, vocab_q),
         b_v=Tensor(np.zeros(vocab_q)))
     return VedParams(latent, dec)
 
@@ -192,7 +192,7 @@ def _decoder_step(pre: np.ndarray, h: np.ndarray, c: np.ndarray, u: np.ndarray,
     ``_decoder_scan``: the LSTM cell on ``pre`` = [embedding(prev) ++ z] @ W_x
     + b, attention over U (B, L, k) and d~ = tanh([h ++ ctx] @ W_c). Returns
     (d~, h, c, weights, gate activations, [h ++ ctx])."""
-    scale, shift = _gate_affine(h.shape[1], h.dtype)
+    scale, shift = gate_affine(h.shape[1], h.dtype)
     act, c2, h2 = lstm_cell(pre, h, c, dec.lstm.wh.data, scale, shift)
     scores = np.matmul(u, (h2 @ dec.w_a.data)[:, :, None])[:, :, 0] + logmask
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -371,11 +371,12 @@ def beam_search(item_ids: list[list[int]], query_ids: list[list[int]],
     """Length-normalized beam search from the latent mean z = mu: for each
     (item, query) pair, in input order, up to ``beam`` token sequences (end
     marker stripped) sorted by score = log-probability / length; beam=1 is
-    greedy. Each chunk of ``EVAL_BATCH_SIZE`` pairs is one encoded batch,
-    and each step one ``decode_step`` over the chunk's live hypotheses.
-    Every pair keeps GNMT's rules by itself, with ties kept in hypothesis
-    then rank order and ranks in the logits' dtype. A float32 score can move
-    in its last bits with the pairs that share its chunk.
+    greedy. A token ``_logits`` masks is never a candidate, so a pair may
+    hold fewer than ``beam``. Each chunk of ``EVAL_BATCH_SIZE`` pairs is one
+    encoded batch, and each step one ``decode_step`` over the chunk's live
+    hypotheses. Every pair keeps GNMT's rules by itself, with ties kept in
+    hypothesis then rank order and ranks in the logits' dtype. A float32
+    score can move in its last bits with the pairs that share its chunk.
 
     A pair stops once it holds ``beam`` finished hypotheses and the
     ``beam``-th best finished score is >= ``logp / max_len`` of each live
@@ -408,7 +409,7 @@ def beam_search(item_ids: list[list[int]], query_ids: list[list[int]],
             for pair_live, pair_done in zip(live, done):
                 cands = [(tokens, tok, logp + lp, row)
                          for row, (tokens, logp, _) in enumerate(pair_live, first)
-                         for tok, lp in zip(toks[row], lps[row])]
+                         for tok, lp in zip(toks[row], lps[row]) if lp > _MASK_NEG / 2]
                 first += len(pair_live)
                 cands.sort(key=lambda cand: -(cand[2] / length))
                 pair_live.clear()

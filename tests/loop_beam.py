@@ -46,7 +46,7 @@ def beam_generate(item_ids, query_ids, clf, ved, beam=4, max_len=12):
             logits, h2, c2 = decode_one(prev, h, c, start, ved, clf.emb_q)
             logprob = T.log_softmax(logits)[0]
             top = np.argsort(-logprob, kind="stable")[:beam]
-            for tok in top:
+            for tok in top[logprob[top] > V._MASK_NEG / 2]:   # never a masked token
                 candidates.append((tokens + [int(tok)], logp + float(logprob[tok]),
                                    h2, c2))
         candidates.sort(key=lambda cand: -(cand[1] / len(cand[0])))

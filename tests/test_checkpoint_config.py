@@ -1,13 +1,14 @@
 """Checkpoint container format and configuration parsing."""
 import json
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
-from quarts.checkpoint import (CheckpointError, MAGIC, assign_params, load_arrays,
-                               save_arrays, save_params)
+from quarts.checkpoint import CheckpointError, assign_params, load_arrays, save_arrays
 from quarts.classifier import init_classifier, init_dssm
 from quarts.config import (ConfigError, RunConfig, RunManifest, desk_profile,
                            load_config, paper_profile, parse_config)
@@ -40,33 +41,85 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_magic_checked(self, tmp_path):
-        p = tmp_path / "bad.qrts"
-        p.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
-            load_arrays(p)
+        """A file that is not an npy record, such as one in the pre-npy
+        ``QRTS`` layout, names the file and the magic string it holds."""
+        old = tmp_path / "old.qrts"
+        w = np.ones((2, 2), dtype=np.float32)
+        old.write_bytes(b"QRTS" + struct.pack("<IQI", 1, 1, 1) + b"w"
+                        + struct.pack("<BQQQ", 0, 2, 2, 2) + w.tobytes())
+        junk = tmp_path / "bad.qrts"
+        junk.write_bytes(b"NOPE" + b"\x00" * 16)
+        for p in (old, junk):
+            with pytest.raises(CheckpointError,
+                               match=re.escape(f"{p}: not a checkpoint: ") + ".*magic"):
+                load_arrays(p)
 
     def test_unknown_version_rejected(self, tmp_path):
-        p = tmp_path / "v9.qrts"
-        p.write_bytes(MAGIC + struct.pack("<I", 9) + struct.pack("<Q", 0))
-        with pytest.raises(CheckpointError, match="version 9"):
-            load_arrays(p)
+        good = tmp_path / "good.qrts"
+        save_arrays(good, {"w": np.ones(3, dtype=np.float32)})
+        raw = bytearray(good.read_bytes())
+        assert raw[:6] == b"\x93NUMPY" and raw[6] == 1   # the npy major version byte
+        raw[6] = 9
+        bad = tmp_path / "v9.qrts"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=re.escape(f"{bad}: ") + r".*version.*\(9, 0\)"):
+            load_arrays(bad)
 
     def test_truncated_rejected(self, tmp_path):
+        """A file cut anywhere, inside a header, inside the data or between
+        two records, names the file."""
         good = tmp_path / "good.qrts"
-        save_arrays(good, {"w": np.ones((4, 4), dtype=np.float32)})
+        save_arrays(good, {"v": np.ones(3, dtype=np.float64),
+                           "w": np.ones((4, 4), dtype=np.float32)})
+        raw = good.read_bytes()
+        second = raw.index(b"\x93NUMPY", raw.index(b"\x93NUMPY", 1) + 1)   # w's record
         bad = tmp_path / "cut.qrts"
-        bad.write_bytes(good.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_arrays(bad)
+        for cut in (20, second - 8, second, second + 20, len(raw) - 8):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match=re.escape(f"{bad}: not a checkpoint")):
+                load_arrays(bad)
+
+    @pytest.mark.parametrize("arr", [np.arange(4, dtype=np.int32),
+                                     np.array([{"w": 1.0}], dtype=object)],
+                             ids=["int", "object"])
+    def test_non_float_array_rejected(self, tmp_path, arr):
+        """Only float32 and float64 arrays load; an object array is never
+        unpickled. Neither can be saved."""
+        p = tmp_path / "x.qrts"
+        with open(p, "wb") as fh:
+            npy.write_array(fh, np.array(["w"]))
+            npy.write_array(fh, arr, allow_pickle=True)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: not a checkpoint")):
+            load_arrays(p)
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            save_arrays(tmp_path / "y.qrts", {"w": arr})
+
+    @pytest.mark.parametrize("names", [np.ones(2), np.array([["a"], ["b"]]), np.array("w")],
+                             ids=["float", "2-D", "0-D"])
+    def test_names_must_be_one_string_array(self, tmp_path, names):
+        p = tmp_path / "x.qrts"
+        with open(p, "wb") as fh:
+            npy.write_array(fh, names)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: not a checkpoint: the names")):
+            load_arrays(p)
+
+    def test_data_after_the_last_array_rejected(self, tmp_path):
+        p = tmp_path / "x.qrts"
+        save_arrays(p, {"w": np.ones(2, dtype=np.float32)})
+        with open(p, "ab") as fh:
+            npy.write_array(fh, np.ones(2, dtype=np.float32))
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: not a checkpoint: data after")):
+            load_arrays(p)
 
     def test_params_roundtrip_through_model(self, tmp_path):
         clf = init_classifier(np.random.default_rng(1), 9, 9, 4, 4)
         path = tmp_path / "clf.qrts"
-        save_params(path, clf.named())
+        save_arrays(path, {k: t.data for k, t in clf.named().items()})
         clf2 = init_classifier(np.random.default_rng(2), 9, 9, 4, 4)
         assign_params(clf2.named(), load_arrays(path))
         for k in clf.named():
             np.testing.assert_array_equal(clf.named()[k].data, clf2.named()[k].data)
+        assert list(load_arrays(path)) == list(clf.named())
 
     def test_parameter_names_and_order(self):
         """The names and the order every checkpoint stores; ``HeadParams``'

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,12 @@ class TestGenData:
         assert man["counts"]["labeled"] == 1200
         assert man["seed"] == 3
 
+    def test_manifest_records_split(self, tmp_path):
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--items", "50",
+                     "--labeled-pairs", "200", "--logs-pairs", "20",
+                     "--split", "0.14,0.06,0.80"]) == 0
+        man = json.loads((tmp_path / "d" / "data_manifest.json").read_text())
+        assert man["split"] == [0.14, 0.06, 0.80]
 
     def test_split_must_be_numbers(self, tmp_path, capsys):
         code = main(["gen-data", "--out", str(tmp_path / "d"), "--split", "a,b,c"])
@@ -68,8 +75,11 @@ class TestGenData:
         (["--hard-fraction", "1.5"], "hard_fraction"),
         (["--items", "0"], "items"),
         (["--split", "0.5,0.5,0.5"], "sum to 1"),
+        (["--split", "1.2,-0.1,-0.1"], "must be >= 0"),
+        (["--split", "0,0.5,0.5"], "train ratio > 0"),
         (["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["hard_fraction", "items", "split_sum", "negative_seed"])
+    ], ids=["hard_fraction", "items", "split_sum", "split_negative", "split_no_train",
+            "negative_seed"])
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
         code = main(["gen-data", "--out", str(tmp_path / "d"), "--items", "50",
                      "--labeled-pairs", "200", "--logs-pairs", "20",
@@ -479,6 +489,28 @@ class TestPhases:
                      "--run-dir", str(copy), "--config", str(root / "tiny.cfg")])
         assert code == 2
         assert "extra=['stray.w']" in capsys.readouterr().err
+
+    def test_pre_npy_checkpoint_refused(self, workspace, tmp_path, capsys):
+        """A checkpoint in the layout before npy records (``QRTS``, version
+        1) exits 2 naming the file, until its phase is run again."""
+        root, data, run, _ = workspace
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        path = copy / P.CKPT_CLASSIFIER
+        arrays = load_arrays(path)
+        old = [b"QRTS", struct.pack("<IQ", 1, len(arrays))]
+        for name, arr in arrays.items():
+            assert arr.dtype == np.float32   # dtype tag 0
+            old += [struct.pack("<I", len(name)), name.encode(), struct.pack("<BQ", 0, arr.ndim),
+                    struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
+        path.write_bytes(b"".join(old))
+        base = ["--data-dir", str(data), "--run-dir", str(copy),
+                "--config", str(root / "tiny.cfg")]
+        evaluate = ["eval", "--checkpoint", P.CKPT_CLASSIFIER] + base
+        assert main(evaluate) == 2
+        assert f"{path}: not a checkpoint" in capsys.readouterr().err
+        assert main(["pretrain-classifier"] + base) == 0
+        assert main(evaluate) == 0
 
     def test_other_data_dir_vocabulary_refused(self, workspace, tmp_path, capsys):
         """A later phase on a data dir whose train split builds another

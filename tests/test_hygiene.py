@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-every public top-level function and class of the package is read
-somewhere outside the tests, the package writes files in place only
-where it must, and one function decides what a training step trains."""
+no module of the package reads another's private name, every public
+top-level function and class of the package is read somewhere outside
+the tests, the package writes files in place only where it must, and one
+function decides what a training step trains."""
 import ast
 from pathlib import Path
 
@@ -37,6 +38,41 @@ def test_no_unused_imports():
 def test_scanner_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["line 1: os"]
     assert unused_imports("from a.b import c as d\nimport e.f\nd(e.f)\n") == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Other modules' private names a module reads: ``from m import _name``,
+    or ``m._name`` where ``m`` is a name an import binds (dunders aside)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+                if isinstance(node, ast.ImportFrom) and private(alias.name):
+                    found.append((node.lineno, alias.name))
+    found += [(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in bound and private(n.attr)]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_private_name_of_another_module():
+    """A name one module shares with another is public, so the public-API
+    rule sees who reads it."""
+    found = {p.name: names for p in SRC
+             if (names := private_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_scanner_flags_a_private_import():
+    source = ("from .m import _a, b\nfrom . import tensor as T\nimport numpy as np\n"
+              "T._c(b)\nnp.__version__\nself._d\n_e._f\n"
+              "def g():\n    from .n import _h\n    return T.i\n")
+    assert private_imports(source) == ["line 1: _a", "line 4: T._c", "line 9: _h"]
 
 
 def public_definitions(source: str) -> list[str]:

@@ -332,6 +332,21 @@ class TestGeneration:
             greedy.append(prev)
         assert tokens == greedy
 
+    @pytest.mark.parametrize("beam, max_len", [(6, 1), (9, 1), (9, 3)])
+    def test_no_masked_token_whatever_the_beam(self, f64, beam, max_len):
+        """A beam wider than the tokens a step may emit (five at the first,
+        with EOS masked after BOS) returns fewer hypotheses, never a masked
+        token or an empty query, as the per-pair reference does."""
+        clf, ved = models()
+        out = V.beam_generate([4, 5, 6], [4, 5], clf, ved, beam=beam, max_len=max_len)
+        if max_len == 1:
+            assert sorted(tokens for tokens, _ in out) == [[4], [5], [6], [7], [8]]
+        for tokens, score in out:
+            assert tokens and not {PAD, UNK, BOS, EOS} & set(tokens) and score > -1e3
+        want = L.beam_generate([4, 5, 6], [4, 5], clf, ved, beam=beam, max_len=max_len)
+        assert [tokens for tokens, _ in out] == [tokens for tokens, _ in want]
+        np.testing.assert_allclose([s for _, s in out], [s for _, s in want], rtol=1e-12)
+
     def test_max_len_respected(self, f64):
         clf, ved = models(seed=7)
         for tokens, _ in V.beam_generate([4, 5], [6], clf, ved, beam=3, max_len=5):
